@@ -1,103 +1,36 @@
-"""Numeric kernels for the tone detector.
+"""Cached DFT basis for the tone detector's filter bank.
 
-Two implementations of the Goertzel recurrence live here: a numba-compiled
-scalar loop and a pure-numpy path that keeps the per-sample recursion but
-vectorizes across bins. Both run the same arithmetic in the same order, so
-they agree to the bit.
+The power of a window x at bin b is |X[b]|^2 = (C x)_b^2 + (S x)_b^2, where
+C[b, n] = cos(2 pi b n / N) and S[b, n] = sin(2 pi b n / N). Every row is read
+from one length-N cos/sin table at index (b * n) mod N, so each angle is
+reduced exactly before its cosine is taken. Bases are built on first use and
+cached per (window_len, bins); nothing is computed at import time.
 
-Selection: numba is used when importable unless DUTYSIM_NO_NUMBA is set to a
-non-empty value, in which case the numpy path is used. ``USING_NUMBA`` tells
-you which one won.
+``USING_NUMBA`` is always False: no compiled kernels exist, and the
+benchmark's run metadata reads the flag.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    _HAVE_NUMBA = False
-
-_DISABLED = bool(os.environ.get("DUTYSIM_NO_NUMBA"))
-USING_NUMBA = _HAVE_NUMBA and not _DISABLED
+USING_NUMBA = False
 
 
-def goertzel_many_numpy(samples: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Squared DFT magnitudes at the bins encoded by ``coeffs``.
-
-    coeffs[b] = 2*cos(2*pi*bin_b/N). The recurrence
-        s0 = x[n] + c*s1 - s2
-    runs once per sample with all bins in flight as a vector.
-    """
-    s1 = np.zeros_like(coeffs)
-    s2 = np.zeros_like(coeffs)
-    for n in range(samples.shape[0]):
-        s0 = samples[n] + coeffs * s1 - s2
-        s2 = s1
-        s1 = s0
-    return s1 * s1 + s2 * s2 - coeffs * s1 * s2
+@lru_cache(maxsize=8)
+def dft_basis(n: int, bins: tuple[int, ...]) -> np.ndarray:
+    """Read-only (2B, n) matrix: the B cos rows, then the B sin rows."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    idx = np.outer(np.asarray(bins, dtype=np.int64), np.arange(n)) % n
+    basis = np.concatenate((np.cos(angles)[idx], np.sin(angles)[idx]))
+    basis.setflags(write=False)
+    return basis
 
 
-def _goertzel_many_scalar(samples, coeffs):
-    out = np.empty(coeffs.shape[0])
-    for b in range(coeffs.shape[0]):
-        c = coeffs[b]
-        s1 = 0.0
-        s2 = 0.0
-        for n in range(samples.shape[0]):
-            s0 = samples[n] + c * s1 - s2
-            s2 = s1
-            s1 = s0
-        out[b] = s1 * s1 + s2 * s2 - c * s1 * s2
-    return out
-
-
-def goertzel_batch_numpy(windows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Bank powers for many windows at once; returns shape (M, B)."""
-    m = windows.shape[0]
-    b = coeffs.shape[0]
-    s1 = np.zeros((m, b))
-    s2 = np.zeros((m, b))
-    for n in range(windows.shape[1]):
-        s0 = windows[:, n, None] + coeffs * s1 - s2
-        s2 = s1
-        s1 = s0
-    return s1 * s1 + s2 * s2 - coeffs * s1 * s2
-
-
-def _goertzel_batch_scalar(windows, coeffs):
-    m = windows.shape[0]
-    nb = coeffs.shape[0]
-    out = np.empty((m, nb))
-    for i in range(m):
-        for b in range(nb):
-            c = coeffs[b]
-            s1 = 0.0
-            s2 = 0.0
-            for n in range(windows.shape[1]):
-                s0 = windows[i, n] + c * s1 - s2
-                s2 = s1
-                s1 = s0
-            out[i, b] = s1 * s1 + s2 * s2 - c * s1 * s2
-    return out
-
-
-if _HAVE_NUMBA:
-    goertzel_many_numba = numba.njit(cache=True)(_goertzel_many_scalar)
-    goertzel_batch_numba = numba.njit(cache=True)(_goertzel_batch_scalar)
-else:
-    goertzel_many_numba = _goertzel_many_scalar
-    goertzel_batch_numba = _goertzel_batch_scalar
-
-if USING_NUMBA:
-    goertzel_many = goertzel_many_numba
-    goertzel_batch = goertzel_batch_numba
-else:
-    goertzel_many = goertzel_many_numpy
-    goertzel_batch = goertzel_batch_numpy
+def bin_powers(x: np.ndarray, bins: tuple[int, ...]) -> np.ndarray:
+    """|X[b]|^2 of the 1D float64 window x for each b in bins."""
+    proj = dft_basis(x.shape[0], bins) @ x
+    re, im = proj[: len(bins)], proj[len(bins) :]
+    return re * re + im * im

@@ -1,9 +1,11 @@
 """Acoustic event gate built on a Goertzel filter bank.
 
-The detector evaluates squared DFT magnitudes at a small set of target bins
-using the Goertzel recurrence (state update s0 = x[n] + 2*cos(w)*s1 - s2),
-which costs O(N) per bin instead of a full transform. A window is flagged as
-an event when the median bank power strictly exceeds a threshold.
+The detector evaluates squared DFT magnitudes at a small set of target bins,
+the quantities the device's Goertzel recurrence (s0 = x[n] + 2*cos(w)*s1 - s2)
+computes at O(N) per bin instead of a full transform. Here they come from one
+product of the window with a cached cos/sin basis of the bins (see
+``_kernels``). A window is flagged as an event when the median bank power
+strictly exceeds a threshold.
 
 An abstract detector model (true/false positive rates) stands in for the
 filter bank when simulating schedules; both share the DetectorModel type.
@@ -106,18 +108,16 @@ class DetectorModel:
 
 
 def _check_bin(bin_idx: int, window_len: int) -> None:
+    if bin_idx != int(bin_idx):
+        raise ValueError(f"bin {bin_idx} is not an integer")
     if not 0 <= bin_idx <= window_len // 2:
         raise ValueError(
             f"bin {bin_idx} out of range [0, {window_len // 2}] for window {window_len}"
         )
 
 
-def _coeffs(bins: np.ndarray, window_len: int) -> np.ndarray:
-    return 2.0 * np.cos(2.0 * np.pi * bins / window_len)
-
-
 def goertzel_power(samples: np.ndarray, bin_idx: int, window_len: int | None = None) -> float:
-    """|X[bin]|^2 of the window via the Goertzel recurrence.
+    """|X[bin]|^2 of the window.
 
     window_len defaults to len(samples) and must match it when given.
     """
@@ -132,29 +132,27 @@ def goertzel_power(samples: np.ndarray, bin_idx: int, window_len: int | None = N
     if n == 0:
         return 0.0
     _check_bin(bin_idx, n)
-    coeffs = _coeffs(np.array([bin_idx], dtype=np.float64), n)
-    return float(_kernels.goertzel_many(x, coeffs)[0])
+    return float(_kernels.bin_powers(x, (int(bin_idx),))[0])
 
 
 def goertzel_spectrum(samples: np.ndarray, bins) -> np.ndarray:
-    """Powers at several bins of one window, one recurrence per bin."""
+    """Powers at several bins of one window."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] == 0:
         raise ValueError("samples must be a non-empty 1D array")
-    bins = np.asarray(bins, dtype=np.int64)
+    bins = np.asarray(bins).tolist()
     for b in bins:
-        _check_bin(int(b), x.shape[0])
-    return _kernels.goertzel_many(x, _coeffs(bins.astype(np.float64), x.shape[0]))
+        _check_bin(b, x.shape[0])
+    return _kernels.bin_powers(x, tuple(map(int, bins)))
 
 
 def bank_powers(bank: GoertzelBank, samples: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.shape[0] != bank.window_len:
+    if x.shape != (bank.window_len,):
         raise ValueError(
-            f"expected {bank.window_len} samples, got {x.shape[0]}"
+            f"expected {bank.window_len} samples, got shape {x.shape}"
         )
-    bins = np.asarray(bank.target_bins, dtype=np.float64)
-    return _kernels.goertzel_many(x, _coeffs(bins, bank.window_len))
+    return _kernels.bin_powers(x, bank.target_bins)
 
 
 def median_power(powers: np.ndarray) -> float:

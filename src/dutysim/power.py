@@ -9,6 +9,7 @@ current using 8766 hours per year (365.25 days).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ActivityLogError
@@ -105,25 +106,28 @@ class PowerProfile:
         if self.false_alarm_record_s < 0:
             raise ValueError("false_alarm_record_s must be >= 0")
 
-    def current(self, mode: str) -> float:
-        """mA drawn in the given activity mode."""
-        if mode == "probe":
-            return (
+    @cached_property
+    def _current_by_mode(self) -> dict[str, float]:
+        return {
+            "sleep": self.i_sleep,
+            "probe": (
                 self.i_probe_goertzel
                 if self.probe_detector == "goertzel"
                 else self.i_probe_tflite
-            )
+            ),
+            "event_record": self.i_record_3s,
+            "tx_audio": self.i_tx_audio,
+            "tx_image": self.i_tx_image,
+            "camera": self.i_camera,
+            "ql_infer": self.i_ql_infer,
+            "ql_update": self.i_ql_update,
+            "ping": self.i_ping,
+        }
+
+    def current(self, mode: str) -> float:
+        """mA drawn in the given activity mode."""
         try:
-            return {
-                "sleep": self.i_sleep,
-                "event_record": self.i_record_3s,
-                "tx_audio": self.i_tx_audio,
-                "tx_image": self.i_tx_image,
-                "camera": self.i_camera,
-                "ql_infer": self.i_ql_infer,
-                "ql_update": self.i_ql_update,
-                "ping": self.i_ping,
-            }[mode]
+            return self._current_by_mode[mode]
         except KeyError:
             raise ValueError(f"unknown activity mode {mode!r}") from None
 

@@ -168,25 +168,29 @@ def make_probe_fn(model: DetectorModel):
     default_band = model.default_band
     half_bw = model.event_bandwidth_hz / 2.0
     nyquist = bank.sample_rate / 2.0
-    bank_freqs = tuple(bank.freq_of(b) for b in bank.target_bins)
     t = np.arange(bank.window_len, dtype=np.float64) / bank.sample_rate
 
-    def _event_freqs(band):
+    def _tone(f):
+        return amplitude * np.sin(2.0 * np.pi * f * t)
+
+    bank_tones = [(f, _tone(f)) for f in map(bank.freq_of, bank.target_bins)]
+
+    def _event_tones(band):
         center = band if band is not None else default_band
-        freqs = [f for f in bank_freqs if abs(f - center) <= half_bw]
-        if freqs:
-            return freqs
+        tones = [tone for f, tone in bank_tones if abs(f - center) <= half_bw]
+        if tones:
+            return tones
         # Out-of-bank event: its energy is in the air but the filter bank
         # mostly ignores it, so the median gate will usually stay quiet.
         if 0.0 < center < nyquist:
-            return [center]
+            return [_tone(center)]
         return []
 
     def probe_fn(bands, rng):
         window = np.zeros(bank.window_len)
         for band in bands:
-            for f in _event_freqs(band):
-                window += amplitude * np.sin(2.0 * np.pi * f * t)
+            for tone in _event_tones(band):
+                window += tone
         if noise_sd > 0:
             window += rng.normal(0.0, noise_sd, size=bank.window_len)
         return gate(bank, window)

@@ -1,12 +1,14 @@
 """Independent reference implementations the tests check against.
 
-Everything here is deliberately naive: direct DFT matrix products, 1 ms
-time-grid energy integration, linear interval scans, exhaustive subset
-clique enumeration. Slow and obviously correct beats fast and clever for
-an oracle.
+Everything here is deliberately naive: direct DFT matrix products, the
+scalar Goertzel recurrence, 1 ms time-grid energy integration, linear
+interval scans, exhaustive subset clique enumeration. Slow and obviously
+correct beats fast and clever for an oracle.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -14,14 +16,40 @@ from dutysim.power import LogEntry, PowerProfile
 from dutysim.trace import DiurnalProfile, EventTrace, generate_trace
 
 
-def naive_dft_power(samples: np.ndarray, bins) -> np.ndarray:
-    """|X[k]|^2 per requested bin via the definition, one matrix product."""
-    x = np.asarray(samples, dtype=np.float64)
-    n = x.shape[0]
+@functools.lru_cache(maxsize=4)
+def _dft_basis(n: int, bins: tuple) -> np.ndarray:
     k = np.asarray(bins, dtype=np.float64).reshape(-1, 1)
-    basis = np.exp(-2j * np.pi * k * np.arange(n) / n)
-    spectrum = basis @ x
+    return np.exp(-2j * np.pi * k * np.arange(n) / n)
+
+
+def naive_dft_power(samples: np.ndarray, bins) -> np.ndarray:
+    """|X[k]|^2 per requested bin via the definition, one matrix product.
+
+    The complex-exponential basis is cached per (n, bins), so checking many
+    signals of one length builds it once.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    spectrum = _dft_basis(x.shape[0], tuple(np.asarray(bins).tolist())) @ x
     return np.abs(spectrum) ** 2
+
+
+def goertzel_recurrence(samples: np.ndarray, bins) -> np.ndarray:
+    """|X[k]|^2 per requested bin via the Goertzel recurrence.
+
+    This is the O(N)-per-bin algorithm the device runs: with
+    c = 2*cos(2*pi*k/N), s0 = x[n] + c*s1 - s2 over every sample, and then
+    |X[k]|^2 = s1^2 + s2^2 - c*s1*s2. One scalar loop per bin.
+    """
+    x = [float(v) for v in np.asarray(samples, dtype=np.float64)]
+    n = len(x)
+    out = []
+    for k in bins:
+        c = 2.0 * math.cos(2.0 * math.pi * float(k) / n)
+        s1 = s2 = 0.0
+        for v in x:
+            s1, s2 = v + c * s1 - s2, s1
+        out.append(s1 * s1 + s2 * s2 - c * s1 * s2)
+    return np.array(out)
 
 
 def assert_spectrum_close(got, want, samples, rtol=1e-9):

@@ -140,8 +140,14 @@ def test_run_emits_six_row_comparison(tmp_path, capsys):
     assert len(summary["qlearn"]["policy_history"]) == 2
 
 
-def test_run_reruns_byte_identical(tmp_path, capsys):
-    cfg_path = write_config(tmp_path / "cfg.json", run_config())
+@pytest.mark.parametrize(
+    "detector", [None, {"kind": "goertzel", "noise_sd": 1.0}], ids=["abstract", "goertzel"]
+)
+def test_run_reruns_byte_identical(tmp_path, capsys, detector):
+    cfg = run_config()
+    if detector is not None:
+        cfg["detector"] = detector
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
     for out in ("a", "b"):
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")

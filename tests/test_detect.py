@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutysim import _kernels
 from dutysim.detect import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_WINDOW,
@@ -24,7 +23,7 @@ from dutysim.detect import (
 )
 from dutysim.rng import substream
 
-from _oracles import assert_spectrum_close, naive_dft_power
+from _oracles import assert_spectrum_close, goertzel_recurrence, naive_dft_power
 
 
 def test_zero_signal():
@@ -55,6 +54,8 @@ def test_bin_out_of_range():
         goertzel_power(x, 801)
     with pytest.raises(ValueError, match="out of range"):
         goertzel_power(x, -1)
+    with pytest.raises(ValueError, match="integer"):
+        goertzel_spectrum(x, [200.5])
     goertzel_power(x, 0)
     goertzel_power(x, 800)
 
@@ -104,6 +105,8 @@ def test_bank_validation():
         GoertzelBank(target_bins=())
     with pytest.raises(ValueError):
         GoertzelBank(target_bins=(900,))  # beyond window/2
+    with pytest.raises(ValueError, match="integer"):
+        GoertzelBank(target_bins=(200.5,))
     with pytest.raises(ValueError):
         GoertzelBank(target_bins=(100,), window_len=0)
 
@@ -140,6 +143,8 @@ def test_gate_midway_tone_stays_quiet():
 def test_gate_wrong_window_length():
     with pytest.raises(ValueError, match="samples"):
         gate(default_bank(), np.zeros(100))
+    with pytest.raises(ValueError, match="samples"):
+        gate(default_bank(), np.zeros((DEFAULT_WINDOW, 3)))
 
 
 @given(
@@ -288,22 +293,16 @@ def test_load_wav_rejects_8_bit(tmp_path):
         load_wav(path)
 
 
-# -- kernel path agreement ---------------------------------------------------
+# -- agreement with the device's recurrence -----------------------------------
 
 
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_paths_bit_identical():
-    rng = substream(7, "paths")
-    for n in (160, 1600):
-        x = rng.normal(size=n)
-        bins = np.arange(0, n // 2 + 1, 7, dtype=np.float64)
-        coeffs = 2.0 * np.cos(2.0 * np.pi * bins / n)
-        a = _kernels.goertzel_many_numba(x, coeffs)
-        b = _kernels.goertzel_many_numpy(x, coeffs)
-        assert np.array_equal(a, b)
-    windows = rng.normal(size=(8, 160))
-    bins = np.arange(0, 81, dtype=np.float64)
-    coeffs = 2.0 * np.cos(2.0 * np.pi * bins / 160)
-    a = _kernels.goertzel_batch_numba(windows, coeffs)
-    b = _kernels.goertzel_batch_numpy(windows, coeffs)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("n", [160, 161, 1600])
+def test_basis_matches_goertzel_recurrence(n):
+    # Odd and even N; bin 0 and the top bin n // 2 (Nyquist when n is even).
+    x = substream(7, "recurrence", n).normal(size=n)
+    bins = sorted({0, 1, n // 4, n // 2 - 1, n // 2, *range(3, n // 2, 37)})
+    want = goertzel_recurrence(x, bins)
+    assert_spectrum_close(goertzel_spectrum(x, bins), want, x)
+    assert_spectrum_close([goertzel_power(x, b) for b in bins], want, x)
+    bank = GoertzelBank(window_len=n, target_bins=tuple(bins))
+    assert_spectrum_close(bank_powers(bank, x), want, x)
