@@ -210,7 +210,7 @@ def cmd_run(args) -> int:
                 f"train_days+eval_days need {needed} s"
             )
         t_begin = q.train_days * SECONDS_PER_DAY
-        duration = q.eval_days * SECONDS_PER_DAY if q.eval_days else None
+        duration = q.eval_days * SECONDS_PER_DAY
         init_table = None
         if q.init_scale is not None:
             train_window = dataclasses.replace(

@@ -27,7 +27,7 @@ from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
 from .qsched import ActionSpace, Hyperparameters, QTable, q_update, select_action
 from .rng import substream
-from .sim import TimelineEngine, _day_rng_provider, make_probe_fn
+from .sim import TimelineEngine, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
 __all__ = [
@@ -415,11 +415,11 @@ class NetworkReport:
 
 
 class _DeviceRuntime:
-    def __init__(self, node, sub_trace, span, profile, probe_fn, seed, table, collect_log):
+    def __init__(self, node, sub_trace, span, profile, detector, seed, table, collect_log):
         self.node = node
         self.rng_for_day = _day_rng_provider(seed, node.id)
         self.engine = TimelineEngine(
-            sub_trace, 0.0, span, profile, probe_fn, self.rng_for_day, collect_log=collect_log
+            sub_trace, 0.0, span, profile, detector, self.rng_for_day, collect_log=collect_log
         )
         self.table = table
         self.battery_initial = (
@@ -488,7 +488,6 @@ def run_network(
             raise ScheduleError(f"failure names unknown device {did}")
     n_bins = config.n_bins
     n_states = 24 * n_bins
-    probe_fn = make_probe_fn(detector)
     feat = {ev.id: (ev.band, ev.start) for ev in trace.events}
     start_day = {ev.id: int(ev.start // SECONDS_PER_DAY) for ev in trace.events}
 
@@ -512,7 +511,7 @@ def run_network(
                 f"does not match {n_states} states x {len(actions)} actions"
             )
         runtimes[node.id] = _DeviceRuntime(
-            node, sub, span, profile, probe_fn, seed, table, collect_logs
+            node, sub, span, profile, detector, seed, table, collect_logs
         )
 
     clusters = form_clusters(order) if len(order) > 1 else []

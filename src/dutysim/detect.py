@@ -106,6 +106,16 @@ class DetectorModel:
         if self.kind == "goertzel" and self.bank is None:
             object.__setattr__(self, "bank", default_bank())
 
+    @property
+    def fixed_fp_rate(self) -> float | None:
+        """Chance that a probe with no event present fires, if it is fixed.
+
+        Abstract models fire at fp_rate whatever the window holds; the
+        Goertzel gate's answer depends on each window's noise, so it has
+        no fixed rate (None).
+        """
+        return self.fp_rate if self.kind == "abstract" else None
+
 
 def _check_bin(bin_idx: int, window_len: int) -> None:
     if bin_idx != int(bin_idx):

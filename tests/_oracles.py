@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: direct DFT matrix products, the
 scalar Goertzel recurrence, 1 ms time-grid energy integration, linear
-interval scans, exhaustive subset clique enumeration. Slow and obviously
-correct beats fast and clever for an oracle.
+interval scans, exhaustive subset clique enumeration, a timeline engine
+that probes every wake one by one. Slow and obviously correct beats fast
+and clever for an oracle.
 """
 
 import functools
@@ -12,8 +13,10 @@ import math
 
 import numpy as np
 
+from dutysim.errors import ScheduleError
 from dutysim.power import LogEntry, PowerProfile
-from dutysim.trace import DiurnalProfile, EventTrace, generate_trace
+from dutysim.sim import PeriodStats, TimelineEngine
+from dutysim.trace import SECONDS_PER_DAY, DiurnalProfile, EventTrace, generate_trace
 
 
 @functools.lru_cache(maxsize=4)
@@ -149,3 +152,86 @@ def two_peak_profile() -> DiurnalProfile:
 
 def two_peak_trace(days: int, seed: int, **kwargs) -> EventTrace:
     return generate_trace(two_peak_profile(), days, seed, **kwargs)
+
+
+class PerWakeEngine(TimelineEngine):
+    """TimelineEngine that probes every wake one by one, never in bulk.
+
+    run_period and _probe are the engine's original per-wake loop; billing,
+    log and state handling come from TimelineEngine. Swap it in for
+    ``dutysim.sim.TimelineEngine`` (and ``dutysim.collab.TimelineEngine``)
+    to get the reference result of any run.
+    """
+
+    def run_period(self, p_end: float, interval: float) -> PeriodStats:
+        if interval <= self.profile.d_probe:
+            raise ScheduleError(
+                f"interval {interval} s not longer than the probe ({self.profile.d_probe} s)"
+            )
+        stats = PeriodStats()
+        while self.next_wake < p_end and self.next_wake < self.horizon:
+            w = max(self.next_wake, self.t)
+            if w >= p_end or w >= self.horizon:
+                self.next_wake = w
+                break
+            self._probe(w, stats)
+            self.next_wake = max(w + interval, self.t)
+        return stats
+
+    def _probe(self, w: float, stats: PeriodStats) -> None:
+        p = self.profile
+        self._sleep_to(w)
+        self._emit("probe", p.d_probe)
+        window_end = w + p.probe_record_s
+        starts, ends = self.starts, self.ends
+        n = len(starts)
+        while self.ptr < n and ends[self.ptr] <= w:
+            self.ptr += 1
+        hit = []
+        j = self.ptr
+        while j < n and starts[j] < window_end:
+            if ends[j] > w:
+                hit.append(j)
+            j += 1
+        rng = self.rng_for_day(int(w // SECONDS_PER_DAY))
+        fired = self.probe_fn([self._bands[k] for k in hit], rng)
+        stats.activations += 1
+        if not fired:
+            stats.negatives += 1
+            return
+
+        detected_now = []
+        for k in hit:
+            if not self.detected_mask[k]:
+                self.detected_mask[k] = True
+                detected_now.append(k)
+        rec_start = self.t
+        if hit:
+            rec_end = max(ends[k] for k in hit)
+        else:
+            rec_end = rec_start + p.false_alarm_record_s
+        if rec_end > rec_start:
+            k = self.ptr
+            while k < n and starts[k] < rec_end:
+                if ends[k] > rec_start and not self.detected_mask[k]:
+                    self.detected_mask[k] = True
+                    detected_now.append(k)
+                    if ends[k] > rec_end:
+                        rec_end = ends[k]
+                k += 1
+            self._emit("event_record", rec_end - rec_start)
+
+        if detected_now:
+            stats.positives += 1
+            for k in detected_now:
+                stats.detected.append((self._ids[k], starts[k]))
+                self.detected.append((self._ids[k], starts[k]))
+                self._emit("tx_audio", p.d_tx_audio)
+                self.cam_acc += p.camera_trigger_ratio
+                if self.cam_acc >= 1.0 - 1e-9:
+                    self.cam_acc -= 1.0
+                    self._emit("camera", p.d_camera)
+                    self._emit("tx_image", p.d_tx_image)
+        else:
+            stats.negatives += 1
+            self._emit("tx_audio", p.d_tx_audio)
