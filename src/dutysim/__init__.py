@@ -13,7 +13,6 @@ from .collab import (
     DeviceNode,
     NetworkConfig,
     NetworkReport,
-    Ping,
     deliver_pings,
     event_hash,
     expand_global_table,
@@ -56,12 +55,10 @@ from .qsched import (
 )
 from .rng import substream
 from .sim import (
-    ComparisonRow,
     FixedSchedule,
     GreedySchedule,
     SimReport,
     TrainResult,
-    compare_schedules,
     convergence_episodes,
     run_schedule,
     train_qlearn,
@@ -84,7 +81,6 @@ __all__ = [
     "ActionSpace",
     "ActivityLogError",
     "Cluster",
-    "ComparisonRow",
     "ConfigError",
     "DEFAULT_ACTIONS",
     "DetectorModel",
@@ -100,7 +96,6 @@ __all__ = [
     "LogEntry",
     "NetworkConfig",
     "NetworkReport",
-    "Ping",
     "PowerProfile",
     "QTable",
     "QTableFormatError",
@@ -110,7 +105,6 @@ __all__ = [
     "TraceValidationError",
     "TrainResult",
     "charge_consumed",
-    "compare_schedules",
     "convergence_episodes",
     "decay_epsilon",
     "default_bank",

@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .collab import expand_global_table, run_network
 from .config import (
     ExperimentConfig,
@@ -77,6 +75,19 @@ SERIES_COLUMNS = [
     "battery_sd",
 ]
 DEVICE_COLUMNS = ["episode", "activations", "battery_level"]
+# The SimReport fields of the qlearn train/eval summaries in summary.json.
+SUMMARY_FIELDS = [
+    "span_s",
+    "activations",
+    "positives",
+    "negatives",
+    "events_total",
+    "events_detected",
+    "detection_rate",
+    "charge_mah",
+    "avg_current_ma",
+    "lifetime_years",
+]
 
 
 def _cell(value) -> str:
@@ -126,38 +137,40 @@ def _prepare(args) -> tuple[ExperimentConfig, Path, Path]:
     return cfg, cfg_path.parent, out_dir
 
 
-def _report_summary(report) -> dict:
-    return {
-        "span_s": report.span_s,
-        "activations": report.activations,
-        "positives": report.positives,
-        "negatives": report.negatives,
-        "events_total": report.events_total,
-        "events_detected": report.events_detected,
-        "detection_rate": report.detection_rate,
-        "charge_mah": report.charge_mah,
-        "avg_current_ma": report.avg_current_ma,
-        "lifetime_years": report.lifetime_years,
-    }
+def _pick(report, names: list[str]) -> dict:
+    return {c: getattr(report, c) for c in names}
+
+
+def _comparison_row(name: str, report) -> dict:
+    return {"name": name, **_pick(report, COMPARISON_COLUMNS[1:])}
 
 
 def _period_rows(schedule: str, phase: str, report) -> list[dict]:
-    return [
-        {
-            "schedule": schedule,
-            "phase": phase,
-            "index": p.index,
-            "hour": p.hour,
-            "interval": p.interval,
-            "activations": p.activations,
-            "positives": p.positives,
-            "negatives": p.negatives,
-            "events_total": p.events_total,
-            "events_detected": p.events_detected,
-            "reward": p.reward,
-        }
-        for p in report.periods
-    ]
+    # vars, not dataclasses.asdict: the deep copy cost about 25 ms per run
+    # of the README config (about 800 PeriodRecords).
+    return [{"schedule": schedule, "phase": phase, **vars(p)} for p in report.periods]
+
+
+def _write_network_csvs(out_dir: Path, report: dict) -> list[str]:
+    """Write the series CSV and one CSV per device from NetworkReport.to_dict().
+
+    A device removed at episode 0 still gets its (header-only) file.
+    Returns the names written.
+    """
+    episodes = report["episodes"]
+    series = [{"episode": e["index"], **e} for e in episodes]
+    tables = {"network_series.csv": (SERIES_COLUMNS, series)}
+    for d in report["devices"]:
+        rows = [
+            {"episode": e["index"], **dev}
+            for e in episodes
+            for dev in e["devices"]
+            if dev["id"] == d["id"]
+        ]
+        tables[f"device_{d['id']}.csv"] = (DEVICE_COLUMNS, rows)
+    for name, (columns, rows) in tables.items():
+        _write_csv(out_dir / name, columns, rows)
+    return list(tables)
 
 
 # -- gen-trace --------------------------------------------------------------
@@ -165,7 +178,7 @@ def _period_rows(schedule: str, phase: str, report) -> list[dict]:
 
 def cmd_gen_trace(args) -> int:
     cfg, _base, out_dir = _prepare(args)
-    if cfg.generator is None:
+    if cfg.trace.profile is None:
         raise ConfigError("gen-trace needs a trace.profile section, not a file source")
     trace = build_trace(cfg)
     save_trace(trace, out_dir / "trace.csv")
@@ -196,8 +209,8 @@ def cmd_run(args) -> int:
     period_rows: list[dict] = []
     outputs = ["comparison.csv", "per_period.csv", "summary.json"]
 
-    if cfg.qlearn is not None:
-        q = cfg.qlearn
+    if cfg.schedules.qlearn is not None:
+        q = cfg.schedules.qlearn
         if q.eval_days < 1:
             raise ConfigError(
                 "schedules.qlearn.eval_days: need >= 1 so every schedule is "
@@ -225,7 +238,7 @@ def cmd_run(args) -> int:
             trace,
             q.train_days,
             q.eval_days,
-            cfg.hp,
+            cfg.hyperparameters,
             actions,
             detector,
             profile,
@@ -233,21 +246,19 @@ def cmd_run(args) -> int:
             init_table=init_table,
         )
         period_rows.extend(_period_rows("qlearn", "train", result.train_report))
-        if q.eval_days:
-            period_rows.extend(_period_rows("qlearn", "eval", result.eval_report))
+        period_rows.extend(_period_rows("qlearn", "eval", result.eval_report))
         qlearn_payload = {
             "episodes_to_convergence": result.train_report.episodes_to_convergence,
             "eps_final": result.eps_final,
             "greedy_policy": [int(a) for a in result.table.greedy_policy()],
             "policy_history": [[int(a) for a in p] for p in result.policy_history],
-            "train": _report_summary(result.train_report),
-            "eval": _report_summary(result.eval_report),
+            "train": _pick(result.train_report, SUMMARY_FIELDS),
+            "eval": _pick(result.eval_report, SUMMARY_FIELDS),
         }
-        save_qtable_path = out_dir / "qtable.bin"
-        save_qtable_path.write_bytes(save_qtable(result.table))
+        (out_dir / "qtable.bin").write_bytes(save_qtable(result.table))
         outputs.append("qtable.bin")
 
-    for interval in cfg.fixed_intervals:
+    for interval in cfg.schedules.fixed:
         spec = FixedSchedule(interval)
         report, _ = run_schedule(
             trace,
@@ -259,31 +270,10 @@ def cmd_run(args) -> int:
             t_begin=t_begin,
             duration_s=duration,
         )
-        comparison.append(
-            {
-                "name": spec.name,
-                "detection_rate": report.detection_rate,
-                "activations": report.activations,
-                "positives": report.positives,
-                "negatives": report.negatives,
-                "avg_current_ma": report.avg_current_ma,
-                "lifetime_years": report.lifetime_years,
-            }
-        )
+        comparison.append(_comparison_row(spec.name, report))
         period_rows.extend(_period_rows(spec.name, "eval", report))
     if qlearn_payload is not None:
-        ev = qlearn_payload["eval"]
-        comparison.append(
-            {
-                "name": "qlearn",
-                "detection_rate": ev["detection_rate"],
-                "activations": ev["activations"],
-                "positives": ev["positives"],
-                "negatives": ev["negatives"],
-                "avg_current_ma": ev["avg_current_ma"],
-                "lifetime_years": ev["lifetime_years"],
-            }
-        )
+        comparison.append(_comparison_row("qlearn", result.eval_report))
 
     summary = {
         "kind": "run",
@@ -322,7 +312,7 @@ def cmd_run_network(args) -> int:
             trace,
             cfg.network.pretrain_days,
             0,
-            cfg.hp,
+            cfg.hyperparameters,
             net_cfg.actions,
             detector,
             profile,
@@ -336,43 +326,12 @@ def cmd_run_network(args) -> int:
         nodes, trace, net_cfg, detector, profile, cfg.seed, init_tables=init_tables
     )
 
-    series_rows = [
-        {
-            "episode": e.index,
-            "events_total": e.events_total,
-            "events_detected": e.events_detected,
-            "detection_rate": e.detection_rate,
-            "mean_duplicates": e.mean_duplicates,
-            "positives": e.positives,
-            "negatives": e.negatives,
-            "global_reward": e.global_reward,
-            "battery_sd": e.battery_sd,
-        }
-        for e in report.episodes
-    ]
-    device_rows = {
-        d.id: [
-            {
-                "episode": e.index,
-                "activations": e.activations[d.id],
-                "battery_level": e.batteries[d.id],
-            }
-            for e in report.episodes
-            if d.id in e.activations
-        ]
-        for d in report.devices
-    }
-
-    outputs = ["network.json", "network_series.csv"]
+    report_dict = report.to_dict()
     _write_json(
         out_dir / "network.json",
-        {"kind": "run-network", "config": config_to_dict(cfg), "report": report.to_dict()},
+        {"kind": "run-network", "config": config_to_dict(cfg), "report": report_dict},
     )
-    _write_csv(out_dir / "network_series.csv", SERIES_COLUMNS, series_rows)
-    for did in sorted(device_rows):
-        name = f"device_{did}.csv"
-        _write_csv(out_dir / name, DEVICE_COLUMNS, device_rows[did])
-        outputs.append(name)
+    outputs = ["network.json", *_write_network_csvs(out_dir, report_dict)]
     if net_cfg.train:
         for did in sorted(report.tables):
             name = f"qtable_{did}.bin"
@@ -414,38 +373,8 @@ def cmd_report(args) -> int:
         print(f"rendered comparison.csv and per_period.csv to {out_dir}")
         return 0
     if kind == "run-network":
-        report = payload["report"]
-        series_rows = [
-            {
-                "episode": e["index"],
-                "events_total": e["events_total"],
-                "events_detected": e["events_detected"],
-                "detection_rate": e["detection_rate"],
-                "mean_duplicates": e["mean_duplicates"],
-                "positives": e["positives"],
-                "negatives": e["negatives"],
-                "global_reward": e["global_reward"],
-                "battery_sd": e["battery_sd"],
-            }
-            for e in report["episodes"]
-        ]
-        _write_csv(out_dir / "network_series.csv", SERIES_COLUMNS, series_rows)
-        per_device: dict[int, list[dict]] = {}
-        for e in report["episodes"]:
-            for dev in e["devices"]:
-                per_device.setdefault(dev["id"], []).append(
-                    {
-                        "episode": e["index"],
-                        "activations": dev["activations"],
-                        "battery_level": dev["battery_level"],
-                    }
-                )
-        names = []
-        for did in sorted(per_device):
-            name = f"device_{did}.csv"
-            _write_csv(out_dir / name, DEVICE_COLUMNS, per_device[did])
-            names.append(name)
-        print(f"rendered network_series.csv and {len(names)} device CSVs to {out_dir}")
+        names = _write_network_csvs(out_dir, payload["report"])
+        print(f"rendered network_series.csv and {len(names) - 1} device CSVs to {out_dir}")
         return 0
     raise ConfigError(f"{path}: unknown summary kind {kind!r}")
 

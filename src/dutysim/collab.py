@@ -18,14 +18,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .detect import DetectorModel
 from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
-from .qsched import ActionSpace, Hyperparameters, QTable, q_update, select_action
+from .qsched import (
+    ActionSpace,
+    Hyperparameters,
+    QTable,
+    RewardInputs,
+    decay_epsilon,
+    q_update,
+    reward,
+    select_action,
+)
 from .rng import substream
 from .sim import TimelineEngine, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
@@ -33,7 +42,6 @@ from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 __all__ = [
     "DeviceNode",
     "Cluster",
-    "Ping",
     "NetworkRewardInputs",
     "NetworkConfig",
     "EpisodeMetrics",
@@ -41,7 +49,6 @@ __all__ = [
     "NetworkReport",
     "event_hash",
     "form_clusters",
-    "slot_holder",
     "deliver_pings",
     "local_reward",
     "network_reward",
@@ -86,17 +93,6 @@ class Cluster:
 
     def slot_holder(self, t: int) -> int:
         return self.order[t % len(self.order)]
-
-
-def slot_holder(cluster: Cluster, t: int) -> int:
-    return cluster.slot_holder(t)
-
-
-@dataclass(frozen=True)
-class Ping:
-    sender: int
-    event_hash: int
-    period: int
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -185,8 +181,7 @@ class NetworkRewardInputs:
 def network_reward(inputs: NetworkRewardInputs) -> float:
     overlap_penalty = sum(o - 1 for o in inputs.overlaps)
     return (
-        inputs.n_pos
-        - inputs.w1 * inputs.n_neg
+        reward(RewardInputs(inputs.n_pos, inputs.n_neg), inputs.w1)
         - inputs.w2 * overlap_penalty
         - inputs.w3 * inputs.battery_sd
     )
@@ -258,7 +253,7 @@ def local_reward(
         if any(set(senders) & set(c.members) for c in holding):
             continue
         penalty += len(senders)
-    return n_pos - w1 * n_neg - w2 * penalty
+    return reward(RewardInputs(n_pos, n_neg), w1) - w2 * penalty
 
 
 def expand_global_table(table: QTable, n_bins: int) -> QTable:
@@ -372,44 +367,21 @@ class NetworkReport:
         return 1.0 if total == 0 else hit / total
 
     def to_dict(self) -> dict:
+        """JSON form: per-episode device maps become id-sorted "devices" lists."""
+        episodes = []
+        for e in self.episodes:
+            row = asdict(e)
+            activations, batteries = row.pop("activations"), row.pop("batteries")
+            row["devices"] = [
+                {"id": i, "activations": activations[i], "battery_level": batteries[i]}
+                for i in sorted(activations)
+            ]
+            episodes.append(row)
         return {
             "n_devices": self.n_devices,
             "detection_rate": self.detection_rate,
-            "episodes": [
-                {
-                    "index": e.index,
-                    "events_total": e.events_total,
-                    "events_detected": e.events_detected,
-                    "detection_rate": e.detection_rate,
-                    "mean_duplicates": e.mean_duplicates,
-                    "positives": e.positives,
-                    "negatives": e.negatives,
-                    "global_reward": e.global_reward,
-                    "battery_sd": e.battery_sd,
-                    "devices": [
-                        {
-                            "id": i,
-                            "activations": e.activations[i],
-                            "battery_level": e.batteries[i],
-                        }
-                        for i in sorted(e.activations)
-                    ],
-                }
-                for e in self.episodes
-            ],
-            "devices": [
-                {
-                    "id": d.id,
-                    "activations": d.activations,
-                    "positives": d.positives,
-                    "negatives": d.negatives,
-                    "events_detected": d.events_detected,
-                    "charge_mah": d.charge_mah,
-                    "battery_level": d.battery_level,
-                    "removed_at": d.removed_at,
-                }
-                for d in self.devices
-            ],
+            "episodes": episodes,
+            "devices": [asdict(d) for d in self.devices],
             "clusters": [list(c.members) for c in self.clusters],
         }
 
@@ -489,7 +461,9 @@ def run_network(
     n_bins = config.n_bins
     n_states = 24 * n_bins
     feat = {ev.id: (ev.band, ev.start) for ev in trace.events}
-    start_day = {ev.id: int(ev.start // SECONDS_PER_DAY) for ev in trace.events}
+    events_by_day: dict[int, list[int]] = {}
+    for ev in trace.events:
+        events_by_day.setdefault(int(ev.start // SECONDS_PER_DAY), []).append(ev.id)
 
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
@@ -634,7 +608,7 @@ def run_network(
             if config.train:
                 for rt in alive:
                     did = rt.node.id
-                    eps[did] = max(hp.eps_min, eps[did] * hp.eps_decay)
+                    eps[did] = decay_epsilon(eps[did], hp)
 
     for rt in runtimes.values():
         if rt.active:
@@ -642,7 +616,7 @@ def run_network(
 
     episodes = []
     for day in range(config.episodes):
-        day_events = [eid for eid, d in start_day.items() if d == day]
+        day_events = events_by_day.get(day, [])
         detected = [eid for eid in day_events if eid in detections_by_event]
         dup = (
             sum(len(detections_by_event[eid]) for eid in detected) / len(detected)

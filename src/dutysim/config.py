@@ -2,15 +2,24 @@
 
 One JSON file fully determines a run: trace source (a file or a generator
 profile, never both), schedule specs, hyperparameters, detector, power
-overrides, an optional network section, and the seed. Parsing is strict:
-unknown keys and malformed fields raise ConfigError naming the offending
-field. parse -> serialize -> parse is the identity.
+overrides, an optional network section, and the seed.
+
+Each section is a frozen dataclass whose field names are its JSON keys, so a
+field is declared once. ``_parse`` walks the fields and their annotations
+(int, float, str, bool, ``X | None``, ``tuple[T, ...]``, fixed-length tuples
+and nested dataclasses); int and float fields reject true/false. A section's
+own invariants live in its ``__post_init__``. Unknown keys, missing required
+keys, wrong types and broken invariants raise ConfigError naming the
+offending field. ``config_to_dict`` is the inverse with every default
+materialized; it leaves a field out only when it is None and defaults to
+None. parse -> serialize -> parse is the identity.
 """
 
-from __future__ import annotations
-
 import dataclasses
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +31,9 @@ from .trace import DiurnalProfile, EventTrace, generate_trace, load_trace
 
 __all__ = [
     "ExperimentConfig",
+    "TraceSource",
     "GeneratorSpec",
+    "Schedules",
     "QLearnSpec",
     "NetworkSpec",
     "DeviceLayout",
@@ -47,12 +58,32 @@ class GeneratorSpec:
     band_range: tuple[float, float] | None = None
     area: tuple[float, float, float, float] | None = None
 
+    def __post_init__(self):
+        if len(self.hourly_rate) != 24:
+            raise ValueError("hourly_rate: need a list of 24 rates")
+
+
+@dataclass(frozen=True)
+class TraceSource:
+    file: str | None = None
+    profile: GeneratorSpec | None = None
+
+    def __post_init__(self):
+        if (self.file is None) == (self.profile is None):
+            raise ValueError("need exactly one of 'file' or 'profile'")
+
 
 @dataclass(frozen=True)
 class QLearnSpec:
     train_days: int = 10
     eval_days: int = 4
     init_scale: float | None = None
+
+
+@dataclass(frozen=True)
+class Schedules:
+    fixed: tuple[float, ...] = DEFAULT_ACTIONS
+    qlearn: QLearnSpec | None = field(default_factory=QLearnSpec)
 
 
 @dataclass(frozen=True)
@@ -66,6 +97,10 @@ class DetectorSpec:
     event_bandwidth_hz: float = 4000.0
     threshold: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("abstract", "goertzel"):
+            raise ValueError(f"kind: expected 'abstract' or 'goertzel', got {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class DeviceLayout:
@@ -78,7 +113,7 @@ class DeviceLayout:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    devices: tuple[DeviceLayout, ...] = ()
+    layout: tuple[DeviceLayout, ...] | None = None
     layout_file: str | None = None
     episodes: int = 30
     w2: float = 0.5
@@ -91,306 +126,103 @@ class NetworkSpec:
     eps_reset_on_change: bool = True
     failures: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        if (self.layout is None) == (self.layout_file is None):
+            raise ValueError("need exactly one of 'layout' or 'layout_file'")
+        if self.layout == ():
+            raise ValueError("layout: need a non-empty device list")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    trace_file: str | None = None
-    generator: GeneratorSpec | None = None
+    trace: TraceSource
     out: str | None = None
-    fixed_intervals: tuple[float, ...] = DEFAULT_ACTIONS
-    qlearn: QLearnSpec | None = field(default_factory=QLearnSpec)
-    hp: Hyperparameters = field(default_factory=Hyperparameters)
+    schedules: Schedules = field(default_factory=Schedules)
+    hyperparameters: Hyperparameters = field(default_factory=Hyperparameters)
     actions: tuple[float, ...] = DEFAULT_ACTIONS
     detector: DetectorSpec = field(default_factory=DetectorSpec)
-    power: tuple[tuple[str, object], ...] = ()
+    # Only the PowerProfile fields the file sets, sorted by name: checked
+    # against a full profile, serialized as the same sparse map.
+    power: tuple[tuple[str, object], ...] = field(
+        default=(), metadata={"overrides": PowerProfile}
+    )
     network: NetworkSpec | None = None
+
+    def __post_init__(self):
+        try:
+            ActionSpace(self.actions)
+        except ValueError as e:
+            raise ValueError(f"actions: {e}") from None
 
 
 # -- parsing ----------------------------------------------------------------
 
-
-def _need(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return mapping[key]
-
-
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    extra = sorted(set(mapping) - allowed)
-    if extra:
-        raise ConfigError(f"{where}: unknown field '{extra[0]}'")
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+}
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+@functools.cache
+def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
+    """The dataclass's fields with their resolved annotations."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _parse(tp, value, where: str):
+    """Check decoded JSON ``value`` against annotation ``tp`` and build it."""
+    if dataclasses.is_dataclass(tp):
+        return _parse_dataclass(tp, value, where)
+    origin = typing.get_origin(tp)
+    if origin is types.UnionType:
+        (inner,) = (a for a in typing.get_args(tp) if a is not type(None))
+        return None if value is None else _parse(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        items = typing.get_args(tp)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ConfigError(f"{where}: expected {len(items)} items, got {len(value)}")
+        return tuple(_parse(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    accepted, what = _SCALARS[tp]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    return tp(value)
 
 
-def _parse_generator(d: dict) -> GeneratorSpec:
-    where = "trace.profile"
-    _check_keys(
-        d,
-        {"hourly_rate", "duration_mean", "duration_sd", "days", "origin_hour", "band_range", "area"},
-        where,
-    )
-    rates = _need(d, "hourly_rate", where)
-    if not isinstance(rates, list) or len(rates) != 24:
-        raise ConfigError(f"{where}.hourly_rate: need a list of 24 rates")
-    band_range = d.get("band_range")
-    if band_range is not None:
-        if not isinstance(band_range, list) or len(band_range) != 2:
-            raise ConfigError(f"{where}.band_range: need [lo, hi]")
-        band_range = tuple(_as_number(v, f"{where}.band_range") for v in band_range)
-    area = d.get("area")
-    if area is not None:
-        if not isinstance(area, list) or len(area) != 4:
-            raise ConfigError(f"{where}.area: need [x0, x1, y0, y1]")
-        area = tuple(_as_number(v, f"{where}.area") for v in area)
-    return GeneratorSpec(
-        hourly_rate=tuple(_as_number(r, f"{where}.hourly_rate") for r in rates),
-        duration_mean=_as_number(_need(d, "duration_mean", where), f"{where}.duration_mean"),
-        duration_sd=_as_number(_need(d, "duration_sd", where), f"{where}.duration_sd"),
-        days=_as_int(_need(d, "days", where), f"{where}.days"),
-        origin_hour=_as_int(d.get("origin_hour", 0), f"{where}.origin_hour"),
-        band_range=band_range,
-        area=area,
-    )
-
-
-def _parse_hp(d: dict) -> Hyperparameters:
-    where = "hyperparameters"
-    fields = {f.name for f in dataclasses.fields(Hyperparameters)}
-    _check_keys(d, fields, where)
-    kwargs = {k: _as_number(v, f"{where}.{k}") for k, v in d.items()}
+def _parse_dataclass(cls, value, where: str):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    fields = _fields(cls)
+    unknown = sorted(set(value) - {f.name for f, _ in fields})
+    if unknown:
+        raise ConfigError(f"{where}: unknown field '{unknown[0]}'")
+    prefix = "" if where == "config" else f"{where}."
+    kwargs = {}
+    for f, tp in fields:
+        if f.name in value:
+            overrides = f.metadata.get("overrides")
+            if overrides is None:
+                kwargs[f.name] = _parse(tp, value[f.name], prefix + f.name)
+            else:
+                full = _parse(overrides, value[f.name], prefix + f.name)
+                kwargs[f.name] = tuple((k, getattr(full, k)) for k in sorted(value[f.name]))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required field '{f.name}'")
     try:
-        return Hyperparameters(**kwargs)
+        return cls(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _parse_detector(d: dict) -> DetectorSpec:
-    where = "detector"
-    _check_keys(
-        d,
-        {
-            "kind",
-            "tp_rate",
-            "fp_rate",
-            "noise_sd",
-            "tone_amplitude",
-            "default_band",
-            "event_bandwidth_hz",
-            "threshold",
-        },
-        where,
-    )
-    kind = d.get("kind", "abstract")
-    if kind not in ("abstract", "goertzel"):
-        raise ConfigError(f"{where}.kind: expected 'abstract' or 'goertzel', got {kind!r}")
-    kwargs = {"kind": kind}
-    for name in ("tp_rate", "fp_rate", "noise_sd", "tone_amplitude", "default_band", "event_bandwidth_hz"):
-        if name in d:
-            kwargs[name] = _as_number(d[name], f"{where}.{name}")
-    threshold = d.get("threshold")
-    if threshold is not None:
-        threshold = _as_number(threshold, f"{where}.threshold")
-    return DetectorSpec(threshold=threshold, **kwargs)
-
-
-def _parse_power(d: dict) -> tuple[tuple[str, object], ...]:
-    where = "power"
-    fields = {f.name for f in dataclasses.fields(PowerProfile)}
-    _check_keys(d, fields, where)
-    items = []
-    for k in sorted(d):
-        v = d[k]
-        if k == "probe_detector":
-            if v not in ("goertzel", "tflite"):
-                raise ConfigError(f"{where}.probe_detector: got {v!r}")
-        else:
-            v = _as_number(v, f"{where}.{k}")
-        items.append((k, v))
-    return tuple(items)
-
-
-def _parse_device(d: dict, where: str) -> DeviceLayout:
-    _check_keys(d, {"id", "x", "y", "sensing_radius", "comm_radius"}, where)
-    return DeviceLayout(
-        id=_as_int(_need(d, "id", where), f"{where}.id"),
-        x=_as_number(_need(d, "x", where), f"{where}.x"),
-        y=_as_number(_need(d, "y", where), f"{where}.y"),
-        sensing_radius=_as_number(_need(d, "sensing_radius", where), f"{where}.sensing_radius"),
-        comm_radius=_as_number(_need(d, "comm_radius", where), f"{where}.comm_radius"),
-    )
-
-
-def _parse_network(d: dict) -> NetworkSpec:
-    where = "network"
-    _check_keys(
-        d,
-        {
-            "layout",
-            "layout_file",
-            "episodes",
-            "w2",
-            "w3",
-            "drop_rate",
-            "detection_bins",
-            "pretrain_days",
-            "train",
-            "fixed_interval",
-            "eps_reset_on_change",
-            "failures",
-        },
-        where,
-    )
-    layout = d.get("layout")
-    layout_file = d.get("layout_file")
-    if (layout is None) == (layout_file is None):
-        raise ConfigError(f"{where}: need exactly one of 'layout' or 'layout_file'")
-    devices: tuple[DeviceLayout, ...] = ()
-    if layout is not None:
-        if not isinstance(layout, list) or not layout:
-            raise ConfigError(f"{where}.layout: need a non-empty device list")
-        devices = tuple(
-            _parse_device(item, f"{where}.layout[{i}]") for i, item in enumerate(layout)
-        )
-    bins = d.get("detection_bins", [0, 2, 5])
-    if not isinstance(bins, list):
-        raise ConfigError(f"{where}.detection_bins: need a list")
-    failures = d.get("failures", [])
-    if not isinstance(failures, list):
-        raise ConfigError(f"{where}.failures: need a list of [device_id, episode]")
-    parsed_failures = []
-    for i, item in enumerate(failures):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"{where}.failures[{i}]: need [device_id, episode]")
-        parsed_failures.append(
-            (
-                _as_int(item[0], f"{where}.failures[{i}][0]"),
-                _as_int(item[1], f"{where}.failures[{i}][1]"),
-            )
-        )
-    train = d.get("train", True)
-    if not isinstance(train, bool):
-        raise ConfigError(f"{where}.train: expected true or false")
-    reset = d.get("eps_reset_on_change", True)
-    if not isinstance(reset, bool):
-        raise ConfigError(f"{where}.eps_reset_on_change: expected true or false")
-    fixed_interval = d.get("fixed_interval")
-    if fixed_interval is not None:
-        fixed_interval = _as_number(fixed_interval, f"{where}.fixed_interval")
-    return NetworkSpec(
-        devices=devices,
-        layout_file=layout_file,
-        episodes=_as_int(d.get("episodes", 30), f"{where}.episodes"),
-        w2=_as_number(d.get("w2", 0.5), f"{where}.w2"),
-        w3=_as_number(d.get("w3", 0.01), f"{where}.w3"),
-        drop_rate=_as_number(d.get("drop_rate", 0.0), f"{where}.drop_rate"),
-        detection_bins=tuple(_as_int(b, f"{where}.detection_bins") for b in bins),
-        pretrain_days=_as_int(d.get("pretrain_days", 0), f"{where}.pretrain_days"),
-        train=train,
-        fixed_interval=fixed_interval,
-        eps_reset_on_change=reset,
-        failures=tuple(parsed_failures),
-    )
-
-
 def parse_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(
-        data,
-        {
-            "seed",
-            "out",
-            "trace",
-            "schedules",
-            "hyperparameters",
-            "actions",
-            "detector",
-            "power",
-            "network",
-        },
-        "config",
-    )
-    seed = _as_int(_need(data, "seed", "config"), "config.seed")
-
-    trace_section = _need(data, "trace", "config")
-    if not isinstance(trace_section, dict):
-        raise ConfigError("trace: must be an object")
-    _check_keys(trace_section, {"file", "profile"}, "trace")
-    has_file = "file" in trace_section
-    has_profile = "profile" in trace_section
-    if has_file == has_profile:
-        raise ConfigError("trace: need exactly one of 'file' or 'profile'")
-    trace_file = trace_section.get("file")
-    generator = _parse_generator(trace_section["profile"]) if has_profile else None
-
-    fixed = DEFAULT_ACTIONS
-    qlearn: QLearnSpec | None = QLearnSpec()
-    if "schedules" in data:
-        sched = data["schedules"]
-        if not isinstance(sched, dict):
-            raise ConfigError("schedules: must be an object")
-        _check_keys(sched, {"fixed", "qlearn"}, "schedules")
-        if "fixed" in sched:
-            if not isinstance(sched["fixed"], list):
-                raise ConfigError("schedules.fixed: need a list of intervals")
-            fixed = tuple(
-                _as_number(v, "schedules.fixed") for v in sched["fixed"]
-            )
-        if "qlearn" in sched:
-            q = sched["qlearn"]
-            if q is None:
-                qlearn = None
-            else:
-                if not isinstance(q, dict):
-                    raise ConfigError("schedules.qlearn: must be an object or null")
-                _check_keys(q, {"train_days", "eval_days", "init_scale"}, "schedules.qlearn")
-                init_scale = q.get("init_scale")
-                if init_scale is not None:
-                    init_scale = _as_number(init_scale, "schedules.qlearn.init_scale")
-                qlearn = QLearnSpec(
-                    train_days=_as_int(q.get("train_days", 10), "schedules.qlearn.train_days"),
-                    eval_days=_as_int(q.get("eval_days", 4), "schedules.qlearn.eval_days"),
-                    init_scale=init_scale,
-                )
-
-    hp = _parse_hp(data.get("hyperparameters", {}))
-    actions = DEFAULT_ACTIONS
-    if "actions" in data:
-        if not isinstance(data["actions"], list) or len(data["actions"]) < 2:
-            raise ConfigError("actions: need a list of at least two intervals")
-        actions = tuple(_as_number(v, "actions") for v in data["actions"])
-    detector = _parse_detector(data.get("detector", {}))
-    power = _parse_power(data.get("power", {}))
-    network = _parse_network(data["network"]) if data.get("network") is not None else None
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("config.out: expected a path string")
-
-    return ExperimentConfig(
-        seed=seed,
-        trace_file=trace_file,
-        generator=generator,
-        out=out,
-        fixed_intervals=fixed,
-        qlearn=qlearn,
-        hp=hp,
-        actions=actions,
-        detector=detector,
-        power=power,
-        network=network,
-    )
+    return _parse(ExperimentConfig, data, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -404,105 +236,37 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
+def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: dict(v) if "overrides" in f.metadata else _to_json(v)
+            for f in dataclasses.fields(value)
+            if (v := getattr(value, f.name)) is not None or f.default is not None
+        }
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Inverse of parse_config, with every default materialized."""
-    trace: dict = {}
-    if cfg.trace_file is not None:
-        trace["file"] = cfg.trace_file
-    else:
-        g = cfg.generator
-        trace["profile"] = {
-            "hourly_rate": list(g.hourly_rate),
-            "duration_mean": g.duration_mean,
-            "duration_sd": g.duration_sd,
-            "days": g.days,
-            "origin_hour": g.origin_hour,
-        }
-        if g.band_range is not None:
-            trace["profile"]["band_range"] = list(g.band_range)
-        if g.area is not None:
-            trace["profile"]["area"] = list(g.area)
-    out: dict = {
-        "seed": cfg.seed,
-        "trace": trace,
-        "schedules": {
-            "fixed": list(cfg.fixed_intervals),
-            "qlearn": (
-                None
-                if cfg.qlearn is None
-                else {
-                    "train_days": cfg.qlearn.train_days,
-                    "eval_days": cfg.qlearn.eval_days,
-                    **(
-                        {"init_scale": cfg.qlearn.init_scale}
-                        if cfg.qlearn.init_scale is not None
-                        else {}
-                    ),
-                }
-            ),
-        },
-        "hyperparameters": dataclasses.asdict(cfg.hp),
-        "actions": list(cfg.actions),
-        "detector": {
-            "kind": cfg.detector.kind,
-            "tp_rate": cfg.detector.tp_rate,
-            "fp_rate": cfg.detector.fp_rate,
-            "noise_sd": cfg.detector.noise_sd,
-            "tone_amplitude": cfg.detector.tone_amplitude,
-            "default_band": cfg.detector.default_band,
-            "event_bandwidth_hz": cfg.detector.event_bandwidth_hz,
-            **(
-                {"threshold": cfg.detector.threshold}
-                if cfg.detector.threshold is not None
-                else {}
-            ),
-        },
-        "power": dict(cfg.power),
-    }
-    if cfg.out is not None:
-        out["out"] = cfg.out
-    if cfg.network is not None:
-        n = cfg.network
-        net: dict = {
-            "episodes": n.episodes,
-            "w2": n.w2,
-            "w3": n.w3,
-            "drop_rate": n.drop_rate,
-            "detection_bins": list(n.detection_bins),
-            "pretrain_days": n.pretrain_days,
-            "train": n.train,
-            "eps_reset_on_change": n.eps_reset_on_change,
-            "failures": [list(f) for f in n.failures],
-        }
-        if n.layout_file is not None:
-            net["layout_file"] = n.layout_file
-        else:
-            net["layout"] = [
-                {
-                    "id": dev.id,
-                    "x": dev.x,
-                    "y": dev.y,
-                    "sensing_radius": dev.sensing_radius,
-                    "comm_radius": dev.comm_radius,
-                }
-                for dev in n.devices
-            ]
-        if n.fixed_interval is not None:
-            net["fixed_interval"] = n.fixed_interval
-        out["network"] = net
-    return out
+    return _to_json(cfg)
 
 
 # -- builders ---------------------------------------------------------------
 
 
+def _resolve(file: str, base_dir: Path | None) -> Path:
+    path = Path(file)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    return path
+
+
 def build_trace(cfg: ExperimentConfig, base_dir: Path | None = None) -> EventTrace:
-    if cfg.trace_file is not None:
-        path = Path(cfg.trace_file)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_trace(path)
-    g = cfg.generator
+    if cfg.trace.file is not None:
+        return load_trace(_resolve(cfg.trace.file, base_dir))
+    g = cfg.trace.profile
     try:
         profile = DiurnalProfile(
             hourly_rate=g.hourly_rate,
@@ -523,31 +287,31 @@ def build_trace(cfg: ExperimentConfig, base_dir: Path | None = None) -> EventTra
 
 def build_detector(cfg: ExperimentConfig) -> DetectorModel:
     spec = cfg.detector
-    if spec.kind == "abstract":
-        return DetectorModel(kind="abstract", tp_rate=spec.tp_rate, fp_rate=spec.fp_rate)
-    bank = default_bank()
-    if spec.threshold is not None:
-        bank = GoertzelBank(
-            sample_rate=bank.sample_rate,
-            window_len=bank.window_len,
-            target_bins=bank.target_bins,
-            threshold=spec.threshold,
+    try:
+        if spec.kind == "abstract":
+            return DetectorModel(kind="abstract", tp_rate=spec.tp_rate, fp_rate=spec.fp_rate)
+        bank = default_bank()
+        if spec.threshold is not None:
+            bank = GoertzelBank(
+                sample_rate=bank.sample_rate,
+                window_len=bank.window_len,
+                target_bins=bank.target_bins,
+                threshold=spec.threshold,
+            )
+        return DetectorModel(
+            kind="goertzel",
+            bank=bank,
+            tone_amplitude=spec.tone_amplitude,
+            noise_sd=spec.noise_sd,
+            default_band=spec.default_band,
+            event_bandwidth_hz=spec.event_bandwidth_hz,
         )
-    return DetectorModel(
-        kind="goertzel",
-        bank=bank,
-        tone_amplitude=spec.tone_amplitude,
-        noise_sd=spec.noise_sd,
-        default_band=spec.default_band,
-        event_bandwidth_hz=spec.event_bandwidth_hz,
-    )
+    except ValueError as e:
+        raise ConfigError(f"detector: {e}") from None
 
 
 def build_profile(cfg: ExperimentConfig) -> PowerProfile:
-    try:
-        return PowerProfile(**dict(cfg.power))
-    except ValueError as e:
-        raise ConfigError(f"power: {e}") from None
+    return PowerProfile(**dict(cfg.power))
 
 
 def _load_layout_file(path: Path) -> tuple[DeviceLayout, ...]:
@@ -561,7 +325,7 @@ def _load_layout_file(path: Path) -> tuple[DeviceLayout, ...]:
         data = data["devices"]
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: need a non-empty device list")
-    return tuple(_parse_device(d, f"{path}[{i}]") for i, d in enumerate(data))
+    return _parse(tuple[DeviceLayout, ...], data, str(path))
 
 
 def build_network(cfg: ExperimentConfig, base_dir: Path | None = None):
@@ -571,25 +335,22 @@ def build_network(cfg: ExperimentConfig, base_dir: Path | None = None):
     if cfg.network is None:
         raise ConfigError("network: section missing")
     spec = cfg.network
-    devices = spec.devices
+    devices = spec.layout
     if spec.layout_file is not None:
-        path = Path(spec.layout_file)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        devices = _load_layout_file(path)
-    nodes = [
-        DeviceNode(
-            id=d.id,
-            position=(d.x, d.y),
-            sensing_radius=d.sensing_radius,
-            comm_radius=d.comm_radius,
-        )
-        for d in devices
-    ]
+        devices = _load_layout_file(_resolve(spec.layout_file, base_dir))
     try:
+        nodes = [
+            DeviceNode(
+                id=d.id,
+                position=(d.x, d.y),
+                sensing_radius=d.sensing_radius,
+                comm_radius=d.comm_radius,
+            )
+            for d in devices
+        ]
         net_cfg = NetworkConfig(
             episodes=spec.episodes,
-            hp=cfg.hp,
+            hp=cfg.hyperparameters,
             actions=ActionSpace(cfg.actions),
             w2=spec.w2,
             w3=spec.w3,

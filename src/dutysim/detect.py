@@ -13,7 +13,6 @@ filter bank when simulating schedules; both share the DetectorModel type.
 
 from __future__ import annotations
 
-import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "gate",
     "sample_detection",
     "synthesize_tone",
-    "load_wav",
     "default_bank",
 ]
 
@@ -219,16 +217,3 @@ def synthesize_tone(
             raise ValueError("noise_sd > 0 needs an rng")
         out = out + rng.normal(0.0, noise_sd, size=n_samples)
     return out
-
-
-def load_wav(path) -> tuple[np.ndarray, int]:
-    """Read a mono PCM16 WAV file into float64 samples in [-1, 1)."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ValueError("expected a mono WAV file")
-        if wf.getsampwidth() != 2:
-            raise ValueError("expected 16-bit PCM")
-        raw = wf.readframes(wf.getnframes())
-        rate = wf.getframerate()
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return samples, rate

@@ -20,7 +20,6 @@ __all__ = [
     "MODES",
     "charge_consumed",
     "lifetime_years",
-    "event_cost",
     "validate_log",
 ]
 
@@ -196,14 +195,3 @@ def lifetime_years(avg_current_ma: float, battery_mah: float) -> float:
     if battery_mah <= 0:
         raise ValueError(f"battery capacity must be positive, got {battery_mah}")
     return battery_mah / avg_current_ma / HOURS_PER_YEAR
-
-
-def event_cost(profile: PowerProfile, duration: float, with_camera: bool) -> float:
-    """mAh for recording one event of the given length plus transmissions."""
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    total = profile.i_record_3s * duration + profile.i_tx_audio * profile.d_tx_audio
-    if with_camera:
-        total += profile.i_camera * profile.d_camera
-        total += profile.i_tx_image * profile.d_tx_image
-    return total / 3600.0

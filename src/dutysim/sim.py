@@ -37,7 +37,10 @@ from .qsched import (
     ActionSpace,
     Hyperparameters,
     QTable,
+    RewardInputs,
+    decay_epsilon,
     q_update,
+    reward,
     select_action,
 )
 from .rng import substream
@@ -51,9 +54,7 @@ __all__ = [
     "TrainResult",
     "run_schedule",
     "train_qlearn",
-    "compare_schedules",
     "convergence_episodes",
-    "ComparisonRow",
 ]
 
 
@@ -111,36 +112,6 @@ class SimReport:
     avg_current_ma: float
     lifetime_years: float
     episodes_to_convergence: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "span_s": self.span_s,
-            "activations": self.activations,
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "events_total": self.events_total,
-            "events_detected": self.events_detected,
-            "detection_rate": self.detection_rate,
-            "zero_events": self.zero_events,
-            "charge_mah": self.charge_mah,
-            "avg_current_ma": self.avg_current_ma,
-            "lifetime_years": self.lifetime_years,
-            "episodes_to_convergence": self.episodes_to_convergence,
-            "periods": [
-                {
-                    "index": p.index,
-                    "hour": p.hour,
-                    "interval": p.interval,
-                    "activations": p.activations,
-                    "positives": p.positives,
-                    "negatives": p.negatives,
-                    "events_total": p.events_total,
-                    "events_detected": p.events_detected,
-                    "reward": p.reward,
-                }
-                for p in self.periods
-            ],
-        }
 
 
 # -- detector wiring --------------------------------------------------------
@@ -537,7 +508,7 @@ class _TrainPolicy:
         return self.actions[self.last_action]
 
     def end_period(self, period: int, hour: int, stats: PeriodStats) -> None:
-        r = stats.positives - self.w1[hour] * stats.negatives
+        r = reward(RewardInputs(stats.positives, stats.negatives), self.w1[hour])
         q_update(self.table, hour, self.last_action, r, (hour + 1) % 24, self.hp)
 
 
@@ -601,7 +572,7 @@ def _build_report(
 
     periods = []
     for (p, hour, interval, stats) in rows:
-        r = stats.positives - w1_by_hour[hour] * stats.negatives
+        r = reward(RewardInputs(stats.positives, stats.negatives), w1_by_hour[hour])
         periods.append(
             PeriodRecord(
                 index=p,
@@ -773,7 +744,7 @@ def train_qlearn(
                 engine, policy, day * SECONDS_PER_DAY, 24, w1, first_period=day * 24
             )
         )
-        policy.eps = max(hp.eps_min, policy.eps * hp.eps_decay)
+        policy.eps = decay_epsilon(policy.eps, hp)
         history.append(table.greedy_policy())
     engine.finish()
     train_report = _build_report(trace, 0.0, train_end, all_rows, engine, w1, profile)
@@ -823,54 +794,3 @@ def convergence_episodes(policy_history: list[np.ndarray]) -> int | None:
     if last_change == len(policy_history) - 1 and len(policy_history) > 1:
         return None
     return last_change
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    detection_rate: float
-    activations: int
-    positives: int
-    negatives: int
-    avg_current_ma: float
-    lifetime_years: float
-
-
-def compare_schedules(
-    trace: EventTrace,
-    specs: list[ScheduleSpec],
-    detector: DetectorModel,
-    profile: PowerProfile,
-    seed: int,
-    *,
-    names: list[str] | None = None,
-    t_begin: float = 0.0,
-    duration_s: float | None = None,
-) -> list[ComparisonRow]:
-    """Run every spec on the identical trace and seed; one row per spec."""
-    if names is not None and len(names) != len(specs):
-        raise ScheduleError("names must match specs one to one")
-    rows = []
-    for i, spec in enumerate(specs):
-        report, _ = run_schedule(
-            trace,
-            spec,
-            detector,
-            profile,
-            seed,
-            collect_log=False,
-            t_begin=t_begin,
-            duration_s=duration_s,
-        )
-        rows.append(
-            ComparisonRow(
-                name=names[i] if names else spec.name,
-                detection_rate=report.detection_rate,
-                activations=report.activations,
-                positives=report.positives,
-                negatives=report.negatives,
-                avg_current_ma=report.avg_current_ma,
-                lifetime_years=report.lifetime_years,
-            )
-        )
-    return rows

@@ -308,6 +308,28 @@ def test_network_requires_network_section(tmp_path, capsys):
     assert "network" in capsys.readouterr().err
 
 
+def _zero_radius_network():
+    cfg = network_config(episodes=1, n_devices=1)
+    cfg["network"]["layout"][0]["sensing_radius"] = 0.0
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("run-network", _zero_radius_network(), "network: radii must be positive"),
+        ("run", {**run_config(), "detector": {"tp_rate": 2.0}}, "detector: tp_rate"),
+    ],
+    ids=["layout_radius", "detector_rate"],
+)
+def test_values_rejected_by_domain_types_are_validation_errors(
+    tmp_path, capsys, command, cfg, message
+):
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_network_layout_file_source(tmp_path, capsys):
     cfg = network_config(episodes=1, n_devices=1)
     layout = cfg["network"].pop("layout")
@@ -347,6 +369,21 @@ def test_report_rerenders_network_csvs(tmp_path, capsys):
     ) == 0
     for name in ("network_series.csv", "device_0.csv", "device_1.csv"):
         assert (re_out / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_report_reproduces_network_csvs_with_device_removed_at_start(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path / "cfg.json", network_config(episodes=2, n_devices=2, failures=[[1, 0]])
+    )
+    out = tmp_path / "out"
+    assert main(["run-network", "--config", str(cfg_path), "--out", str(out)]) == 0
+    re_out = tmp_path / "re"
+    assert main(
+        ["report", "--summary", str(out / "network.json"), "--out", str(re_out)]
+    ) == 0
+    csvs = {name: data for name, data in tree_bytes(out).items() if name.endswith(".csv")}
+    assert tree_bytes(re_out) == csvs
+    assert csvs["device_1.csv"] == b"episode,activations,battery_level\n"
 
 
 def test_report_rejects_bad_summaries(tmp_path, capsys):
@@ -390,6 +427,61 @@ def test_config_round_trip_is_identity(tmp_path):
     again = config_to_dict(parse_config(once))
     assert once == again
     assert parse_config(once) == cfg
+    # config_sha256 hashes this dict's JSON: pin defaults materialization,
+    # number types and which None fields are left out.
+    device = {"x": 5.0, "y": 5.0, "sensing_radius": 500.0, "comm_radius": 500.0}
+    expected = {
+        "seed": 5,
+        "trace": {
+            "profile": {
+                "hourly_rate": [0.5] * 24,
+                "duration_mean": 3.0,
+                "duration_sd": 0.0,
+                "days": 4,
+                "origin_hour": 0,
+                "area": [0.0, 10.0, 0.0, 10.0],
+            }
+        },
+        "schedules": {
+            "fixed": [3.0, 60.0],
+            "qlearn": {"train_days": 4, "eval_days": 2, "init_scale": 0.5},
+        },
+        "hyperparameters": {
+            "gamma": 0.9,
+            "alpha": 0.1,
+            "eps_max": 0.3,
+            "eps_min": 0.1,
+            "eps_decay": 0.99,
+            "beta": 1e-05,
+            "w1": 0.02,
+        },
+        "actions": [3.0, 5.0, 60.0],
+        "detector": {
+            "kind": "goertzel",
+            "tp_rate": 1.0,
+            "fp_rate": 0.0,
+            "noise_sd": 0.1,
+            "tone_amplitude": 1.0,
+            "default_band": 4000.0,
+            "event_bandwidth_hz": 4000.0,
+            "threshold": 5000.0,
+        },
+        "power": {"battery_mah": 2000.0, "probe_detector": "tflite"},
+        "out": "somewhere",
+        "network": {
+            "episodes": 4,
+            "w2": 0.5,
+            "w3": 0.01,
+            "drop_rate": 0.25,
+            "detection_bins": [0, 2, 5],
+            "pretrain_days": 2,
+            "train": True,
+            "eps_reset_on_change": True,
+            "failures": [[2, 2]],
+            "layout": [{"id": i, **device} for i in range(3)],
+        },
+    }
+    assert json.dumps(once, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_parse_config_names_offending_fields(tmp_path):
@@ -402,9 +494,21 @@ def test_parse_config_names_offending_fields(tmp_path):
         ({**base, "trace": {"file": "x", "profile": FLAT_PROFILE}}, "trace"),
         ({**base, "detector": {"kind": "psychic"}}, "kind"),
         ({**base, "actions": [3]}, "actions"),
+        ({**base, "actions": [5, 3]}, "actions"),
         ({**base, "power": {"i_warp": 1.0}}, "i_warp"),
         ({**base, "hyperparameters": {"gamma": 2.0}}, "hyperparameters"),
         ({**base, "seed": "five"}, "seed"),
+        ({**base, "seed": True}, "seed"),
+        ({**base, "detector": 5}, "detector"),
+        ({**base, "power": [1.0]}, "power"),
+        ({**base, "power": {"battery_mah": -1}}, "battery_mah"),
+        ({**base, "network": []}, "network"),
+        ({**base, "network": {"layout": [5]}}, "network.layout[0]"),
+        ({**base, "network": {"layout": []}}, "layout"),
+        ({**base, "trace": {"file": 5}}, "trace.file"),
+        ({**base, "trace": {"file": None}}, "trace"),
+        ({**base, "network": {"layout_file": 5}}, "network.layout_file"),
+        ({**base, "schedules": {"qlearn": {"train_days": 1.5}}}, "train_days"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError) as err:

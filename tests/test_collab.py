@@ -23,7 +23,6 @@ from dutysim.collab import (
     local_reward,
     network_reward,
     run_network,
-    slot_holder,
 )
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
@@ -178,15 +177,15 @@ def test_cluster_validation():
 
 def test_slot_holder_examples():
     cluster = Cluster(members=(10, 11, 12), order=(10, 11, 12))
-    assert slot_holder(cluster, 0) == 10
-    assert slot_holder(cluster, 7) == 11
+    assert cluster.slot_holder(0) == 10
+    assert cluster.slot_holder(7) == 11
 
 
 def test_slot_counts_exact_over_multiple_of_size():
     cluster = Cluster(members=(0, 1, 2), order=(2, 0, 1))
     counts = {0: 0, 1: 0, 2: 0}
     for t in range(3000):
-        counts[slot_holder(cluster, t)] += 1
+        counts[cluster.slot_holder(t)] += 1
     assert counts == {0: 1000, 1: 1000, 2: 1000}
 
 
@@ -200,7 +199,7 @@ def test_slot_counts_balanced_over_any_window(size, start, length):
     cluster = Cluster(members=tuple(range(size)), order=tuple(range(size)))
     counts = [0] * size
     for t in range(start, start + length):
-        counts[slot_holder(cluster, t)] += 1
+        counts[cluster.slot_holder(t)] += 1
     assert max(counts) - min(counts) <= 1
 
 

@@ -1,5 +1,3 @@
-import wave
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from dutysim.detect import (
     gate_from_powers,
     goertzel_power,
     goertzel_spectrum,
-    load_wav,
     median_power,
     sample_detection,
     synthesize_tone,
@@ -247,50 +244,6 @@ def test_synthesize_noise_determinism():
 def test_synthesize_noise_requires_rng():
     with pytest.raises(ValueError, match="rng"):
         synthesize_tone(1000.0, 1.0, noise_sd=0.1)
-
-
-# -- WAV ingestion -----------------------------------------------------------
-
-
-def _write_wav(path, samples, rate=16000, channels=1, width=2):
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(channels)
-        wf.setsampwidth(width)
-        wf.setframerate(rate)
-        if width == 2:
-            data = (np.clip(samples, -1.0, 1.0 - 1e-9) * 32768.0).astype("<i2")
-        else:
-            data = (samples * 127).astype("i1")
-        if channels == 2:
-            data = np.repeat(data, 2)
-        wf.writeframes(data.tobytes())
-
-
-def test_load_wav_round_trip(tmp_path):
-    tone = synthesize_tone(2000.0, 0.5)
-    path = tmp_path / "tone.wav"
-    _write_wav(path, tone)
-    back, rate = load_wav(path)
-    assert rate == 16000
-    assert len(back) == len(tone)
-    np.testing.assert_allclose(back, tone, atol=1.0 / 32768.0)
-    # The quantized tone still fires a single-bin gate.
-    bank = GoertzelBank(target_bins=(200,), threshold=1e4)
-    assert gate(bank, back) is True
-
-
-def test_load_wav_rejects_stereo(tmp_path):
-    path = tmp_path / "stereo.wav"
-    _write_wav(path, np.zeros(100), channels=2)
-    with pytest.raises(ValueError, match="mono"):
-        load_wav(path)
-
-
-def test_load_wav_rejects_8_bit(tmp_path):
-    path = tmp_path / "pcm8.wav"
-    _write_wav(path, np.zeros(100), width=1)
-    with pytest.raises(ValueError, match="16-bit"):
-        load_wav(path)
 
 
 # -- agreement with the device's recurrence -----------------------------------

@@ -9,7 +9,6 @@ from dutysim.power import (
     LogEntry,
     PowerProfile,
     charge_consumed,
-    event_cost,
     lifetime_years,
     validate_log,
 )
@@ -211,33 +210,3 @@ def test_lifetime_rejects_bad_current():
         lifetime_years(-1.0, 13400.0)
     with pytest.raises(ValueError):
         lifetime_years(1.0, 0.0)
-
-
-# -- event cost --------------------------------------------------------------
-
-
-def test_event_cost_no_camera():
-    p = PowerProfile()
-    got = event_cost(p, 3.0, with_camera=False)
-    assert got == pytest.approx((31.57 * 3.0 + 61.33 * 1.0) / 3600.0, rel=1e-12)
-    assert got == pytest.approx(0.04334, abs=5e-6)
-
-
-def test_event_cost_zero_duration_is_tx_only():
-    p = PowerProfile()
-    assert event_cost(p, 0.0, with_camera=False) == pytest.approx(
-        61.33 * 1.0 / 3600.0, rel=1e-12
-    )
-
-
-def test_event_cost_camera_additivity():
-    p = PowerProfile()
-    plain = event_cost(p, 3.0, with_camera=False)
-    cam = event_cost(p, 3.0, with_camera=True)
-    extra = (49.33 * p.d_camera + 97.73 * p.d_tx_image) / 3600.0
-    assert cam - plain == pytest.approx(extra, rel=1e-12)
-
-
-def test_event_cost_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        event_cost(PowerProfile(), -1.0, with_camera=False)

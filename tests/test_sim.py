@@ -1,20 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 
+from dutysim.cli import main
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
 from dutysim.sim import (
-    ComparisonRow,
     FixedSchedule,
     GreedySchedule,
-    compare_schedules,
     convergence_episodes,
     run_schedule,
     train_qlearn,
 )
-from dutysim.trace import DiurnalProfile, Event, EventTrace, generate_trace, make_trace
+from dutysim.trace import (
+    DiurnalProfile,
+    Event,
+    EventTrace,
+    generate_trace,
+    make_trace,
+    save_trace,
+)
 
 from _oracles import two_peak_trace
 
@@ -196,7 +204,7 @@ def test_run_is_deterministic():
     detector = DetectorModel(tp_rate=0.8, fp_rate=0.02)
     a, log_a = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 9)
     b, log_b = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 9)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     assert log_a == log_b
 
 
@@ -247,8 +255,8 @@ def test_training_is_deterministic():
     b = train_qlearn(tr, 4, 2, hp, ActionSpace(), ORACLE, PROFILE, 41)
     assert np.array_equal(a.table.values, b.table.values)
     assert np.array_equal(a.table.visits, b.table.visits)
-    assert a.train_report.to_dict() == b.train_report.to_dict()
-    assert a.eval_report.to_dict() == b.eval_report.to_dict()
+    assert a.train_report == b.train_report
+    assert a.eval_report == b.eval_report
     assert len(a.policy_history) == 4
     assert all(np.array_equal(x, y) for x, y in zip(a.policy_history, b.policy_history))
     assert a.eps_final == b.eps_final
@@ -374,30 +382,34 @@ def test_convergence_unstable_returns_none():
 # -- comparison --------------------------------------------------------------
 
 
-def test_compare_single_spec_matches_run():
+def _cli_comparison(tmp_path, trace, fixed, seed):
+    """The comparison rows ``dutysim run`` writes to summary.json for ``trace``."""
+    save_trace(trace, tmp_path / "trace.csv")
+    cfg = {"seed": seed, "trace": {"file": "trace.csv"}, "schedules": {"fixed": fixed, "qlearn": None}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())["comparison"]
+
+
+def test_compare_single_spec_matches_run(tmp_path, capsys):
     tr = two_peak_trace(1, 63)
-    rows = compare_schedules(tr, [FixedSchedule(60.0)], ORACLE, PROFILE, 7)
+    rows = _cli_comparison(tmp_path, tr, [60], 7)
     report, _ = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 7, collect_log=False)
     assert rows == [
-        ComparisonRow(
-            name="fixed_60",
-            detection_rate=report.detection_rate,
-            activations=report.activations,
-            positives=report.positives,
-            negatives=report.negatives,
-            avg_current_ma=report.avg_current_ma,
-            lifetime_years=report.lifetime_years,
-        )
+        {
+            "name": "fixed_60",
+            "detection_rate": report.detection_rate,
+            "activations": report.activations,
+            "positives": report.positives,
+            "negatives": report.negatives,
+            "avg_current_ma": report.avg_current_ma,
+            "lifetime_years": report.lifetime_years,
+        }
     ]
 
 
-def test_compare_identical_specs_identical_rows():
+def test_compare_identical_specs_identical_rows(tmp_path, capsys):
     tr = two_peak_trace(1, 65)
-    rows = compare_schedules(tr, [FixedSchedule(5.0), FixedSchedule(5.0)], ORACLE, PROFILE, 8)
+    rows = _cli_comparison(tmp_path, tr, [5, 5], 8)
     assert rows[0] == rows[1]
-
-
-def test_compare_names_must_match_specs():
-    tr = two_peak_trace(1, 67)
-    with pytest.raises(ScheduleError, match="names"):
-        compare_schedules(tr, [FixedSchedule(5.0)], ORACLE, PROFILE, 1, names=["a", "b"])
