@@ -24,12 +24,11 @@ from pathlib import Path
 from .collab import expand_global_table, run_network
 from .config import (
     ExperimentConfig,
-    build_detector,
-    build_network,
     build_profile,
     build_trace,
     config_to_dict,
     load_config,
+    load_layout,
 )
 from .errors import ConfigError, DutysimError
 from .qsched import ActionSpace, init_from_distribution, save_qtable
@@ -198,7 +197,7 @@ def cmd_gen_trace(args) -> int:
 def cmd_run(args) -> int:
     cfg, base_dir, out_dir = _prepare(args)
     trace = build_trace(cfg, base_dir)
-    detector = build_detector(cfg)
+    detector = cfg.detector
     profile = build_profile(cfg)
     actions = ActionSpace(cfg.actions)
 
@@ -299,31 +298,41 @@ def cmd_run(args) -> int:
 
 def cmd_run_network(args) -> int:
     cfg, base_dir, out_dir = _prepare(args)
-    if cfg.network is None:
+    net_cfg = cfg.network
+    if net_cfg is None:
         raise ConfigError("run-network needs a network section")
     trace = build_trace(cfg, base_dir)
-    detector = build_detector(cfg)
     profile = build_profile(cfg)
-    nodes, net_cfg = build_network(cfg, base_dir)
+    actions = ActionSpace(cfg.actions)
+    if net_cfg.layout_file is not None:
+        layout = load_layout(net_cfg.layout_file, base_dir)
+        net_cfg = dataclasses.replace(net_cfg, layout=layout, layout_file=None)
 
     init_tables = None
-    if net_cfg.train and cfg.network.pretrain_days > 0:
+    if net_cfg.train and net_cfg.pretrain_days > 0:
         pre = train_qlearn(
             trace,
-            cfg.network.pretrain_days,
+            net_cfg.pretrain_days,
             0,
             cfg.hyperparameters,
-            net_cfg.actions,
-            detector,
+            actions,
+            cfg.detector,
             profile,
             cfg.seed,
             device_id=-1,
         )
         shared = expand_global_table(pre.table, net_cfg.n_bins)
-        init_tables = {node.id: shared for node in nodes}
+        init_tables = {node.id: shared for node in net_cfg.layout}
 
     report = run_network(
-        nodes, trace, net_cfg, detector, profile, cfg.seed, init_tables=init_tables
+        trace,
+        net_cfg,
+        cfg.hyperparameters,
+        actions,
+        cfg.detector,
+        profile,
+        cfg.seed,
+        init_tables=init_tables,
     )
 
     report_dict = report.to_dict()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,27 +57,25 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceNode:
-    """A sensor with a sensing footprint and a radio footprint, in meters."""
+    """A sensor at (x, y) with a sensing footprint and a radio footprint, in meters."""
 
     id: int
-    position: tuple[float, float]
+    x: float
+    y: float
     sensing_radius: float
     comm_radius: float
-    battery_level: float | None = None
-    qtable: QTable | None = None
 
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("device id must be >= 0")
-        if len(self.position) != 2:
-            raise ValueError("position must be a 2D point")
-        self.position = (float(self.position[0]), float(self.position[1]))
         if self.sensing_radius <= 0 or self.comm_radius <= 0:
             raise ValueError("radii must be positive")
-        if self.battery_level is not None and self.battery_level < 0:
-            raise ValueError("battery_level must be >= 0")
+
+    @property
+    def position(self) -> tuple[float, float]:
+        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -282,27 +280,39 @@ def _bin_index(count: int, edges: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Knobs for a network run.
+    """The devices and knobs of a network run.
 
-    train False runs every device on fixed_interval with no learning, no
-    pings, and no scheduler billing (a pure baseline). detection_bins are
-    inclusive upper edges of the previous-period detection-count bins; the
-    empty tuple collapses the state back to hour only.
+    The devices come as ``layout``, or as ``layout_file``, a JSON device
+    list the caller reads into ``layout`` before the run; exactly one is
+    set. pretrain_days > 0 asks the caller to seed every device's table
+    from that many days of single-device training (``dutysim run-network``
+    does, through run_network's init_tables). train False runs every device
+    on fixed_interval with no learning, no pings, and no scheduler billing
+    (a pure baseline). detection_bins are inclusive upper edges of the
+    previous-period detection-count bins; the empty tuple collapses the
+    state back to hour only.
     """
 
+    layout: tuple[DeviceNode, ...] | None = None
+    layout_file: str | None = None
     episodes: int = 30
-    hp: Hyperparameters = field(default_factory=Hyperparameters)
-    actions: ActionSpace = field(default_factory=ActionSpace)
     w2: float = 0.5
     w3: float = 0.01
     drop_rate: float = 0.0
     detection_bins: tuple[int, ...] = (0, 2, 5)
+    pretrain_days: int = 0
     train: bool = True
     fixed_interval: float | None = None
     eps_reset_on_change: bool = True
     failures: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if (self.layout is None) == (self.layout_file is None):
+            raise ValueError("need exactly one of 'layout' or 'layout_file'")
+        if self.layout is not None and not self.layout:
+            raise ValueError("layout: need a non-empty device list")
+        if self.pretrain_days < 0:
+            raise ValueError(f"pretrain_days must be >= 0, got {self.pretrain_days}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.w2 < 0 or self.w3 < 0:
@@ -394,9 +404,7 @@ class _DeviceRuntime:
             sub_trace, 0.0, span, profile, detector, self.rng_for_day, collect_log=collect_log
         )
         self.table = table
-        self.battery_initial = (
-            node.battery_level if node.battery_level is not None else profile.battery_mah
-        )
+        self.battery_initial = profile.battery_mah
         self.active = True
         self.removed_at: int | None = None
         self.prev_bin = 0
@@ -413,9 +421,10 @@ class _DeviceRuntime:
 
 
 def run_network(
-    nodes: list[DeviceNode],
     trace: EventTrace,
     config: NetworkConfig,
+    hp: Hyperparameters,
+    actions: ActionSpace,
     detector: DetectorModel,
     profile: PowerProfile,
     seed: int,
@@ -423,18 +432,20 @@ def run_network(
     init_tables: dict[int, QTable] | None = None,
     collect_logs: bool = False,
 ) -> NetworkReport:
-    """Simulate the network in lockstep periods over whole-day episodes.
+    """Simulate config.layout in lockstep periods over whole-day episodes.
 
-    Every event needs a location; each device senses only events within its
+    hp and actions drive every device's learner as in train_qlearn. Every
+    event needs a location; each device senses only events within its
     sensing radius. Per period and in id order: choose actions, run each
     device's timeline, exchange pings, then update each table against its
     local reward. Failures listed in the config remove a device at the
     start of the given episode; clusters re-form and, by default, epsilon
-    resets for the survivors.
+    resets for the survivors. init_tables[id] seeds that device's table by
+    copy; the others start from zeros.
     """
-    if not nodes:
-        raise ScheduleError("need at least one device")
-    order = sorted(nodes, key=lambda n: n.id)
+    if not config.layout:
+        raise ScheduleError("need at least one device; read layout_file into layout first")
+    order = sorted(config.layout, key=lambda n: n.id)
     ids = [n.id for n in order]
     if len(set(ids)) != len(ids):
         raise ScheduleError("device ids must be unique")
@@ -446,8 +457,6 @@ def run_network(
         raise ScheduleError(
             f"trace horizon {trace.horizon} s shorter than {span} s of episodes"
         )
-    hp = config.hp
-    actions = config.actions
     if config.train:
         if min(actions.intervals) <= profile.d_probe:
             raise ScheduleError("action space contains intervals shorter than a probe")
@@ -475,8 +484,6 @@ def run_network(
         sub = EventTrace(events=subset, horizon=trace.horizon, origin_hour=trace.origin_hour)
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
-        elif node.qtable is not None:
-            table = node.qtable.copy()
         else:
             table = QTable.zeros(n_states, len(actions))
         if config.train and table.values.shape != (n_states, len(actions)):

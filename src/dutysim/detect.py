@@ -14,6 +14,7 @@ filter bank when simulating schedules; both share the DetectorModel type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,27 +83,32 @@ class DetectorModel:
     the probe window is synthesized (each overlapping event contributes
     tones at the bank frequencies within event_bandwidth_hz of its band,
     plus Gaussian noise) and run through the gate. A narrow bandwidth
-    therefore makes off-band events invisible to the median gate.
+    therefore makes off-band events invisible to the median gate. The gate
+    is the default bank, with its threshold replaced when one is set.
     """
 
     kind: str = "abstract"
     tp_rate: float = 1.0
     fp_rate: float = 0.0
-    bank: GoertzelBank | None = None
-    tone_amplitude: float = 1.0
     noise_sd: float = 0.0
+    tone_amplitude: float = 1.0
     default_band: float = 4000.0
     event_bandwidth_hz: float = 4000.0
+    threshold: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("abstract", "goertzel"):
             raise ValueError(f"unknown detector kind {self.kind!r}")
         if not 0 <= self.tp_rate <= 1 or not 0 <= self.fp_rate <= 1:
             raise ValueError("tp_rate and fp_rate must lie in [0, 1]")
+        if self.noise_sd < 0:
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.event_bandwidth_hz <= 0:
             raise ValueError("event_bandwidth_hz must be positive")
-        if self.kind == "goertzel" and self.bank is None:
-            object.__setattr__(self, "bank", default_bank())
+
+    @cached_property
+    def bank(self) -> GoertzelBank:
+        return default_bank() if self.threshold is None else default_bank(self.threshold)
 
     @property
     def fixed_fp_rate(self) -> float | None:

@@ -141,15 +141,22 @@ def make_trace(
 
 @dataclass(frozen=True)
 class DiurnalProfile:
-    """Piecewise-constant hourly event rates plus a duration model.
+    """Piecewise-constant hourly event rates, a duration model, and the span.
 
     hourly_rate[h] is the expected number of events per hour at hour-of-day h.
-    Durations are truncated-normal with a fixed floor of 0.5 s.
+    Durations are truncated-normal with a fixed floor of 0.5 s. A generated
+    trace covers ``days`` whole days and starts at hour-of-day origin_hour.
+    band_range=(lo, hi) tags each event with a uniform band in Hz; area=
+    (x0, x1, y0, y1) places each event uniformly in that rectangle.
     """
 
     hourly_rate: tuple[float, ...]
     duration_mean: float
     duration_sd: float
+    days: int
+    origin_hour: int = 0
+    band_range: tuple[float, float] | None = None
+    area: tuple[float, float, float, float] | None = None
 
     DURATION_FLOOR = 0.5
 
@@ -164,6 +171,18 @@ class DiurnalProfile:
             raise TraceValidationError("duration_mean must be positive")
         if self.duration_sd < 0:
             raise TraceValidationError("duration_sd must be >= 0")
+        if self.days < 1:
+            raise TraceValidationError(f"days must be >= 1, got {self.days}")
+        if not 0 <= self.origin_hour < 24:
+            raise TraceValidationError(
+                f"origin_hour must be in [0, 24), got {self.origin_hour}"
+            )
+        if self.band_range is not None and not self.band_range[0] <= self.band_range[1]:
+            raise TraceValidationError(f"band_range needs lo <= hi, got {self.band_range}")
+        if self.area is not None:
+            x0, x1, y0, y1 = self.area
+            if not (x0 <= x1 and y0 <= y1):
+                raise TraceValidationError(f"area needs x0 <= x1 and y0 <= y1, got {self.area}")
 
 
 def _truncated_normal(rng, mean, sd, lower, n):
@@ -183,25 +202,20 @@ def _truncated_normal(rng, mean, sd, lower, n):
 
 def generate_trace(
     profile: DiurnalProfile,
-    days: int,
     seed: int,
     *,
-    origin_hour: int = 0,
-    band_range: tuple[float, float] | None = None,
-    area: tuple[float, float, float, float] | None = None,
     rng: np.random.Generator | None = None,
 ) -> EventTrace:
-    """Draw a trace from the profile: Poisson counts per hour, uniform starts
-    within the hour, truncated-normal durations.
+    """Draw profile.days of events from the profile: Poisson counts per hour,
+    uniform starts within the hour, truncated-normal durations, then the
+    profile's band and location tags when it sets band_range or area.
 
-    band_range=(lo, hi) tags each event with a uniform band in Hz; area=
-    (x0, x1, y0, y1) places each event uniformly in that rectangle. The same
-    seed always produces the same trace.
+    The same profile and seed always produce the same trace.
     """
-    if days < 1:
-        raise TraceValidationError(f"days must be >= 1, got {days}")
     if rng is None:
         rng = substream(seed, "trace")
+    days, origin_hour = profile.days, profile.origin_hour
+    band_range, area = profile.band_range, profile.area
     horizon = days * SECONDS_PER_DAY
     starts_all: list[np.ndarray] = []
     durs_all: list[np.ndarray] = []

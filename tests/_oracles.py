@@ -145,13 +145,15 @@ def two_peak_rates(peak: float = 40.0, base: float = 0.5) -> tuple:
     return tuple(peak if h in TWO_PEAK_HOURS else base for h in range(24))
 
 
-def two_peak_profile() -> DiurnalProfile:
+def two_peak_profile(days: int = 1, **kwargs) -> DiurnalProfile:
     """The dense-dawn/dense-dusk day used across scheduler tests."""
-    return DiurnalProfile(hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0)
+    return DiurnalProfile(
+        hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0, days=days, **kwargs
+    )
 
 
 def two_peak_trace(days: int, seed: int, **kwargs) -> EventTrace:
-    return generate_trace(two_peak_profile(), days, seed, **kwargs)
+    return generate_trace(two_peak_profile(days, **kwargs), seed)
 
 
 class PerWakeEngine(TimelineEngine):

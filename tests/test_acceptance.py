@@ -218,14 +218,14 @@ def test_criterion_5_collaborative_redundancy(capsys):
     pretrain = train_qlearn(
         trace, 10, 0, HP, ActionSpace(), ORACLE, PROFILE, seed, device_id=-1
     )
-    nodes = [
-        DeviceNode(id=i, position=(5.0, 5.0), sensing_radius=500.0, comm_radius=500.0)
+    nodes = tuple(
+        DeviceNode(id=i, x=5.0, y=5.0, sensing_radius=500.0, comm_radius=500.0)
         for i in range(3)
-    ]
-    probe_cfg = NetworkConfig(episodes=fail_at, hp=HP, w2=0.5)
+    )
+    probe_cfg = NetworkConfig(layout=nodes, episodes=fail_at, w2=0.5)
     seed_table = expand_global_table(pretrain.table, probe_cfg.n_bins)
     tables = {i: seed_table for i in range(3)}
-    probe = run_network(nodes, trace, probe_cfg, ORACLE, PROFILE, seed,
+    probe = run_network(trace, probe_cfg, HP, ActionSpace(), ORACLE, PROFILE, seed,
                         init_tables=tables)
     share = {
         i: sum(probe.episodes[e].activations[i] for e in range(fail_at - 10, fail_at))
@@ -234,9 +234,9 @@ def test_criterion_5_collaborative_redundancy(capsys):
     busiest = max(share, key=share.get)
 
     cfg = NetworkConfig(
-        episodes=episodes, hp=HP, w2=0.5, failures=((busiest, fail_at),)
+        layout=nodes, episodes=episodes, w2=0.5, failures=((busiest, fail_at),)
     )
-    rep = run_network(nodes, trace, cfg, ORACLE, PROFILE, seed, init_tables=tables)
+    rep = run_network(trace, cfg, HP, ActionSpace(), ORACLE, PROFILE, seed, init_tables=tables)
     eps = rep.episodes
     dup0 = eps[0].mean_duplicates
     dup_trained = float(np.mean([eps[i].mean_duplicates for i in range(fail_at - 5, fail_at)]))
@@ -275,7 +275,8 @@ def test_criterion_6_oracle_equivalences(capsys):
         nodes = [
             DeviceNode(
                 id=i,
-                position=(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+                x=float(rng.uniform(0, 100)),
+                y=float(rng.uniform(0, 100)),
                 sensing_radius=float(rng.uniform(5, 30)),
                 comm_radius=100.0,
             )

@@ -10,11 +10,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dutysim.cli import main
-from dutysim.config import config_to_dict, parse_config
+from dutysim.collab import DeviceNode, NetworkConfig
+from dutysim.config import ExperimentConfig, TraceSource, config_to_dict, parse_config
+from dutysim.detect import DetectorModel
 from dutysim.qsched import load_qtable
-from dutysim.trace import load_trace
+from dutysim.trace import DiurnalProfile, load_trace
 
 FLAT_PROFILE = {
     "hourly_rate": [0.5] * 24,
@@ -314,13 +318,24 @@ def _zero_radius_network():
     return cfg
 
 
+def _reversed_band_trace():
+    profile = dict(FLAT_PROFILE, band_range=[5000, 100])
+    return {"seed": 1, "trace": {"profile": profile}}
+
+
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
-        ("run-network", _zero_radius_network(), "network: radii must be positive"),
+        ("run-network", _zero_radius_network(), "network.layout[0]: radii must be positive"),
         ("run", {**run_config(), "detector": {"tp_rate": 2.0}}, "detector: tp_rate"),
+        ("gen-trace", _reversed_band_trace(), "trace.profile: band_range"),
+        (
+            "run",
+            {**run_config(), "detector": {"kind": "goertzel", "noise_sd": -1}},
+            "detector: noise_sd",
+        ),
     ],
-    ids=["layout_radius", "detector_rate"],
+    ids=["layout_radius", "detector_rate", "band_range_reversed", "noise_sd_negative"],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(
     tmp_path, capsys, command, cfg, message
@@ -484,10 +499,93 @@ def test_config_round_trip_is_identity(tmp_path):
     assert json.dumps(once, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _ordered_pair(lo, hi):
+    return st.tuples(_floats(lo, hi), _floats(lo, hi)).map(lambda p: tuple(sorted(p)))
+
+
+profiles = st.builds(
+    DiurnalProfile,
+    hourly_rate=st.lists(_floats(0.0, 100.0), min_size=24, max_size=24).map(tuple),
+    duration_mean=_floats(0.1, 100.0),
+    duration_sd=_floats(0.0, 50.0),
+    days=st.integers(1, 400),
+    origin_hour=st.integers(0, 23),
+    band_range=st.none() | _ordered_pair(1.0, 8000.0),
+    area=st.none()
+    | st.tuples(_ordered_pair(-1e4, 1e4), _ordered_pair(-1e4, 1e4)).map(lambda a: a[0] + a[1]),
+)
+detectors = st.builds(
+    DetectorModel,
+    kind=st.sampled_from(["abstract", "goertzel"]),
+    tp_rate=_floats(0.0, 1.0),
+    fp_rate=_floats(0.0, 1.0),
+    noise_sd=_floats(0.0, 100.0),
+    tone_amplitude=_floats(0.0, 100.0),
+    default_band=_floats(1.0, 8000.0),
+    event_bandwidth_hz=_floats(1.0, 8000.0),
+    threshold=st.none() | _floats(1.0, 1e9),
+)
+devices = st.builds(
+    DeviceNode,
+    id=st.integers(0, 1000),
+    x=_floats(-1e4, 1e4),
+    y=_floats(-1e4, 1e4),
+    sensing_radius=_floats(0.1, 1e4),
+    comm_radius=_floats(0.1, 1e4),
+)
+
+
+def _networks(train, fixed_interval):
+    return st.builds(
+        NetworkConfig,
+        layout=st.lists(devices, min_size=1, max_size=5).map(tuple),
+        episodes=st.integers(1, 100),
+        w2=_floats(0.0, 10.0),
+        w3=_floats(0.0, 10.0),
+        drop_rate=_floats(0.0, 1.0),
+        detection_bins=st.lists(st.integers(0, 50), unique=True).map(lambda b: tuple(sorted(b))),
+        pretrain_days=st.integers(0, 30),
+        train=st.just(train),
+        fixed_interval=fixed_interval,
+        eps_reset_on_change=st.booleans(),
+        failures=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 100)), max_size=3).map(
+            tuple
+        ),
+    )
+
+
+intervals = _floats(0.5, 3600.0)
+configs = st.builds(
+    ExperimentConfig,
+    seed=st.integers(0, 2**32 - 1),
+    trace=st.builds(TraceSource, profile=profiles) | st.builds(TraceSource, file=st.just("t.csv")),
+    detector=detectors,
+    network=st.none() | _networks(True, st.none() | intervals) | _networks(False, intervals),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs)
+def test_parse_inverts_config_to_dict(cfg):
+    data = config_to_dict(cfg)
+    assert parse_config(data) == cfg
+    assert "bank" not in data["detector"]
+    if cfg.network is not None:
+        assert not {"hp", "actions"} & set(data["network"])
+
+
 def test_parse_config_names_offending_fields(tmp_path):
     from dutysim.errors import ConfigError
 
     base = run_config()
+
+    def profile_case(**bad):
+        return {**base, "trace": {"profile": dict(FLAT_PROFILE, **bad)}}
+
     cases = [
         ({**base, "mystery": 1}, "mystery"),
         ({**base, "trace": {}}, "trace"),
@@ -509,6 +607,16 @@ def test_parse_config_names_offending_fields(tmp_path):
         ({**base, "trace": {"file": None}}, "trace"),
         ({**base, "network": {"layout_file": 5}}, "network.layout_file"),
         ({**base, "schedules": {"qlearn": {"train_days": 1.5}}}, "train_days"),
+        (profile_case(band_range=[5000, 100]), "trace.profile: band_range"),
+        (profile_case(area=[10, 0, 0, 10]), "trace.profile: area"),
+        (profile_case(hourly_rate=[-1.0] * 24), "trace.profile: hourly_rate"),
+        (profile_case(days=0), "trace.profile: days"),
+        (profile_case(origin_hour=25), "trace.profile: origin_hour"),
+        ({**base, "detector": {"noise_sd": -1}}, "detector: noise_sd"),
+        (
+            {**base, "network": {"layout_file": "x.json", "pretrain_days": -1}},
+            "network: pretrain_days",
+        ),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError) as err:

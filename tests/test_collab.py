@@ -38,19 +38,25 @@ ORACLE = DetectorModel(tp_rate=1.0, fp_rate=0.0)
 PROFILE = PowerProfile()
 AREA = (0.0, 10.0, 0.0, 10.0)
 CENTER = (5.0, 5.0)
+HP = Hyperparameters()
+W1 = Hyperparameters(w1=0.02)
 
 
 def area_trace(days, seed):
     profile = DiurnalProfile(
-        hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0
+        hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0, days=days, area=AREA
     )
-    return generate_trace(profile, days, seed, area=AREA)
+    return generate_trace(profile, seed)
 
 
 def covering_node(device_id):
     return DeviceNode(
-        id=device_id, position=CENTER, sensing_radius=500.0, comm_radius=500.0
+        id=device_id, x=CENTER[0], y=CENTER[1], sensing_radius=500.0, comm_radius=500.0
     )
+
+
+def network(*nodes, **kwargs):
+    return NetworkConfig(layout=nodes or (covering_node(0),), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +118,7 @@ def test_network_reward_inputs_validation():
 
 
 def node_at(device_id, x, y, r=10.0, comm=100.0):
-    return DeviceNode(
-        id=device_id, position=(x, y), sensing_radius=r, comm_radius=comm
-    )
+    return DeviceNode(id=device_id, x=x, y=y, sensing_radius=r, comm_radius=comm)
 
 
 def test_disjoint_devices_form_no_clusters():
@@ -392,24 +396,32 @@ def test_expand_global_table_validation():
 
 def test_network_config_validation():
     with pytest.raises(ValueError):
-        NetworkConfig(episodes=0)
+        network(episodes=0)
     with pytest.raises(ValueError):
-        NetworkConfig(w2=-0.1)
+        network(w2=-0.1)
     with pytest.raises(ValueError):
-        NetworkConfig(drop_rate=1.5)
+        network(drop_rate=1.5)
     with pytest.raises(ValueError):
-        NetworkConfig(detection_bins=(2, 1))
+        network(detection_bins=(2, 1))
     with pytest.raises(ValueError):
-        NetworkConfig(detection_bins=(1, 1))
+        network(detection_bins=(1, 1))
     with pytest.raises(ValueError):
-        NetworkConfig(train=False)
+        network(train=False)
     with pytest.raises(ValueError):
-        NetworkConfig(failures=((0, -1),))
+        network(failures=((0, -1),))
+    with pytest.raises(ValueError):
+        network(pretrain_days=-1)
+    with pytest.raises(ValueError):
+        NetworkConfig(layout=())
+    with pytest.raises(ValueError):
+        NetworkConfig(layout=(covering_node(0),), layout_file="layout.json")
+    with pytest.raises(ValueError):
+        NetworkConfig()
 
 
 def test_network_config_bin_count():
-    assert NetworkConfig(detection_bins=(0, 2, 5)).n_bins == 4
-    assert NetworkConfig(detection_bins=()).n_bins == 1
+    assert network(detection_bins=(0, 2, 5)).n_bins == 4
+    assert network(detection_bins=()).n_bins == 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +430,8 @@ def test_network_config_bin_count():
 
 def test_single_device_fixed_run_matches_run_schedule():
     tr = area_trace(3, 11)
-    cfg = NetworkConfig(episodes=2, train=False, fixed_interval=60.0)
-    rep = run_network([covering_node(0)], tr, cfg, ORACLE, PROFILE, 11,
-                      collect_logs=True)
+    cfg = network(episodes=2, train=False, fixed_interval=60.0)
+    rep = run_network(tr, cfg, HP, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
     sim_rep, sim_log = run_schedule(
         tr, FixedSchedule(60.0), ORACLE, PROFILE, 11, duration_s=2 * 86400.0
     )
@@ -437,8 +448,8 @@ def test_single_device_training_matches_train_qlearn():
     # draw for draw.
     tr = area_trace(3, 11)
     hp = Hyperparameters(w1=0.02)
-    cfg = NetworkConfig(episodes=3, hp=hp, detection_bins=())
-    rep = run_network([covering_node(0)], tr, cfg, ORACLE, PROFILE, 11)
+    cfg = network(episodes=3, detection_bins=())
+    rep = run_network(tr, cfg, hp, ActionSpace(), ORACLE, PROFILE, 11)
     res = train_qlearn(tr, 3, 0, hp, ActionSpace(), ORACLE, PROFILE, 11)
     assert np.array_equal(rep.tables[0].values, res.table.values)
     assert np.array_equal(rep.tables[0].visits, res.table.visits)
@@ -446,19 +457,17 @@ def test_single_device_training_matches_train_qlearn():
 
 def test_missing_event_locations_rejected():
     profile = DiurnalProfile(
-        hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0
+        hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0, days=1
     )
-    bare = generate_trace(profile, 1, 3)
+    bare = generate_trace(profile, 3)
     with pytest.raises(ScheduleError):
-        run_network([covering_node(0)], bare, NetworkConfig(episodes=1),
-                    ORACLE, PROFILE, 3)
+        run_network(bare, network(episodes=1), HP, ActionSpace(), ORACLE, PROFILE, 3)
 
 
 def test_battery_conservation_and_log_tiling():
     tr = area_trace(2, 23)
-    nodes = [covering_node(0), covering_node(1)]
-    cfg = NetworkConfig(episodes=2, hp=Hyperparameters(w1=0.02))
-    rep = run_network(nodes, tr, cfg, ORACLE, PROFILE, 23, collect_logs=True)
+    cfg = network(covering_node(0), covering_node(1), episodes=2)
+    rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 23, collect_logs=True)
     for device in rep.devices:
         log = rep.logs[device.id]
         validate_log(log, span=2 * 86400.0)
@@ -468,9 +477,8 @@ def test_battery_conservation_and_log_tiling():
 
 def test_duplicates_fall_while_detection_holds():
     tr = area_trace(3, 11)
-    nodes = [covering_node(i) for i in range(3)]
-    cfg = NetworkConfig(episodes=3, hp=Hyperparameters(w1=0.02), w2=0.5)
-    rep = run_network(nodes, tr, cfg, ORACLE, PROFILE, 11)
+    cfg = network(*(covering_node(i) for i in range(3)), episodes=3, w2=0.5)
+    rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11)
     first, last = rep.episodes[0], rep.episodes[-1]
     assert last.mean_duplicates < first.mean_duplicates
     assert last.detection_rate >= 0.85
@@ -481,9 +489,10 @@ def test_event_counted_once_in_network_rate():
     # Three co-located oracles detect nearly everything; the network rate
     # must stay a fraction of distinct events, not triple-count them.
     tr = area_trace(1, 7)
-    nodes = [covering_node(i) for i in range(3)]
-    cfg = NetworkConfig(episodes=1, train=False, fixed_interval=3.0)
-    rep = run_network(nodes, tr, cfg, ORACLE, PROFILE, 7)
+    cfg = network(
+        *(covering_node(i) for i in range(3)), episodes=1, train=False, fixed_interval=3.0
+    )
+    rep = run_network(tr, cfg, HP, ActionSpace(), ORACLE, PROFILE, 7)
     assert rep.episodes[0].events_total == len(tr.events)
     assert rep.episodes[0].events_detected == len(tr.events)
     assert rep.detection_rate == 1.0
@@ -492,10 +501,8 @@ def test_event_counted_once_in_network_rate():
 
 def test_failure_injection_bookkeeping():
     tr = area_trace(4, 11)
-    nodes = [covering_node(i) for i in range(3)]
-    cfg = NetworkConfig(episodes=4, hp=Hyperparameters(w1=0.02),
-                        failures=((2, 2),))
-    rep = run_network(nodes, tr, cfg, ORACLE, PROFILE, 11, collect_logs=True)
+    cfg = network(*(covering_node(i) for i in range(3)), episodes=4, failures=((2, 2),))
+    rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
     assert [d.removed_at for d in rep.devices] == [None, None, 2]
     assert sorted(rep.episodes[1].activations) == [0, 1, 2]
     assert sorted(rep.episodes[3].activations) == [0, 1]
@@ -510,18 +517,16 @@ def test_failure_injection_bookkeeping():
 
 def test_removing_all_devices_is_an_error():
     tr = area_trace(2, 11)
-    nodes = [covering_node(0), covering_node(1)]
-    cfg = NetworkConfig(episodes=2, failures=((0, 1), (1, 1)))
+    cfg = network(covering_node(0), covering_node(1), episodes=2, failures=((0, 1), (1, 1)))
     with pytest.raises(ScheduleError):
-        run_network(nodes, tr, cfg, ORACLE, PROFILE, 11)
+        run_network(tr, cfg, HP, ActionSpace(), ORACLE, PROFILE, 11)
 
 
 def test_run_network_is_deterministic():
     tr = area_trace(2, 31)
-    nodes = [covering_node(0), covering_node(1)]
-    cfg = NetworkConfig(episodes=2, hp=Hyperparameters(w1=0.02))
-    a = run_network(nodes, tr, cfg, ORACLE, PROFILE, 31)
-    b = run_network(nodes, tr, cfg, ORACLE, PROFILE, 31)
+    cfg = network(covering_node(0), covering_node(1), episodes=2)
+    a = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 31)
+    b = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 31)
     assert a.to_dict() == b.to_dict()
     for i in a.tables:
         assert np.array_equal(a.tables[i].values, b.tables[i].values)
@@ -530,39 +535,33 @@ def test_run_network_is_deterministic():
 
 def test_run_network_validation():
     tr = area_trace(2, 11)
-    cfg = NetworkConfig(episodes=2)
+    actions = ActionSpace()
+
+    def run(cfg, actions=actions):
+        return run_network(tr, cfg, HP, actions, ORACLE, PROFILE, 11)
+
     with pytest.raises(ScheduleError):
-        run_network([], tr, cfg, ORACLE, PROFILE, 11)
+        run(NetworkConfig(layout_file="layout.json", episodes=2))
     with pytest.raises(ScheduleError):
-        run_network([covering_node(0), covering_node(0)], tr, cfg,
-                    ORACLE, PROFILE, 11)
+        run(network(covering_node(0), covering_node(0), episodes=2))
     with pytest.raises(ScheduleError):
-        run_network([covering_node(0)], tr, NetworkConfig(episodes=3),
-                    ORACLE, PROFILE, 11)
+        run(network(episodes=3))
     with pytest.raises(ScheduleError):
-        run_network([covering_node(0)], tr,
-                    NetworkConfig(episodes=2, train=False, fixed_interval=0.1),
-                    ORACLE, PROFILE, 11)
+        run(network(episodes=2, train=False, fixed_interval=0.1))
     with pytest.raises(ScheduleError):
-        run_network(
-            [covering_node(0)], tr,
-            NetworkConfig(episodes=2, actions=ActionSpace((0.1, 5.0))),
-            ORACLE, PROFILE, 11,
-        )
+        run(network(episodes=2), ActionSpace((0.1, 5.0)))
     with pytest.raises(ScheduleError):
-        run_network([covering_node(0)], tr,
-                    NetworkConfig(episodes=2, failures=((9, 0),)),
-                    ORACLE, PROFILE, 11)
+        run(network(episodes=2, failures=((9, 0),)))
 
 
 def test_init_table_shape_checked_and_expansion_accepted():
     tr = area_trace(2, 11)
-    cfg = NetworkConfig(episodes=2, hp=Hyperparameters(w1=0.02))
+    cfg = network(episodes=2)
     with pytest.raises(ScheduleError):
-        run_network([covering_node(0)], tr, cfg, ORACLE, PROFILE, 11,
+        run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11,
                     init_tables={0: QTable.zeros(24, 5)})
     seeded = expand_global_table(QTable.zeros(24, 5), cfg.n_bins)
-    rep = run_network([covering_node(0)], tr, cfg, ORACLE, PROFILE, 11,
+    rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11,
                       init_tables={0: seeded})
     assert rep.tables[0].values.shape == (24 * cfg.n_bins, 5)
     # The caller's table object is seeded by copy, not adopted.

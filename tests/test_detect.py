@@ -202,6 +202,8 @@ def test_detector_model_validation():
         DetectorModel(tp_rate=1.5)
     with pytest.raises(ValueError):
         DetectorModel(event_bandwidth_hz=0.0)
+    with pytest.raises(ValueError):
+        DetectorModel(noise_sd=-1.0)
     assert DetectorModel(kind="goertzel").bank is not None
 
 

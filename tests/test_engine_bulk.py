@@ -260,8 +260,10 @@ def _trace(seed: int, duration_sd: float, **kwargs):
         hourly_rate=two_peak_rates(peak=60.0, base=2.0),
         duration_mean=3.0,
         duration_sd=duration_sd,
+        days=2,
+        **kwargs,
     )
-    return generate_trace(profile, 2, seed, **kwargs)
+    return generate_trace(profile, seed)
 
 
 detectors = st.builds(
@@ -332,14 +334,15 @@ def test_train_qlearn_matches_per_wake(seed, detector):
 @given(seed=st.integers(0, 1000), detector=detectors, drop_rate=st.sampled_from([0.2, 0.7]))
 def test_run_network_matches_per_wake(seed, detector, drop_rate):
     trace = _trace(seed, 4.0, area=(0.0, 10.0, 0.0, 10.0))
-    nodes = [DeviceNode(i, (5.0, 5.0), 500.0, 500.0) for i in range(3)]
-    config = NetworkConfig(
-        episodes=2, hp=Hyperparameters(w1=0.02), drop_rate=drop_rate, failures=((2, 1),)
-    )
+    nodes = tuple(DeviceNode(i, 5.0, 5.0, 500.0, 500.0) for i in range(3))
+    config = NetworkConfig(layout=nodes, episodes=2, drop_rate=drop_rate, failures=((2, 1),))
     profile = PROFILES[0]
 
     def go():
-        return run_network(nodes, trace, config, detector, profile, seed, collect_logs=True)
+        return run_network(
+            trace, config, Hyperparameters(w1=0.02), ActionSpace(), detector, profile, seed,
+            collect_logs=True,
+        )
 
     fast = go()
     with per_wake_engine():

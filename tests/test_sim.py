@@ -221,8 +221,8 @@ def test_seed_changes_detection_draws():
 
 def _peak_trace(days, seed):
     rates = tuple(30.0 if h in (5, 6, 7) else 0.0 for h in range(24))
-    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0)
-    return generate_trace(profile, days, seed)
+    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0, days=days)
+    return generate_trace(profile, seed)
 
 
 def test_trained_policy_specializes_by_hour():
@@ -241,8 +241,8 @@ def test_huge_w1_prefers_longest_interval():
     # times; with alpha=0.1 a single optimistic visit can otherwise pin an
     # under-estimated Q above the converged value of the best action.
     rates = (0.5,) * 24
-    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0)
-    tr = generate_trace(profile, 41, 17)
+    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0, days=41)
+    tr = generate_trace(profile, 17)
     hp = Hyperparameters(gamma=0.0, w1=1000.0)
     result = train_qlearn(tr, 40, 1, hp, ActionSpace(), ORACLE, PROFILE, 17)
     assert np.all(result.table.greedy_policy() == 4)

@@ -163,29 +163,29 @@ def test_load_json_bad_payload(tmp_path):
 
 
 def test_generate_zero_rate_is_empty():
-    profile = DiurnalProfile(hourly_rate=(0.0,) * 24, duration_mean=3.0, duration_sd=0.0)
-    tr = generate_trace(profile, 3, 123)
+    profile = DiurnalProfile(hourly_rate=(0.0,) * 24, duration_mean=3.0, duration_sd=0.0, days=3)
+    tr = generate_trace(profile, 123)
     assert len(tr) == 0
     assert tr.horizon == 3 * SECONDS_PER_DAY
 
 
 def test_generate_deterministic():
-    profile = two_peak_profile()
-    a = generate_trace(profile, 2, 42, band_range=(2000.0, 8000.0))
-    b = generate_trace(profile, 2, 42, band_range=(2000.0, 8000.0))
+    profile = two_peak_profile(2, band_range=(2000.0, 8000.0))
+    a = generate_trace(profile, 42)
+    b = generate_trace(profile, 42)
     assert a == b
 
 
 def test_generate_seeds_differ():
     profile = two_peak_profile()
-    assert generate_trace(profile, 1, 1) != generate_trace(profile, 1, 2)
+    assert generate_trace(profile, 1) != generate_trace(profile, 2)
 
 
 def test_generate_poisson_mean():
     # Rate 60/h for a day: mean count 1440. The mean over 100 fixed seeds
     # should sit within 3 standard errors, and did when frozen.
-    profile = DiurnalProfile(hourly_rate=(60.0,) * 24, duration_mean=3.0, duration_sd=0.0)
-    counts = [len(generate_trace(profile, 1, seed)) for seed in range(100)]
+    profile = DiurnalProfile(hourly_rate=(60.0,) * 24, duration_mean=3.0, duration_sd=0.0, days=1)
+    counts = [len(generate_trace(profile, seed)) for seed in range(100)]
     se = np.sqrt(1440.0 / 100.0)
     assert abs(np.mean(counts) - 1440.0) <= 3.0 * se
 
@@ -194,11 +194,11 @@ def test_generate_hourly_rates_converge():
     # 5% relative on a rate-20 Poisson mean needs a few hundred seeds to be
     # comfortably inside the noise floor; 300 puts 5% at about 4 sigma.
     rates = (20.0, 40.0) * 12
-    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0)
+    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0, days=1)
     counts = np.zeros(24)
     n_seeds = 300
     for seed in range(n_seeds):
-        tr = generate_trace(profile, 1, seed)
+        tr = generate_trace(profile, seed)
         for ev in tr.events:
             counts[int(ev.start // 3600.0)] += 1
     observed = counts / n_seeds
@@ -206,8 +206,8 @@ def test_generate_hourly_rates_converge():
 
 
 def test_generate_duration_floor():
-    profile = DiurnalProfile(hourly_rate=(30.0,) * 24, duration_mean=0.6, duration_sd=2.0)
-    tr = generate_trace(profile, 1, 5)
+    profile = DiurnalProfile(hourly_rate=(30.0,) * 24, duration_mean=0.6, duration_sd=2.0, days=1)
+    tr = generate_trace(profile, 5)
     assert len(tr) > 0
     last = max(ev.end for ev in tr.events)
     assert all(
@@ -217,10 +217,10 @@ def test_generate_duration_floor():
 
 
 def test_generate_band_and_area_tagging():
-    profile = two_peak_profile()
-    tr = generate_trace(
-        profile, 1, 9, band_range=(2000.0, 8000.0), area=(0.0, 100.0, -50.0, 50.0)
+    profile = two_peak_profile(
+        1, band_range=(2000.0, 8000.0), area=(0.0, 100.0, -50.0, 50.0)
     )
+    tr = generate_trace(profile, 9)
     assert len(tr) > 0
     for ev in tr.events:
         assert 2000.0 <= ev.band <= 8000.0
@@ -230,8 +230,10 @@ def test_generate_band_and_area_tagging():
 
 def test_generate_origin_hour_shifts_rates():
     rates = tuple(40.0 if h == 0 else 0.0 for h in range(24))
-    profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0)
-    tr = generate_trace(profile, 1, 3, origin_hour=6)
+    profile = DiurnalProfile(
+        hourly_rate=rates, duration_mean=3.0, duration_sd=0.0, days=1, origin_hour=6
+    )
+    tr = generate_trace(profile, 3)
     # Hour-of-day 0 is 18 hours after a trace origin at 06:00.
     assert len(tr) > 0
     for ev in tr.events:
@@ -240,16 +242,24 @@ def test_generate_origin_hour_shifts_rates():
 
 def test_profile_validation():
     with pytest.raises(TraceValidationError):
-        DiurnalProfile(hourly_rate=(1.0,) * 23, duration_mean=3.0, duration_sd=0.0)
+        DiurnalProfile(hourly_rate=(1.0,) * 23, duration_mean=3.0, duration_sd=0.0, days=1)
     with pytest.raises(TraceValidationError):
-        DiurnalProfile(hourly_rate=(-1.0,) * 24, duration_mean=3.0, duration_sd=0.0)
+        DiurnalProfile(hourly_rate=(-1.0,) * 24, duration_mean=3.0, duration_sd=0.0, days=1)
     with pytest.raises(TraceValidationError):
-        DiurnalProfile(hourly_rate=(1.0,) * 24, duration_mean=0.0, duration_sd=0.0)
+        DiurnalProfile(hourly_rate=(1.0,) * 24, duration_mean=0.0, duration_sd=0.0, days=1)
+    for bad in (
+        {"origin_hour": 24},
+        {"band_range": (5000.0, 100.0)},
+        {"area": (10.0, 0.0, 0.0, 10.0)},
+        {"area": (0.0, 10.0, 10.0, 0.0)},
+    ):
+        with pytest.raises(TraceValidationError):
+            two_peak_profile(**bad)
 
 
 def test_generate_rejects_zero_days():
     with pytest.raises(TraceValidationError):
-        generate_trace(two_peak_profile(), 0, 1)
+        generate_trace(two_peak_profile(days=0), 1)
 
 
 # -- window queries ----------------------------------------------------------
@@ -270,7 +280,7 @@ def test_window_rejects_reversed():
 
 
 def test_window_matches_scan_on_random_queries():
-    tr = generate_trace(two_peak_profile(), 2, 77)
+    tr = generate_trace(two_peak_profile(2), 77)
     rng = np.random.default_rng(0)
     for _ in range(1000):
         t0 = float(rng.uniform(0, tr.horizon))
