@@ -5,10 +5,11 @@ cliques), each with a round-robin slot that rotates every period. When a
 device detects an event it broadcasts a short ping carrying a hash of the
 event's quantized features; receivers within the sender's comm radius use
 matching hashes to estimate how many neighbors saw the same event. Each
-device fine-tunes its own Q-table against a local reward that subtracts an
-overlap penalty for duplicated detections, waived in periods where the
-device holds a cluster slot. The global network reward, with the battery
-spread term, is computed as an evaluation metric only.
+device fine-tunes its own Q-table with the single-device scheduler,
+``sim.Learner``, against a local reward that subtracts an overlap penalty
+for duplicated detections, waived in periods where the device holds a
+cluster slot. The global network reward, with the battery spread term, is
+computed as an evaluation metric only.
 
 The per-device state space extends the hour with a binned count of the
 device's own detections in the previous period.
@@ -25,18 +26,9 @@ import numpy as np
 from .detect import DetectorModel
 from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
-from .qsched import (
-    ActionSpace,
-    Hyperparameters,
-    QTable,
-    RewardInputs,
-    decay_epsilon,
-    q_update,
-    reward,
-    select_action,
-)
+from .qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
 from .rng import substream
-from .sim import TimelineEngine, _day_rng_provider
+from .sim import Learner, TimelineEngine, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
 __all__ = [
@@ -115,10 +107,6 @@ def event_hash(band: float | None, start: float) -> int:
     return h
 
 
-def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.dist(a, b)
-
-
 def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
     """Maximal cliques of the sensing-overlap graph, two members or more.
 
@@ -135,7 +123,7 @@ def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
     for i_pos, i in enumerate(ids):
         for j in ids[i_pos + 1 :]:
             a, b = by_id[i], by_id[j]
-            if _dist(a.position, b.position) <= a.sensing_radius + b.sensing_radius:
+            if math.dist(a.position, b.position) <= a.sensing_radius + b.sensing_radius:
                 adj[i].add(j)
                 adj[j].add(i)
 
@@ -211,7 +199,7 @@ def deliver_pings(
             for receiver_id in ids:
                 if receiver_id == sender_id:
                     continue
-                if _dist(sender.position, by_id[receiver_id].position) > sender.comm_radius:
+                if math.dist(sender.position, by_id[receiver_id].position) > sender.comm_radius:
                     continue
                 if drop_rate > 0 and rng.random() < drop_rate:
                     continue
@@ -269,13 +257,6 @@ def expand_global_table(table: QTable, n_bins: int) -> QTable:
         visits=np.repeat(table.visits, n_bins, axis=0).astype(np.uint32),
         period_length=table.period_length,
     )
-
-
-def _bin_index(count: int, edges: tuple[int, ...]) -> int:
-    for i, edge in enumerate(edges):
-        if count <= edge:
-            return i
-    return len(edges)
 
 
 @dataclass(frozen=True)
@@ -396,28 +377,80 @@ class NetworkReport:
         }
 
 
+@dataclass
 class _DeviceRuntime:
-    def __init__(self, node, sub_trace, span, profile, detector, seed, table, collect_log):
-        self.node = node
-        self.rng_for_day = _day_rng_provider(seed, node.id)
-        self.engine = TimelineEngine(
-            sub_trace, 0.0, span, profile, detector, self.rng_for_day, collect_log=collect_log
-        )
-        self.table = table
-        self.battery_initial = profile.battery_mah
-        self.active = True
-        self.removed_at: int | None = None
-        self.prev_bin = 0
-        self.last_state = 0
-        self.last_action = 0
-        self.activations = 0
-        self.positives = 0
-        self.negatives = 0
-        self.detected_ids: set[int] = set()
+    node: DeviceNode
+    engine: TimelineEngine
+    learner: Learner
+    battery_initial: float
+    removed_at: int | None = None
+    activations: int = 0
+    positives: int = 0
+    negatives: int = 0
 
     @property
     def battery(self) -> float:
         return self.battery_initial - self.engine.charge_mah
+
+
+class _EpisodeTally:
+    """One episode's network metrics, summed period by period."""
+
+    def __init__(self, index: int, alive: list[_DeviceRuntime]):
+        self.index = index
+        self.positives = 0
+        self.negatives = 0
+        self.global_reward = 0.0
+        self.activations = {rt.node.id: 0 for rt in alive}
+        # Overwritten every period, so they end as the episode's last values.
+        self.battery_sd = 0.0
+        self.batteries: dict[int, float] = {}
+
+    def add_period(self, alive, period_stats, detections_by_event, w1, w2, w3) -> None:
+        """Fold in one period: device totals, detections and the network reward."""
+        counts: Counter = Counter()
+        for rt in alive:
+            did = rt.node.id
+            stats = period_stats[did]
+            rt.activations += stats.activations
+            rt.positives += stats.positives
+            rt.negatives += stats.negatives
+            self.activations[did] += stats.activations
+            for eid, _s in stats.detected:
+                detections_by_event.setdefault(eid, set()).add(did)
+                counts[eid] += 1
+        self.batteries = {rt.node.id: rt.battery for rt in alive}
+        self.battery_sd = float(np.std(list(self.batteries.values())))
+        overlaps = tuple(counts[eid] for eid in sorted(counts))
+        n_pos = sum(period_stats[rt.node.id].positives for rt in alive)
+        n_neg = sum(period_stats[rt.node.id].negatives for rt in alive)
+        self.positives += n_pos
+        self.negatives += n_neg
+        self.global_reward += network_reward(
+            NetworkRewardInputs(n_pos, n_neg, overlaps, self.battery_sd, w1, w2, w3)
+        )
+
+    def metrics(self, day_events: list[int], detections_by_event) -> EpisodeMetrics:
+        detected = [eid for eid in day_events if eid in detections_by_event]
+        dup = (
+            sum(len(detections_by_event[eid]) for eid in detected) / len(detected)
+            if detected
+            else 0.0
+        )
+        total = len(day_events)
+        return EpisodeMetrics(
+            index=self.index,
+            events_total=total,
+            events_detected=len(detected),
+            detection_rate=1.0 if total == 0 else len(detected) / total,
+            mean_duplicates=dup,
+            positives=self.positives,
+            negatives=self.negatives,
+            global_reward=self.global_reward,
+            battery_sd=self.battery_sd,
+            activations=self.activations,
+            batteries=self.batteries,
+        )
 
 
 def run_network(
@@ -434,11 +467,15 @@ def run_network(
 ) -> NetworkReport:
     """Simulate config.layout in lockstep periods over whole-day episodes.
 
-    hp and actions drive every device's learner as in train_qlearn. Every
-    event needs a location; each device senses only events within its
-    sensing radius. Per period and in id order: choose actions, run each
-    device's timeline, exchange pings, then update each table against its
-    local reward. Failures listed in the config remove a device at the
+    Each device runs its own ``sim.Learner``, the scheduler train_qlearn
+    drives, with the state widened by config.detection_bins and the reward
+    replaced by local_reward. Every event needs a location; each device
+    senses only events within its sensing radius. Per period and in id
+    order: choose actions, run each device's timeline, exchange pings, then
+    update each table against its local reward. A training device bills one
+    ping per detection at the period end, even with no neighbour to hear
+    it; train_qlearn bills none, so a lone network device keeps a different
+    log and charge. Failures listed in the config remove a device at the
     start of the given episode; clusters re-form and, by default, epsilon
     resets for the survivors. init_tables[id] seeds that device's table by
     copy; the others start from zeros.
@@ -467,8 +504,7 @@ def run_network(
     for did, _ep in config.failures:
         if did not in known:
             raise ScheduleError(f"failure names unknown device {did}")
-    n_bins = config.n_bins
-    n_states = 24 * n_bins
+    n_states = 24 * config.n_bins
     feat = {ev.id: (ev.band, ev.start) for ev in trace.events}
     events_by_day: dict[int, list[int]] = {}
     for ev in trace.events:
@@ -479,7 +515,7 @@ def run_network(
         subset = tuple(
             ev
             for ev in trace.events
-            if _dist(ev.location, node.position) <= node.sensing_radius
+            if math.dist(ev.location, node.position) <= node.sensing_radius
         )
         sub = EventTrace(events=subset, horizon=trace.horizon, origin_hour=trace.origin_hour)
         if init_tables is not None and node.id in init_tables:
@@ -491,75 +527,60 @@ def run_network(
                 f"device {node.id}: table shape {table.values.shape} "
                 f"does not match {n_states} states x {len(actions)} actions"
             )
+        rng_for_day = _day_rng_provider(seed, node.id)
         runtimes[node.id] = _DeviceRuntime(
-            node, sub, span, profile, detector, seed, table, collect_logs
+            node,
+            TimelineEngine(
+                sub, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs
+            ),
+            Learner(table, hp, actions, rng_for_day, config.detection_bins),
+            profile.battery_mah,
         )
 
+    alive = list(runtimes.values())
     clusters = form_clusters(order) if len(order) > 1 else []
-    eps = {i: hp.eps_max for i in ids}
     failures_by_episode: dict[int, list[int]] = {}
     for did, ep in config.failures:
         failures_by_episode.setdefault(ep, []).append(did)
 
     detections_by_event: dict[int, set[int]] = {}
-    ep_active: list[list[int]] = []
-    ep_pos = [0] * config.episodes
-    ep_neg = [0] * config.episodes
-    ep_reward = [0.0] * config.episodes
-    ep_batt_sd = [0.0] * config.episodes
-    ep_act: list[Counter] = [Counter() for _ in range(config.episodes)]
-    ep_batt: list[dict[int, float]] = [{} for _ in range(config.episodes)]
-
-    n_periods = config.episodes * 24
-    for t in range(n_periods):
+    tallies: list[_EpisodeTally] = []
+    for t in range(config.episodes * 24):
         day, hour_idx = divmod(t, 24)
         p_start = t * SECONDS_PER_HOUR
         p_end = min(p_start + SECONDS_PER_HOUR, span)
         if hour_idx == 0:
-            fell = [d for d in failures_by_episode.get(day, []) if runtimes[d].active]
-            for did in fell:
-                runtimes[did].active = False
-                runtimes[did].removed_at = day
+            fell = [rt for rt in alive if rt.node.id in failures_by_episode.get(day, ())]
             if fell:
-                alive_nodes = [r.node for r in runtimes.values() if r.active]
-                if not alive_nodes:
+                for rt in fell:
+                    rt.removed_at = day
+                alive = [rt for rt in alive if rt.removed_at is None]
+                if not alive:
                     raise ScheduleError(f"all devices removed by episode {day}")
-                clusters = form_clusters(alive_nodes) if len(alive_nodes) > 1 else []
+                clusters = form_clusters([rt.node for rt in alive]) if len(alive) > 1 else []
                 if config.eps_reset_on_change:
-                    for r in runtimes.values():
-                        if r.active:
-                            eps[r.node.id] = hp.eps_max
-            ep_active.append([i for i in ids if runtimes[i].active])
+                    for rt in alive:
+                        rt.learner.eps = hp.eps_max
+            tallies.append(_EpisodeTally(day, alive))
         hour = trace.hour_of(p_start)
-        alive = [runtimes[i] for i in ids if runtimes[i].active]
 
         period_stats = {}
         for rt in alive:
-            did = rt.node.id
             if config.train:
-                state = hour * n_bins + rt.prev_bin
-                a = select_action(rt.table, state, eps[did], rt.rng_for_day(day))
-                rt.last_state, rt.last_action = state, a
-                interval = actions[a]
-                rt.engine.bill_ql("ql_infer", p_start)
+                interval = rt.learner.choose(rt.engine, hour, p_start)
             else:
                 interval = config.fixed_interval
-            period_stats[did] = rt.engine.run_period(p_end, interval)
+            period_stats[rt.node.id] = rt.engine.run_period(p_end, interval)
 
-        mailbox: dict[int, dict[int, tuple[int, ...]]] = {}
-        own_hashes: dict[int, list[int]] = {}
         if config.train:
+            own_hashes: dict[int, list[int]] = {}
             for rt in alive:
                 did = rt.node.id
-                hashes = [
-                    event_hash(*feat[eid]) for (eid, _s) in period_stats[did].detected
-                ]
+                hashes = [event_hash(*feat[eid]) for (eid, _s) in period_stats[did].detected]
                 own_hashes[did] = hashes
                 for _ in hashes:
                     rt.engine.bill_ql("ping", p_end)
-            rng_pings = (
-                substream(seed, "pings", t) if config.drop_rate > 0 else None
-            )
+            rng_pings = substream(seed, "pings", t) if config.drop_rate > 0 else None
             mailbox = deliver_pings(
                 [rt.node for rt in alive],
                 own_hashes,
@@ -580,90 +601,39 @@ def run_network(
                     hp.w1,
                     config.w2,
                 )
-                nxt_bin = _bin_index(len(stats.detected), config.detection_bins)
-                next_state = ((hour + 1) % 24) * n_bins + nxt_bin
-                q_update(rt.table, rt.last_state, rt.last_action, r, next_state, hp)
-                rt.engine.bill_ql("ql_update", p_end)
-                rt.prev_bin = nxt_bin
+                rt.learner.learn(rt.engine, r, hour, len(stats.detected), p_end)
 
-        counts: Counter = Counter()
-        for rt in alive:
-            did = rt.node.id
-            stats = period_stats[did]
-            rt.activations += stats.activations
-            rt.positives += stats.positives
-            rt.negatives += stats.negatives
-            ep_act[day][did] += stats.activations
-            for eid, _s in stats.detected:
-                rt.detected_ids.add(eid)
-                detections_by_event.setdefault(eid, set()).add(did)
-                counts[eid] += 1
-        batteries = [rt.battery for rt in alive]
-        b_sd = float(np.std(batteries))
-        overlaps = tuple(counts[eid] for eid in sorted(counts))
-        n_pos = sum(period_stats[rt.node.id].positives for rt in alive)
-        n_neg = sum(period_stats[rt.node.id].negatives for rt in alive)
-        ep_pos[day] += n_pos
-        ep_neg[day] += n_neg
-        ep_reward[day] += network_reward(
-            NetworkRewardInputs(n_pos, n_neg, overlaps, b_sd, hp.w1, config.w2, config.w3)
+        tallies[day].add_period(
+            alive, period_stats, detections_by_event, hp.w1, config.w2, config.w3
         )
-        if hour_idx == 23:
-            ep_batt_sd[day] = b_sd
+        if hour_idx == 23 and config.train:
             for rt in alive:
-                ep_batt[day][rt.node.id] = rt.battery
-            if config.train:
-                for rt in alive:
-                    did = rt.node.id
-                    eps[did] = decay_epsilon(eps[did], hp)
+                rt.learner.end_episode()
 
-    for rt in runtimes.values():
-        if rt.active:
-            rt.engine.finish()
+    for rt in alive:
+        rt.engine.finish()
 
-    episodes = []
-    for day in range(config.episodes):
-        day_events = events_by_day.get(day, [])
-        detected = [eid for eid in day_events if eid in detections_by_event]
-        dup = (
-            sum(len(detections_by_event[eid]) for eid in detected) / len(detected)
-            if detected
-            else 0.0
-        )
-        total = len(day_events)
-        episodes.append(
-            EpisodeMetrics(
-                index=day,
-                events_total=total,
-                events_detected=len(detected),
-                detection_rate=1.0 if total == 0 else len(detected) / total,
-                mean_duplicates=dup,
-                positives=ep_pos[day],
-                negatives=ep_neg[day],
-                global_reward=ep_reward[day],
-                battery_sd=ep_batt_sd[day],
-                activations=dict(sorted(ep_act[day].items())),
-                batteries=dict(sorted(ep_batt[day].items())),
-            )
-        )
     devices = [
         DeviceSummary(
             id=i,
-            activations=runtimes[i].activations,
-            positives=runtimes[i].positives,
-            negatives=runtimes[i].negatives,
-            events_detected=len(runtimes[i].detected_ids),
-            charge_mah=runtimes[i].engine.charge_mah,
-            battery_level=runtimes[i].battery,
-            removed_at=runtimes[i].removed_at,
+            activations=rt.activations,
+            positives=rt.positives,
+            negatives=rt.negatives,
+            events_detected=len(rt.engine.detected),
+            charge_mah=rt.engine.charge_mah,
+            battery_level=rt.battery,
+            removed_at=rt.removed_at,
         )
-        for i in ids
+        for i, rt in runtimes.items()
     ]
     return NetworkReport(
         n_devices=len(ids),
-        episodes=episodes,
+        episodes=[
+            tally.metrics(events_by_day.get(tally.index, []), detections_by_event)
+            for tally in tallies
+        ],
         devices=devices,
         clusters=clusters,
-        tables={i: runtimes[i].table for i in ids},
-        logs={i: runtimes[i].engine.log for i in ids} if collect_logs else None,
+        tables={i: rt.learner.table for i, rt in runtimes.items()},
+        logs={i: rt.engine.log for i, rt in runtimes.items()} if collect_logs else None,
     )

@@ -11,9 +11,11 @@ max(scheduled wake, end of current activity), where the scheduled wake is the
 previous probe start plus the active interval.
 
 Scheduling periods are hours. A fixed schedule keeps one interval; a learned
-schedule picks the interval per period from a Q-table, greedily when
-evaluating, epsilon-greedily with per-period updates when training. Training
-episodes are whole days; epsilon decays once per episode.
+schedule picks the interval per period through a ``Learner``, the one
+Q-learning scheduler that both train_qlearn and the network mode
+(``collab.run_network``) drive. It chooses epsilon-greedily with per-period
+updates when training and greedily, without learning, when evaluating.
+Training episodes are whole days; epsilon decays once per episode.
 
 With an abstract detector of low false-positive rate, wakes whose record
 windows meet no event are billed in bulk: a run of such wakes costs a few
@@ -457,59 +459,59 @@ class TimelineEngine:
             self._emit("tx_audio", p.d_tx_audio)
 
 
-# -- policies ---------------------------------------------------------------
+# -- learner ----------------------------------------------------------------
 
 
-class _FixedPolicy:
-    trains = False
-    bills_infer = False
-
-    def __init__(self, interval: float):
-        self.interval = interval
-
-    def begin_period(self, period: int, hour: int) -> float:
-        return self.interval
-
-    def end_period(self, period: int, hour: int, stats: PeriodStats) -> None:
-        pass
+def _bin_index(count: int, edges: tuple[int, ...]) -> int:
+    for i, edge in enumerate(edges):
+        if count <= edge:
+            return i
+    return len(edges)
 
 
-class _GreedyPolicy:
-    trains = False
-    bills_infer = True
+class Learner:
+    """One device's Q-learning scheduler.
 
-    def __init__(self, table: QTable, actions: ActionSpace):
-        self.table = table
-        self.actions = actions
+    The state is hour * n_bins + bin, where bin places the device's own
+    detection count of the previous period among the inclusive upper
+    ``edges``; with no edges the state is the plain hour. Each period the
+    learner chooses an interval epsilon-greedily from the day's stream and
+    bills an inference at the period start; ``learn`` updates the chosen
+    cell toward the next hour's state and bills the update at the period
+    end. Epsilon decays once per episode. At epsilon 0 the choice is greedy
+    and draws nothing, so a learner that never learns replays a trained
+    table.
+    """
 
-    def begin_period(self, period: int, hour: int) -> float:
-        return self.actions[self.table.greedy_action(hour)]
-
-    def end_period(self, period: int, hour: int, stats: PeriodStats) -> None:
-        pass
-
-
-class _TrainPolicy:
-    trains = True
-    bills_infer = True
-
-    def __init__(self, table, hp, actions, rng_for_day, w1_by_hour):
+    def __init__(self, table, hp, actions, rng_for_day, edges=(), eps=None):
         self.table = table
         self.hp = hp
         self.actions = actions
         self.rng_for_day = rng_for_day
-        self.w1 = w1_by_hour
-        self.eps = hp.eps_max
-        self.last_action = 0
+        self.edges = edges
+        self.n_bins = len(edges) + 1
+        self.eps = hp.eps_max if eps is None else eps
+        self.bin = 0
+        self.state = 0
+        self.action = 0
 
-    def begin_period(self, period: int, hour: int) -> float:
-        rng = self.rng_for_day(period // 24)
-        self.last_action = select_action(self.table, hour, self.eps, rng)
-        return self.actions[self.last_action]
+    def choose(self, engine: TimelineEngine, hour: int, p_start: float) -> float:
+        self.state = hour * self.n_bins + self.bin
+        rng = self.rng_for_day(int(p_start // SECONDS_PER_DAY)) if self.eps > 0 else None
+        self.action = select_action(self.table, self.state, self.eps, rng)
+        engine.bill_ql("ql_infer", p_start)
+        return self.actions[self.action]
 
-    def end_period(self, period: int, hour: int, stats: PeriodStats) -> None:
-        r = reward(RewardInputs(stats.positives, stats.negatives), self.w1[hour])
-        q_update(self.table, hour, self.last_action, r, (hour + 1) % 24, self.hp)
+    def learn(
+        self, engine: TimelineEngine, r: float, hour: int, n_detected: int, p_end: float
+    ) -> None:
+        self.bin = _bin_index(n_detected, self.edges)
+        next_state = ((hour + 1) % 24) * self.n_bins + self.bin
+        q_update(self.table, self.state, self.action, r, next_state, self.hp)
+        engine.bill_ql("ql_update", p_end)
+
+    def end_episode(self) -> None:
+        self.eps = decay_epsilon(self.eps, self.hp)
 
 
 def _resolve_w1(hp: Hyperparameters, w1_by_hour) -> np.ndarray:
@@ -521,27 +523,28 @@ def _resolve_w1(hp: Hyperparameters, w1_by_hour) -> np.ndarray:
     return np.full(24, hp.w1, dtype=np.float64)
 
 
-def _run_periods(engine: TimelineEngine, policy, t_begin, n_periods, w1_by_hour, first_period=0):
+def _run_periods(
+    engine, t_begin, n_periods, learner=None, interval=None, w1=None, first_period=0
+):
     """Drive the engine period by period; returns raw period tuples.
 
-    first_period keeps the global period index honest when a run is driven
-    in chunks (training drives one day at a time); the index feeds the
-    policy's per-day stream lookup.
+    Without a learner every period runs at ``interval``. A learner chooses
+    each period's interval, and learns from the period reward when given
+    the per-hour weights ``w1``. first_period keeps the period index honest
+    when a run is driven in chunks (training drives one day at a time).
     """
     rows = []
     for p in range(n_periods):
-        p_global = first_period + p
         p_start = t_begin + p * SECONDS_PER_HOUR
         p_end = min(p_start + SECONDS_PER_HOUR, engine.horizon)
         hour = engine.trace.hour_of(p_start)
-        interval = policy.begin_period(p_global, hour)
-        if policy.bills_infer:
-            engine.bill_ql("ql_infer", p_start)
+        if learner is not None:
+            interval = learner.choose(engine, hour, p_start)
         stats = engine.run_period(p_end, interval)
-        if policy.trains:
-            engine.bill_ql("ql_update", p_end)
-        policy.end_period(p_global, hour, stats)
-        rows.append((p_global, hour, interval, stats))
+        if w1 is not None:
+            r = reward(RewardInputs(stats.positives, stats.negatives), w1[hour])
+            learner.learn(engine, r, hour, len(stats.detected), p_end)
+        rows.append((first_period + p, hour, interval, stats))
     return rows
 
 
@@ -644,13 +647,13 @@ def run_schedule(
     window exactly.
     """
     t_end = trace.horizon if duration_s is None else t_begin + duration_s
+    hp = Hyperparameters()
     if isinstance(spec, FixedSchedule):
         if spec.interval <= profile.d_probe:
             raise ScheduleError(
                 f"interval {spec.interval} s not longer than the probe"
             )
-        policy = _FixedPolicy(spec.interval)
-        hp = Hyperparameters()
+        learner, interval = None, spec.interval
     elif isinstance(spec, GreedySchedule):
         if min(spec.actions.intervals) <= profile.d_probe:
             raise ScheduleError("action space contains intervals shorter than a probe")
@@ -658,8 +661,7 @@ def run_schedule(
             raise ScheduleError(
                 f"greedy schedule needs a 24-state table, got {spec.table.n_states}"
             )
-        policy = _GreedyPolicy(spec.table, spec.actions)
-        hp = Hyperparameters()
+        learner, interval = Learner(spec.table, hp, spec.actions, None, eps=0.0), None
     else:
         raise ScheduleError(f"unknown schedule spec {spec!r}")
     w1 = _resolve_w1(hp, None)
@@ -673,7 +675,7 @@ def run_schedule(
         collect_log=collect_log,
     )
     n_periods = int(math.ceil((t_end - t_begin) / SECONDS_PER_HOUR))
-    rows = _run_periods(engine, policy, t_begin, n_periods, w1)
+    rows = _run_periods(engine, t_begin, n_periods, learner, interval)
     engine.finish()
     report = _build_report(trace, t_begin, t_end, rows, engine, w1, profile)
     return report, engine.log
@@ -735,16 +737,16 @@ def train_qlearn(
     engine = TimelineEngine(
         trace, 0.0, train_end, profile, detector, rng_for_day, collect_log=collect_logs
     )
-    policy = _TrainPolicy(table, hp, actions, rng_for_day, w1)
+    learner = Learner(table, hp, actions, rng_for_day)
     history: list[np.ndarray] = []
     all_rows = []
     for day in range(train_days):
         all_rows.extend(
             _run_periods(
-                engine, policy, day * SECONDS_PER_DAY, 24, w1, first_period=day * 24
+                engine, day * SECONDS_PER_DAY, 24, learner, w1=w1, first_period=day * 24
             )
         )
-        policy.eps = decay_epsilon(policy.eps, hp)
+        learner.end_episode()
         history.append(table.greedy_policy())
     engine.finish()
     train_report = _build_report(trace, 0.0, train_end, all_rows, engine, w1, profile)
@@ -773,7 +775,7 @@ def train_qlearn(
         train_report=train_report,
         eval_report=eval_report,
         policy_history=history,
-        eps_final=policy.eps,
+        eps_final=learner.eps,
         train_log=engine.log,
         eval_log=eval_log,
     )

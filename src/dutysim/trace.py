@@ -146,8 +146,8 @@ class DiurnalProfile:
     hourly_rate[h] is the expected number of events per hour at hour-of-day h.
     Durations are truncated-normal with a fixed floor of 0.5 s. A generated
     trace covers ``days`` whole days and starts at hour-of-day origin_hour.
-    band_range=(lo, hi) tags each event with a uniform band in Hz; area=
-    (x0, x1, y0, y1) places each event uniformly in that rectangle.
+    band_range=(lo, hi), 0 < lo <= hi, tags each event with a uniform band in
+    Hz; area=(x0, x1, y0, y1) places each event uniformly in that rectangle.
     """
 
     hourly_rate: tuple[float, ...]
@@ -177,8 +177,10 @@ class DiurnalProfile:
             raise TraceValidationError(
                 f"origin_hour must be in [0, 24), got {self.origin_hour}"
             )
-        if self.band_range is not None and not self.band_range[0] <= self.band_range[1]:
-            raise TraceValidationError(f"band_range needs lo <= hi, got {self.band_range}")
+        if self.band_range is not None and not 0 < self.band_range[0] <= self.band_range[1]:
+            raise TraceValidationError(
+                f"band_range needs 0 < lo <= hi, got {self.band_range}"
+            )
         if self.area is not None:
             x0, x1, y0, y1 = self.area
             if not (x0 <= x1 and y0 <= y1):

@@ -318,8 +318,8 @@ def _zero_radius_network():
     return cfg
 
 
-def _reversed_band_trace():
-    profile = dict(FLAT_PROFILE, band_range=[5000, 100])
+def _band_trace(band_range):
+    profile = dict(FLAT_PROFILE, band_range=band_range)
     return {"seed": 1, "trace": {"profile": profile}}
 
 
@@ -328,14 +328,21 @@ def _reversed_band_trace():
     [
         ("run-network", _zero_radius_network(), "network.layout[0]: radii must be positive"),
         ("run", {**run_config(), "detector": {"tp_rate": 2.0}}, "detector: tp_rate"),
-        ("gen-trace", _reversed_band_trace(), "trace.profile: band_range"),
+        ("gen-trace", _band_trace([5000, 100]), "trace.profile: band_range"),
+        ("gen-trace", _band_trace([-100, 100]), "trace.profile: band_range"),
         (
             "run",
             {**run_config(), "detector": {"kind": "goertzel", "noise_sd": -1}},
             "detector: noise_sd",
         ),
     ],
-    ids=["layout_radius", "detector_rate", "band_range_reversed", "noise_sd_negative"],
+    ids=[
+        "layout_radius",
+        "detector_rate",
+        "band_range_reversed",
+        "band_range_non_positive",
+        "noise_sd_negative",
+    ],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(
     tmp_path, capsys, command, cfg, message
@@ -608,6 +615,7 @@ def test_parse_config_names_offending_fields(tmp_path):
         ({**base, "network": {"layout_file": 5}}, "network.layout_file"),
         ({**base, "schedules": {"qlearn": {"train_days": 1.5}}}, "train_days"),
         (profile_case(band_range=[5000, 100]), "trace.profile: band_range"),
+        (profile_case(band_range=[-100, 100]), "trace.profile: band_range"),
         (profile_case(area=[10, 0, 0, 10]), "trace.profile: area"),
         (profile_case(hourly_rate=[-1.0] * 24), "trace.profile: hourly_rate"),
         (profile_case(days=0), "trace.profile: days"),

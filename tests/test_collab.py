@@ -455,6 +455,35 @@ def test_single_device_training_matches_train_qlearn():
     assert np.array_equal(rep.tables[0].visits, res.table.visits)
 
 
+def test_lone_network_device_pings_each_detection_and_train_qlearn_does_not():
+    # The one billing difference between the two drivers of the learner: a
+    # network device pings every detection even with nobody in range.
+    tr = area_trace(3, 11)
+    cfg = network(episodes=3, detection_bins=())
+    rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
+    pings = sum(1 for entry in rep.logs[0] if entry.mode == "ping")
+    assert pings == rep.devices[0].events_detected > 0
+    res = train_qlearn(tr, 3, 0, W1, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
+    assert not any(entry.mode == "ping" for entry in res.train_log)
+    assert np.array_equal(rep.tables[0].values, res.table.values)
+    assert np.array_equal(rep.tables[0].visits, res.table.visits)
+
+
+@pytest.mark.parametrize("failures", [((2, 2),), ()], ids=["failure", "no_failure"])
+def test_eps_reset_on_change_only_acts_after_a_failure(failures):
+    tr = area_trace(4, 11)
+    nodes = [covering_node(i) for i in range(3)]
+
+    def tables(reset):
+        cfg = network(*nodes, episodes=4, failures=failures, eps_reset_on_change=reset)
+        rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11)
+        return [rep.tables[i].values for i in range(3)]
+
+    differ = [not np.array_equal(a, b) for a, b in zip(tables(True), tables(False))]
+    # The casualty's table froze before the reset; the survivors' diverge.
+    assert differ == ([True, True, False] if failures else [False, False, False])
+
+
 def test_missing_event_locations_rejected():
     profile = DiurnalProfile(
         hourly_rate=two_peak_rates(), duration_mean=3.0, duration_sd=0.0, days=1

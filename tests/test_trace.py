@@ -250,6 +250,7 @@ def test_profile_validation():
     for bad in (
         {"origin_hour": 24},
         {"band_range": (5000.0, 100.0)},
+        {"band_range": (0.0, 100.0)},
         {"area": (10.0, 0.0, 0.0, 10.0)},
         {"area": (0.0, 10.0, 10.0, 0.0)},
     ):
