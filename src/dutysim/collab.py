@@ -28,7 +28,7 @@ from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
 from .qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
 from .rng import substream
-from .sim import Learner, TimelineEngine, _day_rng_provider
+from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
 __all__ = [
@@ -495,11 +495,9 @@ def run_network(
             f"trace horizon {trace.horizon} s shorter than {span} s of episodes"
         )
     if config.train:
-        if min(actions.intervals) <= profile.d_probe:
-            raise ScheduleError("action space contains intervals shorter than a probe")
+        _check_intervals(actions.intervals, profile, "action")
     else:
-        if config.fixed_interval <= profile.d_probe:
-            raise ScheduleError("fixed_interval not longer than the probe")
+        _check_intervals((config.fixed_interval,), profile, "fixed_interval")
     known = set(ids)
     for did, _ep in config.failures:
         if did not in known:
@@ -512,12 +510,9 @@ def run_network(
 
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
-        subset = tuple(
-            ev
-            for ev in trace.events
-            if math.dist(ev.location, node.position) <= node.sensing_radius
+        sub = trace.subset(
+            lambda ev: math.dist(ev.location, node.position) <= node.sensing_radius
         )
-        sub = EventTrace(events=subset, horizon=trace.horizon, origin_hour=trace.origin_hour)
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
         else:

@@ -1,16 +1,19 @@
 """Energy accounting.
 
-Activity logs are ordered (mode, start, duration) entries that tile a span
-with no gaps or overlaps. Charge is the sum of per-mode current times
-duration, in mAh; projected lifetime divides battery capacity by average
-current using 8766 hours per year (365.25 days).
+Time is kept in integer nanosecond ticks: a duration of s seconds is
+``to_ticks(s) = rint(s * 1e9)`` ticks. Activity logs are ordered
+(mode, start, duration) entries, in ticks, that tile a span with no gaps or
+overlaps. Charge is the sum over modes of current times the mode's total
+ticks, in mAh, rounded once per mode; projected lifetime divides battery
+capacity by average current using 8766 hours per year (365.25 days).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ActivityLogError
 
@@ -18,12 +21,22 @@ __all__ = [
     "PowerProfile",
     "LogEntry",
     "MODES",
+    "TICKS_PER_S",
     "charge_consumed",
+    "charge_from_ticks",
     "lifetime_years",
+    "to_ticks",
     "validate_log",
 ]
 
 HOURS_PER_YEAR = 8766.0  # 365.25 days
+TICKS_PER_S = 1_000_000_000
+_TICKS_PER_HOUR = 3600.0 * TICKS_PER_S
+
+
+def to_ticks(seconds: float) -> int:
+    """Nanosecond ticks nearest to ``seconds`` (ties to even, like rint)."""
+    return round(seconds * 1e9)
 
 MODES = (
     "sleep",
@@ -39,9 +52,14 @@ MODES = (
 
 
 class LogEntry(NamedTuple):
+    """One activity: ``mode`` from ``start`` for ``duration``, both in ticks."""
+
     mode: str
-    start: float
-    duration: float
+    start: int
+    duration: int
+
+
+_DURATIONS = ("d_probe", "d_ql", "d_tx_audio", "d_tx_image", "d_camera", "d_ping")
 
 
 @dataclass(frozen=True)
@@ -91,18 +109,19 @@ class PowerProfile:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("d_probe", "d_ql", "d_tx_audio", "d_tx_image", "d_camera", "d_ping"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in _DURATIONS + ("probe_record_s",):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and to_ticks(value) > 0):
+                raise ValueError(f"{name} must be at least 1 ns, got {value}")
         if self.battery_mah <= 0:
             raise ValueError("battery_mah must be positive")
         if not 0 <= self.camera_trigger_ratio <= 1:
             raise ValueError("camera_trigger_ratio must lie in [0, 1]")
         if self.probe_detector not in ("goertzel", "tflite"):
             raise ValueError(f"unknown probe_detector {self.probe_detector!r}")
-        if self.probe_record_s <= 0 or self.probe_record_s > self.d_probe:
+        if to_ticks(self.probe_record_s) > to_ticks(self.d_probe):
             raise ValueError("need 0 < probe_record_s <= d_probe")
-        if self.false_alarm_record_s < 0:
+        if not (math.isfinite(self.false_alarm_record_s) and self.false_alarm_record_s >= 0):
             raise ValueError("false_alarm_record_s must be >= 0")
 
     @cached_property
@@ -123,6 +142,12 @@ class PowerProfile:
             "ping": self.i_ping,
         }
 
+    @cached_property
+    def ticks(self) -> dict[str, int]:
+        """Each fixed duration (d_* and *_record_s fields) in ticks."""
+        names = _DURATIONS + ("probe_record_s", "false_alarm_record_s")
+        return {name: to_ticks(getattr(self, name)) for name in names}
+
     def current(self, mode: str) -> float:
         """mA drawn in the given activity mode."""
         try:
@@ -134,16 +159,12 @@ class PowerProfile:
         return replace(self, **kwargs)
 
 
-# Final-boundary slack when checking coverage; interior joints must be exact.
-_EDGE_TOL = 1e-6
-
-
-def validate_log(entries: Iterable[LogEntry], span: float | None = None) -> list[LogEntry]:
+def validate_log(entries: Iterable[LogEntry], span: int | None = None) -> list[LogEntry]:
     """Check the entries tile a contiguous span; returns them sorted by start.
 
-    Interior entries must join exactly (each start equals the previous
-    start + duration as floats). The final end may differ from ``span`` by
-    float roundoff only.
+    Starts and durations are integer ticks, so every join is exact: each
+    start equals the previous start + duration. With ``span`` (ticks) the
+    entries must cover exactly that many ticks.
     """
     log = sorted(entries, key=lambda e: (e.start, e.mode))
     expect = None
@@ -161,31 +182,42 @@ def validate_log(entries: Iterable[LogEntry], span: float | None = None) -> list
                 )
         expect = entry.start + entry.duration
     if span is not None:
-        start0 = log[0].start if log else 0.0
+        start0 = log[0].start if log else 0
         end = expect if expect is not None else start0
-        if abs((end - start0) - span) > _EDGE_TOL:
-            raise ActivityLogError(
-                f"log covers {end - start0}, expected span {span}"
-            )
+        if end - start0 != span:
+            raise ActivityLogError(f"log covers {end - start0} ticks, expected span {span}")
     return log
+
+
+def charge_from_ticks(ticks_by_mode: Mapping[str, int], profile: PowerProfile) -> float:
+    """mAh drawn for the given ticks per mode.
+
+    Sum over MODES, in that order, of current * ticks / 3.6e12: one rounding
+    per mode, whatever the number or order of the activities behind it.
+    """
+    total = 0.0
+    for mode in MODES:
+        total += profile.current(mode) * ticks_by_mode.get(mode, 0) / _TICKS_PER_HOUR
+    return total
 
 
 def charge_consumed(
     entries: Iterable[LogEntry],
     profile: PowerProfile,
-    span: float | None = None,
+    span: int | None = None,
 ) -> float:
     """mAh drawn over the log; validates coverage first.
 
-    Accumulation runs in sorted order with one multiply-add per entry, the
-    same arithmetic the simulator uses online, so online and offline totals
-    agree exactly.
+    The ticks are summed per mode, exactly, and billed with
+    ``charge_from_ticks``, the formula the simulator uses online, so online
+    and offline totals are equal.
     """
-    log = validate_log(entries, span)
-    total = 0.0
-    for entry in log:
-        total += profile.current(entry.mode) * entry.duration / 3600.0
-    return total
+    ticks_by_mode = dict.fromkeys(MODES, 0)
+    for entry in validate_log(entries, span):
+        if entry.mode not in ticks_by_mode:
+            raise ValueError(f"unknown activity mode {entry.mode!r}")
+        ticks_by_mode[entry.mode] += entry.duration
+    return charge_from_ticks(ticks_by_mode, profile)
 
 
 def lifetime_years(avg_current_ma: float, battery_mah: float) -> float:

@@ -17,12 +17,16 @@ Q-learning scheduler that both train_qlearn and the network mode
 updates when training and greedily, without learning, when evaluating.
 Training episodes are whole days; epsilon decays once per episode.
 
-With an abstract detector of low false-positive rate, wakes whose record
-windows meet no event are billed in bulk: a run of such wakes costs a few
-array operations, so cost scales with events, periods and days rather than
-probes. The Goertzel detector synthesizes noise for every window, so each of
+Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
+range); seconds appear only at the edges, in the inputs and in the reports.
+Charge is billed from a tick total per mode. With an abstract detector of
+low false-positive rate, wakes whose record windows meet no event are billed
+in bulk. At fp_rate 0 a run of such wakes is closed-form integer arithmetic,
+O(1) whatever its length, so cost scales with events, periods and days
+rather than probes; at a low positive fp_rate it also draws one number per
+wake. The Goertzel detector synthesizes noise for every window, so each of
 its wakes is probed one by one. ``TimelineEngine`` says exactly which wakes
-go which way; both ways give the same floats, logs and random draws.
+go which way; both ways give the same ticks, logs and random draws.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .detect import DetectorModel, gate, sample_detection
 from .errors import ScheduleError
-from .power import LogEntry, PowerProfile
+from .power import MODES, TICKS_PER_S, LogEntry, PowerProfile, charge_from_ticks, to_ticks
 from .qsched import (
     ActionSpace,
     Hyperparameters,
@@ -171,18 +175,33 @@ def make_probe_fn(model: DetectorModel):
 
 # -- timeline engine --------------------------------------------------------
 
-# A bulk step has a fixed cost of several per-wake probes (numpy calls and,
-# for fp_rate > 0, saving and rewinding the day's stream), so short runs are
-# probed one by one: runs with fewer than MIN_BULK_WAKES wakes before the
-# next event, and every run when fp_rate exceeds BULK_MAX_FP (a false alarm
-# ends a run after about 1 / fp_rate wakes). Both were timed in process with
-# run_schedule at fixed intervals of 3, 10, 30 and 60 s (about 115 k wakes
-# each): bulk billing beat probing every wake at all four intervals up to
-# fp_rate 0.1, broke even at 0.125 and mostly lost at 0.15; gates of 4 to 10
-# wakes timed alike, and without a gate fp_rate 0.05 ran 1.4x slower than
-# per-wake at 60 s.
+TICKS_PER_DAY = round(SECONDS_PER_DAY) * TICKS_PER_S
+
+# With fp_rate > 0 a bulk step saves the day's stream, draws for the run and
+# may rewind, a fixed cost of a few per-wake probes, so short runs are probed
+# one by one: runs with fewer than MIN_BULK_WAKES wakes, and every run when
+# fp_rate exceeds BULK_MAX_FP (a false alarm ends a run after about
+# 1 / fp_rate wakes). At fp_rate 0 a run costs a few integer operations, less
+# than one probe, and is billed in bulk whatever its length. Timed in process
+# with run_schedule at fixed intervals of 3, 10, 30 and 60 s (about 115 k
+# wakes each, best of 3, 2-vCPU x86-64): at fp_rate 0 no gate took 16-115 ms,
+# a gate of 4 took 13-223 ms and probing every wake 315-367 ms; at fp_rate
+# 0.001 to 0.1 gates of 1 to 4 wakes timed alike, 8 and 16 were up to 1.5x
+# slower, and bulk billing beat probing every wake at all four intervals; at
+# 0.15 it lost at 10 s.
 BULK_MAX_FP = 0.1
 MIN_BULK_WAKES = 4
+
+
+def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -> None:
+    """Raise ScheduleError unless every interval is longer than the probe in ticks."""
+    d_probe = profile.ticks["d_probe"]
+    for interval in intervals:
+        if to_ticks(interval) <= d_probe:
+            raise ScheduleError(
+                f"{what} {interval} s not longer than the probe "
+                f"({profile.d_probe} s) in whole nanoseconds"
+            )
 
 
 @dataclass
@@ -190,36 +209,40 @@ class PeriodStats:
     activations: int = 0
     positives: int = 0
     negatives: int = 0
-    detected: list = field(default_factory=list)  # (event_id, event_start)
+    detected: list = field(default_factory=list)  # (event_id, event_start in s)
 
 
 class TimelineEngine:
     """One device's timeline over [t_begin, t_end) of a trace.
 
-    Periods are driven externally via run_period so a caller can interleave
+    Engine time is integer nanosecond ticks (``power.to_ticks``, within
+    int64 range): event starts and ends, the window, period ends, intervals
+    and profile durations are converted once, and t, next_wake, horizon and
+    the log are in ticks. The engine keeps a tick total per mode, and
+    charge_mah is ``power.charge_from_ticks`` of those totals. Periods are
+    driven externally via run_period, in seconds, so a caller can interleave
     action selection, reward computation, and billing between periods. All
-    methods keep the busy frontier, the pending wake, and the charge total
+    methods keep the busy frontier, the pending wake, and the per-mode ticks
     consistent; the exported log (when collected) tiles the window exactly.
 
     Each wake is probed through ``make_probe_fn(detector)``. When the
     detector is abstract with fp_rate <= BULK_MAX_FP, run_period bills in
-    one step each run of consecutive wakes, from the current one on, that
-      - lie before the period end, the horizon and the next day boundary
-        (the random stream is per day);
-      - have record windows ending no later than the start of the next
-        event that has not ended yet, so no event overlaps them;
-      - have probes ending inside the horizon;
-      - start exactly where the preceding sleep ends (t + (w - t) == w);
-      - for fp_rate > 0, draw no false alarm from the day's stream; such a
-        run is also cut after about 4 / fp_rate wakes.
-    A run is only tried when at least MIN_BULK_WAKES wakes fit before the
-    next event, the period end, the horizon and the day boundary. It is
-    billed as k sleeps and k probes, k activations and k negatives. The
-    wake grid and the charge total come from sequential cumulative sums, so
-    every float equals the per-wake arithmetic, and the day's stream gives
-    exactly one draw per billed wake when fp_rate > 0. The wake that ends a
-    run goes through ``_probe``, as does every wake not in a run and every
-    wake with the Goertzel detector or a higher fp_rate.
+    one step each run of quiet wakes w + i * interval, i < k, from the
+    current wake w on. k is the least of three bounds:
+      - the wakes before the period end, the horizon and the next day
+        boundary (the random stream is per day);
+      - the wakes whose record windows end by the start of the next event
+        that has not ended yet, so no event overlaps them;
+      - the wakes whose probes end inside the horizon.
+    With fp_rate 0 that is closed-form integer arithmetic, O(1) per run:
+    (w - t) + (k - 1) * (interval - d_probe) sleep ticks and k * d_probe
+    probe ticks, k activations and k negatives. With fp_rate > 0 a run needs
+    at least MIN_BULK_WAKES wakes; k is cut at the first false alarm drawn
+    from the day's stream (and after about 4 / fp_rate draws), and the
+    stream is left with exactly one draw per billed wake. The wake that ends
+    a run goes through ``_probe``, as does every wake not in a run and
+    every wake with the Goertzel detector or a higher fp_rate. Both ways
+    give the same ticks, logs and random draws.
     """
 
     def __init__(
@@ -237,56 +260,54 @@ class TimelineEngine:
                 f"window [{t_begin}, {t_end}) outside trace horizon {trace.horizon}"
             )
         self.trace = trace
-        self.starts = trace.starts
-        self.ends = trace.ends
         self.profile = profile
         self.probe_fn = make_probe_fn(detector)
         self.rng_for_day = rng_for_day
-        self.t_begin = t_begin
-        self.horizon = t_end
-        self.t = t_begin
-        self.next_wake = t_begin
+        self.t_begin = to_ticks(t_begin)
+        self.horizon = to_ticks(t_end)
+        self.t = self.t_begin
+        self.next_wake = self.t_begin
         self.ptr = 0
         self.detected_mask = np.zeros(len(trace), dtype=bool)
         self.detected: list[tuple[int, float]] = []
         self.cam_acc = 0.0
-        self.charge_mah = 0.0
+        self.ticks_by_mode = dict.fromkeys(MODES, 0)
         self.log: list[LogEntry] | None = [] if collect_log else None
+        self.starts = np.rint(trace.starts * 1e9).astype(np.int64).tolist()
+        self.ends = np.rint(trace.ends * 1e9).astype(np.int64).tolist()
         self._bands = [ev.band for ev in trace.events]
         self._ids = [ev.id for ev in trace.events]
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
-        self._i_sleep = profile.current("sleep")
-        self._probe_charge = profile.current("probe") * profile.d_probe / 3600.0
+        self.dur = profile.ticks
 
-    def _emit(self, mode: str, duration: float) -> None:
-        if duration <= 0:
-            return
+    @property
+    def charge_mah(self) -> float:
+        return charge_from_ticks(self.ticks_by_mode, self.profile)
+
+    def _emit(self, mode: str, duration: int) -> None:
         if self.t + duration > self.horizon:
             duration = self.horizon - self.t
-            if duration <= 0:
-                return
-        self.charge_mah += self.profile.current(mode) * duration / 3600.0
+        if duration <= 0:
+            return
+        self.ticks_by_mode[mode] += duration
         if self.log is not None:
             self.log.append(LogEntry(mode, self.t, duration))
         self.t += duration
 
-    def _sleep_to(self, target: float) -> None:
+    def _sleep_to(self, target: int) -> None:
         if target > self.t:
             self._emit("sleep", target - self.t)
 
     def bill_ql(self, mode: str, at: float) -> None:
         """Insert a scheduler inference/update/ping activity at the frontier."""
-        self._sleep_to(at)
-        duration = self.profile.d_ping if mode == "ping" else self.profile.d_ql
-        self._emit(mode, duration)
+        self._sleep_to(to_ticks(at))
+        self._emit(mode, self.dur["d_ping" if mode == "ping" else "d_ql"])
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
-        """Process all wakes scheduled before p_end at the given interval."""
-        if interval <= self.profile.d_probe:
-            raise ScheduleError(
-                f"interval {interval} s not longer than the probe ({self.profile.d_probe} s)"
-            )
+        """Process all wakes scheduled before p_end (s) at the given interval (s)."""
+        _check_intervals((interval,), self.profile)
+        p_end, interval = to_ticks(p_end), to_ticks(interval)
         stats = PeriodStats()
         while self.next_wake < p_end and self.next_wake < self.horizon:
             w = max(self.next_wake, self.t)
@@ -303,105 +324,75 @@ class TimelineEngine:
     def finish(self) -> None:
         self._sleep_to(self.horizon)
 
-    def _bill_quiet_wakes(
-        self, w: float, p_end: float, interval: float, stats: PeriodStats
-    ) -> float:
+    def _bill_quiet_wakes(self, w: int, p_end: int, interval: int, stats: PeriodStats) -> int:
         """Bill the run of quiet wakes w, w + interval, ... in one step.
 
         Returns the first wake not billed (w itself when none qualifies); the
-        conditions are listed in the class docstring. Leaves t, charge, log,
-        stats and the day's stream exactly as probing the billed wakes one
-        by one would.
+        bounds are listed in the class docstring. Leaves t, the per-mode
+        ticks, log, stats and the day's stream exactly as probing the billed
+        wakes one by one would.
         """
-        p = self.profile
         starts, ends = self.starts, self.ends
         n = len(starts)
         while self.ptr < n and ends[self.ptr] <= w:
             self.ptr += 1
-        # Events from ptr on start at s_next or later; earlier ones have ended.
-        s_next = starts[self.ptr] if self.ptr < n else math.inf
-        t0 = self.t
-        if w + p.probe_record_s > s_next or t0 + (w - t0) != w:
-            return w
-        day = w // SECONDS_PER_DAY
-        w_end = min(p_end, self.horizon, (day + 1.0) * SECONDS_PER_DAY)
-        # At most n_fit wakes lie before both w_end and s_next.
-        n_fit = int((min(w_end, s_next) - w) / interval) + 1
-        if n_fit < MIN_BULK_WAKES:
-            return w
-        n_wakes = n_fit + 1
+        d_probe = self.dur["d_probe"]
+        day = w // TICKS_PER_DAY
+        # The three bounds: wakes before w_end (at least one, as w < w_end),
+        # wakes whose probes end inside the horizon, and wakes whose record
+        # windows end by starts[ptr]; events from ptr on start there or
+        # later, and earlier ones have ended.
+        w_end = min(p_end, self.horizon, (day + 1) * TICKS_PER_DAY)
+        k = min(
+            (w_end - 1 - w) // interval + 1,
+            (self.horizon - d_probe - w) // interval + 1,
+        )
+        if self.ptr < n:
+            k = min(k, (starts[self.ptr] - self.dur["probe_record_s"] - w) // interval + 1)
         fp = self._quiet_fp
         if fp > 0.0:
-            rng = self.rng_for_day(int(day))
+            if k < MIN_BULK_WAKES:
+                return w
+            rng = self.rng_for_day(day)
             state = rng.bit_generator.state
             # A false alarm ends the run after about 1/fp wakes, and 4/fp
             # draws hold none with chance e**-4. Drawing for the whole run
             # made 0.3 s intervals 1.3-1.6x slower at fp_rate 0.002-0.05;
             # caps from 1/fp to 8/fp timed alike at 3 and 30 s.
-            fires = rng.random(min(n_wakes, int(4.0 / fp) + 16)) < fp
-            n_drawn = fires.size
-            n_wakes = int(fires.argmax())
-            if not fires[n_wakes]:
-                n_wakes = n_drawn
-            if not n_wakes:
+            fires = rng.random(min(k, int(4.0 / fp) + 16)) < fp
+            k = fires.size
+            if fires.any():
+                # Keep exactly one draw per billed wake; _probe draws for
+                # the wake that fired.
+                k = int(fires.argmax())
                 rng.bit_generator.state = state
-                return w
-        # grid[i] is wake i; grid[n_wakes] is the wake after the last one,
-        # never billed here.
-        grid = np.empty(n_wakes + 1)
-        grid.fill(interval)
-        grid[0] = w
-        np.add.accumulate(grid, out=grid)
-        probe_ends = grid + p.d_probe
-        ok = (
-            (grid < w_end)
-            & (grid + p.probe_record_s <= s_next)
-            & (probe_ends <= self.horizon)
-        )
-        if grid[-2] > 2.0 * probe_ends[0]:
-            # Outside Sterbenz's range w - t can round, and the sleep would
-            # then end off the wake.
-            ok[1:] &= probe_ends[:-1] + (grid[1:] - probe_ends[:-1]) == grid[1:]
-        ok[-1] = False
-        k = int(ok.argmin())
-        if fp > 0.0 and k < n_drawn:
-            # Keep exactly one draw per billed wake; _probe draws for the next.
-            rng.bit_generator.state = state
-            if k:
                 rng.random(k)
-        if not k:
+        if k <= 0:
             return w
 
-        # terms: the charge so far, then each wake's sleep and probe charge,
-        # summed in that order as the per-wake path does.
-        terms = np.empty(2 * k + 1)
-        terms[0] = self.charge_mah
-        sleeps = terms[1::2]
-        sleeps[0] = w - t0
-        np.subtract(grid[1:k], probe_ends[: k - 1], out=sleeps[1:])
-        sleep_lengths = sleeps.tolist() if self.log is not None else None
-        sleeps *= self._i_sleep
-        sleeps /= 3600.0
-        terms[2::2] = self._probe_charge
-        np.add.accumulate(terms, out=terms)
-        self.charge_mah = float(terms[-1])
+        t = self.t
+        last = w + (k - 1) * interval
+        gap = interval - d_probe
+        self.ticks_by_mode["sleep"] += (w - t) + (k - 1) * gap
+        self.ticks_by_mode["probe"] += k * d_probe
         if self.log is not None:
             log = self.log
-            sleep_from = [t0] + probe_ends[: k - 1].tolist()
-            for start, dt, wk in zip(sleep_from, sleep_lengths, grid[:k].tolist()):
-                if dt > 0:
-                    log.append(LogEntry("sleep", start, dt))
-                log.append(LogEntry("probe", wk, p.d_probe))
-        self.t = float(probe_ends[k - 1])
+            if w > t:
+                log.append(LogEntry("sleep", t, w - t))
+            log.append(LogEntry("probe", w, d_probe))
+            for wk in range(w + interval, last + 1, interval):
+                log.append(LogEntry("sleep", wk - gap, gap))
+                log.append(LogEntry("probe", wk, d_probe))
+        self.t = last + d_probe
         stats.activations += k
         stats.negatives += k
-        return float(grid[k])
+        return last + interval
 
-    def _probe(self, w: float, stats: PeriodStats) -> None:
-        p = self.profile
+    def _probe(self, w: int, stats: PeriodStats) -> None:
+        d = self.dur
         self._sleep_to(w)
-        self._emit("probe", p.d_probe)
-        window_end = w + p.probe_record_s
+        self._emit("probe", d["d_probe"])
+        window_end = w + d["probe_record_s"]
         starts, ends = self.starts, self.ends
         n = len(starts)
         while self.ptr < n and ends[self.ptr] <= w:
@@ -412,7 +403,7 @@ class TimelineEngine:
             if ends[j] > w:
                 hit.append(j)
             j += 1
-        rng = self.rng_for_day(int(w // SECONDS_PER_DAY))
+        rng = self.rng_for_day(w // TICKS_PER_DAY)
         fired = self.probe_fn([self._bands[k] for k in hit], rng)
         stats.activations += 1
         if not fired:
@@ -428,7 +419,7 @@ class TimelineEngine:
         if hit:
             rec_end = max(ends[k] for k in hit)
         else:
-            rec_end = rec_start + p.false_alarm_record_s
+            rec_end = rec_start + d["false_alarm_record_s"]
         if rec_end > rec_start:
             # Mic stays on; events starting meanwhile are captured and
             # stretch the recording to their own ends.
@@ -444,19 +435,20 @@ class TimelineEngine:
 
         if detected_now:
             stats.positives += 1
+            events = self.trace.events
             for k in detected_now:
-                stats.detected.append((self._ids[k], starts[k]))
-                self.detected.append((self._ids[k], starts[k]))
-                self._emit("tx_audio", p.d_tx_audio)
-                self.cam_acc += p.camera_trigger_ratio
+                stats.detected.append((self._ids[k], events[k].start))
+                self.detected.append((self._ids[k], events[k].start))
+                self._emit("tx_audio", d["d_tx_audio"])
+                self.cam_acc += self.profile.camera_trigger_ratio
                 if self.cam_acc >= 1.0 - 1e-9:
                     self.cam_acc -= 1.0
-                    self._emit("camera", p.d_camera)
-                    self._emit("tx_image", p.d_tx_image)
+                    self._emit("camera", d["d_camera"])
+                    self._emit("tx_image", d["d_tx_image"])
         else:
             # False alarm: the clip still gets recorded and sent.
             stats.negatives += 1
-            self._emit("tx_audio", p.d_tx_audio)
+            self._emit("tx_audio", d["d_tx_audio"])
 
 
 # -- learner ----------------------------------------------------------------
@@ -524,7 +516,7 @@ def _resolve_w1(hp: Hyperparameters, w1_by_hour) -> np.ndarray:
 
 
 def _run_periods(
-    engine, t_begin, n_periods, learner=None, interval=None, w1=None, first_period=0
+    engine, t_begin, t_end, n_periods, learner=None, interval=None, w1=None, first_period=0
 ):
     """Drive the engine period by period; returns raw period tuples.
 
@@ -536,7 +528,7 @@ def _run_periods(
     rows = []
     for p in range(n_periods):
         p_start = t_begin + p * SECONDS_PER_HOUR
-        p_end = min(p_start + SECONDS_PER_HOUR, engine.horizon)
+        p_end = min(p_start + SECONDS_PER_HOUR, t_end)
         hour = engine.trace.hour_of(p_start)
         if learner is not None:
             interval = learner.choose(engine, hour, p_start)
@@ -649,14 +641,10 @@ def run_schedule(
     t_end = trace.horizon if duration_s is None else t_begin + duration_s
     hp = Hyperparameters()
     if isinstance(spec, FixedSchedule):
-        if spec.interval <= profile.d_probe:
-            raise ScheduleError(
-                f"interval {spec.interval} s not longer than the probe"
-            )
+        _check_intervals((spec.interval,), profile)
         learner, interval = None, spec.interval
     elif isinstance(spec, GreedySchedule):
-        if min(spec.actions.intervals) <= profile.d_probe:
-            raise ScheduleError("action space contains intervals shorter than a probe")
+        _check_intervals(spec.actions.intervals, profile, "action")
         if spec.table.n_states != 24:
             raise ScheduleError(
                 f"greedy schedule needs a 24-state table, got {spec.table.n_states}"
@@ -675,7 +663,7 @@ def run_schedule(
         collect_log=collect_log,
     )
     n_periods = int(math.ceil((t_end - t_begin) / SECONDS_PER_HOUR))
-    rows = _run_periods(engine, t_begin, n_periods, learner, interval)
+    rows = _run_periods(engine, t_begin, t_end, n_periods, learner, interval)
     engine.finish()
     report = _build_report(trace, t_begin, t_end, rows, engine, w1, profile)
     return report, engine.log
@@ -722,8 +710,7 @@ def train_qlearn(
         raise ScheduleError(
             f"trace horizon {trace.horizon} s shorter than {needed} s of episodes"
         )
-    if min(actions.intervals) <= profile.d_probe:
-        raise ScheduleError("action space contains intervals shorter than a probe")
+    _check_intervals(actions.intervals, profile, "action")
     if init_table is not None:
         if init_table.values.shape != (24, len(actions)):
             raise ScheduleError("init_table shape does not match 24 x actions")
@@ -743,7 +730,13 @@ def train_qlearn(
     for day in range(train_days):
         all_rows.extend(
             _run_periods(
-                engine, day * SECONDS_PER_DAY, 24, learner, w1=w1, first_period=day * 24
+                engine,
+                day * SECONDS_PER_DAY,
+                train_end,
+                24,
+                learner,
+                w1=w1,
+                first_period=day * 24,
             )
         )
         learner.end_episode()

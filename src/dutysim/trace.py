@@ -100,6 +100,18 @@ class EventTrace:
     def __len__(self) -> int:
         return len(self.events)
 
+    def subset(self, keep) -> EventTrace:
+        """The events for which keep(event) is true, over the same span.
+
+        Any subsequence of a valid trace is valid, so the events are not
+        checked again.
+        """
+        sub = object.__new__(EventTrace)
+        object.__setattr__(sub, "events", tuple(ev for ev in self.events if keep(ev)))
+        object.__setattr__(sub, "horizon", self.horizon)
+        object.__setattr__(sub, "origin_hour", self.origin_hour)
+        return sub
+
     @cached_property
     def starts(self) -> np.ndarray:
         return np.array([ev.start for ev in self.events], dtype=np.float64)

@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from dutysim.errors import ScheduleError
-from dutysim.power import LogEntry, PowerProfile
-from dutysim.sim import PeriodStats, TimelineEngine
-from dutysim.trace import SECONDS_PER_DAY, DiurnalProfile, EventTrace, generate_trace
+from dutysim.power import LogEntry, PowerProfile, to_ticks
+from dutysim.sim import TICKS_PER_DAY, PeriodStats, TimelineEngine
+from dutysim.trace import DiurnalProfile, EventTrace, generate_trace
 
 
 @functools.lru_cache(maxsize=4)
@@ -67,23 +67,23 @@ def assert_spectrum_close(got, want, samples, rtol=1e-9):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
 
 
+MS = 1_000_000  # ticks per millisecond
+
+
 def integrate_log_1ms(entries, profile: PowerProfile) -> float:
     """Charge in mAh by walking the log on a 1 ms grid.
 
-    Exact only when every entry boundary falls on a whole millisecond, so
-    callers must construct logs that way.
+    Exact only when every entry boundary (in ticks) falls on a whole
+    millisecond, so callers must construct logs that way.
     """
     entries = sorted(entries, key=lambda e: e.start)
     if not entries:
         return 0.0
     t0 = entries[0].start
     t1 = entries[-1].start + entries[-1].duration
-    n_ticks = int(round((t1 - t0) * 1000.0))
-    currents = np.zeros(n_ticks)
+    currents = np.zeros((t1 - t0) // MS)
     for mode, start, duration in entries:
-        i0 = int(round((start - t0) * 1000.0))
-        i1 = int(round((start + duration - t0) * 1000.0))
-        currents[i0:i1] = profile.current(mode)
+        currents[(start - t0) // MS : (start + duration - t0) // MS] = profile.current(mode)
     return float(np.sum(currents) * 0.001 / 3600.0)
 
 
@@ -91,11 +91,11 @@ def random_ms_log(rng: np.random.Generator, profile: PowerProfile, n_entries: in
     """A gap-free log of random modes with integer-millisecond durations."""
     from dutysim.power import MODES
 
-    t = 0.0
+    t = 0
     out = []
     for _ in range(n_entries):
         mode = MODES[rng.integers(len(MODES))]
-        duration = int(rng.integers(1, 5000)) / 1000.0
+        duration = int(rng.integers(1, 5000)) * MS
         out.append(LogEntry(mode, t, duration))
         t = t + duration
     return out
@@ -159,17 +159,16 @@ def two_peak_trace(days: int, seed: int, **kwargs) -> EventTrace:
 class PerWakeEngine(TimelineEngine):
     """TimelineEngine that probes every wake one by one, never in bulk.
 
-    run_period and _probe are the engine's original per-wake loop; billing,
-    log and state handling come from TimelineEngine. Swap it in for
+    run_period and _probe are the engine's per-wake loop, in integer ticks;
+    billing, log and state handling come from TimelineEngine. Swap it in for
     ``dutysim.sim.TimelineEngine`` (and ``dutysim.collab.TimelineEngine``)
     to get the reference result of any run.
     """
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
-        if interval <= self.profile.d_probe:
-            raise ScheduleError(
-                f"interval {interval} s not longer than the probe ({self.profile.d_probe} s)"
-            )
+        p_end, interval = to_ticks(p_end), to_ticks(interval)
+        if interval <= self.dur["d_probe"]:
+            raise ScheduleError(f"interval of {interval} ns not longer than the probe")
         stats = PeriodStats()
         while self.next_wake < p_end and self.next_wake < self.horizon:
             w = max(self.next_wake, self.t)
@@ -180,11 +179,11 @@ class PerWakeEngine(TimelineEngine):
             self.next_wake = max(w + interval, self.t)
         return stats
 
-    def _probe(self, w: float, stats: PeriodStats) -> None:
-        p = self.profile
+    def _probe(self, w: int, stats: PeriodStats) -> None:
+        p, d = self.profile, self.dur
         self._sleep_to(w)
-        self._emit("probe", p.d_probe)
-        window_end = w + p.probe_record_s
+        self._emit("probe", d["d_probe"])
+        window_end = w + d["probe_record_s"]
         starts, ends = self.starts, self.ends
         n = len(starts)
         while self.ptr < n and ends[self.ptr] <= w:
@@ -195,7 +194,7 @@ class PerWakeEngine(TimelineEngine):
             if ends[j] > w:
                 hit.append(j)
             j += 1
-        rng = self.rng_for_day(int(w // SECONDS_PER_DAY))
+        rng = self.rng_for_day(w // TICKS_PER_DAY)
         fired = self.probe_fn([self._bands[k] for k in hit], rng)
         stats.activations += 1
         if not fired:
@@ -211,7 +210,7 @@ class PerWakeEngine(TimelineEngine):
         if hit:
             rec_end = max(ends[k] for k in hit)
         else:
-            rec_end = rec_start + p.false_alarm_record_s
+            rec_end = rec_start + d["false_alarm_record_s"]
         if rec_end > rec_start:
             k = self.ptr
             while k < n and starts[k] < rec_end:
@@ -226,14 +225,15 @@ class PerWakeEngine(TimelineEngine):
         if detected_now:
             stats.positives += 1
             for k in detected_now:
-                stats.detected.append((self._ids[k], starts[k]))
-                self.detected.append((self._ids[k], starts[k]))
-                self._emit("tx_audio", p.d_tx_audio)
+                start = self.trace.events[k].start
+                stats.detected.append((self._ids[k], start))
+                self.detected.append((self._ids[k], start))
+                self._emit("tx_audio", d["d_tx_audio"])
                 self.cam_acc += p.camera_trigger_ratio
                 if self.cam_acc >= 1.0 - 1e-9:
                     self.cam_acc -= 1.0
-                    self._emit("camera", p.d_camera)
-                    self._emit("tx_image", p.d_tx_image)
+                    self._emit("camera", d["d_camera"])
+                    self._emit("tx_image", d["d_tx_image"])
         else:
             stats.negatives += 1
-            self._emit("tx_audio", p.d_tx_audio)
+            self._emit("tx_audio", d["d_tx_audio"])

@@ -335,6 +335,7 @@ def _band_trace(band_range):
             {**run_config(), "detector": {"kind": "goertzel", "noise_sd": -1}},
             "detector: noise_sd",
         ),
+        ("run", {**run_config(), "power": {"d_ping": 1e-10}}, "power: d_ping must be at least 1 ns"),
     ],
     ids=[
         "layout_radius",
@@ -342,6 +343,7 @@ def _band_trace(band_range):
         "band_range_reversed",
         "band_range_non_positive",
         "noise_sd_negative",
+        "duration_below_a_tick",
     ],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(

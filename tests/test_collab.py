@@ -26,7 +26,7 @@ from dutysim.collab import (
 )
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
-from dutysim.power import PowerProfile, charge_consumed, validate_log
+from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
 from dutysim.rng import substream
 from dutysim.sim import FixedSchedule, run_schedule, train_qlearn
@@ -499,7 +499,7 @@ def test_battery_conservation_and_log_tiling():
     rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 23, collect_logs=True)
     for device in rep.devices:
         log = rep.logs[device.id]
-        validate_log(log, span=2 * 86400.0)
+        validate_log(log, span=to_ticks(2 * 86400.0))
         assert device.charge_mah == charge_consumed(log, PROFILE)
         assert device.battery_level == PROFILE.battery_mah - device.charge_mah
 
@@ -538,9 +538,7 @@ def test_failure_injection_bookkeeping():
     # The casualty is billed through its final update at the removal
     # boundary and nothing after.
     log = rep.logs[2]
-    assert log[-1].start + log[-1].duration == pytest.approx(
-        2 * 86400.0 + PROFILE.d_ql
-    )
+    assert log[-1].start + log[-1].duration == to_ticks(2 * 86400.0) + to_ticks(PROFILE.d_ql)
     assert rep.devices[2].charge_mah == charge_consumed(log, PROFILE)
 
 

@@ -2,11 +2,11 @@
 
 Each property runs the same inputs through TimelineEngine and through
 ``_oracles.PerWakeEngine`` (the one-probe-per-wake loop) and asserts
-bit-equal results: period stats, charge, busy frontier, pending wake,
-detections, logs and the position of every day's random stream. It then
-checks the engine invariants: the log tiles the span, the online charge
-equals the charge recomputed from the log, and no more events are detected
-than there are.
+equal results: period stats, per-mode ticks, charge to the bit, busy
+frontier, pending wake, detections, logs and the position of every day's
+random stream. It then checks the engine invariants: the log tiles the span
+in ticks, the online charge equals the charge recomputed from the log, and
+no more events are detected than there are.
 """
 
 import contextlib
@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from dutysim import collab, sim
 from dutysim.collab import DeviceNode, NetworkConfig, run_network
 from dutysim.detect import DetectorModel
-from dutysim.power import PowerProfile, charge_consumed, validate_log
+from dutysim.errors import ScheduleError
+from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
 from dutysim.sim import (
     BULK_MAX_FP,
@@ -51,11 +52,7 @@ FP_RATES = (0.0, 0.001, 0.02, BULK_MAX_FP, 0.3, 1.0)
 
 
 def awkward_intervals(d_probe: float) -> tuple[float, ...]:
-    return tuple(
-        v
-        for v in (0.3, 7.1, math.nextafter(d_probe, math.inf), d_probe + 1e-9, 3.0, 1800.0)
-        if v > d_probe
-    )
+    return tuple(v for v in (0.3, 7.1, d_probe + 1e-9, 3.0, 1800.0) if v > d_probe)
 
 
 def bits(x) -> str:
@@ -81,6 +78,7 @@ def per_wake_engine():
 
 
 def assert_log_invariants(log, charge_mah, profile, span):
+    """``span`` in ticks."""
     validate_log(log, span=span)
     assert bits(charge_consumed(log, profile, span=span)) == bits(charge_mah)
 
@@ -100,7 +98,8 @@ def engine_cases(draw):
         start = draw(st.floats(max(0.0, t_begin - 60.0), t_end - 0.01))
         duration = draw(st.one_of(st.floats(0.01, 5.0), st.floats(5.0, 400.0)))
         duration = min(duration, horizon - start)
-        if duration > 0:
+        # start + (horizon - start) can round past the horizon.
+        if duration > 0 and start + duration <= horizon:
             events.append(Event(id=i, start=start, duration=duration))
     trace = make_trace(events, horizon=horizon)
     detector = DetectorModel(
@@ -140,23 +139,22 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
             fast.bill_ql(bill, p_end)
             slow.bill_ql(bill, p_end)
         assert got == want
+        assert fast.ticks_by_mode == slow.ticks_by_mode
         assert bits(fast.charge_mah) == bits(slow.charge_mah)
-        assert bits(fast.t) == bits(slow.t)
-        assert bits(fast.next_wake) == bits(slow.next_wake)
+        assert fast.t == slow.t
+        assert fast.next_wake == slow.next_wake
         assert fast.cam_acc == slow.cam_acc
     fast.finish()
     slow.finish()
     assert fast.detected == slow.detected
     assert fast.log == slow.log
-    assert [tuple(map(bits, e[1:])) for e in fast.log] == [
-        tuple(map(bits, e[1:])) for e in slow.log
-    ]
+    assert all(type(e.start) is int and type(e.duration) is int for e in fast.log)
     for day in range(int(t_begin // SECONDS_PER_DAY), int(t_end // SECONDS_PER_DAY) + 1):
         assert stream_position(fast.rng_for_day(day)) == stream_position(
             slow.rng_for_day(day)
         )
 
-    assert_log_invariants(fast.log, fast.charge_mah, profile, t_end - t_begin)
+    assert_log_invariants(fast.log, fast.charge_mah, profile, fast.horizon - fast.t_begin)
     ids = [eid for eid, _ in fast.detected]
     in_window = {ev.id for ev in trace.events if ev.start < t_end and ev.end > t_begin}
     assert len(set(ids)) == len(ids)
@@ -198,9 +196,17 @@ def test_quiet_day_takes_no_single_probes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "gap_wakes, bulk", [(MIN_BULK_WAKES - 1, False), (MIN_BULK_WAKES + 1, True)]
+    "fp_rate, gap_wakes, bulk",
+    [
+        (0.0, 1, True),
+        (0.0, MIN_BULK_WAKES - 1, True),
+        (0.01, MIN_BULK_WAKES - 1, False),
+        (0.01, MIN_BULK_WAKES + 1, True),
+    ],
 )
-def test_runs_shorter_than_the_gate_are_probed_one_by_one(monkeypatch, gap_wakes, bulk):
+def test_only_runs_that_draw_wait_for_the_gate(monkeypatch, fp_rate, gap_wakes, bulk):
+    # At fp_rate 0 a run of any length is billed in bulk; runs that draw
+    # from the day's stream need MIN_BULK_WAKES wakes.
     probe = TimelineEngine._probe
     calls = []
 
@@ -214,11 +220,31 @@ def test_runs_shorter_than_the_gate_are_probed_one_by_one(monkeypatch, gap_wakes
     gap = 3.0 * gap_wakes
     events = [Event(id=j, start=1.0 + j * gap, duration=0.05) for j in range(int(3600 // gap) + 1)]
     trace = make_trace(events, horizon=SECONDS_PER_DAY)
-    detector = DetectorModel(fp_rate=0.0)
+    detector = DetectorModel(fp_rate=fp_rate)
     engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, 3600.0, detector, 1)
     activations = engine.run_period(3600.0, 3.0).activations
-    assert activations == 1200
+    if fp_rate == 0.0:
+        assert activations == 1200
     assert (len(calls) < activations) == bulk
+
+
+def test_interval_within_a_tick_of_the_probe_is_rejected():
+    # The next float above d_probe rounds to the probe's own tick count, so
+    # the probe would fill the whole interval.
+    profile = PROFILES[0]
+    interval = math.nextafter(profile.d_probe, math.inf)
+    assert interval > profile.d_probe
+    assert to_ticks(interval) == to_ticks(profile.d_probe)
+    trace = make_trace([], horizon=SECONDS_PER_DAY)
+    detector = DetectorModel(fp_rate=0.0)
+    engine = _engine(TimelineEngine, profile, trace, 0.0, 3600.0, detector, 1)
+    with pytest.raises(ScheduleError, match="nanoseconds"):
+        engine.run_period(3600.0, interval)
+    with pytest.raises(ScheduleError, match="nanoseconds"):
+        run_schedule(trace, FixedSchedule(interval), detector, profile, 1)
+    actions = ActionSpace((interval, 60.0))
+    with pytest.raises(ScheduleError, match="nanoseconds"):
+        train_qlearn(trace, 1, 0, Hyperparameters(), actions, detector, profile, 1)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +325,9 @@ def test_run_schedule_matches_per_wake(seed, duration_sd, detector, t_begin, hou
             slow, slow_log = go()
         assert fast == slow
         assert fast_log == slow_log
-        assert_log_invariants(fast_log, fast.charge_mah, profile, span)
+        assert_log_invariants(
+            fast_log, fast.charge_mah, profile, to_ticks(t_begin + span) - to_ticks(t_begin)
+        )
         assert fast.events_detected <= fast.events_total
 
 
@@ -326,7 +354,7 @@ def test_train_qlearn_matches_per_wake(seed, detector):
     assert fast.eval_log == slow.eval_log
     assert bits(fast.eps_final) == bits(slow.eps_final)
     for report, log in ((fast.train_report, fast.train_log), (fast.eval_report, fast.eval_log)):
-        assert_log_invariants(log, report.charge_mah, profile, SECONDS_PER_DAY)
+        assert_log_invariants(log, report.charge_mah, profile, to_ticks(SECONDS_PER_DAY))
         assert report.events_detected <= report.events_total
 
 
@@ -355,7 +383,7 @@ def test_run_network_matches_per_wake(seed, detector, drop_rate):
     for device in fast.devices:
         if device.removed_at is None:
             assert_log_invariants(
-                fast.logs[device.id], device.charge_mah, profile, 2 * SECONDS_PER_DAY
+                fast.logs[device.id], device.charge_mah, profile, to_ticks(2 * SECONDS_PER_DAY)
             )
     for ep in fast.episodes:
         assert ep.events_detected <= ep.events_total

@@ -10,11 +10,17 @@ from dutysim.power import (
     PowerProfile,
     charge_consumed,
     lifetime_years,
+    to_ticks,
     validate_log,
 )
 from dutysim.rng import substream
 
-from _oracles import integrate_log_1ms, random_ms_log
+from _oracles import MS, integrate_log_1ms, random_ms_log
+
+
+def _entry(mode: str, start: float, duration: float) -> LogEntry:
+    """A log entry given in seconds."""
+    return LogEntry(mode, to_ticks(start), to_ticks(duration))
 
 
 def test_profile_defaults_match_measurements():
@@ -48,6 +54,22 @@ def test_profile_validation():
         PowerProfile(probe_record_s=0.2, d_probe=0.13)
 
 
+@pytest.mark.parametrize(
+    "name", ["d_probe", "d_ql", "d_tx_audio", "d_tx_image", "d_camera", "d_ping", "probe_record_s"]
+)
+def test_durations_that_round_to_zero_ticks_are_rejected_by_name(name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1 ns"):
+        PowerProfile(**{name: 4e-10})
+
+
+def test_durations_in_ticks():
+    p = PowerProfile(d_probe=0.13, false_alarm_record_s=0.0)
+    assert p.ticks["d_probe"] == 130_000_000
+    assert p.ticks["probe_record_s"] == 100_000_000
+    assert p.ticks["false_alarm_record_s"] == 0
+    assert to_ticks(1.5e-9) == 2 and to_ticks(2.5e-9) == 2  # ties to even
+
+
 def test_profile_current_lookup():
     p = PowerProfile()
     assert p.current("sleep") == 0.097
@@ -69,18 +91,18 @@ def test_profile_overrides():
 
 
 def test_hour_of_sleep():
-    log = [LogEntry("sleep", 0.0, 3600.0)]
+    log = [_entry("sleep", 0.0, 3600.0)]
     assert charge_consumed(log, PowerProfile()) == pytest.approx(0.097)
 
 
 def test_sleep_with_one_recording():
     log = [
-        LogEntry("sleep", 0.0, 1000.0),
-        LogEntry("event_record", 1000.0, 3.0),
-        LogEntry("sleep", 1003.0, 2597.0),
+        _entry("sleep", 0.0, 1000.0),
+        _entry("event_record", 1000.0, 3.0),
+        _entry("sleep", 1003.0, 2597.0),
     ]
     expect = (3597.0 * 0.097 + 3.0 * 31.57) / 3600.0
-    got = charge_consumed(log, PowerProfile(), span=3600.0)
+    got = charge_consumed(log, PowerProfile(), span=to_ticks(3600.0))
     assert got == pytest.approx(expect, rel=1e-12)
     assert got == pytest.approx(0.1232275, rel=1e-6)
 
@@ -90,38 +112,38 @@ def test_empty_log_is_zero():
 
 
 def test_overlap_rejected():
-    log = [LogEntry("sleep", 0.0, 10.0), LogEntry("probe", 9.5, 0.13)]
+    log = [_entry("sleep", 0.0, 10.0), _entry("probe", 9.5, 0.13)]
     with pytest.raises(ActivityLogError, match="overlap"):
         charge_consumed(log, PowerProfile())
 
 
 def test_gap_rejected():
-    log = [LogEntry("sleep", 0.0, 10.0), LogEntry("probe", 11.0, 0.13)]
+    log = [_entry("sleep", 0.0, 10.0), _entry("probe", 11.0, 0.13)]
     with pytest.raises(ActivityLogError, match="gap"):
         charge_consumed(log, PowerProfile())
 
 
 def test_span_mismatch_rejected():
-    log = [LogEntry("sleep", 0.0, 10.0)]
+    log = [_entry("sleep", 0.0, 10.0)]
     with pytest.raises(ActivityLogError, match="span"):
-        charge_consumed(log, PowerProfile(), span=20.0)
+        charge_consumed(log, PowerProfile(), span=to_ticks(20.0))
 
 
 def test_negative_duration_rejected():
     with pytest.raises(ActivityLogError, match="negative"):
-        validate_log([LogEntry("sleep", 0.0, -1.0)])
+        validate_log([_entry("sleep", 0.0, -1.0)])
 
 
 def test_validate_sorts_entries():
-    log = [LogEntry("probe", 10.0, 0.5), LogEntry("sleep", 0.0, 10.0)]
+    log = [_entry("probe", 10.0, 0.5), _entry("sleep", 0.0, 10.0)]
     out = validate_log(log)
     assert [e.mode for e in out] == ["sleep", "probe"]
 
 
 def test_additive_over_concatenation():
     p = PowerProfile()
-    first = [LogEntry("sleep", 0.0, 100.0), LogEntry("probe", 100.0, 0.13)]
-    second = [LogEntry("event_record", 100.13, 3.0), LogEntry("sleep", 103.13, 50.0)]
+    first = [_entry("sleep", 0.0, 100.0), _entry("probe", 100.0, 0.13)]
+    second = [_entry("event_record", 100.13, 3.0), _entry("sleep", 103.13, 50.0)]
     total = charge_consumed(first + second, p)
     assert total == pytest.approx(charge_consumed(first, p) + charge_consumed(second, p))
 
@@ -129,10 +151,10 @@ def test_additive_over_concatenation():
 def test_order_invariance():
     p = PowerProfile()
     log = [
-        LogEntry("sleep", 0.0, 5.0),
-        LogEntry("probe", 5.0, 0.13),
-        LogEntry("event_record", 5.13, 2.0),
-        LogEntry("sleep", 7.13, 10.0),
+        _entry("sleep", 0.0, 5.0),
+        _entry("probe", 5.0, 0.13),
+        _entry("event_record", 5.13, 2.0),
+        _entry("sleep", 7.13, 10.0),
     ]
     shuffled = [log[2], log[0], log[3], log[1]]
     assert charge_consumed(shuffled, p) == charge_consumed(log, p)
@@ -154,15 +176,15 @@ def test_monotone_in_activity():
     # ql_update, and ping currents sit below the deep-sleep draw, so the
     # premise (and hence the guarantee) excludes them.
     p = PowerProfile()
-    base_charge = charge_consumed([LogEntry("sleep", 0.0, 3600.0)], p)
+    base_charge = charge_consumed([_entry("sleep", 0.0, 3600.0)], p)
     checked = 0
     for mode in MODES:
         if mode == "sleep" or p.current(mode) <= p.i_sleep:
             continue
         log = [
-            LogEntry("sleep", 0.0, 1000.0),
-            LogEntry(mode, 1000.0, 10.0),
-            LogEntry("sleep", 1010.0, 2590.0),
+            _entry("sleep", 0.0, 1000.0),
+            _entry(mode, 1000.0, 10.0),
+            _entry("sleep", 1010.0, 2590.0),
         ]
         assert charge_consumed(log, p) >= base_charge
         checked += 1
@@ -174,13 +196,13 @@ def test_monotone_in_activity():
 def test_charge_is_sum_of_parts(modes, seed):
     p = PowerProfile()
     rng = np.random.default_rng(seed)
-    t = 0.0
+    t = 0
     log = []
     for mode in modes:
-        d = int(rng.integers(1, 3000)) / 1000.0
+        d = int(rng.integers(1, 3000)) * MS
         log.append(LogEntry(mode, t, d))
         t += d
-    expect = sum(p.current(e.mode) * e.duration / 3600.0 for e in log)
+    expect = sum(p.current(e.mode) * e.duration / 1e9 / 3600.0 for e in log)
     assert charge_consumed(log, p) == pytest.approx(expect, rel=1e-12)
 
 

@@ -6,7 +6,7 @@ import pytest
 from dutysim.cli import main
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
-from dutysim.power import PowerProfile, charge_consumed, validate_log
+from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
 from dutysim.sim import (
     FixedSchedule,
@@ -57,8 +57,8 @@ def test_single_event_detected_by_fixed_3():
     # The mic stays on from probe end to the event end.
     recs = [e for e in log if e.mode == "event_record"]
     assert len(recs) == 1
-    assert recs[0].start == pytest.approx(102.0 + PROFILE.d_probe)
-    assert recs[0].start + recs[0].duration == pytest.approx(103.0)
+    assert recs[0].start == to_ticks(102.0 + PROFILE.d_probe)
+    assert recs[0].start + recs[0].duration == to_ticks(103.0)
 
 
 def test_event_missed_by_long_interval():
@@ -86,14 +86,14 @@ def test_fixed_3_oracle_detects_everything():
 def test_log_tiles_the_horizon_exactly():
     tr = two_peak_trace(1, 3)
     report, log = run_schedule(tr, FixedSchedule(5.0), ORACLE, PROFILE, 2)
-    validate_log(log, span=tr.horizon)
-    assert log[0].start == 0.0
+    validate_log(log, span=to_ticks(tr.horizon))
+    assert log[0].start == 0
 
 
 def test_log_on_partial_hours():
     tr = EventTrace(events=(Event(id=0, start=4000.0, duration=65.0),), horizon=5400.0)
     report, log = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 2)
-    validate_log(log, span=5400.0)
+    validate_log(log, span=to_ticks(5400.0))
     assert len(report.periods) == 2
     assert report.events_detected == 1
 
@@ -101,7 +101,7 @@ def test_log_on_partial_hours():
 def test_online_offline_charge_identical():
     tr = two_peak_trace(1, 9)
     report, log = run_schedule(tr, FixedSchedule(5.0), ORACLE, PROFILE, 3)
-    assert report.charge_mah == charge_consumed(log, PROFILE, span=tr.horizon)
+    assert report.charge_mah == charge_consumed(log, PROFILE, span=to_ticks(tr.horizon))
 
 
 def test_counts_add_up_per_period():
@@ -123,7 +123,7 @@ def test_false_positive_probes_count_negative():
     assert sum(1 for e in log if e.mode == "tx_audio") == report.activations
     recs = [e for e in log if e.mode == "event_record"]
     assert len(recs) == report.activations
-    assert all(e.duration == pytest.approx(PROFILE.false_alarm_record_s) for e in recs)
+    assert all(e.duration == to_ticks(PROFILE.false_alarm_record_s) for e in recs)
 
 
 def test_camera_fires_every_third_detection():
@@ -269,20 +269,21 @@ def test_training_logs_and_billing():
         tr, 2, 1, hp, ActionSpace(), ORACLE, PROFILE, 43, collect_logs=True
     )
     train_log = result.train_log
-    validate_log(train_log, span=2 * 86400.0)
+    validate_log(train_log, span=to_ticks(2 * 86400.0))
     assert sum(1 for e in train_log if e.mode == "ql_infer") == 48
     # The last period's update lands on the horizon instant, and the log
     # tiles [0, span] exactly, so 48 periods bill 47 in-window updates.
     assert sum(1 for e in train_log if e.mode == "ql_update") == 47
     eval_log = result.eval_log
-    validate_log(eval_log, span=86400.0)
-    assert eval_log[0].start == 2 * 86400.0
+    validate_log(eval_log, span=to_ticks(86400.0))
+    assert eval_log[0].start == to_ticks(2 * 86400.0)
     # Greedy evaluation bills inference but never updates.
     assert sum(1 for e in eval_log if e.mode == "ql_infer") == 24
     assert sum(1 for e in eval_log if e.mode == "ql_update") == 0
     # Online totals match the exported logs exactly.
-    assert result.train_report.charge_mah == charge_consumed(train_log, PROFILE, span=2 * 86400.0)
-    assert result.eval_report.charge_mah == charge_consumed(eval_log, PROFILE, span=86400.0)
+    train_span, eval_span = to_ticks(2 * 86400.0), to_ticks(86400.0)
+    assert result.train_report.charge_mah == charge_consumed(train_log, PROFILE, span=train_span)
+    assert result.eval_report.charge_mah == charge_consumed(eval_log, PROFILE, span=eval_span)
 
 
 def test_epsilon_decays_per_episode():
