@@ -26,7 +26,6 @@ from .detect import (
     GoertzelBank,
     default_bank,
     gate,
-    goertzel_power,
     goertzel_spectrum,
     synthesize_tone,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "form_clusters",
     "gate",
     "generate_trace",
-    "goertzel_power",
     "goertzel_spectrum",
     "hourly_event_probability",
     "init_from_distribution",

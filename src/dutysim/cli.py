@@ -373,19 +373,22 @@ def cmd_report(args) -> int:
         raise ConfigError(f"summary file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in ("run", "run-network"):
+        raise ConfigError(f"{path}: unknown summary kind {kind!r}")
     out_dir = Path(args.out) if args.out else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    kind = payload.get("kind")
-    if kind == "run":
-        _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, payload["comparison"])
-        _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, payload["per_period"])
-        print(f"rendered comparison.csv and per_period.csv to {out_dir}")
-        return 0
-    if kind == "run-network":
-        names = _write_network_csvs(out_dir, payload["report"])
-        print(f"rendered network_series.csv and {len(names) - 1} device CSVs to {out_dir}")
-        return 0
-    raise ConfigError(f"{path}: unknown summary kind {kind!r}")
+    try:
+        if kind == "run":
+            _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, payload["comparison"])
+            _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, payload["per_period"])
+            print(f"rendered comparison.csv and per_period.csv to {out_dir}")
+        else:
+            names = _write_network_csvs(out_dir, payload["report"])
+            print(f"rendered network_series.csv and {len(names) - 1} device CSVs to {out_dir}")
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e.args[0]!r}") from None
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

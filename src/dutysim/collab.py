@@ -72,17 +72,16 @@ class DeviceNode:
 
 @dataclass(frozen=True)
 class Cluster:
+    """Devices with pairwise overlapping sensing disks; the slot rotates through members."""
+
     members: tuple[int, ...]
-    order: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError("a cluster needs at least two members")
-        if sorted(self.order) != sorted(self.members):
-            raise ValueError("order must be a permutation of members")
 
     def slot_holder(self, t: int) -> int:
-        return self.order[t % len(self.order)]
+        return self.members[t % len(self.members)]
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -111,7 +110,7 @@ def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
     """Maximal cliques of the sensing-overlap graph, two members or more.
 
     Disks overlap iff center distance <= the radius sum. A device can sit
-    in several clusters. Round-robin order starts as ascending id.
+    in several clusters. Members, and so the slot rotation, run in ascending id.
     """
     if not nodes:
         raise ValueError("need at least one node")
@@ -142,7 +141,7 @@ def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
 
     expand(set(), set(ids), set())
     cliques.sort()
-    return [Cluster(members=c, order=c) for c in cliques]
+    return [Cluster(members=c) for c in cliques]
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,6 @@ def expand_global_table(table: QTable, n_bins: int) -> QTable:
     return QTable(
         values=np.repeat(table.values, n_bins, axis=0).astype(np.float32),
         visits=np.repeat(table.visits, n_bins, axis=0).astype(np.uint32),
-        period_length=table.period_length,
     )
 
 

@@ -4,8 +4,9 @@ The detector evaluates squared DFT magnitudes at a small set of target bins,
 the quantities the device's Goertzel recurrence (s0 = x[n] + 2*cos(w)*s1 - s2)
 computes at O(N) per bin instead of a full transform. Here they come from one
 product of the window with a cached cos/sin basis of the bins (see
-``_kernels``). A window is flagged as an event when the median bank power
-strictly exceeds a threshold.
+``_kernels``): ``goertzel_spectrum`` returns them for any bins of a window,
+and ``gate`` flags a window as an event when the lower-middle median of its
+bank powers strictly exceeds the bank's threshold.
 
 An abstract detector model (true/false positive rates) stands in for the
 filter bank when simulating schedules; both share the DetectorModel type.
@@ -23,10 +24,7 @@ from . import _kernels
 __all__ = [
     "GoertzelBank",
     "DetectorModel",
-    "goertzel_power",
     "goertzel_spectrum",
-    "bank_powers",
-    "gate_from_powers",
     "gate",
     "sample_detection",
     "synthesize_tone",
@@ -57,9 +55,6 @@ class GoertzelBank:
             raise ValueError("target_bins must not be empty")
         for b in self.target_bins:
             _check_bin(b, self.window_len)
-
-    def bin_for(self, freq_hz: float) -> int:
-        return int(round(freq_hz * self.window_len / self.sample_rate))
 
     def freq_of(self, bin_idx: int) -> float:
         return bin_idx * self.sample_rate / self.window_len
@@ -130,25 +125,6 @@ def _check_bin(bin_idx: int, window_len: int) -> None:
         )
 
 
-def goertzel_power(samples: np.ndarray, bin_idx: int, window_len: int | None = None) -> float:
-    """|X[bin]|^2 of the window.
-
-    window_len defaults to len(samples) and must match it when given.
-    """
-    x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("samples must be 1D")
-    n = x.shape[0]
-    if window_len is None:
-        window_len = n
-    if window_len != n:
-        raise ValueError(f"window_len {window_len} does not match {n} samples")
-    if n == 0:
-        return 0.0
-    _check_bin(bin_idx, n)
-    return float(_kernels.bin_powers(x, (int(bin_idx),))[0])
-
-
 def goertzel_spectrum(samples: np.ndarray, bins) -> np.ndarray:
     """Powers at several bins of one window."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
@@ -160,30 +136,19 @@ def goertzel_spectrum(samples: np.ndarray, bins) -> np.ndarray:
     return _kernels.bin_powers(x, tuple(map(int, bins)))
 
 
-def bank_powers(bank: GoertzelBank, samples: np.ndarray) -> np.ndarray:
+def gate(bank: GoertzelBank, samples: np.ndarray) -> bool:
+    """Event iff the lower-middle median bank power strictly exceeds the threshold.
+
+    The lower-middle median of B powers is element (B - 1) // 2 of them
+    sorted, so with an even bin count the lower middle power decides.
+    """
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.shape != (bank.window_len,):
         raise ValueError(
             f"expected {bank.window_len} samples, got shape {x.shape}"
         )
-    return _kernels.bin_powers(x, bank.target_bins)
-
-
-def median_power(powers: np.ndarray) -> float:
-    """Lower-middle median: element (n-1)//2 of the sorted powers."""
-    arr = np.sort(np.asarray(powers, dtype=np.float64))
-    if arr.size == 0:
-        raise ValueError("no powers to take a median of")
-    return float(arr[(arr.size - 1) // 2])
-
-
-def gate_from_powers(powers: np.ndarray, threshold: float) -> bool:
-    """Event iff the median power strictly exceeds the threshold."""
-    return median_power(powers) > threshold
-
-
-def gate(bank: GoertzelBank, samples: np.ndarray) -> bool:
-    return gate_from_powers(bank_powers(bank, samples), bank.threshold)
+    powers = np.sort(_kernels.bin_powers(x, bank.target_bins))
+    return bool(powers[(powers.size - 1) // 2] > bank.threshold)
 
 
 def sample_detection(model: DetectorModel, present: bool, rng: np.random.Generator) -> bool:

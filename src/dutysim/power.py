@@ -11,7 +11,7 @@ capacity by average current using 8766 hours per year (365.25 days).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -154,9 +154,6 @@ class PowerProfile:
             return self._current_by_mode[mode]
         except KeyError:
             raise ValueError(f"unknown activity mode {mode!r}") from None
-
-    def with_overrides(self, **kwargs) -> "PowerProfile":
-        return replace(self, **kwargs)
 
 
 def validate_log(entries: Iterable[LogEntry], span: int | None = None) -> list[LogEntry]:

@@ -94,16 +94,14 @@ class QTable:
 
     values: np.ndarray
     visits: np.ndarray
-    period_length: float = 3600.0
 
     @classmethod
-    def zeros(cls, n_states: int, n_actions: int, period_length: float = 3600.0) -> "QTable":
+    def zeros(cls, n_states: int, n_actions: int) -> "QTable":
         if n_states < 1 or n_actions < 1:
             raise ValueError("table dimensions must be >= 1")
         return cls(
             values=np.zeros((n_states, n_actions), dtype=np.float32),
             visits=np.zeros((n_states, n_actions), dtype=np.uint32),
-            period_length=period_length,
         )
 
     @property
@@ -122,11 +120,7 @@ class QTable:
         return np.argmax(self.values, axis=1).astype(np.int64)
 
     def copy(self) -> "QTable":
-        return QTable(
-            values=self.values.copy(),
-            visits=self.visits.copy(),
-            period_length=self.period_length,
-        )
+        return QTable(values=self.values.copy(), visits=self.visits.copy())
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,6 @@ def init_from_distribution(
     event_prob: np.ndarray | list[float],
     scale: float,
     n_actions: int,
-    period_length: float = 3600.0,
 ) -> QTable:
     """Seed a table from per-period event probabilities.
 
@@ -210,11 +203,7 @@ def init_from_distribution(
         raise ValueError("need at least 2 actions")
     rank_weight = (n_actions - 1 - np.arange(n_actions)) / (n_actions - 1)
     values = (scale * np.outer(probs, rank_weight)).astype(np.float32)
-    return QTable(
-        values=values,
-        visits=np.zeros_like(values, dtype=np.uint32),
-        period_length=period_length,
-    )
+    return QTable(values=values, visits=np.zeros_like(values, dtype=np.uint32))
 
 
 # -- serialization ----------------------------------------------------------
@@ -231,7 +220,7 @@ def save_qtable(table: QTable) -> bytes:
     return header + values + visits
 
 
-def load_qtable(data: bytes, period_length: float = 3600.0) -> QTable:
+def load_qtable(data: bytes) -> QTable:
     head_len = len(_MAGIC) + struct.calcsize("<BHH")
     if len(data) < head_len:
         raise QTableFormatError("payload shorter than header")
@@ -253,5 +242,4 @@ def load_qtable(data: bytes, period_length: float = 3600.0) -> QTable:
     return QTable(
         values=values.reshape(n_states, n_actions).astype(np.float32),
         visits=visits.reshape(n_states, n_actions).astype(np.uint32),
-        period_length=period_length,
     )

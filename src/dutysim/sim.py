@@ -87,9 +87,6 @@ class GreedySchedule:
         return "qlearn"
 
 
-ScheduleSpec = FixedSchedule | GreedySchedule
-
-
 @dataclass(frozen=True)
 class PeriodRecord:
     index: int
@@ -113,7 +110,6 @@ class SimReport:
     events_total: int
     events_detected: int
     detection_rate: float
-    zero_events: bool
     charge_mah: float
     avg_current_ma: float
     lifetime_years: float
@@ -178,19 +174,15 @@ def make_probe_fn(model: DetectorModel):
 TICKS_PER_DAY = round(SECONDS_PER_DAY) * TICKS_PER_S
 
 # With fp_rate > 0 a bulk step saves the day's stream, draws for the run and
-# may rewind, a fixed cost of a few per-wake probes, so short runs are probed
-# one by one: runs with fewer than MIN_BULK_WAKES wakes, and every run when
-# fp_rate exceeds BULK_MAX_FP (a false alarm ends a run after about
-# 1 / fp_rate wakes). At fp_rate 0 a run costs a few integer operations, less
-# than one probe, and is billed in bulk whatever its length. Timed in process
-# with run_schedule at fixed intervals of 3, 10, 30 and 60 s (about 115 k
-# wakes each, best of 3, 2-vCPU x86-64): at fp_rate 0 no gate took 16-115 ms,
-# a gate of 4 took 13-223 ms and probing every wake 315-367 ms; at fp_rate
-# 0.001 to 0.1 gates of 1 to 4 wakes timed alike, 8 and 16 were up to 1.5x
-# slower, and bulk billing beat probing every wake at all four intervals; at
-# 0.15 it lost at 10 s.
+# may rewind, and a false alarm ends a run after about 1 / fp_rate wakes, so
+# above BULK_MAX_FP every wake is probed one by one. Up to it, runs of any
+# length are billed in bulk, as at fp_rate 0, where a run costs a few integer
+# operations, less than one probe. Timed in process with run_schedule at
+# fixed intervals of 3, 10, 30 and 60 s (about 115 k wakes each, best of 3,
+# 2-vCPU x86-64): at fp_rate 0.001 to 0.1 runs of at least 1, 2 or 4 wakes
+# timed alike, and bulk billing beat probing every wake at all four
+# intervals; at 0.15 it lost at 10 s.
 BULK_MAX_FP = 0.1
-MIN_BULK_WAKES = 4
 
 
 def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -> None:
@@ -236,13 +228,12 @@ class TimelineEngine:
       - the wakes whose probes end inside the horizon.
     With fp_rate 0 that is closed-form integer arithmetic, O(1) per run:
     (w - t) + (k - 1) * (interval - d_probe) sleep ticks and k * d_probe
-    probe ticks, k activations and k negatives. With fp_rate > 0 a run needs
-    at least MIN_BULK_WAKES wakes; k is cut at the first false alarm drawn
-    from the day's stream (and after about 4 / fp_rate draws), and the
-    stream is left with exactly one draw per billed wake. The wake that ends
-    a run goes through ``_probe``, as does every wake not in a run and
-    every wake with the Goertzel detector or a higher fp_rate. Both ways
-    give the same ticks, logs and random draws.
+    probe ticks, k activations and k negatives. With fp_rate > 0, k is cut
+    at the first false alarm drawn from the day's stream (and after about
+    4 / fp_rate draws), and the stream is left with exactly one draw per
+    billed wake. The wake that ends a run goes through ``_probe``, as does
+    every wake not in a run and every wake with the Goertzel detector or a
+    higher fp_rate. Both ways give the same ticks, logs and random draws.
     """
 
     def __init__(
@@ -350,9 +341,7 @@ class TimelineEngine:
         if self.ptr < n:
             k = min(k, (starts[self.ptr] - self.dur["probe_record_s"] - w) // interval + 1)
         fp = self._quiet_fp
-        if fp > 0.0:
-            if k < MIN_BULK_WAKES:
-                return w
+        if fp > 0.0 and k > 0:
             rng = self.rng_for_day(day)
             state = rng.bit_generator.state
             # A false alarm ends the run after about 1/fp wakes, and 4/fp
@@ -506,15 +495,6 @@ class Learner:
         self.eps = decay_epsilon(self.eps, self.hp)
 
 
-def _resolve_w1(hp: Hyperparameters, w1_by_hour) -> np.ndarray:
-    if w1_by_hour is not None:
-        arr = np.asarray(w1_by_hour, dtype=np.float64)
-        if arr.shape != (24,):
-            raise ScheduleError("w1_by_hour needs exactly 24 entries")
-        return arr
-    return np.full(24, hp.w1, dtype=np.float64)
-
-
 def _run_periods(
     engine, t_begin, t_end, n_periods, learner=None, interval=None, w1=None, first_period=0
 ):
@@ -522,7 +502,7 @@ def _run_periods(
 
     Without a learner every period runs at ``interval``. A learner chooses
     each period's interval, and learns from the period reward when given
-    the per-hour weights ``w1``. first_period keeps the period index honest
+    its false-alarm weight ``w1``. first_period keeps the period index honest
     when a run is driven in chunks (training drives one day at a time).
     """
     rows = []
@@ -534,7 +514,7 @@ def _run_periods(
             interval = learner.choose(engine, hour, p_start)
         stats = engine.run_period(p_end, interval)
         if w1 is not None:
-            r = reward(RewardInputs(stats.positives, stats.negatives), w1[hour])
+            r = reward(RewardInputs(stats.positives, stats.negatives), w1)
             learner.learn(engine, r, hour, len(stats.detected), p_end)
         rows.append((first_period + p, hour, interval, stats))
     return rows
@@ -546,7 +526,7 @@ def _build_report(
     t_end: float,
     rows,
     engine: TimelineEngine,
-    w1_by_hour: np.ndarray,
+    w1: float,
     profile: PowerProfile,
 ) -> SimReport:
     n_periods = len(rows)
@@ -567,7 +547,7 @@ def _build_report(
 
     periods = []
     for (p, hour, interval, stats) in rows:
-        r = reward(RewardInputs(stats.positives, stats.negatives), w1_by_hour[hour])
+        r = reward(RewardInputs(stats.positives, stats.negatives), w1)
         periods.append(
             PeriodRecord(
                 index=p,
@@ -583,8 +563,7 @@ def _build_report(
         )
     events_total = int(totals.sum())
     events_detected = int(detected.sum())
-    zero_events = events_total == 0
-    rate = 1.0 if zero_events else events_detected / events_total
+    rate = 1.0 if events_total == 0 else events_detected / events_total
     span = t_end - t_begin
     avg_ma = engine.charge_mah / (span / 3600.0)
     return SimReport(
@@ -596,7 +575,6 @@ def _build_report(
         events_total=events_total,
         events_detected=events_detected,
         detection_rate=rate,
-        zero_events=zero_events,
         charge_mah=engine.charge_mah,
         avg_current_ma=avg_ma,
         lifetime_years=(
@@ -623,7 +601,7 @@ def _day_rng_provider(seed: int, device_id: int):
 
 def run_schedule(
     trace: EventTrace,
-    spec: ScheduleSpec,
+    spec: FixedSchedule | GreedySchedule,
     detector: DetectorModel,
     profile: PowerProfile,
     seed: int,
@@ -652,7 +630,6 @@ def run_schedule(
         learner, interval = Learner(spec.table, hp, spec.actions, None, eps=0.0), None
     else:
         raise ScheduleError(f"unknown schedule spec {spec!r}")
-    w1 = _resolve_w1(hp, None)
     engine = TimelineEngine(
         trace,
         t_begin,
@@ -665,7 +642,7 @@ def run_schedule(
     n_periods = int(math.ceil((t_end - t_begin) / SECONDS_PER_HOUR))
     rows = _run_periods(engine, t_begin, t_end, n_periods, learner, interval)
     engine.finish()
-    report = _build_report(trace, t_begin, t_end, rows, engine, w1, profile)
+    report = _build_report(trace, t_begin, t_end, rows, engine, hp.w1, profile)
     return report, engine.log
 
 
@@ -691,7 +668,6 @@ def train_qlearn(
     seed: int,
     *,
     init_table: QTable | None = None,
-    w1_by_hour=None,
     device_id: int = 0,
     collect_logs: bool = False,
 ) -> TrainResult:
@@ -717,7 +693,6 @@ def train_qlearn(
         table = init_table.copy()
     else:
         table = QTable.zeros(24, len(actions))
-    w1 = _resolve_w1(hp, w1_by_hour)
     rng_for_day = _day_rng_provider(seed, device_id)
 
     train_end = train_days * SECONDS_PER_DAY
@@ -735,14 +710,14 @@ def train_qlearn(
                 train_end,
                 24,
                 learner,
-                w1=w1,
+                w1=hp.w1,
                 first_period=day * 24,
             )
         )
         learner.end_episode()
         history.append(table.greedy_policy())
     engine.finish()
-    train_report = _build_report(trace, 0.0, train_end, all_rows, engine, w1, profile)
+    train_report = _build_report(trace, 0.0, train_end, all_rows, engine, hp.w1, profile)
     train_report.episodes_to_convergence = convergence_episodes(history)
 
     if eval_days > 0:

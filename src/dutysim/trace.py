@@ -214,20 +214,14 @@ def _truncated_normal(rng, mean, sd, lower, n):
     return np.maximum(out, lower)
 
 
-def generate_trace(
-    profile: DiurnalProfile,
-    seed: int,
-    *,
-    rng: np.random.Generator | None = None,
-) -> EventTrace:
+def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
     """Draw profile.days of events from the profile: Poisson counts per hour,
     uniform starts within the hour, truncated-normal durations, then the
     profile's band and location tags when it sets band_range or area.
 
     The same profile and seed always produce the same trace.
     """
-    if rng is None:
-        rng = substream(seed, "trace")
+    rng = substream(seed, "trace")
     days, origin_hour = profile.days, profile.origin_hour
     band_range, area = profile.band_range, profile.area
     horizon = days * SECONDS_PER_DAY
@@ -312,25 +306,21 @@ def hourly_event_probability(trace: EventTrace) -> np.ndarray:
 # -- serialization ----------------------------------------------------------
 
 
-def save_trace(trace: EventTrace, path: str | Path, fmt: str | None = None) -> None:
+def save_trace(trace: EventTrace, path: str | Path) -> None:
+    """Write the trace as CSV or JSON, as the file suffix says."""
     path = Path(path)
-    fmt = fmt or _fmt_from_suffix(path)
-    if fmt == "csv":
+    if _fmt_from_suffix(path) == "csv":
         _save_csv(trace, path)
-    elif fmt == "json":
-        _save_json(trace, path)
     else:
-        raise TraceFormatError(f"unknown trace format {fmt!r}")
+        _save_json(trace, path)
 
 
-def load_trace(path: str | Path, fmt: str | None = None) -> EventTrace:
+def load_trace(path: str | Path) -> EventTrace:
+    """Read a CSV or JSON trace, as the file suffix says."""
     path = Path(path)
-    fmt = fmt or _fmt_from_suffix(path)
-    if fmt == "csv":
+    if _fmt_from_suffix(path) == "csv":
         return _load_csv(path)
-    if fmt == "json":
-        return _load_json(path)
-    raise TraceFormatError(f"unknown trace format {fmt!r}")
+    return _load_json(path)
 
 
 def _fmt_from_suffix(path: Path) -> str:
@@ -448,10 +438,14 @@ def _load_json(path: Path) -> EventTrace:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path.name}: {exc}") from exc
-    if not isinstance(payload, dict) or "events" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("events"), list):
         raise TraceFormatError(f"{path.name}: expected an object with an 'events' list")
     events = []
     for i, item in enumerate(payload["events"]):
+        if not isinstance(item, dict):
+            raise TraceFormatError(
+                f"{path.name}: events[{i}]: expected an object, got {item!r}"
+            )
         try:
             loc = item.get("location")
             events.append(
@@ -465,11 +459,16 @@ def _load_json(path: Path) -> EventTrace:
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise TraceFormatError(f"{path.name}: events[{i}]: {exc}") from exc
+    meta = {}
+    for key, parse in (("horizon", float), ("origin_hour", int)):
+        value = payload.get(key)
+        if value is None:
+            continue
+        try:
+            meta[key] = parse(value)
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(f"{path.name}: bad {key} value {value!r}") from exc
     try:
-        return make_trace(
-            events,
-            horizon=payload.get("horizon"),
-            origin_hour=int(payload.get("origin_hour", 0)),
-        )
+        return make_trace(events, **meta)
     except TraceValidationError as exc:
         raise TraceValidationError(f"{path.name}: {exc}") from exc

@@ -421,6 +421,22 @@ def test_report_rejects_bad_summaries(tmp_path, capsys):
     assert main(["report"]) == 1
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"kind": "run"}, "comparison"),
+        ({"kind": "run", "comparison": []}, "per_period"),
+        ({"kind": "run-network", "report": {"episodes": []}}, "devices"),
+    ],
+    ids=["comparison", "per_period", "devices"],
+)
+def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(payload))
+    assert main(["report", "--summary", str(summary), "--out", str(tmp_path / "re")]) == 1
+    assert f"missing key '{key}'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes and config round trip
 

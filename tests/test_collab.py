@@ -131,7 +131,6 @@ def test_triangle_forms_one_cluster():
     clusters = form_clusters(nodes)
     assert len(clusters) == 1
     assert clusters[0].members == (0, 1, 2)
-    assert clusters[0].order == (0, 1, 2)
 
 
 def test_chain_forms_two_pair_clusters():
@@ -170,9 +169,7 @@ def test_form_clusters_rejects_bad_input():
 
 def test_cluster_validation():
     with pytest.raises(ValueError):
-        Cluster(members=(7,), order=(7,))
-    with pytest.raises(ValueError):
-        Cluster(members=(1, 2), order=(1, 3))
+        Cluster(members=(7,))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +177,13 @@ def test_cluster_validation():
 
 
 def test_slot_holder_examples():
-    cluster = Cluster(members=(10, 11, 12), order=(10, 11, 12))
+    cluster = Cluster(members=(10, 11, 12))
     assert cluster.slot_holder(0) == 10
     assert cluster.slot_holder(7) == 11
 
 
 def test_slot_counts_exact_over_multiple_of_size():
-    cluster = Cluster(members=(0, 1, 2), order=(2, 0, 1))
+    cluster = Cluster(members=(0, 1, 2))
     counts = {0: 0, 1: 0, 2: 0}
     for t in range(3000):
         counts[cluster.slot_holder(t)] += 1
@@ -200,7 +197,7 @@ def test_slot_counts_exact_over_multiple_of_size():
 )
 @settings(max_examples=100, deadline=None)
 def test_slot_counts_balanced_over_any_window(size, start, length):
-    cluster = Cluster(members=tuple(range(size)), order=tuple(range(size)))
+    cluster = Cluster(members=tuple(range(size)))
     counts = [0] * size
     for t in range(start, start + length):
         counts[cluster.slot_holder(t)] += 1
@@ -291,7 +288,7 @@ def test_lossy_delivery_is_deterministic_per_stream():
 
 
 def test_slot_holder_pays_no_overlap_penalty():
-    cluster = Cluster(members=(0, 1, 2), order=(0, 1, 2))
+    cluster = Cluster(members=(0, 1, 2))
     h = event_hash(4000.0, 50.0)
     # Estimate 3: two matching pings from fellow members while holding the slot.
     r = local_reward(
@@ -309,7 +306,7 @@ def test_slot_holder_pays_no_overlap_penalty():
 
 
 def test_non_holder_pays_per_duplicate():
-    cluster = Cluster(members=(0, 1, 2), order=(0, 1, 2))
+    cluster = Cluster(members=(0, 1, 2))
     h = event_hash(4000.0, 50.0)
     r = local_reward(
         device_id=0,
@@ -327,7 +324,7 @@ def test_non_holder_pays_per_duplicate():
 
 def test_waiver_requires_matching_cluster_member():
     # Holding a slot only waives duplicates shared with that cluster.
-    cluster = Cluster(members=(0, 1), order=(0, 1))
+    cluster = Cluster(members=(0, 1))
     h = event_hash(4000.0, 50.0)
     r = local_reward(
         device_id=0,
@@ -380,7 +377,6 @@ def test_expand_global_table_tiles_rows():
         for b in range(4):
             assert np.array_equal(wide.values[hour * 4 + b], base.values[hour])
             assert np.array_equal(wide.visits[hour * 4 + b], base.visits[hour])
-    assert wide.period_length == base.period_length
 
 
 def test_expand_global_table_validation():

@@ -8,13 +8,9 @@ from dutysim.detect import (
     DEFAULT_WINDOW,
     DetectorModel,
     GoertzelBank,
-    bank_powers,
     default_bank,
     gate,
-    gate_from_powers,
-    goertzel_power,
     goertzel_spectrum,
-    median_power,
     sample_detection,
     synthesize_tone,
 )
@@ -24,14 +20,14 @@ from _oracles import assert_spectrum_close, goertzel_recurrence, naive_dft_power
 
 
 def test_zero_signal():
-    assert goertzel_power(np.zeros(1600), 200) == 0.0
+    assert goertzel_spectrum(np.zeros(1600), [200])[0] == 0.0
 
 
 def test_on_bin_cosine_closed_form():
     n = 1600
     k = 200
     x = np.cos(2.0 * np.pi * k * np.arange(n) / n)
-    assert goertzel_power(x, k) == pytest.approx((n / 2.0) ** 2, rel=1e-9)
+    assert goertzel_spectrum(x, [k])[0] == pytest.approx((n / 2.0) ** 2, rel=1e-9)
 
 
 def test_matches_naive_dft_random_signals():
@@ -48,18 +44,12 @@ def test_matches_naive_dft_random_signals():
 def test_bin_out_of_range():
     x = np.zeros(1600)
     with pytest.raises(ValueError, match="out of range"):
-        goertzel_power(x, 801)
+        goertzel_spectrum(x, [801])
     with pytest.raises(ValueError, match="out of range"):
-        goertzel_power(x, -1)
+        goertzel_spectrum(x, [-1])
     with pytest.raises(ValueError, match="integer"):
         goertzel_spectrum(x, [200.5])
-    goertzel_power(x, 0)
-    goertzel_power(x, 800)
-
-
-def test_window_len_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        goertzel_power(np.zeros(1600), 10, window_len=800)
+    goertzel_spectrum(x, [0, 800])
 
 
 def _full_circle_power_sum(x: np.ndarray) -> float:
@@ -92,9 +82,14 @@ def test_default_bank_covers_2_to_8_khz():
 
 
 def test_bank_bin_freq_round_trip():
+    # A tone at a bin's frequency peaks at that bin; a cosine, because the
+    # top bin is the Nyquist bin, where a sine is zero.
     bank = default_bank()
+    t = np.arange(bank.window_len) / bank.sample_rate
     for b in bank.target_bins:
-        assert bank.bin_for(bank.freq_of(b)) == b
+        nearby = range(b - 2, min(b + 2, bank.window_len // 2) + 1)
+        powers = goertzel_spectrum(np.cos(2.0 * np.pi * bank.freq_of(b) * t), nearby)
+        assert nearby[int(np.argmax(powers))] == b
 
 
 def test_bank_validation():
@@ -108,17 +103,37 @@ def test_bank_validation():
         GoertzelBank(target_bins=(100,), window_len=0)
 
 
+def _bank_window(amplitudes, threshold):
+    """A bank on bins 100, 200, ... and a window with one tone per bin.
+
+    A tone of amplitude A on bin b has power (A * N / 2)^2, so the powers
+    are in the ratio of the squared amplitudes.
+    """
+    bins = tuple(100 * (i + 1) for i in range(len(amplitudes)))
+    bank = GoertzelBank(target_bins=bins, threshold=threshold)
+    window = sum(synthesize_tone(bank.freq_of(b), a) for b, a in zip(bins, amplitudes))
+    return bank, window
+
+
 def test_median_lower_middle():
-    assert median_power(np.array([1.0, 5.0, 9.0])) == 5.0
-    assert median_power(np.array([4.0, 1.0, 3.0, 2.0])) == 2.0
-    with pytest.raises(ValueError):
-        median_power(np.array([]))
+    unit = (DEFAULT_WINDOW / 2.0) ** 2  # power of a unit tone
+    # Powers 1, 5, 9 (units): the median is 5.
+    amps = np.sqrt([1.0, 5.0, 9.0])
+    assert gate(*_bank_window(amps, 4.9 * unit)) is True
+    assert gate(*_bank_window(amps, 5.1 * unit)) is False
+    # Powers 4, 1, 3, 2: the lower middle is 2, not the mean 2.5 of the two
+    # middle powers, nor the upper middle 3.
+    amps = np.sqrt([4.0, 1.0, 3.0, 2.0])
+    assert gate(*_bank_window(amps, 1.9 * unit)) is True
+    assert gate(*_bank_window(amps, 2.1 * unit)) is False
 
 
-def test_gate_from_powers_examples():
-    powers = np.array([1.0, 5.0, 9.0])
-    assert gate_from_powers(powers, 4.0) is True
-    assert gate_from_powers(powers, 5.0) is False
+def test_gate_fires_strictly_above_threshold():
+    bank, window = _bank_window(np.sqrt([1.0, 5.0, 9.0]), 0.0)
+    median = float(np.sort(goertzel_spectrum(window, bank.target_bins))[1])
+    assert gate(GoertzelBank(target_bins=bank.target_bins, threshold=median), window) is False
+    below = np.nextafter(median, 0.0)
+    assert gate(GoertzelBank(target_bins=bank.target_bins, threshold=below), window) is True
 
 
 def test_gate_on_bin_tone_fires_single_bin_bank():
@@ -218,7 +233,7 @@ def test_synthesize_on_bin_power():
     bank = default_bank()
     for amp in (0.5, 1.0, 2.0):
         tone = synthesize_tone(bank.freq_of(300), amp)
-        assert goertzel_power(tone, 300) == pytest.approx(
+        assert goertzel_spectrum(tone, [300])[0] == pytest.approx(
             (amp * DEFAULT_WINDOW / 2.0) ** 2, rel=1e-9
         )
 
@@ -258,6 +273,9 @@ def test_basis_matches_goertzel_recurrence(n):
     bins = sorted({0, 1, n // 4, n // 2 - 1, n // 2, *range(3, n // 2, 37)})
     want = goertzel_recurrence(x, bins)
     assert_spectrum_close(goertzel_spectrum(x, bins), want, x)
-    assert_spectrum_close([goertzel_power(x, b) for b in bins], want, x)
-    bank = GoertzelBank(window_len=n, target_bins=tuple(bins))
-    assert_spectrum_close(bank_powers(bank, x), want, x)
+    assert_spectrum_close([goertzel_spectrum(x, [b])[0] for b in bins], want, x)
+    # The gate's median agrees with the recurrence's.
+    median = np.sort(want)[(len(want) - 1) // 2]
+    for scale, fires in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        bank = GoertzelBank(window_len=n, target_bins=tuple(bins), threshold=median * scale)
+        assert gate(bank, x) is fires

@@ -25,7 +25,6 @@ from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
 from dutysim.sim import (
     BULK_MAX_FP,
-    MIN_BULK_WAKES,
     FixedSchedule,
     GreedySchedule,
     TimelineEngine,
@@ -162,14 +161,11 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
 
 
 @settings(max_examples=60, deadline=None)
-@given(engine_cases(), st.sampled_from([1, MIN_BULK_WAKES]))
-def test_bulk_engine_matches_per_wake_engine(case, min_bulk_wakes):
-    # A gate of 1 with no fp_rate cutoff tries a run at every quiet wake, so
-    # runs of every length are billed in bulk, and so is every fp_rate.
+@given(engine_cases(), st.sampled_from([BULK_MAX_FP, 1.0]))
+def test_bulk_engine_matches_per_wake_engine(case, bulk_max_fp):
+    # With no fp_rate cutoff (1.0) every fp_rate is billed in bulk.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "MIN_BULK_WAKES", min_bulk_wakes)
-        if min_bulk_wakes == 1:
-            mp.setattr(sim, "BULK_MAX_FP", 1.0)
+        mp.setattr(sim, "BULK_MAX_FP", bulk_max_fp)
         assert_engines_agree(*case)
 
 
@@ -195,18 +191,11 @@ def test_quiet_day_takes_no_single_probes(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize(
-    "fp_rate, gap_wakes, bulk",
-    [
-        (0.0, 1, True),
-        (0.0, MIN_BULK_WAKES - 1, True),
-        (0.01, MIN_BULK_WAKES - 1, False),
-        (0.01, MIN_BULK_WAKES + 1, True),
-    ],
-)
-def test_only_runs_that_draw_wait_for_the_gate(monkeypatch, fp_rate, gap_wakes, bulk):
-    # At fp_rate 0 a run of any length is billed in bulk; runs that draw
-    # from the day's stream need MIN_BULK_WAKES wakes.
+@pytest.mark.parametrize("fp_rate", [0.0, 0.01])
+@pytest.mark.parametrize("gap_wakes", [1, 3])
+def test_short_quiet_runs_are_billed_in_bulk(monkeypatch, fp_rate, gap_wakes):
+    # Up to BULK_MAX_FP a run of any length is billed in bulk, also when it
+    # draws from the day's stream.
     probe = TimelineEngine._probe
     calls = []
 
@@ -225,7 +214,7 @@ def test_only_runs_that_draw_wait_for_the_gate(monkeypatch, fp_rate, gap_wakes, 
     activations = engine.run_period(3600.0, 3.0).activations
     if fp_rate == 0.0:
         assert activations == 1200
-    assert (len(calls) < activations) == bulk
+    assert len(calls) < activations
 
 
 def test_interval_within_a_tick_of_the_probe_is_rejected():

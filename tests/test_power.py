@@ -81,12 +81,6 @@ def test_profile_current_lookup():
         p.current("laser")
 
 
-def test_profile_overrides():
-    p = PowerProfile().with_overrides(d_tx_audio=2.5)
-    assert p.d_tx_audio == 2.5
-    assert p.i_sleep == 0.097
-
-
 # -- charge_consumed ---------------------------------------------------------
 
 

@@ -42,7 +42,7 @@ def test_empty_trace_fixed_60():
     assert report.activations == 1440
     assert report.positives == 0
     assert report.negatives == 1440
-    assert report.zero_events is True
+    assert report.events_total == 0
     assert report.detection_rate == 1.0
     assert len(report.periods) == 24
 
@@ -332,26 +332,6 @@ def test_train_rejects_mismatched_init_table():
             1,
             init_table=QTable.zeros(24, 3),
         )
-
-
-def test_per_hour_w1_overrides_scalar():
-    tr = _peak_trace(11, 61)
-    w1_hot = np.full(24, 1000.0)
-    w1_hot[5] = 0.02
-    result = train_qlearn(
-        tr,
-        10,
-        1,
-        Hyperparameters(gamma=0.0),
-        ActionSpace(),
-        ORACLE,
-        PROFILE,
-        61,
-        w1_by_hour=w1_hot,
-    )
-    policy = result.table.greedy_policy()
-    assert policy[5] == 0
-    assert policy[0] == 4
 
 
 # -- convergence -------------------------------------------------------------

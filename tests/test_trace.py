@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,23 @@ def test_load_json_bad_payload(tmp_path):
     path = tmp_path / "trace.json"
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(TraceFormatError):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"events": 5}, "'events'"),
+        ({"events": [5]}, r"events\[0\]"),
+        ({"events": [], "horizon": "abc"}, "horizon"),
+        ({"events": [], "origin_hour": "x"}, "origin_hour"),
+    ],
+    ids=["events", "event", "horizon", "origin_hour"],
+)
+def test_load_json_bad_field_names_file_and_field(tmp_path, payload, field):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TraceFormatError, match=f"^trace.json: .*{field}"):
         load_trace(path)
 
 
