@@ -14,7 +14,7 @@ from .collab import (
     NetworkConfig,
     NetworkReport,
     deliver_pings,
-    event_hash,
+    event_hashes,
     expand_global_table,
     form_clusters,
     local_reward,
@@ -108,7 +108,7 @@ __all__ = [
     "decay_epsilon",
     "default_bank",
     "deliver_pings",
-    "event_hash",
+    "event_hashes",
     "events_in_window",
     "expand_global_table",
     "form_clusters",

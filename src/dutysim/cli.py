@@ -363,6 +363,30 @@ def cmd_run_network(args) -> int:
 # -- report -----------------------------------------------------------------
 
 
+def _check_tables(path: Path, kind: str, payload: dict) -> None:
+    """Raise ConfigError naming the first summary table that is not a list of objects.
+
+    A missing key raises KeyError, for the caller to name.
+    """
+
+    def rows(container: dict, key: str, where: str) -> list:
+        value = container[key]
+        if not isinstance(value, list) or not all(isinstance(r, dict) for r in value):
+            raise ConfigError(f"{path}: {where}{key!r} must be a list of objects")
+        return value
+
+    if kind == "run":
+        rows(payload, "comparison", "")
+        rows(payload, "per_period", "")
+        return
+    report = payload["report"]
+    if not isinstance(report, dict):
+        raise ConfigError(f"{path}: 'report' must be an object")
+    for i, episode in enumerate(rows(report, "episodes", "report: ")):
+        rows(episode, "devices", f"report: episodes[{i}]: ")
+    rows(report, "devices", "report: ")
+
+
 def cmd_report(args) -> int:
     if not args.summary:
         raise ConfigError("--summary is required")
@@ -377,8 +401,9 @@ def cmd_report(args) -> int:
     if kind not in ("run", "run-network"):
         raise ConfigError(f"{path}: unknown summary kind {kind!r}")
     out_dir = Path(args.out) if args.out else path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        _check_tables(path, kind, payload)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if kind == "run":
             _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, payload["comparison"])
             _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, payload["per_period"])

@@ -13,12 +13,19 @@ computed as an evaluation metric only.
 
 The per-device state space extends the hour with a binned count of the
 device's own detections in the previous period.
+
+The per-period network loop does each piece of work once: every event is
+hashed once per run, each sender's receivers are found once per node set
+(at the start and after a failure), a period in which no device detected
+anything skips ping delivery and its random stream, and a device's pings
+are billed in one step at the period end.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,7 +46,7 @@ __all__ = [
     "EpisodeMetrics",
     "DeviceSummary",
     "NetworkReport",
-    "event_hash",
+    "event_hashes",
     "form_clusters",
     "deliver_pings",
     "local_reward",
@@ -89,21 +96,29 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def event_hash(band: float | None, start: float) -> int:
-    """64-bit FNV-1a over the event's quantized features.
+def event_hashes(bands, starts) -> list[int]:
+    """64-bit FNV-1a over each event's quantized features, as Python ints.
 
-    Band is bucketed to 100 Hz (untagged events share a sentinel bucket),
-    start to whole seconds, so co-detections of one event hash alike on
-    every device.
+    Band is bucketed to 100 Hz (untagged events, band None, share a
+    sentinel bucket), start to whole seconds, so co-detections of one event
+    hash alike on every device. The buckets are taken in Python ints, exact
+    at any size, and hashed as two little-endian 64-bit words for all
+    events at once in numpy uint64, whose multiply wraps mod 2**64.
     """
-    qband = -1 if band is None else int(band // 100.0)
-    qstart = int(start // 1.0)
-    h = _FNV_OFFSET
-    for word in (qband & _MASK64, qstart & _MASK64):
-        for byte in word.to_bytes(8, "little"):
-            h ^= byte
-            h = (h * _FNV_PRIME) & _MASK64
-    return h
+    words = np.array(
+        [
+            ((-1 if band is None else int(band // 100.0)) & _MASK64, int(start // 1.0) & _MASK64)
+            for band, start in zip(bands, starts)
+        ],
+        dtype=np.uint64,
+    ).reshape(-1, 2)
+    h = np.full(len(words), _FNV_OFFSET, dtype=np.uint64)
+    prime, low_byte = np.uint64(_FNV_PRIME), np.uint64(0xFF)
+    for word in words.T:
+        for shift in range(0, 64, 8):
+            h ^= (word >> np.uint64(shift)) & low_byte
+            h *= prime
+    return h.tolist()
 
 
 def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
@@ -172,6 +187,26 @@ def network_reward(inputs: NetworkRewardInputs) -> float:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _receivers(nodes: tuple[DeviceNode, ...]) -> dict[int, tuple[int, ...]]:
+    """Each sender's receivers: the other devices within its comm radius, by id.
+
+    Cached per node set, which changes only when a device fails; callers
+    must not mutate the returned dict.
+    """
+    by_id = {n.id: n for n in nodes}
+    ids = sorted(by_id)
+    return {
+        sender.id: tuple(
+            i
+            for i in ids
+            if i != sender.id
+            and math.dist(sender.position, by_id[i].position) <= sender.comm_radius
+        )
+        for sender in by_id.values()
+    }
+
+
 def deliver_pings(
     nodes: list[DeviceNode],
     detections: dict[int, list[int]],
@@ -185,22 +220,25 @@ def deliver_pings(
     Returns mailbox[receiver][hash] = senders whose ping arrived. Delivery
     reaches every other device within the sender's comm radius; with a
     positive drop_rate each delivery is lost independently with that
-    probability (draw order: sender id, detection order, receiver id).
+    probability (draw order: sender id, detection order, receiver id; all
+    of a call's draws are taken in one block, which leaves the stream where
+    one draw per delivery would).
     """
     if drop_rate and rng is None:
         raise ValueError("drop_rate > 0 needs an rng")
-    by_id = {n.id: n for n in nodes}
-    ids = sorted(by_id)
-    mailbox: dict[int, dict[int, list[int]]] = {i: {} for i in ids}
-    for sender_id in sorted(detections):
-        sender = by_id[sender_id]
+    receivers = _receivers(tuple(nodes))
+    sender_ids = sorted(detections)
+    mailbox: dict[int, dict[int, list[int]]] = {i: {} for i in sorted(receivers)}
+    if drop_rate > 0:
+        n = sum(len(detections[i]) * len(receivers[i]) for i in sender_ids)
+        lost = iter((rng.random(n) < drop_rate).tolist())
+    else:
+        lost = itertools.repeat(False)
+    for sender_id in sender_ids:
+        reach = receivers[sender_id]
         for h in detections[sender_id]:
-            for receiver_id in ids:
-                if receiver_id == sender_id:
-                    continue
-                if math.dist(sender.position, by_id[receiver_id].position) > sender.comm_radius:
-                    continue
-                if drop_rate > 0 and rng.random() < drop_rate:
+            for receiver_id in reach:
+                if next(lost):
                     continue
                 mailbox[receiver_id].setdefault(h, []).append(sender_id)
     return {
@@ -405,8 +443,13 @@ class _EpisodeTally:
         self.batteries: dict[int, float] = {}
 
     def add_period(self, alive, period_stats, detections_by_event, w1, w2, w3) -> None:
-        """Fold in one period: device totals, detections and the network reward."""
-        counts: Counter = Counter()
+        """Fold in one period: device totals, detections and the network reward.
+
+        detections_by_event counts the devices that detected each event; an
+        engine marks an event detected at most once, so that is a count of
+        distinct devices.
+        """
+        counts: dict[int, int] = {}
         for rt in alive:
             did = rt.node.id
             stats = period_stats[did]
@@ -415,8 +458,8 @@ class _EpisodeTally:
             rt.negatives += stats.negatives
             self.activations[did] += stats.activations
             for eid, _s in stats.detected:
-                detections_by_event.setdefault(eid, set()).add(did)
-                counts[eid] += 1
+                detections_by_event[eid] = detections_by_event.get(eid, 0) + 1
+                counts[eid] = counts.get(eid, 0) + 1
         self.batteries = {rt.node.id: rt.battery for rt in alive}
         self.battery_sd = float(np.std(list(self.batteries.values())))
         overlaps = tuple(counts[eid] for eid in sorted(counts))
@@ -431,7 +474,7 @@ class _EpisodeTally:
     def metrics(self, day_events: list[int], detections_by_event) -> EpisodeMetrics:
         detected = [eid for eid in day_events if eid in detections_by_event]
         dup = (
-            sum(len(detections_by_event[eid]) for eid in detected) / len(detected)
+            sum(detections_by_event[eid] for eid in detected) / len(detected)
             if detected
             else 0.0
         )
@@ -470,13 +513,16 @@ def run_network(
     replaced by local_reward. Every event needs a location; each device
     senses only events within its sensing radius. Per period and in id
     order: choose actions, run each device's timeline, exchange pings, then
-    update each table against its local reward. A training device bills one
-    ping per detection at the period end, even with no neighbour to hear
-    it; train_qlearn bills none, so a lone network device keeps a different
-    log and charge. Failures listed in the config remove a device at the
-    start of the given episode; clusters re-form and, by default, epsilon
-    resets for the survivors. init_tables[id] seeds that device's table by
-    copy; the others start from zeros.
+    update each table against its local reward. Event hashes are computed
+    once, for the whole trace, before the first period; deliver_pings finds
+    receivers once per node set; a period with no detection on any device
+    delivers nothing and builds no pings stream. A training device bills
+    one ping per detection at the period end, in one step, even with no
+    neighbour to hear it; train_qlearn bills none, so a lone network device
+    keeps a different log and charge. Failures listed in the config remove
+    a device at the start of the given episode; clusters re-form and, by
+    default, epsilon resets for the survivors. init_tables[id] seeds that
+    device's table by copy; the others start from zeros.
     """
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
@@ -484,8 +530,9 @@ def run_network(
     ids = [n.id for n in order]
     if len(set(ids)) != len(ids):
         raise ScheduleError("device ids must be unique")
-    for ev in trace.events:
-        if ev.location is None:
+    locations = [ev.location for ev in trace.events]
+    for ev, loc in zip(trace.events, locations):
+        if loc is None:
             raise ScheduleError(f"event {ev.id} has no location; network runs need one")
     span = config.episodes * SECONDS_PER_DAY
     if trace.horizon < span:
@@ -501,7 +548,14 @@ def run_network(
         if did not in known:
             raise ScheduleError(f"failure names unknown device {did}")
     n_states = 24 * config.n_bins
-    feat = {ev.id: (ev.band, ev.start) for ev in trace.events}
+    if config.train:
+        events = trace.events
+        hash_of = dict(
+            zip(
+                (ev.id for ev in events),
+                event_hashes([ev.band for ev in events], [ev.start for ev in events]),
+            )
+        )
     events_by_day: dict[int, list[int]] = {}
     for ev in trace.events:
         events_by_day.setdefault(int(ev.start // SECONDS_PER_DAY), []).append(ev.id)
@@ -509,7 +563,7 @@ def run_network(
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
         sub = trace.subset(
-            lambda ev: math.dist(ev.location, node.position) <= node.sensing_radius
+            [math.dist(loc, node.position) <= node.sensing_radius for loc in locations]
         )
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
@@ -536,7 +590,7 @@ def run_network(
     for did, ep in config.failures:
         failures_by_episode.setdefault(ep, []).append(did)
 
-    detections_by_event: dict[int, set[int]] = {}
+    detections_by_event: dict[int, int] = {}
     tallies: list[_EpisodeTally] = []
     for t in range(config.episodes * 24):
         day, hour_idx = divmod(t, 24)
@@ -569,17 +623,20 @@ def run_network(
             own_hashes: dict[int, list[int]] = {}
             for rt in alive:
                 did = rt.node.id
-                hashes = [event_hash(*feat[eid]) for (eid, _s) in period_stats[did].detected]
+                hashes = [hash_of[eid] for (eid, _s) in period_stats[did].detected]
                 own_hashes[did] = hashes
-                for _ in hashes:
-                    rt.engine.bill_ql("ping", p_end)
-            rng_pings = substream(seed, "pings", t) if config.drop_rate > 0 else None
-            mailbox = deliver_pings(
-                [rt.node for rt in alive],
-                own_hashes,
-                drop_rate=config.drop_rate,
-                rng=rng_pings,
-            )
+                if hashes:
+                    rt.engine.bill_pings(len(hashes), p_end)
+            mailbox = {}
+            if any(own_hashes.values()):
+                # A period without pings draws nothing, so its stream is not built.
+                rng_pings = substream(seed, "pings", t) if config.drop_rate > 0 else None
+                mailbox = deliver_pings(
+                    [rt.node for rt in alive],
+                    own_hashes,
+                    drop_rate=config.drop_rate,
+                    rng=rng_pings,
+                )
             for rt in alive:
                 did = rt.node.id
                 stats = period_stats[did]

@@ -291,9 +291,23 @@ class TimelineEngine:
             self._emit("sleep", target - self.t)
 
     def bill_ql(self, mode: str, at: float) -> None:
-        """Insert a scheduler inference/update/ping activity at the frontier."""
+        """Insert a scheduler inference or update activity at the frontier."""
         self._sleep_to(to_ticks(at))
-        self._emit(mode, self.dur["d_ping" if mode == "ping" else "d_ql"])
+        self._emit(mode, self.dur["d_ql"])
+
+    def bill_pings(self, k: int, at: float) -> None:
+        """Insert k pings back to back at the frontier, from ``at`` (s) on.
+
+        Without a log the k pings are one tick add, clipped at the horizon
+        as k separate ones would be; a collected log gets k entries.
+        """
+        self._sleep_to(to_ticks(at))
+        d_ping = self.dur["d_ping"]
+        if self.log is None:
+            self._emit("ping", k * d_ping)
+        else:
+            for _ in range(k):
+                self._emit("ping", d_ping)
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
         """Process all wakes scheduled before p_end (s) at the given interval (s)."""

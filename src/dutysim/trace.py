@@ -101,13 +101,14 @@ class EventTrace:
         return len(self.events)
 
     def subset(self, keep) -> EventTrace:
-        """The events for which keep(event) is true, over the same span.
+        """The events whose flag in ``keep``, one bool per event, is true, over the same span.
 
         Any subsequence of a valid trace is valid, so the events are not
         checked again.
         """
         sub = object.__new__(EventTrace)
-        object.__setattr__(sub, "events", tuple(ev for ev in self.events if keep(ev)))
+        events = tuple(ev for ev, k in zip(self.events, keep, strict=True) if k)
+        object.__setattr__(sub, "events", events)
         object.__setattr__(sub, "horizon", self.horizon)
         object.__setattr__(sub, "origin_hour", self.origin_hour)
         return sub
@@ -432,6 +433,13 @@ def _save_json(trace: EventTrace, path: Path) -> None:
         fh.write("\n")
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; int() would truncate 1.5 and take true as 1."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _load_json(path: Path) -> EventTrace:
     try:
         with open(path) as fh:
@@ -450,7 +458,7 @@ def _load_json(path: Path) -> EventTrace:
             loc = item.get("location")
             events.append(
                 Event(
-                    id=int(item["id"]),
+                    id=_json_int(item["id"], "id"),
                     start=float(item["start"]),
                     duration=float(item["duration"]),
                     band=float(item["band"]) if item.get("band") is not None else None,
@@ -460,7 +468,8 @@ def _load_json(path: Path) -> EventTrace:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise TraceFormatError(f"{path.name}: events[{i}]: {exc}") from exc
     meta = {}
-    for key, parse in (("horizon", float), ("origin_hour", int)):
+    parsers = (("horizon", float), ("origin_hour", lambda v: _json_int(v, "origin_hour")))
+    for key, parse in parsers:
         value = payload.get(key)
         if value is None:
             continue

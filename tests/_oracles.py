@@ -3,7 +3,8 @@
 Everything here is deliberately naive: direct DFT matrix products, the
 scalar Goertzel recurrence, 1 ms time-grid energy integration, linear
 interval scans, exhaustive subset clique enumeration, a timeline engine
-that probes every wake one by one. Slow and obviously correct beats fast
+that probes every wake one by one, a byte-by-byte event hash and ping
+delivery that measures every distance per ping. Slow and obviously correct beats fast
 and clever for an oracle.
 """
 
@@ -138,6 +139,52 @@ def maximal_cliques_bruteforce(positions, sensing_radii):
     return sorted(cliques)
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def event_hash(band: float | None, start: float) -> int:
+    """64-bit FNV-1a over one event's quantized features, byte by byte."""
+    qband = -1 if band is None else int(band // 100.0)
+    qstart = int(start // 1.0)
+    h = _FNV_OFFSET
+    for word in (qband & _MASK64, qstart & _MASK64):
+        for byte in word.to_bytes(8, "little"):
+            h ^= byte
+            h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def deliver_pings_per_ping(nodes, detections, drop_rate=0.0, rng=None):
+    """Ping delivery measuring every sender-receiver distance per ping."""
+    by_id = {n.id: n for n in nodes}
+    ids = sorted(by_id)
+    mailbox = {i: {} for i in ids}
+    for sender_id in sorted(detections):
+        sender = by_id[sender_id]
+        for h in detections[sender_id]:
+            for receiver_id in ids:
+                if receiver_id == sender_id:
+                    continue
+                if math.dist(sender.position, by_id[receiver_id].position) > sender.comm_radius:
+                    continue
+                if drop_rate > 0 and rng.random() < drop_rate:
+                    continue
+                mailbox[receiver_id].setdefault(h, []).append(sender_id)
+    return {i: {h: tuple(s) for h, s in row.items()} for i, row in mailbox.items()}
+
+
+def stream_position(rng: np.random.Generator) -> tuple:
+    """Where a Philox stream stands: its counter and buffered output."""
+    state = rng.bit_generator.state
+    return (
+        tuple(int(c) for c in state["state"]["counter"]),
+        state["buffer_pos"],
+        state["has_uint32"],
+    )
+
+
 TWO_PEAK_HOURS = (5, 6, 7, 8, 17, 18, 19)
 
 
@@ -159,8 +206,9 @@ def two_peak_trace(days: int, seed: int, **kwargs) -> EventTrace:
 class PerWakeEngine(TimelineEngine):
     """TimelineEngine that probes every wake one by one, never in bulk.
 
-    run_period and _probe are the engine's per-wake loop, in integer ticks;
-    billing, log and state handling come from TimelineEngine. Swap it in for
+    run_period and _probe are the engine's per-wake loop, in integer ticks,
+    and bill_pings bills one ping at a time; the rest of billing, log and
+    state handling come from TimelineEngine. Swap it in for
     ``dutysim.sim.TimelineEngine`` (and ``dutysim.collab.TimelineEngine``)
     to get the reference result of any run.
     """
@@ -178,6 +226,11 @@ class PerWakeEngine(TimelineEngine):
             self._probe(w, stats)
             self.next_wake = max(w + interval, self.t)
         return stats
+
+    def bill_pings(self, k: int, at: float) -> None:
+        for _ in range(k):
+            self._sleep_to(to_ticks(at))
+            self._emit("ping", self.dur["d_ping"])
 
     def _probe(self, w: int, stats: PeriodStats) -> None:
         p, d = self.profile, self.dur

@@ -7,6 +7,7 @@ byte level since the manifest hashes promise exactly that.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,30 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
     summary.write_text(json.dumps(payload))
     assert main(["report", "--summary", str(summary), "--out", str(tmp_path / "re")]) == 1
     assert f"missing key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"kind": "run", "comparison": 5, "per_period": []}, "'comparison'"),
+        ({"kind": "run", "comparison": [], "per_period": [3]}, "'per_period'"),
+        ({"kind": "run-network", "report": 5}, "'report'"),
+        ({"kind": "run-network", "report": {"episodes": {}, "devices": []}}, "'episodes'"),
+        (
+            {"kind": "run-network", "report": {"episodes": [{"devices": 1}], "devices": []}},
+            r"episodes\[0\]: 'devices'",
+        ),
+        ({"kind": "run-network", "report": {"episodes": [], "devices": "x"}}, "'devices'"),
+    ],
+    ids=["comparison", "per_period", "report", "episodes", "episode_devices", "devices"],
+)
+def test_report_names_a_wrongly_typed_table(tmp_path, capsys, payload, key):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(payload))
+    out = tmp_path / "re"
+    assert main(["report", "--summary", str(summary), "--out", str(out)]) == 1
+    assert re.search(f"^error: .*summary.json: .*{key} must be", capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

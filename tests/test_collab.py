@@ -6,18 +6,21 @@ examples, and run_network against its single-device reductions to the
 core simulator.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dutysim import collab
 from dutysim.collab import (
     Cluster,
     DeviceNode,
     NetworkConfig,
     NetworkRewardInputs,
     deliver_pings,
-    event_hash,
+    event_hashes,
     expand_global_table,
     form_clusters,
     local_reward,
@@ -29,10 +32,16 @@ from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
 from dutysim.rng import substream
-from dutysim.sim import FixedSchedule, run_schedule, train_qlearn
+from dutysim.sim import FixedSchedule, TimelineEngine, run_schedule, train_qlearn
 from dutysim.trace import DiurnalProfile, generate_trace
 
-from _oracles import maximal_cliques_bruteforce, two_peak_rates
+from _oracles import (
+    deliver_pings_per_ping,
+    event_hash,
+    maximal_cliques_bruteforce,
+    stream_position,
+    two_peak_rates,
+)
 
 ORACLE = DetectorModel(tp_rate=1.0, fp_rate=0.0)
 PROFILE = PowerProfile()
@@ -205,20 +214,25 @@ def test_slot_counts_balanced_over_any_window(size, start, length):
 
 
 # ---------------------------------------------------------------------------
-# event_hash
+# event_hashes
 
 
 def test_event_hash_deterministic_and_quantized():
-    assert event_hash(2500.0, 90.0) == event_hash(2500.0, 90.0)
+    bands = [2500.0, 2500.0, 2599.0, 2600.0, 2500.0]
+    starts = [90.0, 90.2, 90.9, 90.0, 91.0]
+    hashes = event_hashes(bands, starts)
+    assert event_hashes(bands, starts) == hashes
+    base, later_start, both_later, next_band, next_second = hashes
     # 100 Hz buckets and 1 s buckets.
-    assert event_hash(2500.0, 90.2) == event_hash(2599.0, 90.9)
-    assert event_hash(2500.0, 90.0) != event_hash(2600.0, 90.0)
-    assert event_hash(2500.0, 90.0) != event_hash(2500.0, 91.0)
+    assert base == later_start == both_later
+    assert next_band != base
+    assert next_second != base
 
 
 def test_event_hash_untagged_band_is_distinct_bucket():
-    assert event_hash(None, 10.0) == event_hash(None, 10.4)
-    assert event_hash(None, 10.0) != event_hash(50.0, 10.0)
+    a, b, tagged = event_hashes([None, None, 50.0], [10.0, 10.4, 10.0])
+    assert a == b
+    assert a != tagged
 
 
 @given(
@@ -227,8 +241,38 @@ def test_event_hash_untagged_band_is_distinct_bucket():
 )
 @settings(max_examples=200, deadline=None)
 def test_event_hash_is_64_bit(band, start):
-    h = event_hash(band, start)
+    (h,) = event_hashes([band], [start])
+    assert type(h) is int
     assert 0 <= h < 2**64
+
+
+def _either_side(multiple: float, n: int) -> list[float]:
+    x = n * multiple
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Bands within an ulp of a 100 Hz bucket edge, untagged bands, bands whose
+# bucket is 2**63 or more (past int64, exact only in Python ints), and
+# starts within an ulp of a whole second.
+HASH_BANDS = st.one_of(
+    st.none(),
+    st.floats(1e-3, 2e4),
+    st.integers(1, 200).flatmap(lambda n: st.sampled_from(_either_side(100.0, n))),
+    st.floats(2.0**63 * 100.0, 1e300),
+)
+HASH_STARTS = st.one_of(
+    st.floats(0.0, 1e7),
+    st.integers(0, 10**7).flatmap(lambda n: st.sampled_from(_either_side(1.0, n))),
+)
+
+
+@given(st.lists(st.tuples(HASH_BANDS, HASH_STARTS), max_size=40))
+@example([(2.0**63 * 100.0, 1.0), (math.nextafter(100.0, 0.0), math.nextafter(1.0, 0.0))])
+@settings(max_examples=200, deadline=None)
+def test_event_hashes_match_scalar_oracle(events):
+    bands = [b for b, _ in events]
+    starts = [s for _, s in events]
+    assert event_hashes(bands, starts) == [event_hash(b, s) for b, s in events]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +325,48 @@ def test_lossy_delivery_is_deterministic_per_stream():
     a = deliver_pings(nodes, detections, drop_rate=0.5, rng=substream(9, "p"))
     b = deliver_pings(nodes, detections, drop_rate=0.5, rng=substream(9, "p"))
     assert a == b
+
+
+@st.composite
+def ping_rounds(draw):
+    """A layout, then per round a surviving node set and its detections."""
+    n = draw(st.integers(1, 6))
+    coord = st.floats(0.0, 30.0)
+    nodes = [
+        node_at(i, draw(coord), draw(coord), comm=draw(st.sampled_from([5.0, 10.0, 20.0])))
+        for i in range(n)
+    ]
+    rounds = []
+    alive = list(nodes)
+    for _ in range(draw(st.integers(1, 4))):
+        if len(alive) > 1 and draw(st.booleans()):
+            alive.pop(draw(st.integers(0, len(alive) - 1)))  # a failure
+        hashes = st.lists(st.integers(0, 5), max_size=4)
+        rounds.append((list(alive), {nd.id: draw(hashes) for nd in alive}))
+    return rounds
+
+
+@given(ping_rounds(), st.sampled_from([0.0, 0.5]), st.integers(0, 1000))
+@settings(max_examples=100, deadline=None)
+def test_cached_receivers_deliver_like_per_ping_distances(rounds, drop_rate, seed):
+    # Receivers are cached per node set, so replaying rounds whose node set
+    # shrinks after a failure must still match a fresh math.dist per ping,
+    # mailbox for mailbox and draw for draw.
+    rng = substream(seed, "p") if drop_rate else None
+    oracle_rng = substream(seed, "p") if drop_rate else None
+    for nodes, detections in rounds:
+        got = deliver_pings(nodes, detections, drop_rate=drop_rate, rng=rng)
+        want = deliver_pings_per_ping(nodes, detections, drop_rate, oracle_rng)
+        assert got == want
+        if drop_rate:
+            assert stream_position(rng) == stream_position(oracle_rng)
+
+
+def test_receivers_on_the_radius_boundary():
+    # 3-4-5 triangle: the distance is exactly 5.0, so the ping arrives.
+    nodes = [node_at(0, 0.0, 0.0, comm=5.0), node_at(1, 3.0, 4.0, comm=4.0)]
+    mailbox = deliver_pings(nodes, {0: [7], 1: [7]})
+    assert mailbox == {0: {}, 1: {7: (0,)}}
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +573,42 @@ def test_missing_event_locations_rejected():
     bare = generate_trace(profile, 3)
     with pytest.raises(ScheduleError):
         run_network(bare, network(episodes=1), HP, ActionSpace(), ORACLE, PROFILE, 3)
+
+
+def test_network_pings_billed_per_detection_in_one_step(monkeypatch):
+    engines = []
+
+    class RecordingEngine(TimelineEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.detected_per_period = []
+            engines.append(self)
+
+        def run_period(self, p_end, interval):
+            stats = super().run_period(p_end, interval)
+            self.detected_per_period.append(len(stats.detected))
+            return stats
+
+    monkeypatch.setattr(collab, "TimelineEngine", RecordingEngine)
+    tr = area_trace(2, 23)
+    cfg = network(covering_node(0), covering_node(1), episodes=2)
+    logged = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 23, collect_logs=True)
+    bare = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 23)
+    for device in logged.devices:
+        engine, bare_engine = engines[device.id], engines[2 + device.id]
+        log = logged.logs[device.id]
+        assert max(engine.detected_per_period) >= 2
+        # Pings of the last period fall at the horizon and clip to nothing.
+        pings = [entry for entry in log if entry.mode == "ping"]
+        assert len(pings) == sum(engine.detected_per_period[:-1])
+        assert all(entry.duration == PROFILE.ticks["d_ping"] for entry in pings)
+        from_log = dict.fromkeys(engine.ticks_by_mode, 0)
+        for entry in log:
+            from_log[entry.mode] += entry.duration
+        assert from_log == engine.ticks_by_mode == bare_engine.ticks_by_mode
+        assert device.charge_mah == charge_consumed(log, PROFILE)
+        assert device.charge_mah == bare.devices[device.id].charge_mah
+    assert logged.to_dict() == bare.to_dict()
 
 
 def test_battery_conservation_and_log_tiling():

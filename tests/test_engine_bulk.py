@@ -1,10 +1,11 @@
 """Bulk billing of quiet wakes against the per-wake reference engine.
 
 Each property runs the same inputs through TimelineEngine and through
-``_oracles.PerWakeEngine`` (the one-probe-per-wake loop) and asserts
-equal results: period stats, per-mode ticks, charge to the bit, busy
-frontier, pending wake, detections, logs and the position of every day's
-random stream. It then checks the engine invariants: the log tiles the span
+``_oracles.PerWakeEngine`` (the one-probe-per-wake loop, one ping at a
+time) and asserts equal results: period stats, per-mode ticks, charge to
+the bit, busy frontier, pending wake, detections, logs and the position of
+every day's random stream; a TimelineEngine that keeps no log must agree
+on all but the log. It then checks the engine invariants: the log tiles the span
 in ticks, the online charge equals the charge recomputed from the log, and
 no more events are detected than there are.
 """
@@ -40,7 +41,7 @@ from dutysim.trace import (
     make_trace,
 )
 
-from _oracles import PerWakeEngine, two_peak_rates
+from _oracles import PerWakeEngine, stream_position, two_peak_rates
 
 PROFILES = (
     PowerProfile(),
@@ -56,15 +57,6 @@ def awkward_intervals(d_probe: float) -> tuple[float, ...]:
 
 def bits(x) -> str:
     return float(x).hex()
-
-
-def stream_position(rng: np.random.Generator) -> tuple:
-    state = rng.bit_generator.state
-    return (
-        tuple(int(c) for c in state["state"]["counter"]),
-        state["buffer_pos"],
-        state["has_uint32"],
-    )
 
 
 @contextlib.contextmanager
@@ -113,7 +105,7 @@ def engine_cases(draw):
     p_start = t_begin
     while p_start < t_end:
         p_end = min(p_start + draw(st.floats(300.0, 4000.0)), t_end)
-        bill = draw(st.sampled_from([None, "ql_infer", "ql_update", "ping"]))
+        bill = draw(st.sampled_from([None, "ql_infer", "ql_update", 1, 3]))  # int: pings
         periods.append((p_start, p_end, draw(interval), bill))
         p_start = p_end
     return profile, trace, t_begin, t_end, detector, periods, draw(st.integers(0, 2**16))
@@ -128,23 +120,32 @@ def _engine(cls, profile, trace, t_begin, t_end, detector, seed):
 def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed):
     fast = _engine(TimelineEngine, profile, trace, t_begin, t_end, detector, seed)
     slow = _engine(PerWakeEngine, profile, trace, t_begin, t_end, detector, seed)
+    # Without a log, quiet runs and pings are billed as tick sums only.
+    bare = TimelineEngine(
+        trace, t_begin, t_end, profile, detector, _day_rng_provider(seed, 0)
+    )
+    engines = (fast, slow, bare)
     for p_start, p_end, interval, bill in periods:
         if bill == "ql_infer":
-            fast.bill_ql(bill, p_start)
-            slow.bill_ql(bill, p_start)
-        got = fast.run_period(p_end, interval)
-        want = slow.run_period(p_end, interval)
-        if bill in ("ql_update", "ping"):
-            fast.bill_ql(bill, p_end)
-            slow.bill_ql(bill, p_end)
-        assert got == want
-        assert fast.ticks_by_mode == slow.ticks_by_mode
-        assert bits(fast.charge_mah) == bits(slow.charge_mah)
-        assert fast.t == slow.t
-        assert fast.next_wake == slow.next_wake
-        assert fast.cam_acc == slow.cam_acc
-    fast.finish()
-    slow.finish()
+            for e in engines:
+                e.bill_ql(bill, p_start)
+        got, want, got_bare = (e.run_period(p_end, interval) for e in engines)
+        if bill == "ql_update":
+            for e in engines:
+                e.bill_ql(bill, p_end)
+        elif isinstance(bill, int):
+            for e in engines:
+                e.bill_pings(bill, p_end)
+        assert got == want == got_bare
+        assert fast.ticks_by_mode == slow.ticks_by_mode == bare.ticks_by_mode
+        assert bits(fast.charge_mah) == bits(slow.charge_mah) == bits(bare.charge_mah)
+        assert fast.t == slow.t == bare.t
+        assert fast.next_wake == slow.next_wake == bare.next_wake
+        assert fast.cam_acc == slow.cam_acc == bare.cam_acc
+    for e in engines:
+        e.finish()
+    assert bare.ticks_by_mode == fast.ticks_by_mode
+    assert bare.detected == fast.detected
     assert fast.detected == slow.detected
     assert fast.log == slow.log
     assert all(type(e.start) is int and type(e.duration) is int for e in fast.log)
@@ -176,6 +177,27 @@ def test_quiet_run_across_midnight_draws_from_each_day(fp_rate):
     periods = [(t_begin, t_end, 3.0, None)]
     detector = DetectorModel(fp_rate=fp_rate)
     assert_engines_agree(PROFILES[0], trace, t_begin, t_end, detector, periods, 5)
+
+
+@pytest.mark.parametrize("collect_log", [False, True])
+def test_pings_clip_at_the_horizon_as_one_at_a_time(collect_log):
+    profile = PROFILES[0]
+    d_ping = profile.ticks["d_ping"]
+    trace = make_trace([], horizon=SECONDS_PER_DAY)
+    at = SECONDS_PER_DAY - 2.5 * profile.d_ping
+    detector = DetectorModel(fp_rate=0.0)
+    fast, slow = (
+        cls(trace, 0.0, SECONDS_PER_DAY, profile, detector, None, collect_log=collect_log)
+        for cls in (TimelineEngine, PerWakeEngine)
+    )
+    for e in (fast, slow):
+        e.bill_pings(4, at)
+    assert fast.ticks_by_mode == slow.ticks_by_mode
+    assert fast.ticks_by_mode["ping"] == fast.horizon - to_ticks(at) == 2.5 * d_ping
+    assert fast.t == slow.t == fast.horizon
+    assert fast.log == slow.log
+    if collect_log:
+        assert [e.mode for e in fast.log] == ["sleep", "ping", "ping", "ping"]
 
 
 def test_quiet_day_takes_no_single_probes(monkeypatch):

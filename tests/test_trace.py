@@ -168,8 +168,21 @@ def test_load_json_bad_payload(tmp_path):
         ({"events": [5]}, r"events\[0\]"),
         ({"events": [], "horizon": "abc"}, "horizon"),
         ({"events": [], "origin_hour": "x"}, "origin_hour"),
+        ({"events": [], "origin_hour": 1.5}, "origin_hour"),
+        ({"events": [], "origin_hour": True}, "origin_hour"),
+        ({"events": [{"id": 1.7, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
+        ({"events": [{"id": True, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
     ],
-    ids=["events", "event", "horizon", "origin_hour"],
+    ids=[
+        "events",
+        "event",
+        "horizon",
+        "origin_hour",
+        "origin_hour_float",
+        "origin_hour_bool",
+        "id_float",
+        "id_bool",
+    ],
 )
 def test_load_json_bad_field_names_file_and_field(tmp_path, payload, field):
     path = tmp_path / "trace.json"
