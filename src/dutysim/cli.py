@@ -301,12 +301,15 @@ def cmd_run_network(args) -> int:
     net_cfg = cfg.network
     if net_cfg is None:
         raise ConfigError("run-network needs a network section")
+    if net_cfg.layout_file is not None:
+        layout = load_layout(net_cfg.layout_file, base_dir)
+        try:
+            net_cfg = dataclasses.replace(net_cfg, layout=layout, layout_file=None)
+        except ValueError as e:
+            raise ConfigError(f"network.layout_file: {e}") from None
     trace = build_trace(cfg, base_dir)
     profile = build_profile(cfg)
     actions = ActionSpace(cfg.actions)
-    if net_cfg.layout_file is not None:
-        layout = load_layout(net_cfg.layout_file, base_dir)
-        net_cfg = dataclasses.replace(net_cfg, layout=layout, layout_file=None)
 
     init_tables = None
     if net_cfg.train and net_cfg.pretrain_days > 0:
@@ -364,8 +367,9 @@ def cmd_run_network(args) -> int:
 
 
 def _check_tables(path: Path, kind: str, payload: dict) -> None:
-    """Raise ConfigError naming the first summary table that is not a list of objects.
+    """Raise ConfigError naming the first malformed summary table or device id.
 
+    A table must be a list of objects and a device id a non-negative int.
     A missing key raises KeyError, for the caller to name.
     """
 
@@ -375,6 +379,16 @@ def _check_tables(path: Path, kind: str, payload: dict) -> None:
             raise ConfigError(f"{path}: {where}{key!r} must be a list of objects")
         return value
 
+    def devices(container: dict, where: str) -> None:
+        # Each id names a device_{id}.csv file, so only a plain int will do.
+        for k, device in enumerate(rows(container, "devices", where)):
+            did = device["id"]
+            if type(did) is not int or did < 0:
+                raise ConfigError(
+                    f"{path}: {where}devices[{k}]: 'id' must be a non-negative "
+                    f"integer, got {did!r}"
+                )
+
     if kind == "run":
         rows(payload, "comparison", "")
         rows(payload, "per_period", "")
@@ -383,8 +397,8 @@ def _check_tables(path: Path, kind: str, payload: dict) -> None:
     if not isinstance(report, dict):
         raise ConfigError(f"{path}: 'report' must be an object")
     for i, episode in enumerate(rows(report, "episodes", "report: ")):
-        rows(episode, "devices", f"report: episodes[{i}]: ")
-    rows(report, "devices", "report: ")
+        devices(episode, f"report: episodes[{i}]: ")
+    devices(report, "report: ")
 
 
 def cmd_report(args) -> int:

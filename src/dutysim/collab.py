@@ -26,7 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -301,7 +302,8 @@ class NetworkConfig:
 
     The devices come as ``layout``, or as ``layout_file``, a JSON device
     list the caller reads into ``layout`` before the run; exactly one is
-    set. pretrain_days > 0 asks the caller to seed every device's table
+    set. Layout ids are unique, and each failures entry names one of them.
+    pretrain_days > 0 asks the caller to seed every device's table
     from that many days of single-device training (``dutysim run-network``
     does, through run_network's init_tables). train False runs every device
     on fixed_interval with no learning, no pings, and no scheduler billing
@@ -345,6 +347,13 @@ class NetworkConfig:
         for entry in self.failures:
             if len(entry) != 2 or entry[1] < 0:
                 raise ValueError("failures entries are (device_id, episode >= 0)")
+        if self.layout is not None:
+            ids = {n.id for n in self.layout}
+            if len(ids) != len(self.layout):
+                raise ValueError("layout: device ids must be unique")
+            for did, _ep in self.failures:
+                if did not in ids:
+                    raise ValueError(f"failures: unknown device {did}")
 
     @property
     def n_bins(self) -> int:
@@ -353,29 +362,33 @@ class NetworkConfig:
 
 @dataclass
 class EpisodeMetrics:
+    """One episode's network totals; run_network adds each period into it."""
+
     index: int
-    events_total: int
-    events_detected: int
-    detection_rate: float
-    mean_duplicates: float
-    positives: int
-    negatives: int
-    global_reward: float
-    battery_sd: float
-    activations: dict[int, int]
-    batteries: dict[int, float]
+    events_total: int = 0
+    events_detected: int = 0
+    detection_rate: float = 0.0
+    mean_duplicates: float = 0.0
+    positives: int = 0
+    negatives: int = 0
+    global_reward: float = 0.0
+    battery_sd: float = 0.0
+    activations: dict[int, int] = field(default_factory=dict)
+    batteries: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
 class DeviceSummary:
+    """One device's totals over the run; run_network adds each period into it."""
+
     id: int
-    activations: int
-    positives: int
-    negatives: int
-    events_detected: int
-    charge_mah: float
-    battery_level: float
-    removed_at: int | None
+    activations: int = 0
+    positives: int = 0
+    negatives: int = 0
+    events_detected: int = 0
+    charge_mah: float = 0.0
+    battery_level: float = 0.0
+    removed_at: int | None = None
 
 
 @dataclass
@@ -418,80 +431,7 @@ class _DeviceRuntime:
     node: DeviceNode
     engine: TimelineEngine
     learner: Learner
-    battery_initial: float
-    removed_at: int | None = None
-    activations: int = 0
-    positives: int = 0
-    negatives: int = 0
-
-    @property
-    def battery(self) -> float:
-        return self.battery_initial - self.engine.charge_mah
-
-
-class _EpisodeTally:
-    """One episode's network metrics, summed period by period."""
-
-    def __init__(self, index: int, alive: list[_DeviceRuntime]):
-        self.index = index
-        self.positives = 0
-        self.negatives = 0
-        self.global_reward = 0.0
-        self.activations = {rt.node.id: 0 for rt in alive}
-        # Overwritten every period, so they end as the episode's last values.
-        self.battery_sd = 0.0
-        self.batteries: dict[int, float] = {}
-
-    def add_period(self, alive, period_stats, detections_by_event, w1, w2, w3) -> None:
-        """Fold in one period: device totals, detections and the network reward.
-
-        detections_by_event counts the devices that detected each event; an
-        engine marks an event detected at most once, so that is a count of
-        distinct devices.
-        """
-        counts: dict[int, int] = {}
-        for rt in alive:
-            did = rt.node.id
-            stats = period_stats[did]
-            rt.activations += stats.activations
-            rt.positives += stats.positives
-            rt.negatives += stats.negatives
-            self.activations[did] += stats.activations
-            for eid, _s in stats.detected:
-                detections_by_event[eid] = detections_by_event.get(eid, 0) + 1
-                counts[eid] = counts.get(eid, 0) + 1
-        self.batteries = {rt.node.id: rt.battery for rt in alive}
-        self.battery_sd = float(np.std(list(self.batteries.values())))
-        overlaps = tuple(counts[eid] for eid in sorted(counts))
-        n_pos = sum(period_stats[rt.node.id].positives for rt in alive)
-        n_neg = sum(period_stats[rt.node.id].negatives for rt in alive)
-        self.positives += n_pos
-        self.negatives += n_neg
-        self.global_reward += network_reward(
-            NetworkRewardInputs(n_pos, n_neg, overlaps, self.battery_sd, w1, w2, w3)
-        )
-
-    def metrics(self, day_events: list[int], detections_by_event) -> EpisodeMetrics:
-        detected = [eid for eid in day_events if eid in detections_by_event]
-        dup = (
-            sum(detections_by_event[eid] for eid in detected) / len(detected)
-            if detected
-            else 0.0
-        )
-        total = len(day_events)
-        return EpisodeMetrics(
-            index=self.index,
-            events_total=total,
-            events_detected=len(detected),
-            detection_rate=1.0 if total == 0 else len(detected) / total,
-            mean_duplicates=dup,
-            positives=self.positives,
-            negatives=self.negatives,
-            global_reward=self.global_reward,
-            battery_sd=self.battery_sd,
-            activations=self.activations,
-            batteries=self.batteries,
-        )
+    summary: DeviceSummary
 
 
 def run_network(
@@ -527,9 +467,6 @@ def run_network(
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
     order = sorted(config.layout, key=lambda n: n.id)
-    ids = [n.id for n in order]
-    if len(set(ids)) != len(ids):
-        raise ScheduleError("device ids must be unique")
     locations = [ev.location for ev in trace.events]
     for ev, loc in zip(trace.events, locations):
         if loc is None:
@@ -543,10 +480,6 @@ def run_network(
         _check_intervals(actions.intervals, profile, "action")
     else:
         _check_intervals((config.fixed_interval,), profile, "fixed_interval")
-    known = set(ids)
-    for did, _ep in config.failures:
-        if did not in known:
-            raise ScheduleError(f"failure names unknown device {did}")
     n_states = 24 * config.n_bins
     if config.train:
         events = trace.events
@@ -556,9 +489,6 @@ def run_network(
                 event_hashes([ev.band for ev in events], [ev.start for ev in events]),
             )
         )
-    events_by_day: dict[int, list[int]] = {}
-    for ev in trace.events:
-        events_by_day.setdefault(int(ev.start // SECONDS_PER_DAY), []).append(ev.id)
 
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
@@ -581,7 +511,7 @@ def run_network(
                 sub, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs
             ),
             Learner(table, hp, actions, rng_for_day, config.detection_bins),
-            profile.battery_mah,
+            DeviceSummary(node.id),
         )
 
     alive = list(runtimes.values())
@@ -590,8 +520,7 @@ def run_network(
     for did, ep in config.failures:
         failures_by_episode.setdefault(ep, []).append(did)
 
-    detections_by_event: dict[int, int] = {}
-    tallies: list[_EpisodeTally] = []
+    episodes: list[EpisodeMetrics] = []
     for t in range(config.episodes * 24):
         day, hour_idx = divmod(t, 24)
         p_start = t * SECONDS_PER_HOUR
@@ -600,24 +529,34 @@ def run_network(
             fell = [rt for rt in alive if rt.node.id in failures_by_episode.get(day, ())]
             if fell:
                 for rt in fell:
-                    rt.removed_at = day
-                alive = [rt for rt in alive if rt.removed_at is None]
+                    rt.summary.removed_at = day
+                alive = [rt for rt in alive if rt.summary.removed_at is None]
                 if not alive:
                     raise ScheduleError(f"all devices removed by episode {day}")
                 clusters = form_clusters([rt.node for rt in alive]) if len(alive) > 1 else []
                 if config.eps_reset_on_change:
                     for rt in alive:
                         rt.learner.eps = hp.eps_max
-            tallies.append(_EpisodeTally(day, alive))
+            episode = EpisodeMetrics(day, activations={rt.node.id: 0 for rt in alive})
+            episodes.append(episode)
         hour = trace.hour_of(p_start)
 
+        # Each period's counts go straight into the device and episode
+        # records; period_detections counts the devices that detected each event.
         period_stats = {}
+        period_detections: dict[int, int] = {}
         for rt in alive:
             if config.train:
                 interval = rt.learner.choose(rt.engine, hour, p_start)
             else:
                 interval = config.fixed_interval
-            period_stats[rt.node.id] = rt.engine.run_period(p_end, interval)
+            stats = period_stats[rt.node.id] = rt.engine.run_period(p_end, interval)
+            rt.summary.activations += stats.activations
+            rt.summary.positives += stats.positives
+            rt.summary.negatives += stats.negatives
+            episode.activations[rt.node.id] += stats.activations
+            for eid, _s in stats.detected:
+                period_detections[eid] = period_detections.get(eid, 0) + 1
 
         if config.train:
             own_hashes: dict[int, list[int]] = {}
@@ -653,8 +592,21 @@ def run_network(
                 )
                 rt.learner.learn(rt.engine, r, hour, len(stats.detected), p_end)
 
-        tallies[day].add_period(
-            alive, period_stats, detections_by_event, hp.w1, config.w2, config.w3
+        # The batteries are read after this period's scheduler billing, so
+        # the episode ends with its last period's levels and spread.
+        episode.batteries = {
+            rt.node.id: profile.battery_mah - rt.engine.charge_mah for rt in alive
+        }
+        episode.battery_sd = float(np.std(list(episode.batteries.values())))
+        n_pos = sum(stats.positives for stats in period_stats.values())
+        n_neg = sum(stats.negatives for stats in period_stats.values())
+        episode.positives += n_pos
+        episode.negatives += n_neg
+        overlaps = tuple(period_detections[eid] for eid in sorted(period_detections))
+        episode.global_reward += network_reward(
+            NetworkRewardInputs(
+                n_pos, n_neg, overlaps, episode.battery_sd, hp.w1, config.w2, config.w3
+            )
         )
         if hour_idx == 23 and config.train:
             for rt in alive:
@@ -662,27 +614,29 @@ def run_network(
 
     for rt in alive:
         rt.engine.finish()
+    for rt in runtimes.values():
+        rt.summary.events_detected = len(rt.engine.detected)
+        rt.summary.charge_mah = rt.engine.charge_mah
+        rt.summary.battery_level = profile.battery_mah - rt.summary.charge_mah
 
-    devices = [
-        DeviceSummary(
-            id=i,
-            activations=rt.activations,
-            positives=rt.positives,
-            negatives=rt.negatives,
-            events_detected=len(rt.engine.detected),
-            charge_mah=rt.engine.charge_mah,
-            battery_level=rt.battery,
-            removed_at=rt.removed_at,
-        )
-        for i, rt in runtimes.items()
-    ]
+    # An engine marks an event detected at most once, so these count devices.
+    detections = Counter(eid for rt in runtimes.values() for eid, _s in rt.engine.detected)
+    events_by_day: dict[int, list[int]] = {}
+    for ev in trace.events:
+        events_by_day.setdefault(int(ev.start // SECONDS_PER_DAY), []).append(ev.id)
+    for episode in episodes:
+        day_events = events_by_day.get(episode.index, [])
+        detected = [eid for eid in day_events if eid in detections]
+        episode.events_total = len(day_events)
+        episode.events_detected = len(detected)
+        episode.detection_rate = 1.0 if not day_events else len(detected) / len(day_events)
+        if detected:
+            episode.mean_duplicates = sum(detections[eid] for eid in detected) / len(detected)
+
     return NetworkReport(
-        n_devices=len(ids),
-        episodes=[
-            tally.metrics(events_by_day.get(tally.index, []), detections_by_event)
-            for tally in tallies
-        ],
-        devices=devices,
+        n_devices=len(order),
+        episodes=episodes,
+        devices=[rt.summary for rt in runtimes.values()],
         clusters=clusters,
         tables={i: rt.learner.table for i, rt in runtimes.items()},
         logs={i: rt.engine.log for i, rt in runtimes.items()} if collect_logs else None,

@@ -440,6 +440,22 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_float(value, field: str) -> float:
+    """A JSON number as a float; float() would take true as 1.0 and "1.5" as 1.5."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"{field} is too large for a float") from None
+
+
+def _json_point(value) -> tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise TypeError(f"location must be a list of two numbers, got {value!r}")
+    return (_json_float(value[0], "location"), _json_float(value[1], "location"))
+
+
 def _load_json(path: Path) -> EventTrace:
     try:
         with open(path) as fh:
@@ -455,27 +471,30 @@ def _load_json(path: Path) -> EventTrace:
                 f"{path.name}: events[{i}]: expected an object, got {item!r}"
             )
         try:
-            loc = item.get("location")
+            band, loc = item.get("band"), item.get("location")
             events.append(
                 Event(
                     id=_json_int(item["id"], "id"),
-                    start=float(item["start"]),
-                    duration=float(item["duration"]),
-                    band=float(item["band"]) if item.get("band") is not None else None,
-                    location=(float(loc[0]), float(loc[1])) if loc is not None else None,
+                    start=_json_float(item["start"], "start"),
+                    duration=_json_float(item["duration"], "duration"),
+                    band=_json_float(band, "band") if band is not None else None,
+                    location=_json_point(loc) if loc is not None else None,
                 )
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError) as exc:
             raise TraceFormatError(f"{path.name}: events[{i}]: {exc}") from exc
     meta = {}
-    parsers = (("horizon", float), ("origin_hour", lambda v: _json_int(v, "origin_hour")))
+    parsers = (
+        ("horizon", lambda v: _json_float(v, "horizon")),
+        ("origin_hour", lambda v: _json_int(v, "origin_hour")),
+    )
     for key, parse in parsers:
         value = payload.get(key)
         if value is None:
             continue
         try:
             meta[key] = parse(value)
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise TraceFormatError(f"{path.name}: bad {key} value {value!r}") from exc
     try:
         return make_trace(events, **meta)

@@ -319,6 +319,12 @@ def _zero_radius_network():
     return cfg
 
 
+def _duplicate_id_network():
+    cfg = network_config(episodes=1, n_devices=2)
+    cfg["network"]["layout"][1]["id"] = 0
+    return cfg
+
+
 def _band_trace(band_range):
     profile = dict(FLAT_PROFILE, band_range=band_range)
     return {"seed": 1, "trace": {"profile": profile}}
@@ -328,6 +334,16 @@ def _band_trace(band_range):
     "command, cfg, message",
     [
         ("run-network", _zero_radius_network(), "network.layout[0]: radii must be positive"),
+        (
+            "run-network",
+            _duplicate_id_network(),
+            "network: layout: device ids must be unique",
+        ),
+        (
+            "run-network",
+            network_config(episodes=1, n_devices=2, failures=[[7, 0]]),
+            "network: failures: unknown device 7",
+        ),
         ("run", {**run_config(), "detector": {"tp_rate": 2.0}}, "detector: tp_rate"),
         ("gen-trace", _band_trace([5000, 100]), "trace.profile: band_range"),
         ("gen-trace", _band_trace([-100, 100]), "trace.profile: band_range"),
@@ -340,6 +356,8 @@ def _band_trace(band_range):
     ],
     ids=[
         "layout_radius",
+        "layout_duplicate_id",
+        "failure_unknown_device",
         "detector_rate",
         "band_range_reversed",
         "band_range_non_positive",
@@ -352,6 +370,28 @@ def test_values_rejected_by_domain_types_are_validation_errors(
 ):
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "layout_ids, failures, message",
+    [
+        ([0, 0], [], "network.layout_file: layout: device ids must be unique"),
+        ([0, 1], [[7, 0]], "network.layout_file: failures: unknown device 7"),
+    ],
+    ids=["duplicate_id", "failure_unknown_device"],
+)
+def test_network_layout_file_is_checked_like_layout(
+    tmp_path, capsys, layout_ids, failures, message
+):
+    cfg = network_config(episodes=1, n_devices=len(layout_ids), failures=failures)
+    layout = cfg["network"].pop("layout")
+    for device, did in zip(layout, layout_ids):
+        device["id"] = did
+    cfg["network"]["layout_file"] = "layout.json"
+    (tmp_path / "layout.json").write_text(json.dumps(layout))
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["run-network", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
 
 
@@ -450,8 +490,33 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
             r"episodes\[0\]: 'devices'",
         ),
         ({"kind": "run-network", "report": {"episodes": [], "devices": "x"}}, "'devices'"),
+        (
+            {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": "../escaped"}]}},
+            r"devices\[0\]: 'id'",
+        ),
+        (
+            {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": True}]}},
+            r"devices\[0\]: 'id'",
+        ),
+        (
+            {
+                "kind": "run-network",
+                "report": {"episodes": [{"index": 0, "devices": [{"id": -1}]}], "devices": []},
+            },
+            r"episodes\[0\]: devices\[0\]: 'id'",
+        ),
     ],
-    ids=["comparison", "per_period", "report", "episodes", "episode_devices", "devices"],
+    ids=[
+        "comparison",
+        "per_period",
+        "report",
+        "episodes",
+        "episode_devices",
+        "devices",
+        "device_id_path",
+        "device_id_bool",
+        "episode_device_id_negative",
+    ],
 )
 def test_report_names_a_wrongly_typed_table(tmp_path, capsys, payload, key):
     summary = tmp_path / "summary.json"
@@ -590,22 +655,28 @@ devices = st.builds(
 
 
 def _networks(train, fixed_interval):
-    return st.builds(
-        NetworkConfig,
-        layout=st.lists(devices, min_size=1, max_size=5).map(tuple),
-        episodes=st.integers(1, 100),
-        w2=_floats(0.0, 10.0),
-        w3=_floats(0.0, 10.0),
-        drop_rate=_floats(0.0, 1.0),
-        detection_bins=st.lists(st.integers(0, 50), unique=True).map(lambda b: tuple(sorted(b))),
-        pretrain_days=st.integers(0, 30),
-        train=st.just(train),
-        fixed_interval=fixed_interval,
-        eps_reset_on_change=st.booleans(),
-        failures=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 100)), max_size=3).map(
-            tuple
-        ),
-    )
+    # Layout ids are unique and failures name layout devices.
+    def network(layout):
+        failed = st.tuples(st.sampled_from([n.id for n in layout]), st.integers(0, 100))
+        return st.builds(
+            NetworkConfig,
+            layout=st.just(layout),
+            episodes=st.integers(1, 100),
+            w2=_floats(0.0, 10.0),
+            w3=_floats(0.0, 10.0),
+            drop_rate=_floats(0.0, 1.0),
+            detection_bins=st.lists(st.integers(0, 50), unique=True).map(
+                lambda b: tuple(sorted(b))
+            ),
+            pretrain_days=st.integers(0, 30),
+            train=st.just(train),
+            fixed_interval=fixed_interval,
+            eps_reset_on_change=st.booleans(),
+            failures=st.lists(failed, max_size=3).map(tuple),
+        )
+
+    layouts = st.lists(devices, min_size=1, max_size=5, unique_by=lambda n: n.id)
+    return layouts.map(tuple).flatmap(network)
 
 
 intervals = _floats(0.5, 3600.0)

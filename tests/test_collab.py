@@ -491,6 +491,10 @@ def test_network_config_validation():
         network(train=False)
     with pytest.raises(ValueError):
         network(failures=((0, -1),))
+    with pytest.raises(ValueError, match="device ids must be unique"):
+        network(covering_node(0), covering_node(0))
+    with pytest.raises(ValueError, match="unknown device 9"):
+        network(failures=((9, 0),))
     with pytest.raises(ValueError):
         network(pretrain_days=-1)
     with pytest.raises(ValueError):
@@ -688,15 +692,11 @@ def test_run_network_validation():
     with pytest.raises(ScheduleError):
         run(NetworkConfig(layout_file="layout.json", episodes=2))
     with pytest.raises(ScheduleError):
-        run(network(covering_node(0), covering_node(0), episodes=2))
-    with pytest.raises(ScheduleError):
         run(network(episodes=3))
     with pytest.raises(ScheduleError):
         run(network(episodes=2, train=False, fixed_interval=0.1))
     with pytest.raises(ScheduleError):
         run(network(episodes=2), ActionSpace((0.1, 5.0)))
-    with pytest.raises(ScheduleError):
-        run(network(episodes=2, failures=((9, 0),)))
 
 
 def test_init_table_shape_checked_and_expansion_accepted():

@@ -139,5 +139,11 @@ def test_network_runs_keep_the_invariants(seed, detector, n_devices, episodes, d
         assert engine.log is report.logs[device.id]
         assert_engine_invariants(engine, finished=device.removed_at is None)
         assert device.charge_mah == engine.charge_mah
+        # The device record and the episode records count the same periods.
+        assert device.activations == sum(e.activations.get(device.id, 0) for e in report.episodes)
+        assert device.battery_level == PowerProfile().battery_mah - device.charge_mah
+        assert device.events_detected == len(engine.detected)
     for episode in report.episodes:
         assert episode.events_detected <= episode.events_total
+        assert episode.positives + episode.negatives == sum(episode.activations.values())
+        assert episode.batteries.keys() == episode.activations.keys()

@@ -172,6 +172,23 @@ def test_load_json_bad_payload(tmp_path):
         ({"events": [], "origin_hour": True}, "origin_hour"),
         ({"events": [{"id": 1.7, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
         ({"events": [{"id": True, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
+        ({"events": [], "horizon": True}, "horizon"),
+        ({"events": [], "horizon": "86400"}, "horizon"),
+        ({"events": [{"id": 0, "start": False, "duration": 1.0}]}, r"events\[0\]: start"),
+        ({"events": [{"id": 0, "start": 0.0, "duration": True}]}, r"events\[0\]: duration"),
+        ({"events": [{"id": 0, "start": 10**400, "duration": 1.0}]}, r"events\[0\]: start"),
+        (
+            {"events": [{"id": 0, "start": 0.0, "duration": 1.0, "band": True}]},
+            r"events\[0\]: band",
+        ),
+        (
+            {"events": [{"id": 0, "start": 0.0, "duration": 1.0, "location": [True, 1.0]}]},
+            r"events\[0\]: location",
+        ),
+        (
+            {"events": [{"id": 0, "start": 0.0, "duration": 1.0, "location": "12"}]},
+            r"events\[0\]: location",
+        ),
     ],
     ids=[
         "events",
@@ -182,6 +199,14 @@ def test_load_json_bad_payload(tmp_path):
         "origin_hour_bool",
         "id_float",
         "id_bool",
+        "horizon_bool",
+        "horizon_string",
+        "start_bool",
+        "duration_bool",
+        "start_too_large",
+        "band_bool",
+        "location_bool",
+        "location_string",
     ],
 )
 def test_load_json_bad_field_names_file_and_field(tmp_path, payload, field):
