@@ -21,6 +21,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .collab import expand_global_table, run_network
 from .config import (
     ExperimentConfig,
@@ -35,6 +37,7 @@ from .qsched import ActionSpace, init_from_distribution, save_qtable
 from .sim import FixedSchedule, run_schedule, train_qlearn
 from .trace import (
     SECONDS_PER_DAY,
+    SECONDS_PER_HOUR,
     fmt_float,
     hourly_event_probability,
     save_trace,
@@ -183,10 +186,9 @@ def cmd_gen_trace(args) -> int:
     save_trace(trace, out_dir / "trace.csv")
     save_trace(trace, out_dir / "trace.json")
     _write_manifest(out_dir, config_to_dict(cfg), cfg.seed, ["trace.csv", "trace.json"])
-    hist = [0] * 24
-    for ev in trace.events:
-        hist[trace.hour_of(ev.start)] += 1
-    print(f"events: {len(trace.events)}  horizon: {fmt_float(trace.horizon)} s")
+    hours = (trace.origin_hour + trace.starts // SECONDS_PER_HOUR).astype(np.int64) % 24
+    hist = np.bincount(hours, minlength=24)
+    print(f"events: {len(trace)}  horizon: {fmt_float(trace.horizon)} s")
     print("per-hour: " + " ".join(str(n) for n in hist))
     return 0
 
@@ -225,13 +227,8 @@ def cmd_run(args) -> int:
         duration = q.eval_days * SECONDS_PER_DAY
         init_table = None
         if q.init_scale is not None:
-            train_window = dataclasses.replace(
-                trace,
-                events=tuple(ev for ev in trace.events if ev.start < t_begin),
-                horizon=t_begin,
-            )
             init_table = init_from_distribution(
-                hourly_event_probability(train_window), q.init_scale, len(actions)
+                hourly_event_probability(trace, days=q.train_days), q.init_scale, len(actions)
             )
         result = train_qlearn(
             trace,

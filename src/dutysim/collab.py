@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -97,25 +96,30 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def _words(buckets: np.ndarray) -> np.ndarray:
+    """Whole-number float buckets as uint64, each its integer value mod 2**64."""
+    small = np.abs(buckets) < 2.0**63
+    words = np.where(small, buckets, 0.0).astype(np.int64).view(np.uint64)
+    # Past int64 a float is exact only as a Python int; such buckets are rare.
+    words[~small] = [int(b) & _MASK64 for b in buckets[~small]]
+    return words
+
+
 def event_hashes(bands, starts) -> list[int]:
     """64-bit FNV-1a over each event's quantized features, as Python ints.
 
-    Band is bucketed to 100 Hz (untagged events, band None, share a
-    sentinel bucket), start to whole seconds, so co-detections of one event
-    hash alike on every device. The buckets are taken in Python ints, exact
-    at any size, and hashed as two little-endian 64-bit words for all
+    Band is bucketed to 100 Hz (untagged events, band NaN or None, share
+    the bucket -1), start to whole seconds, so co-detections of one event
+    hash alike on every device. Each bucket is taken mod 2**64, as a Python
+    int would be, and hashed as two little-endian 64-bit words for all
     events at once in numpy uint64, whose multiply wraps mod 2**64.
     """
-    words = np.array(
-        [
-            ((-1 if band is None else int(band // 100.0)) & _MASK64, int(start // 1.0) & _MASK64)
-            for band, start in zip(bands, starts)
-        ],
-        dtype=np.uint64,
-    ).reshape(-1, 2)
-    h = np.full(len(words), _FNV_OFFSET, dtype=np.uint64)
+    bands = np.asarray(bands, dtype=np.float64)
+    band_buckets = np.where(np.isnan(bands), -100.0, bands) // 100.0
+    start_buckets = np.asarray(starts, dtype=np.float64) // 1.0
+    h = np.full(len(bands), _FNV_OFFSET, dtype=np.uint64)
     prime, low_byte = np.uint64(_FNV_PRIME), np.uint64(0xFF)
-    for word in words.T:
+    for word in (_words(band_buckets), _words(start_buckets)):
         for shift in range(0, 64, 8):
             h ^= (word >> np.uint64(shift)) & low_byte
             h *= prime
@@ -302,7 +306,8 @@ class NetworkConfig:
 
     The devices come as ``layout``, or as ``layout_file``, a JSON device
     list the caller reads into ``layout`` before the run; exactly one is
-    set. Layout ids are unique, and each failures entry names one of them.
+    set. Layout ids are unique, and each failures entry names one of them,
+    no device twice, at an episode before ``episodes``.
     pretrain_days > 0 asks the caller to seed every device's table
     from that many days of single-device training (``dutysim run-network``
     does, through run_network's init_tables). train False runs every device
@@ -345,8 +350,10 @@ class NetworkConfig:
         if not self.train and self.fixed_interval is None:
             raise ValueError("train False needs fixed_interval")
         for entry in self.failures:
-            if len(entry) != 2 or entry[1] < 0:
-                raise ValueError("failures entries are (device_id, episode >= 0)")
+            if len(entry) != 2 or not 0 <= entry[1] < self.episodes:
+                raise ValueError("failures entries are (device_id, 0 <= episode < episodes)")
+        if len(dict(self.failures)) < len(self.failures):
+            raise ValueError("failures: a device can fail only once")
         if self.layout is not None:
             ids = {n.id for n in self.layout}
             if len(ids) != len(self.layout):
@@ -426,6 +433,19 @@ class NetworkReport:
         }
 
 
+def _senses(node: DeviceNode, trace: EventTrace) -> np.ndarray:
+    """Per event, whether math.dist(location, node.position) <= node.sensing_radius.
+
+    np.hypot can differ from math.dist in the last bit, so math.dist decides the edge.
+    """
+    radius = node.sensing_radius
+    dist = np.hypot(trace.xs - node.x, trace.ys - node.y)
+    inside = dist <= radius
+    for i in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
+        inside[i] = math.dist((trace.xs[i], trace.ys[i]), node.position) <= radius
+    return inside
+
+
 @dataclass
 class _DeviceRuntime:
     node: DeviceNode
@@ -467,10 +487,9 @@ def run_network(
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
     order = sorted(config.layout, key=lambda n: n.id)
-    locations = [ev.location for ev in trace.events]
-    for ev, loc in zip(trace.events, locations):
-        if loc is None:
-            raise ScheduleError(f"event {ev.id} has no location; network runs need one")
+    unlocated = trace.ids[np.isnan(trace.xs)]
+    if unlocated.size:
+        raise ScheduleError(f"event {unlocated[0]} has no location; network runs need one")
     span = config.episodes * SECONDS_PER_DAY
     if trace.horizon < span:
         raise ScheduleError(
@@ -482,19 +501,11 @@ def run_network(
         _check_intervals((config.fixed_interval,), profile, "fixed_interval")
     n_states = 24 * config.n_bins
     if config.train:
-        events = trace.events
-        hash_of = dict(
-            zip(
-                (ev.id for ev in events),
-                event_hashes([ev.band for ev in events], [ev.start for ev in events]),
-            )
-        )
+        hash_of = dict(zip(trace.ids.tolist(), event_hashes(trace.bands, trace.starts)))
 
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
-        sub = trace.subset(
-            [math.dist(loc, node.position) <= node.sensing_radius for loc in locations]
-        )
+        sub = trace.subset(_senses(node, trace))
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
         else:
@@ -516,9 +527,7 @@ def run_network(
 
     alive = list(runtimes.values())
     clusters = form_clusters(order) if len(order) > 1 else []
-    failures_by_episode: dict[int, list[int]] = {}
-    for did, ep in config.failures:
-        failures_by_episode.setdefault(ep, []).append(did)
+    fails_at = dict(config.failures)
 
     episodes: list[EpisodeMetrics] = []
     for t in range(config.episodes * 24):
@@ -526,7 +535,7 @@ def run_network(
         p_start = t * SECONDS_PER_HOUR
         p_end = min(p_start + SECONDS_PER_HOUR, span)
         if hour_idx == 0:
-            fell = [rt for rt in alive if rt.node.id in failures_by_episode.get(day, ())]
+            fell = [rt for rt in alive if fails_at.get(rt.node.id) == day]
             if fell:
                 for rt in fell:
                     rt.summary.removed_at = day
@@ -614,24 +623,24 @@ def run_network(
 
     for rt in alive:
         rt.engine.finish()
+    # Per event, the devices that detected it (each engine marks an event once).
+    detections = np.zeros(len(trace), dtype=np.int64)
     for rt in runtimes.values():
         rt.summary.events_detected = len(rt.engine.detected)
         rt.summary.charge_mah = rt.engine.charge_mah
         rt.summary.battery_level = profile.battery_mah - rt.summary.charge_mah
+        detections += np.isin(trace.ids, [eid for eid, _s in rt.engine.detected])
 
-    # An engine marks an event detected at most once, so these count devices.
-    detections = Counter(eid for rt in runtimes.values() for eid, _s in rt.engine.detected)
-    events_by_day: dict[int, list[int]] = {}
-    for ev in trace.events:
-        events_by_day.setdefault(int(ev.start // SECONDS_PER_DAY), []).append(ev.id)
+    day = (trace.starts // SECONDS_PER_DAY).astype(np.int64)
+    totals = np.bincount(day, minlength=len(episodes))
+    hits = np.bincount(day, weights=detections > 0, minlength=len(episodes))
+    duplicates = np.bincount(day, weights=detections, minlength=len(episodes))
     for episode in episodes:
-        day_events = events_by_day.get(episode.index, [])
-        detected = [eid for eid in day_events if eid in detections]
-        episode.events_total = len(day_events)
-        episode.events_detected = len(detected)
-        episode.detection_rate = 1.0 if not day_events else len(detected) / len(day_events)
-        if detected:
-            episode.mean_duplicates = sum(detections[eid] for eid in detected) / len(detected)
+        episode.events_total = total = int(totals[episode.index])
+        episode.events_detected = hit = int(hits[episode.index])
+        episode.detection_rate = 1.0 if not total else hit / total
+        if hit:
+            episode.mean_duplicates = int(duplicates[episode.index]) / hit
 
     return NetworkReport(
         n_devices=len(order),

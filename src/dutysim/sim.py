@@ -39,6 +39,7 @@ import numpy as np
 from .detect import DetectorModel, gate, sample_detection
 from .errors import ScheduleError
 from .power import MODES, TICKS_PER_S, LogEntry, PowerProfile, charge_from_ticks, to_ticks
+from .power import lifetime_years
 from .qsched import (
     ActionSpace,
     Hyperparameters,
@@ -123,7 +124,7 @@ def make_probe_fn(model: DetectorModel):
     """Turn a DetectorModel into probe(bands, rng) -> bool.
 
     ``bands`` lists the dominant band of each event overlapping the record
-    window (None for untagged events). Abstract models with rates of exactly
+    window (NaN for untagged events). Abstract models with rates of exactly
     0 or 1 consume no randomness.
     """
     if model.kind == "abstract":
@@ -147,7 +148,7 @@ def make_probe_fn(model: DetectorModel):
     bank_tones = [(f, _tone(f)) for f in map(bank.freq_of, bank.target_bins)]
 
     def _event_tones(band):
-        center = band if band is not None else default_band
+        center = default_band if math.isnan(band) else band
         tones = [tone for f, tone in bank_tones if abs(f - center) <= half_bw]
         if tones:
             return tones
@@ -266,8 +267,8 @@ class TimelineEngine:
         self.log: list[LogEntry] | None = [] if collect_log else None
         self.starts = np.rint(trace.starts * 1e9).astype(np.int64).tolist()
         self.ends = np.rint(trace.ends * 1e9).astype(np.int64).tolist()
-        self._bands = [ev.band for ev in trace.events]
-        self._ids = [ev.id for ev in trace.events]
+        self._bands = trace.bands.tolist()
+        self._ids = trace.ids.tolist()
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
         self.dur = profile.ticks
@@ -438,10 +439,10 @@ class TimelineEngine:
 
         if detected_now:
             stats.positives += 1
-            events = self.trace.events
             for k in detected_now:
-                stats.detected.append((self._ids[k], events[k].start))
-                self.detected.append((self._ids[k], events[k].start))
+                event = (self._ids[k], self.trace.starts[k].item())
+                stats.detected.append(event)
+                self.detected.append(event)
                 self._emit("tx_audio", d["d_tx_audio"])
                 self.cam_acc += self.profile.camera_trigger_ratio
                 if self.cam_acc >= 1.0 - 1e-9:
@@ -534,6 +535,12 @@ def _run_periods(
     return rows
 
 
+def _per_period(starts: np.ndarray, t_begin: float, n_periods: int) -> np.ndarray:
+    """Count starts per hourly period from t_begin; earlier starts count in period 0."""
+    idx = np.where(starts >= t_begin, (starts - t_begin) // SECONDS_PER_HOUR, 0.0)
+    return np.bincount(idx[idx < n_periods].astype(np.int64), minlength=n_periods)
+
+
 def _build_report(
     trace: EventTrace,
     t_begin: float,
@@ -545,19 +552,12 @@ def _build_report(
 ) -> SimReport:
     n_periods = len(rows)
     # Events intersecting the window, attributed to the period of their
-    # start (carry-ins from before the window land in period 0).
-    totals = np.zeros(n_periods, dtype=np.int64)
-    for ev in trace.events:
-        if ev.start >= t_end or ev.end <= t_begin:
-            continue
-        idx = int((ev.start - t_begin) // SECONDS_PER_HOUR) if ev.start >= t_begin else 0
-        if 0 <= idx < n_periods:
-            totals[idx] += 1
-    detected = np.zeros(n_periods, dtype=np.int64)
-    for _, start in engine.detected:
-        idx = int((start - t_begin) // SECONDS_PER_HOUR) if start >= t_begin else 0
-        if 0 <= idx < n_periods:
-            detected[idx] += 1
+    # start (carry-ins from before the window land in period 0). Events
+    # starting before t_end are a prefix, as the trace is sorted by start.
+    before = int(np.searchsorted(trace.starts, t_end, side="left"))
+    live = trace.starts[:before][trace.ends[:before] > t_begin]
+    totals = _per_period(live, t_begin, n_periods)
+    detected = _per_period(np.array([s for _, s in engine.detected]), t_begin, n_periods)
 
     periods = []
     for (p, hour, interval, stats) in rows:
@@ -591,9 +591,7 @@ def _build_report(
         detection_rate=rate,
         charge_mah=engine.charge_mah,
         avg_current_ma=avg_ma,
-        lifetime_years=(
-            profile.battery_mah / avg_ma / 8766.0 if avg_ma > 0 else math.inf
-        ),
+        lifetime_years=lifetime_years(avg_ma, profile.battery_mah) if avg_ma > 0 else math.inf,
     )
 
 

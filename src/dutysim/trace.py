@@ -1,9 +1,10 @@
 """Event traces.
 
-A trace is an immutable, time-ordered list of events over a finite horizon.
-Each event has a start time and a positive duration (seconds, half-open
-interval [start, start + duration)), and may carry a dominant frequency band
-in Hz and a 2D location in meters. Traces load from CSV or JSON, save back
+A trace is an immutable, time-ordered set of events over a finite horizon,
+held as columns. Each event has an id, a start time and a positive duration
+(seconds, half-open interval [start, start + duration)), and may carry a
+dominant frequency band in Hz and a 2D location in meters. ``Event`` is a
+row view, built on demand. Traces load from CSV or JSON, save back
 losslessly, and can be generated synthetically from a diurnal profile via an
 inhomogeneous Poisson process with piecewise-constant hourly rates.
 """
@@ -11,6 +12,7 @@ inhomogeneous Poisson process with piecewise-constant hourly rates.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ SECONDS_PER_DAY = 86400.0
 SECONDS_PER_HOUR = 3600.0
 
 _CSV_HEADER = ["id", "start", "duration", "band", "x", "y"]
+_COLUMNS = ("ids", "starts", "durations", "bands", "xs", "ys")
 
 
 def fmt_float(value: float) -> str:
@@ -47,83 +50,100 @@ class Event:
     def end(self) -> float:
         return self.start + self.duration
 
-    def validate(self) -> None:
-        if self.start < 0:
-            raise TraceValidationError(f"event {self.id}: start {self.start} < 0")
-        if not self.duration > 0:
-            raise TraceValidationError(
-                f"event {self.id}: duration must be positive, got {self.duration}"
-            )
-        if self.band is not None and not self.band > 0:
-            raise TraceValidationError(
-                f"event {self.id}: band must be positive, got {self.band}"
-            )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventTrace:
-    """Sorted events plus the span they live in.
+    """Events as columns plus the span they live in.
 
-    Events are ordered by (start, id), ids are unique, and every event fits
-    inside [0, horizon). Instances are immutable; all mutation is rebuild.
+    ``ids`` is int64. ``starts``, ``durations``, ``bands``, ``xs`` and ``ys``
+    are float64; ``bands`` is NaN where an event is untagged, ``xs`` and
+    ``ys`` where it has no location, and a column left out is all NaN.
+    ``ends`` is ``starts + durations``. Events are ordered by (start, id),
+    ids are unique, values are finite, and every event fits inside
+    [0, horizon). The columns are read-only copies; all mutation is rebuild.
+    ``events`` holds the same events as ``Event`` rows, built on first use.
     """
 
-    events: tuple[Event, ...]
+    ids: np.ndarray
+    starts: np.ndarray
+    durations: np.ndarray
     horizon: float
     origin_hour: int = 0
+    bands: np.ndarray | None = None
+    xs: np.ndarray | None = None
+    ys: np.ndarray | None = None
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise TraceValidationError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise TraceValidationError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0 <= self.origin_hour < 24:
+            raise TraceValidationError(f"origin_hour must be in [0, 24), got {self.origin_hour}")
+        n = len(self.ids)
+        for name in _COLUMNS:
+            value = getattr(self, name)
+            dtype = np.int64 if name == "ids" else np.float64
+            col = np.full(n, np.nan) if value is None else np.array(value, dtype)
+            if col.shape != (n,):
+                raise TraceValidationError(f"{name} has {col.size} entries for {n} ids")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "ends", self.starts + self.durations)
+        self.ends.setflags(write=False)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Name the first event that breaks a rule, and the first rule it breaks."""
+        ids, starts, durations, bands, xs, ys = (getattr(self, c) for c in _COLUMNS)
+        duplicate = np.ones(len(ids), dtype=bool)
+        duplicate[np.unique(ids, return_index=True)[1]] = False
+        unordered = np.zeros(len(ids), dtype=bool)
+        same_start = starts[1:] == starts[:-1]
+        unordered[1:] = (starts[1:] < starts[:-1]) | (same_start & (ids[1:] < ids[:-1]))
+        rules = (
+            (starts < 0, "event {id}: start {start} < 0"),
+            (~np.isfinite(starts), "event {id}: start must be finite, got {start}"),
+            (~(durations > 0), "event {id}: duration must be positive, got {duration}"),
+            (np.isinf(durations), "event {id}: duration must be finite, got {duration}"),
+            (bands <= 0, "event {id}: band must be positive, got {band}"),
+            (np.isinf(bands), "event {id}: band must be finite, got {band}"),
+            (np.isinf(xs) | np.isinf(ys), "event {id}: location must be finite, got ({x}, {y})"),
+            (np.isnan(xs) != np.isnan(ys), "event {id}: location needs both x and y"),
+            (duplicate, "duplicate event id {id}"),
+            (self.ends > self.horizon, "event {id} ends at {end}, beyond horizon {horizon}"),
+            (unordered, "events out of order at id {id}; sort by (start, id)"),
+        )
+        broken = np.array([mask for mask, _ in rules])
+        bad = broken.any(axis=0)
+        if bad.any():
+            i = int(bad.argmax())
+            row = dict(zip(_CSV_HEADER, (getattr(self, c)[i].item() for c in _COLUMNS)))
+            rule = rules[int(broken[:, i].argmax())][1]
             raise TraceValidationError(
-                f"origin_hour must be in [0, 24), got {self.origin_hour}"
+                rule.format(**row, end=self.ends[i].item(), horizon=self.horizon)
             )
-        seen: set[int] = set()
-        prev = None
-        for ev in self.events:
-            ev.validate()
-            if ev.id in seen:
-                raise TraceValidationError(f"duplicate event id {ev.id}")
-            seen.add(ev.id)
-            if ev.end > self.horizon:
-                raise TraceValidationError(
-                    f"event {ev.id} ends at {ev.end}, beyond horizon {self.horizon}"
-                )
-            key = (ev.start, ev.id)
-            if prev is not None and key < prev:
-                raise TraceValidationError(
-                    f"events out of order at id {ev.id}; sort by (start, id)"
-                )
-            prev = key
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventTrace):
+            return NotImplemented
+        return (self.horizon, self.origin_hour) == (other.horizon, other.origin_hour) and all(
+            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMNS
+        )
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(
+            Event(i, s, d, None if math.isnan(b) else b, None if math.isnan(x) else (x, y))
+            for i, s, d, b, x, y in zip(*(getattr(self, c).tolist() for c in _COLUMNS))
+        )
 
     def subset(self, keep) -> EventTrace:
-        """The events whose flag in ``keep``, one bool per event, is true, over the same span.
-
-        Any subsequence of a valid trace is valid, so the events are not
-        checked again.
-        """
-        sub = object.__new__(EventTrace)
-        events = tuple(ev for ev, k in zip(self.events, keep, strict=True) if k)
-        object.__setattr__(sub, "events", events)
-        object.__setattr__(sub, "horizon", self.horizon)
-        object.__setattr__(sub, "origin_hour", self.origin_hour)
-        return sub
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        return np.array([ev.start for ev in self.events], dtype=np.float64)
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        return np.array([ev.end for ev in self.events], dtype=np.float64)
-
-    @cached_property
-    def max_duration(self) -> float:
-        return max((ev.duration for ev in self.events), default=0.0)
+        """The events whose flag in ``keep``, one bool per event, is true, over the same span."""
+        keep = np.asarray(keep, dtype=bool)
+        return dataclasses.replace(self, **{c: getattr(self, c)[keep] for c in _COLUMNS})
 
     @property
     def n_days(self) -> int:
@@ -141,15 +161,23 @@ def make_trace(
 ) -> EventTrace:
     """Build a trace from unordered events, defaulting the horizon.
 
-    Without an explicit horizon, the span is the last event end rounded up to
-    whole days (one day for an empty list).
+    Without an explicit horizon, the span is the last finite event end
+    rounded up to whole days (one day for an empty list). A NaN band or
+    coordinate is rejected: the columns read NaN as "untagged" or "none".
     """
-    ordered = tuple(sorted(events, key=lambda ev: (ev.start, ev.id)))
+    rows = sorted(events, key=lambda ev: (ev.start, ev.id))
+    for ev in rows:
+        if any(map(math.isnan, (ev.band or 0.0, *(ev.location or ())))):
+            raise TraceValidationError(f"event {ev.id}: band and location must not be NaN")
+    table = [(ev.start, ev.duration, ev.band, *(ev.location or (None, None))) for ev in rows]
+    starts, durations, bands, xs, ys = np.array(table, dtype=np.float64).reshape(-1, 5).T
     if horizon is None:
-        last = max((ev.end for ev in ordered), default=0.0)
-        days = max(1, int(math.ceil(last / SECONDS_PER_DAY)))
-        horizon = days * SECONDS_PER_DAY
-    return EventTrace(events=ordered, horizon=float(horizon), origin_hour=origin_hour)
+        ends = starts + durations
+        last = ends[np.isfinite(ends)].max(initial=0.0)
+        horizon = max(1, math.ceil(last / SECONDS_PER_DAY)) * SECONDS_PER_DAY
+    return EventTrace(
+        [ev.id for ev in rows], starts, durations, float(horizon), origin_hour, bands, xs, ys
+    )
 
 
 @dataclass(frozen=True)
@@ -258,49 +286,32 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
         ys = rng.uniform(area[2], area[3], size=n)
     else:
         xs = ys = None
-
-    events = [
-        Event(
-            id=i,
-            start=float(starts[i]),
-            duration=float(durs[i]),
-            band=float(bands[i]) if bands is not None else None,
-            location=(float(xs[i]), float(ys[i])) if xs is not None else None,
-        )
-        for i in range(n)
-    ]
-    return EventTrace(events=tuple(events), horizon=horizon, origin_hour=origin_hour)
+    return EventTrace(np.arange(n), starts, durs, horizon, origin_hour, bands, xs, ys)
 
 
 def events_in_window(trace: EventTrace, t0: float, t1: float) -> list[Event]:
     """Events whose [start, end) intersects the half-open window [t0, t1)."""
     if t1 < t0:
         raise ValueError(f"window end {t1} before start {t0}")
-    if t0 == t1 or len(trace) == 0:
+    if t0 == t1:
         return []
-    starts = trace.starts
-    lo = int(np.searchsorted(starts, t0 - trace.max_duration, side="left"))
-    out = []
-    for i in range(lo, len(starts)):
-        ev = trace.events[i]
-        if ev.start >= t1:
-            break
-        if ev.end > t0:
-            out.append(ev)
-    return out
+    # Events starting before t1 are a prefix, as the trace is sorted by start.
+    before = int(np.searchsorted(trace.starts, t1, side="left"))
+    return [trace.events[i] for i in np.flatnonzero(trace.ends[:before] > t0)]
 
 
-def hourly_event_probability(trace: EventTrace) -> np.ndarray:
-    """Per hour-of-day, the fraction of days with at least one event start.
+def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.ndarray:
+    """Per hour-of-day, the fraction of the first ``days`` days (default: all)
+    with at least one event start.
 
     Useful as the event_prob input when seeding a Q-table from observed
     activity.
     """
-    days = trace.n_days
-    seen = np.zeros((days, 24), dtype=bool)
-    for ev in trace.events:
-        day = int(ev.start // SECONDS_PER_DAY)
-        seen[day, trace.hour_of(ev.start)] = True
+    days = trace.n_days if days is None else days
+    starts = trace.starts[trace.starts < days * SECONDS_PER_DAY]
+    hours = (trace.origin_hour + starts // SECONDS_PER_HOUR).astype(np.int64) % 24
+    cells = (starts // SECONDS_PER_DAY).astype(np.int64) * 24 + hours
+    seen = np.bincount(cells, minlength=days * 24).reshape(days, 24) > 0
     return seen.mean(axis=0)
 
 
@@ -337,29 +348,21 @@ def _save_csv(trace: EventTrace, path: Path) -> None:
         fh.write(f"# origin_hour={trace.origin_hour}\n")
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for ev in trace.events:
-            writer.writerow(
-                [
-                    ev.id,
-                    fmt_float(ev.start),
-                    fmt_float(ev.duration),
-                    fmt_float(ev.band) if ev.band is not None else "",
-                    fmt_float(ev.location[0]) if ev.location is not None else "",
-                    fmt_float(ev.location[1]) if ev.location is not None else "",
-                ]
-            )
+        # NaN (untagged, no location) is an empty cell.
+        cells = [
+            ["" if math.isnan(v) else fmt_float(v) for v in getattr(trace, c).tolist()]
+            for c in _COLUMNS[1:]
+        ]
+        writer.writerows(zip(trace.ids.tolist(), *cells))
 
 
 def _load_csv(path: Path) -> EventTrace:
     horizon = None
     origin_hour = 0
     events: list[Event] = []
+    header_seen = False
     with open(path, newline="") as fh:
-        lineno = 0
-        header_seen = False
-        reader = csv.reader(fh)
-        for row in reader:
-            lineno += 1
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             if row[0].startswith("#"):
@@ -399,12 +402,10 @@ def _parse_csv_row(row: list[str], name: str, lineno: int) -> Event:
             f"{name}:{lineno}: expected {len(_CSV_HEADER)} columns, got {len(row)}"
         )
     try:
-        ev_id = int(row[0])
+        ev_id = _event_id(int(row[0]))
         start = float(row[1])
         duration = float(row[2])
-        band = float(row[3]) if row[3].strip() else None
-        x = float(row[4]) if row[4].strip() else None
-        y = float(row[5]) if row[5].strip() else None
+        band, x, y = (float(cell) if cell.strip() else None for cell in row[3:])
     except ValueError as exc:
         raise TraceFormatError(f"{name}:{lineno}: {exc}") from exc
     if (x is None) != (y is None):
@@ -417,20 +418,18 @@ def _save_json(trace: EventTrace, path: Path) -> None:
     payload = {
         "horizon": trace.horizon,
         "origin_hour": trace.origin_hour,
-        "events": [
-            {
-                "id": ev.id,
-                "start": ev.start,
-                "duration": ev.duration,
-                **({"band": ev.band} if ev.band is not None else {}),
-                **({"location": list(ev.location)} if ev.location is not None else {}),
-            }
-            for ev in trace.events
-        ],
+        "events": [{k: v for k, v in vars(ev).items() if v is not None} for ev in trace.events],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _event_id(value: int) -> int:
+    """An event id, which the trace keeps in an int64 column."""
+    if value not in range(-(2**63), 2**63):
+        raise ValueError(f"id {value} does not fit in int64")
+    return value
 
 
 def _json_int(value, field: str) -> int:
@@ -474,26 +473,22 @@ def _load_json(path: Path) -> EventTrace:
             band, loc = item.get("band"), item.get("location")
             events.append(
                 Event(
-                    id=_json_int(item["id"], "id"),
+                    id=_event_id(_json_int(item["id"], "id")),
                     start=_json_float(item["start"], "start"),
                     duration=_json_float(item["duration"], "duration"),
                     band=_json_float(band, "band") if band is not None else None,
                     location=_json_point(loc) if loc is not None else None,
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path.name}: events[{i}]: {exc}") from exc
     meta = {}
-    parsers = (
-        ("horizon", lambda v: _json_float(v, "horizon")),
-        ("origin_hour", lambda v: _json_int(v, "origin_hour")),
-    )
-    for key, parse in parsers:
+    for key, parse in (("horizon", _json_float), ("origin_hour", _json_int)):
         value = payload.get(key)
         if value is None:
             continue
         try:
-            meta[key] = parse(value)
+            meta[key] = parse(value, key)
         except TypeError as exc:
             raise TraceFormatError(f"{path.name}: bad {key} value {value!r}") from exc
     try:

@@ -113,6 +113,27 @@ def test_gen_trace_reruns_byte_identical(tmp_path, capsys):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+def test_gen_trace_bytes_are_pinned(tmp_path, capsys):
+    # Every event carries a band and a location. The digests pin each byte
+    # of both writers: number text, key order, and which fields appear.
+    profile = dict(FLAT_PROFILE, hourly_rate=[5.0] * 24, duration_sd=1.0, days=2,
+                   band_range=[1500, 8500], area=[-50, 50, 0, 20])
+    cfg_path = write_config(tmp_path / "cfg.json", {"seed": 3, "trace": {"profile": profile}})
+    assert main(["gen-trace", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "trace.json")
+    }
+    assert digests == {
+        "trace.csv": "b5b33c2f2cbd11aa9c5e613503e0f06b7c5c075b5cfc1389ecd9039ea5ba2448",
+        "trace.json": "561178b6c53d7f22800c9586f4a91969d0da233aaa0c57418c52bad8028d3ff3",
+    }
+    assert capsys.readouterr().out == (
+        "events: 254  horizon: 172800.0 s\n"
+        "per-hour: 10 7 12 5 10 14 14 13 13 10 9 11 8 11 12 13 10 9 13 14 6 9 13 8\n"
+    )
+
+
 def test_gen_trace_requires_profile_source(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "cfg.json", {"seed": 1, "trace": {"file": "whatever.csv"}}
@@ -217,6 +238,18 @@ def test_run_consumes_generated_trace_file(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     rows = read_rows(tmp_path / "out" / "comparison.csv")
     assert len(rows) == 6
+
+
+def test_run_init_scale_takes_event_across_train_boundary(tmp_path, capsys):
+    # Event 1 starts in the last second of the training day and ends in the
+    # evaluation day; the initial table counts it in training hour 23.
+    (tmp_path / "trace.csv").write_text("id,start,duration,band,x,y\n1,86399,3,,,\n")
+    cfg = run_config()
+    cfg["trace"] = {"file": "trace.csv"}
+    cfg["schedules"]["qlearn"] = {"train_days": 1, "eval_days": 1, "init_scale": 1.0}
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_without_qlearn_section(tmp_path, capsys):
@@ -378,8 +411,10 @@ def test_values_rejected_by_domain_types_are_validation_errors(
     [
         ([0, 0], [], "network.layout_file: layout: device ids must be unique"),
         ([0, 1], [[7, 0]], "network.layout_file: failures: unknown device 7"),
+        ([0, 1], [[1, 1]], "network: failures entries are (device_id, 0 <= episode < episodes)"),
+        ([0, 1], [[1, 0], [1, 0]], "network: failures: a device can fail only once"),
     ],
-    ids=["duplicate_id", "failure_unknown_device"],
+    ids=["duplicate_id", "failure_unknown_device", "failure_after_last_episode", "failure_twice"],
 )
 def test_network_layout_file_is_checked_like_layout(
     tmp_path, capsys, layout_ids, failures, message
@@ -655,13 +690,14 @@ devices = st.builds(
 
 
 def _networks(train, fixed_interval):
-    # Layout ids are unique and failures name layout devices.
-    def network(layout):
-        failed = st.tuples(st.sampled_from([n.id for n in layout]), st.integers(0, 100))
+    # Layout ids are unique; failures name layout devices, each at most once,
+    # at an episode the run reaches.
+    def network(layout, episodes):
+        failed = st.tuples(st.sampled_from([n.id for n in layout]), st.integers(0, episodes - 1))
         return st.builds(
             NetworkConfig,
             layout=st.just(layout),
-            episodes=st.integers(1, 100),
+            episodes=st.just(episodes),
             w2=_floats(0.0, 10.0),
             w3=_floats(0.0, 10.0),
             drop_rate=_floats(0.0, 1.0),
@@ -672,11 +708,11 @@ def _networks(train, fixed_interval):
             train=st.just(train),
             fixed_interval=fixed_interval,
             eps_reset_on_change=st.booleans(),
-            failures=st.lists(failed, max_size=3).map(tuple),
+            failures=st.lists(failed, max_size=3, unique_by=lambda f: f[0]).map(tuple),
         )
 
     layouts = st.lists(devices, min_size=1, max_size=5, unique_by=lambda n: n.id)
-    return layouts.map(tuple).flatmap(network)
+    return st.tuples(layouts.map(tuple), st.integers(1, 100)).flatmap(lambda a: network(*a))
 
 
 intervals = _floats(0.5, 3600.0)

@@ -33,7 +33,7 @@ from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
 from dutysim.rng import substream
 from dutysim.sim import FixedSchedule, TimelineEngine, run_schedule, train_qlearn
-from dutysim.trace import DiurnalProfile, generate_trace
+from dutysim.trace import DiurnalProfile, Event, generate_trace, make_trace
 
 from _oracles import (
     deliver_pings_per_ping,
@@ -275,6 +275,27 @@ def test_event_hashes_match_scalar_oracle(events):
     assert event_hashes(bands, starts) == [event_hash(b, s) for b, s in events]
 
 
+def test_sensing_follows_math_dist_at_the_radius():
+    # np.hypot and math.dist round some distances to neighbouring floats. A
+    # device senses exactly the events with math.dist(location, position) <=
+    # radius: event 0 lies on the radius, where np.hypot reads an ulp more,
+    # and event 1 an ulp beyond it, where np.hypot reads an ulp less.
+    origin = (0.0, 0.0)
+    points = np.random.default_rng(3).uniform(-100.0, 100.0, size=(20000, 2))
+    hypot = np.hypot(points[:, 0], points[:, 1])
+    exact = np.array([math.dist(p, origin) for p in points])
+    on_edge, beyond = points[hypot > exact][0], points[hypot < exact][0]
+    trace = make_trace(
+        [Event(0, 1.0, 1.0, location=tuple(on_edge)), Event(1, 2.0, 1.0, location=tuple(beyond))]
+    )
+    edges = {0: math.dist(on_edge, origin), 1: math.nextafter(math.dist(beyond, origin), 0.0)}
+    for event, radius in edges.items():
+        node = DeviceNode(0, *origin, sensing_radius=radius, comm_radius=1.0)
+        sensed = collab._senses(node, trace).tolist()
+        assert sensed == [math.dist(ev.location, origin) <= radius for ev in trace.events]
+        assert sensed[event] == (event == 0)
+
+
 # ---------------------------------------------------------------------------
 # deliver_pings
 
@@ -495,6 +516,10 @@ def test_network_config_validation():
         network(covering_node(0), covering_node(0))
     with pytest.raises(ValueError, match="unknown device 9"):
         network(failures=((9, 0),))
+    with pytest.raises(ValueError, match="episode < episodes"):
+        network(episodes=2, failures=((0, 2),))
+    with pytest.raises(ValueError, match="fail only once"):
+        network(covering_node(0), covering_node(1), episodes=2, failures=((0, 1), (0, 0)))
     with pytest.raises(ValueError):
         network(pretrain_days=-1)
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from dutysim.sim import (
 from dutysim.trace import (
     DiurnalProfile,
     Event,
-    EventTrace,
     generate_trace,
     make_trace,
     save_trace,
@@ -31,7 +30,7 @@ PROFILE = PowerProfile()
 
 
 def _empty_day():
-    return EventTrace(events=(), horizon=86400.0)
+    return make_trace([], horizon=86400.0)
 
 
 # -- run_schedule basics -----------------------------------------------------
@@ -91,7 +90,7 @@ def test_log_tiles_the_horizon_exactly():
 
 
 def test_log_on_partial_hours():
-    tr = EventTrace(events=(Event(id=0, start=4000.0, duration=65.0),), horizon=5400.0)
+    tr = make_trace([Event(id=0, start=4000.0, duration=65.0)], horizon=5400.0)
     report, log = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 2)
     validate_log(log, span=to_ticks(5400.0))
     assert len(report.periods) == 2

@@ -23,31 +23,28 @@ from _oracles import events_in_window_scan, two_peak_profile
 
 
 def test_event_validation():
-    with pytest.raises(TraceValidationError):
-        Event(id=0, start=-1.0, duration=2.0).validate()
-    with pytest.raises(TraceValidationError):
-        Event(id=0, start=0.0, duration=0.0).validate()
-    with pytest.raises(TraceValidationError):
-        Event(id=0, start=0.0, duration=1.0, band=-5.0).validate()
-    Event(id=0, start=0.0, duration=0.1).validate()
+    with pytest.raises(TraceValidationError, match="event 0: start"):
+        make_trace([Event(id=0, start=-1.0, duration=2.0)])
+    with pytest.raises(TraceValidationError, match="event 0: duration"):
+        make_trace([Event(id=0, start=0.0, duration=0.0)])
+    with pytest.raises(TraceValidationError, match="event 0: band"):
+        make_trace([Event(id=0, start=0.0, duration=1.0, band=-5.0)])
+    make_trace([Event(id=0, start=0.0, duration=0.1)])
 
 
 def test_trace_rejects_duplicate_ids():
-    evs = (Event(id=1, start=0.0, duration=1.0), Event(id=1, start=2.0, duration=1.0))
-    with pytest.raises(TraceValidationError, match="duplicate"):
-        EventTrace(events=evs, horizon=10.0)
+    with pytest.raises(TraceValidationError, match="duplicate event id 1"):
+        EventTrace(ids=[1, 1], starts=[0.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
 
 
 def test_trace_rejects_event_beyond_horizon():
-    evs = (Event(id=0, start=9.5, duration=1.0),)
     with pytest.raises(TraceValidationError, match="horizon"):
-        EventTrace(events=evs, horizon=10.0)
+        EventTrace(ids=[0], starts=[9.5], durations=[1.0], horizon=10.0)
 
 
 def test_trace_rejects_out_of_order_events():
-    evs = (Event(id=0, start=5.0, duration=1.0), Event(id=1, start=2.0, duration=1.0))
-    with pytest.raises(TraceValidationError, match="order"):
-        EventTrace(events=evs, horizon=10.0)
+    with pytest.raises(TraceValidationError, match="order at id 1"):
+        EventTrace(ids=[0, 1], starts=[5.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
 
 
 def test_make_trace_sorts_and_defaults_horizon():
@@ -172,6 +169,7 @@ def test_load_json_bad_payload(tmp_path):
         ({"events": [], "origin_hour": True}, "origin_hour"),
         ({"events": [{"id": 1.7, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
         ({"events": [{"id": True, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
+        ({"events": [{"id": 2**63, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id .* int64"),
         ({"events": [], "horizon": True}, "horizon"),
         ({"events": [], "horizon": "86400"}, "horizon"),
         ({"events": [{"id": 0, "start": False, "duration": 1.0}]}, r"events\[0\]: start"),
@@ -199,6 +197,7 @@ def test_load_json_bad_payload(tmp_path):
         "origin_hour_bool",
         "id_float",
         "id_bool",
+        "id_too_large",
         "horizon_bool",
         "horizon_string",
         "start_bool",
@@ -213,6 +212,53 @@ def test_load_json_bad_field_names_file_and_field(tmp_path, payload, field):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(TraceFormatError, match=f"^trace.json: .*{field}"):
+        load_trace(path)
+
+
+_CSV = "id,start,duration,band,x,y\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, error, message",
+    [
+        ("trace.csv", "# horizon=86400\n" + _CSV + "7,nan,3,,,\n", TraceValidationError,
+         "event 7: start must be finite, got nan"),
+        ("trace.csv", "# horizon=86400\n" + _CSV + "7,5,inf,,,\n", TraceValidationError,
+         "event 7: duration must be finite, got inf"),
+        ("trace.csv", _CSV + "7,5,3,nan,,\n", TraceValidationError,
+         "event 7: band and location must not be NaN"),
+        ("trace.csv", _CSV + "7,5,3,,nan,nan\n", TraceValidationError,
+         "event 7: band and location must not be NaN"),
+        ("trace.csv", _CSV + "7,5,3,,1,-inf\n", TraceValidationError,
+         r"event 7: location must be finite, got \(1.0, -inf\)"),
+        ("trace.csv", "# horizon=inf\n" + _CSV, TraceValidationError,
+         "horizon must be positive and finite, got inf"),
+        ("trace.csv", _CSV + f"{2**63},5,3,,,\n", TraceFormatError,
+         "2: id 9223372036854775808 does not fit in int64"),
+        ("trace.json", '{"events": [{"id": 7, "start": 5, "duration": 3, "band": Infinity}]}',
+         TraceValidationError, "event 7: band must be finite, got inf"),
+        ("trace.json", '{"horizon": 86400, "events": [{"id": 7, "start": NaN, "duration": 3}]}',
+         TraceValidationError, "event 7: start must be finite, got nan"),
+        ("trace.json", '{"events": [], "horizon": Infinity}', TraceValidationError,
+         "horizon must be positive and finite, got inf"),
+    ],
+    ids=[
+        "csv_start_nan",
+        "csv_duration_inf",
+        "csv_band_nan",
+        "csv_location_nan",
+        "csv_location_inf",
+        "csv_horizon_inf",
+        "csv_id_too_large",
+        "json_band_inf",
+        "json_start_nan",
+        "json_horizon_inf",
+    ],
+)
+def test_load_rejects_values_the_columns_cannot_hold(tmp_path, name, text, error, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{name}:.*{message}"):
         load_trace(path)
 
 
@@ -379,6 +425,19 @@ def test_hourly_event_probability_counts_days_with_starts():
     probs = hourly_event_probability(tr)
     assert probs[0] == 0.5  # one day of two had an hour-0 start
     assert probs[5] == 0.5
+    assert probs.sum() == 1.0
+
+
+def test_hourly_event_probability_over_leading_days():
+    # A start on day 1 is outside the first day; the event crossing into
+    # day 1 counts by its start.
+    evs = [
+        Event(id=0, start=SECONDS_PER_DAY - 1.0, duration=3.0),  # day 0, hour 23
+        Event(id=1, start=SECONDS_PER_DAY + 100.0, duration=5.0),  # day 1, hour 0
+    ]
+    tr = make_trace(evs, horizon=2 * SECONDS_PER_DAY)
+    probs = hourly_event_probability(tr, days=1)
+    assert probs[23] == 1.0
     assert probs.sum() == 1.0
 
 
