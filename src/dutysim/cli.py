@@ -132,7 +132,10 @@ def _prepare(args) -> tuple[ExperimentConfig, Path, Path]:
     cfg_path = Path(args.config)
     cfg = load_config(cfg_path)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from None
     out = args.out or cfg.out or "out"
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -449,6 +449,7 @@ def _senses(node: DeviceNode, trace: EventTrace) -> np.ndarray:
 @dataclass
 class _DeviceRuntime:
     node: DeviceNode
+    rows: list[int]  # the rows of the full trace that the engine's sub-trace holds
     engine: TimelineEngine
     learner: Learner
     summary: DeviceSummary
@@ -482,7 +483,8 @@ def run_network(
     keeps a different log and charge. Failures listed in the config remove
     a device at the start of the given episode; clusters re-form and, by
     default, epsilon resets for the survivors. init_tables[id] seeds that
-    device's table by copy; the others start from zeros.
+    device's table by copy; the others start from zeros. Events are rows of
+    the trace; each device maps its sub-trace's rows back to them.
     """
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
@@ -501,11 +503,12 @@ def run_network(
         _check_intervals((config.fixed_interval,), profile, "fixed_interval")
     n_states = 24 * config.n_bins
     if config.train:
-        hash_of = dict(zip(trace.ids.tolist(), event_hashes(trace.bands, trace.starts)))
+        hashes = event_hashes(trace.bands, trace.starts)
 
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
-        sub = trace.subset(_senses(node, trace))
+        senses = _senses(node, trace)
+        sub = trace.subset(senses)
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
         else:
@@ -518,6 +521,7 @@ def run_network(
         rng_for_day = _day_rng_provider(seed, node.id)
         runtimes[node.id] = _DeviceRuntime(
             node,
+            np.flatnonzero(senses).tolist(),
             TimelineEngine(
                 sub, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs
             ),
@@ -550,10 +554,11 @@ def run_network(
             episodes.append(episode)
         hour = trace.hour_of(p_start)
 
-        # Each period's counts go straight into the device and episode
-        # records; period_detections counts the devices that detected each event.
+        # Each period's counts go straight into the device and episode records;
+        # period_detections counts the devices that detected each trace row.
         period_stats = {}
         period_detections: dict[int, int] = {}
+        own_hashes: dict[int, list[int]] = {}
         for rt in alive:
             if config.train:
                 interval = rt.learner.choose(rt.engine, hour, p_start)
@@ -564,17 +569,15 @@ def run_network(
             rt.summary.positives += stats.positives
             rt.summary.negatives += stats.negatives
             episode.activations[rt.node.id] += stats.activations
-            for eid, _s in stats.detected:
-                period_detections[eid] = period_detections.get(eid, 0) + 1
+            rows = [rt.rows[k] for k in stats.detected]
+            for j in rows:
+                period_detections[j] = period_detections.get(j, 0) + 1
+            if config.train:
+                own_hashes[rt.node.id] = [hashes[j] for j in rows]
+                if rows:
+                    rt.engine.bill_pings(len(rows), p_end)
 
         if config.train:
-            own_hashes: dict[int, list[int]] = {}
-            for rt in alive:
-                did = rt.node.id
-                hashes = [hash_of[eid] for (eid, _s) in period_stats[did].detected]
-                own_hashes[did] = hashes
-                if hashes:
-                    rt.engine.bill_pings(len(hashes), p_end)
             mailbox = {}
             if any(own_hashes.values()):
                 # A period without pings draws nothing, so its stream is not built.
@@ -611,15 +614,12 @@ def run_network(
         n_neg = sum(stats.negatives for stats in period_stats.values())
         episode.positives += n_pos
         episode.negatives += n_neg
-        overlaps = tuple(period_detections[eid] for eid in sorted(period_detections))
+        overlaps = tuple(period_detections[j] for j in sorted(period_detections))
         episode.global_reward += network_reward(
             NetworkRewardInputs(
                 n_pos, n_neg, overlaps, episode.battery_sd, hp.w1, config.w2, config.w3
             )
         )
-        if hour_idx == 23 and config.train:
-            for rt in alive:
-                rt.learner.end_episode()
 
     for rt in alive:
         rt.engine.finish()
@@ -629,7 +629,7 @@ def run_network(
         rt.summary.events_detected = len(rt.engine.detected)
         rt.summary.charge_mah = rt.engine.charge_mah
         rt.summary.battery_level = profile.battery_mah - rt.summary.charge_mah
-        detections += np.isin(trace.ids, [eid for eid, _s in rt.engine.detected])
+        detections[[rt.rows[k] for k in rt.engine.detected]] += 1
 
     day = (trace.starts // SECONDS_PER_DAY).astype(np.int64)
     totals = np.bincount(day, minlength=len(episodes))

@@ -10,17 +10,18 @@ field names are the JSON keys: ``trace.profile`` is a ``DiurnalProfile``,
 ``network.layout`` entry a ``DeviceNode``, so every key is declared once.
 ``_parse`` walks the fields and their annotations (int, float, str, bool,
 ``X | None``, ``tuple[T, ...]``, fixed-length tuples and nested dataclasses);
-int and float fields reject true/false. A type's invariants live in its
-``__post_init__`` and run at parse time. Unknown keys, missing required keys,
-wrong types and broken invariants raise ConfigError naming the offending
-field. ``config_to_dict`` is the inverse with every default materialized; it
-leaves a field out only when it is None and defaults to None. parse ->
-serialize -> parse is the identity.
+int and float fields reject true/false, float fields NaN, ±inf and 1e400.
+A type's invariants live in its ``__post_init__`` and run at parse time.
+Unknown keys, missing required keys, wrong types and broken invariants raise
+ConfigError naming the offending field. ``config_to_dict`` is the inverse
+with every default materialized; it leaves a field out only when it is None
+and defaults to None. parse -> serialize -> parse is the identity.
 """
 
 import dataclasses
 import functools
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -87,6 +88,8 @@ class ExperimentConfig:
     network: NetworkConfig | None = None
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:  # streams key on seed mod 2**64
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         try:
             ActionSpace(self.actions)
         except ValueError as e:
@@ -130,6 +133,9 @@ def _parse(tp, value, where: str):
     accepted, what = _SCALARS[tp]
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    if tp is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        shown = value if isinstance(value, float) else "an integer past the float range"
+        raise ConfigError(f"{where}: expected a finite number, got {shown}")
     return tp(value)
 
 

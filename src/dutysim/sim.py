@@ -15,7 +15,7 @@ schedule picks the interval per period through a ``Learner``, the one
 Q-learning scheduler that both train_qlearn and the network mode
 (``collab.run_network``) drive. It chooses epsilon-greedily with per-period
 updates when training and greedily, without learning, when evaluating.
-Training episodes are whole days; epsilon decays once per episode.
+Training episodes are whole days, and the learner itself ends each one.
 
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
@@ -51,7 +51,7 @@ from .qsched import (
     select_action,
 )
 from .rng import substream
-from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
+from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, overlapping
 
 __all__ = [
     "FixedSchedule",
@@ -199,10 +199,12 @@ def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -
 
 @dataclass
 class PeriodStats:
+    """One period's probe counts, and the events it detected as rows of the engine's trace."""
+
     activations: int = 0
     positives: int = 0
     negatives: int = 0
-    detected: list = field(default_factory=list)  # (event_id, event_start in s)
+    detected: list[int] = field(default_factory=list)
 
 
 class TimelineEngine:
@@ -261,14 +263,13 @@ class TimelineEngine:
         self.next_wake = self.t_begin
         self.ptr = 0
         self.detected_mask = np.zeros(len(trace), dtype=bool)
-        self.detected: list[tuple[int, float]] = []
+        self.detected: list[int] = []  # rows of trace, in detection order
         self.cam_acc = 0.0
         self.ticks_by_mode = dict.fromkeys(MODES, 0)
         self.log: list[LogEntry] | None = [] if collect_log else None
         self.starts = np.rint(trace.starts * 1e9).astype(np.int64).tolist()
         self.ends = np.rint(trace.ends * 1e9).astype(np.int64).tolist()
         self._bands = trace.bands.tolist()
-        self._ids = trace.ids.tolist()
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
         self.dur = profile.ticks
@@ -396,17 +397,11 @@ class TimelineEngine:
         d = self.dur
         self._sleep_to(w)
         self._emit("probe", d["d_probe"])
-        window_end = w + d["probe_record_s"]
         starts, ends = self.starts, self.ends
         n = len(starts)
         while self.ptr < n and ends[self.ptr] <= w:
             self.ptr += 1
-        hit = []
-        j = self.ptr
-        while j < n and starts[j] < window_end:
-            if ends[j] > w:
-                hit.append(j)
-            j += 1
+        hit = overlapping(starts, ends, w, w + d["probe_record_s"], self.ptr)
         rng = self.rng_for_day(w // TICKS_PER_DAY)
         fired = self.probe_fn([self._bands[k] for k in hit], rng)
         stats.activations += 1
@@ -439,10 +434,9 @@ class TimelineEngine:
 
         if detected_now:
             stats.positives += 1
-            for k in detected_now:
-                event = (self._ids[k], self.trace.starts[k].item())
-                stats.detected.append(event)
-                self.detected.append(event)
+            stats.detected.extend(detected_now)
+            self.detected.extend(detected_now)
+            for _ in detected_now:
                 self._emit("tx_audio", d["d_tx_audio"])
                 self.cam_acc += self.profile.camera_trigger_ratio
                 if self.cam_acc >= 1.0 - 1e-9:
@@ -474,9 +468,10 @@ class Learner:
     learner chooses an interval epsilon-greedily from the day's stream and
     bills an inference at the period start; ``learn`` updates the chosen
     cell toward the next hour's state and bills the update at the period
-    end. Epsilon decays once per episode. At epsilon 0 the choice is greedy
-    and draws nothing, so a learner that never learns replays a trained
-    table.
+    end. An update at a day boundary (every 24th) ends an episode: epsilon
+    decays and the greedy policy joins ``history``. At epsilon 0 the choice
+    is greedy and draws nothing, so a learner that never learns replays a
+    trained table.
     """
 
     def __init__(self, table, hp, actions, rng_for_day, edges=(), eps=None):
@@ -490,6 +485,7 @@ class Learner:
         self.bin = 0
         self.state = 0
         self.action = 0
+        self.history: list[np.ndarray] = []
 
     def choose(self, engine: TimelineEngine, hour: int, p_start: float) -> float:
         self.state = hour * self.n_bins + self.bin
@@ -505,20 +501,17 @@ class Learner:
         next_state = ((hour + 1) % 24) * self.n_bins + self.bin
         q_update(self.table, self.state, self.action, r, next_state, self.hp)
         engine.bill_ql("ql_update", p_end)
+        if p_end % SECONDS_PER_DAY == 0:
+            self.eps = decay_epsilon(self.eps, self.hp)
+            self.history.append(self.table.greedy_policy())
 
-    def end_episode(self) -> None:
-        self.eps = decay_epsilon(self.eps, self.hp)
 
-
-def _run_periods(
-    engine, t_begin, t_end, n_periods, learner=None, interval=None, w1=None, first_period=0
-):
-    """Drive the engine period by period; returns raw period tuples.
+def _run_periods(engine, t_begin, t_end, n_periods, learner=None, interval=None, w1=None):
+    """Drive the engine through hourly periods from t_begin; returns raw period tuples.
 
     Without a learner every period runs at ``interval``. A learner chooses
     each period's interval, and learns from the period reward when given
-    its false-alarm weight ``w1``. first_period keeps the period index honest
-    when a run is driven in chunks (training drives one day at a time).
+    its false-alarm weight ``w1``; the learner ends its own episodes.
     """
     rows = []
     for p in range(n_periods):
@@ -531,7 +524,7 @@ def _run_periods(
         if w1 is not None:
             r = reward(RewardInputs(stats.positives, stats.negatives), w1)
             learner.learn(engine, r, hour, len(stats.detected), p_end)
-        rows.append((first_period + p, hour, interval, stats))
+        rows.append((p, hour, interval, stats))
     return rows
 
 
@@ -552,12 +545,10 @@ def _build_report(
 ) -> SimReport:
     n_periods = len(rows)
     # Events intersecting the window, attributed to the period of their
-    # start (carry-ins from before the window land in period 0). Events
-    # starting before t_end are a prefix, as the trace is sorted by start.
-    before = int(np.searchsorted(trace.starts, t_end, side="left"))
-    live = trace.starts[:before][trace.ends[:before] > t_begin]
-    totals = _per_period(live, t_begin, n_periods)
-    detected = _per_period(np.array([s for _, s in engine.detected]), t_begin, n_periods)
+    # start (carry-ins from before the window land in period 0).
+    live = overlapping(trace.starts, trace.ends, t_begin, t_end)
+    totals = _per_period(trace.starts[live], t_begin, n_periods)
+    detected = _per_period(trace.starts[engine.detected], t_begin, n_periods)
 
     periods = []
     for (p, hour, interval, stats) in rows:
@@ -688,8 +679,9 @@ def train_qlearn(
     Each training day is one episode: per period an action is chosen
     epsilon-greedily at period start, held for the period, and updated at
     period end with the period reward; the next-state index wraps from the
-    last hour to the first. Epsilon decays once per episode. Evaluation runs
-    the greedy policy over the following days with learning frozen.
+    last hour to the first. The learner ends each episode (``Learner``).
+    Evaluation runs the greedy policy over the following days with learning
+    frozen.
     """
     if train_days < 1 or eval_days < 0:
         raise ScheduleError("need train_days >= 1 and eval_days >= 0")
@@ -712,25 +704,10 @@ def train_qlearn(
         trace, 0.0, train_end, profile, detector, rng_for_day, collect_log=collect_logs
     )
     learner = Learner(table, hp, actions, rng_for_day)
-    history: list[np.ndarray] = []
-    all_rows = []
-    for day in range(train_days):
-        all_rows.extend(
-            _run_periods(
-                engine,
-                day * SECONDS_PER_DAY,
-                train_end,
-                24,
-                learner,
-                w1=hp.w1,
-                first_period=day * 24,
-            )
-        )
-        learner.end_episode()
-        history.append(table.greedy_policy())
+    rows = _run_periods(engine, 0.0, train_end, train_days * 24, learner, w1=hp.w1)
     engine.finish()
-    train_report = _build_report(trace, 0.0, train_end, all_rows, engine, hp.w1, profile)
-    train_report.episodes_to_convergence = convergence_episodes(history)
+    train_report = _build_report(trace, 0.0, train_end, rows, engine, hp.w1, profile)
+    train_report.episodes_to_convergence = convergence_episodes(learner.history)
 
     if eval_days > 0:
         eval_spec = GreedySchedule(table=table, actions=actions)
@@ -754,7 +731,7 @@ def train_qlearn(
         table=table,
         train_report=train_report,
         eval_report=eval_report,
-        policy_history=history,
+        policy_history=learner.history,
         eps_final=learner.eps,
         train_log=engine.log,
         eval_log=eval_log,

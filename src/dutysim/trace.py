@@ -11,6 +11,7 @@ inhomogeneous Poisson process with piecewise-constant hourly rates.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import json
@@ -289,15 +290,22 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
     return EventTrace(np.arange(n), starts, durs, horizon, origin_hour, bands, xs, ys)
 
 
+def overlapping(starts, ends, t0, t1, lo: int = 0) -> list[int]:
+    """The rows j >= lo, ascending, with starts[j] < t1 and ends[j] > t0; starts is sorted.
+
+    The package's one window rule: the engine's probes ask it on tick lists
+    from the event pointer, events_in_window and the reports on float columns.
+    """
+    return [j for j in range(lo, bisect.bisect_left(starts, t1, lo)) if ends[j] > t0]
+
+
 def events_in_window(trace: EventTrace, t0: float, t1: float) -> list[Event]:
-    """Events whose [start, end) intersects the half-open window [t0, t1)."""
+    """Events whose [start, end) meets the half-open window [t0, t1), as ``overlapping`` says."""
     if t1 < t0:
         raise ValueError(f"window end {t1} before start {t0}")
     if t0 == t1:
         return []
-    # Events starting before t1 are a prefix, as the trace is sorted by start.
-    before = int(np.searchsorted(trace.starts, t1, side="left"))
-    return [trace.events[i] for i in np.flatnonzero(trace.ends[:before] > t0)]
+    return [trace.events[j] for j in overlapping(trace.starts, trace.ends, t0, t1)]
 
 
 def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.ndarray:

@@ -278,9 +278,8 @@ class PerWakeEngine(TimelineEngine):
         if detected_now:
             stats.positives += 1
             for k in detected_now:
-                start = self.trace.events[k].start
-                stats.detected.append((self._ids[k], start))
-                self.detected.append((self._ids[k], start))
+                stats.detected.append(k)
+                self.detected.append(k)
                 self._emit("tx_audio", d["d_tx_audio"])
                 self.cam_acc += p.camera_trigger_ratio
                 if self.cam_acc >= 1.0 - 1e-9:

@@ -7,6 +7,7 @@ byte level since the manifest hashes promise exactly that.
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -210,6 +211,14 @@ def test_run_missing_seed_is_a_validation_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_run_rejects_seed_override_outside_64_bits(tmp_path, capsys, seed):
+    cfg_path = write_config(tmp_path / "cfg.json", run_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--seed", seed, "--out", str(out)]) == 1
+    assert "--seed: seed must lie in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_run_rejects_zero_eval_days(tmp_path, capsys):
@@ -743,6 +752,8 @@ def test_parse_config_names_offending_fields(tmp_path):
     def profile_case(**bad):
         return {**base, "trace": {"profile": dict(FLAT_PROFILE, **bad)}}
 
+    device = {"id": 0, "x": 0.0, "y": 0.0, "sensing_radius": 1.0, "comm_radius": 1.0}
+
     cases = [
         ({**base, "mystery": 1}, "mystery"),
         ({**base, "trace": {}}, "trace"),
@@ -775,6 +786,25 @@ def test_parse_config_names_offending_fields(tmp_path):
             {**base, "network": {"layout_file": "x.json", "pretrain_days": -1}},
             "network: pretrain_days",
         ),
+        # Python's json reads NaN, Infinity and 1e400 (as inf).
+        ({**base, "power": {"i_sleep": math.nan}}, "power.i_sleep"),
+        ({**base, "power": {"battery_mah": math.inf}}, "power.battery_mah"),
+        ({**base, "detector": {"noise_sd": math.nan}}, "detector.noise_sd"),
+        (profile_case(hourly_rate=[math.nan] + [0.5] * 23), "trace.profile.hourly_rate[0]"),
+        (profile_case(hourly_rate=[math.inf] + [0.5] * 23), "trace.profile.hourly_rate[0]"),
+        (profile_case(duration_sd=math.nan), "trace.profile.duration_sd"),
+        ({**base, "hyperparameters": {"w1": math.nan}}, "hyperparameters.w1"),
+        ({**base, "hyperparameters": {"w1": 10**400}}, "hyperparameters.w1"),
+        ({**base, "actions": [3, math.nan, 60]}, "actions[1]"),
+        ({**base, "schedules": {"fixed": [math.inf]}}, "schedules.fixed[0]"),
+        ({**base, "network": {"layout": [dict(device, x=-math.inf)]}}, "layout[0].x"),
+        (
+            {**base, "network": {"layout": [dict(device, sensing_radius=math.nan)]}},
+            "layout[0].sensing_radius",
+        ),
+        # The random streams key on the seed mod 2**64.
+        ({**base, "seed": 2**64}, "seed"),
+        ({**base, "seed": -1}, "seed"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError) as err:

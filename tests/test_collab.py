@@ -6,6 +6,7 @@ examples, and run_network against its single-device reductions to the
 core simulator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -578,6 +579,35 @@ def test_lone_network_device_pings_each_detection_and_train_qlearn_does_not():
     assert not any(entry.mode == "ping" for entry in res.train_log)
     assert np.array_equal(rep.tables[0].values, res.table.values)
     assert np.array_equal(rep.tables[0].visits, res.table.visits)
+
+
+def test_event_ids_are_only_labels():
+    # A non-monotone relabelling of a trace with distinct starts keeps its
+    # (start, id) order, so every result must stay equal.
+    tr = area_trace(2, 13)
+    assert np.unique(tr.starts).size == len(tr)
+    ids = np.random.default_rng(0).permutation(len(tr)) * 1009 - 500_000
+    assert (np.diff(ids) > 0).any() and (np.diff(ids) < 0).any()
+    relabelled = dataclasses.replace(tr, ids=ids)
+    detector = DetectorModel(tp_rate=0.8, fp_rate=0.02)
+    nodes = (
+        DeviceNode(0, 3.0, 5.0, 4.0, 20.0),
+        DeviceNode(1, 7.0, 5.0, 4.0, 20.0),
+        DeviceNode(2, 5.0, 5.0, 500.0, 500.0),
+    )
+    cfg = network(*nodes, episodes=2, drop_rate=0.3)
+
+    def results(trace):
+        trained = train_qlearn(trace, 1, 1, W1, ActionSpace(), detector, PROFILE, 13)
+        fixed, _ = run_schedule(trace, FixedSchedule(7.0), detector, PROFILE, 13)
+        net = run_network(trace, cfg, W1, ActionSpace(), detector, PROFILE, 13)
+        tables = [trained.table] + [net.tables[n.id] for n in nodes]
+        return (
+            (trained.train_report, trained.eval_report, fixed, net.to_dict()),
+            [(t.values.tolist(), t.visits.tolist()) for t in tables],
+        )
+
+    assert results(relabelled) == results(tr)
 
 
 @pytest.mark.parametrize("failures", [((2, 2),), ()], ids=["failure", "no_failure"])

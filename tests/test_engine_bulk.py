@@ -8,6 +8,10 @@ every day's random stream; a TimelineEngine that keeps no log must agree
 on all but the log. It then checks the engine invariants: the log tiles the span
 in ticks, the online charge equals the charge recomputed from the log, and
 no more events are detected than there are.
+
+One more property checks the window rule as the engine calls it, from its
+event pointer: on a whole-millisecond grid, each probe hears the events
+that ``_oracles.events_in_window_scan`` finds in its record window.
 """
 
 import contextlib
@@ -22,7 +26,7 @@ from dutysim import collab, sim
 from dutysim.collab import DeviceNode, NetworkConfig, run_network
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
-from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
+from dutysim.power import TICKS_PER_S, PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
 from dutysim.sim import (
     BULK_MAX_FP,
@@ -41,7 +45,7 @@ from dutysim.trace import (
     make_trace,
 )
 
-from _oracles import PerWakeEngine, stream_position, two_peak_rates
+from _oracles import PerWakeEngine, events_in_window_scan, stream_position, two_peak_rates
 
 PROFILES = (
     PowerProfile(),
@@ -155,7 +159,7 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
         )
 
     assert_log_invariants(fast.log, fast.charge_mah, profile, fast.horizon - fast.t_begin)
-    ids = [eid for eid, _ in fast.detected]
+    ids = trace.ids[fast.detected].tolist()
     in_window = {ev.id for ev in trace.events if ev.start < t_end and ev.end > t_begin}
     assert len(set(ids)) == len(ids)
     assert set(ids) <= in_window
@@ -168,6 +172,75 @@ def test_bulk_engine_matches_per_wake_engine(case, bulk_max_fp):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "BULK_MAX_FP", bulk_max_fp)
         assert_engines_agree(*case)
+
+
+@st.composite
+def whole_ms_cases(draw):
+    """Engine runs on a whole-millisecond grid, so ticks and float seconds order alike.
+
+    Each event's band is its id. Wakes, periods and profile durations are
+    whole milliseconds too, and an event is kept only when start + duration
+    is its whole-millisecond end in float, as the scan oracle computes it.
+    Coarse grids and whole-second intervals make event edges meet wakes and
+    window ends.
+    """
+    profile = draw(st.sampled_from(PROFILES))
+    unit = draw(st.sampled_from([1, 100, 1000]))  # ms
+    t_begin_ms = draw(st.sampled_from([0, 70, 5_000_300]))
+    t_end_ms = t_begin_ms + draw(st.integers(30_000, 7_200_000))
+    lo, hi = -(-max(0, t_begin_ms - 60_000) // unit), (t_end_ms - 1) // unit
+    events = []
+    for i in range(1, draw(st.integers(0, 25)) + 1):
+        k = draw(st.integers(lo, hi))
+        start_ms = k * unit
+        length = draw(st.integers(1, 3) | st.integers(1, 400_000 // unit))
+        end_ms = min(t_end_ms, unit * (k + length))
+        start, end = start_ms / 1000, end_ms / 1000
+        if start + (end - start) == end:
+            events.append(Event(id=i, start=start, duration=end - start, band=float(i)))
+    trace = make_trace(events, horizon=t_end_ms / 1000)
+    d_probe_ms = round(profile.d_probe * 1000)
+    interval_ms = st.one_of(
+        st.sampled_from([1000, 3000, 60_000]), st.integers(d_probe_ms + 1, 900_000)
+    )
+    periods = []
+    p_start_ms = t_begin_ms
+    while p_start_ms < t_end_ms:
+        p_end_ms = min(p_start_ms + draw(st.integers(300_000, 4_000_000)), t_end_ms)
+        periods.append((p_end_ms / 1000, draw(interval_ms) / 1000))
+        p_start_ms = p_end_ms
+    # Above BULK_MAX_FP every wake is probed, none billed in bulk.
+    detector = DetectorModel(
+        tp_rate=draw(st.sampled_from([0.0, 0.5, 1.0])), fp_rate=draw(st.sampled_from([0.3, 1.0]))
+    )
+    return profile, trace, t_begin_ms / 1000, t_end_ms / 1000, detector, periods
+
+
+@settings(max_examples=60, deadline=None)
+@given(whole_ms_cases(), st.integers(0, 2**16))
+def test_each_probe_hears_the_events_the_scan_oracle_finds(case, seed):
+    profile, trace, t_begin, t_end, detector, periods = case
+    wakes, heard = [], []
+
+    class Recorded(TimelineEngine):
+        def _probe(self, w, stats):
+            wakes.append(w)
+            super()._probe(w, stats)
+
+    engine = _engine(Recorded, profile, trace, t_begin, t_end, detector, seed)
+    probe_fn = engine.probe_fn
+
+    def hear(bands, rng):
+        heard.append(bands)
+        return probe_fn(bands, rng)
+
+    engine.probe_fn = hear
+    activations = sum(engine.run_period(p_end, iv).activations for p_end, iv in periods)
+    assert len(wakes) == len(heard) == activations
+    record = profile.ticks["probe_record_s"]
+    for w, bands in zip(wakes, heard):
+        want = events_in_window_scan(trace, w / TICKS_PER_S, (w + record) / TICKS_PER_S)
+        assert bands == [ev.band for ev in want]
 
 
 @pytest.mark.parametrize("fp_rate", [0.0, 0.001])

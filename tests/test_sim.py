@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from dutysim import sim
 from dutysim.cli import main
-from dutysim.detect import DetectorModel
+from dutysim.detect import DetectorModel, gate, synthesize_tone
 from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
@@ -12,6 +14,7 @@ from dutysim.sim import (
     FixedSchedule,
     GreedySchedule,
     convergence_episodes,
+    make_probe_fn,
     run_schedule,
     train_qlearn,
 )
@@ -158,6 +161,32 @@ def test_probe_window_is_tenth_of_a_second():
     miss, _ = run_schedule(far, FixedSchedule(100.0), ORACLE, PROFILE, 1, collect_log=False)
     assert hit.events_detected == 1
     assert miss.events_detected == 0
+
+
+def test_out_of_bank_event_is_its_own_tone(monkeypatch):
+    # With a 100 Hz bandwidth no bank tone (2-8 kHz) lies near 1 kHz, so the
+    # event sounds as a plain 1 kHz tone. Past Nyquist it adds nothing; so it
+    # does at Nyquist, for a bank without the 8 kHz (Nyquist) bin.
+    model = DetectorModel(kind="goertzel", tone_amplitude=300.0, event_bandwidth_hz=100.0)
+    bank = model.bank
+    nyquist = bank.sample_rate / 2
+    vars(model)["bank"] = dataclasses.replace(bank, target_bins=bank.target_bins[:-1])
+    assert bank.freq_of(bank.target_bins[-1]) == nyquist
+    windows = []
+
+    def recording_gate(bank, samples):
+        windows.append(samples.copy())
+        return gate(bank, samples)
+
+    monkeypatch.setattr(sim, "gate", recording_gate)
+    probe = make_probe_fn(model)
+    tone = synthesize_tone(1000.0, model.tone_amplitude)
+    assert probe([1000.0], None) == gate(model.bank, tone)
+    assert probe([1000.0, nyquist, nyquist + 200.0, 3 * nyquist], None) == gate(model.bank, tone)
+    assert probe([nyquist], None) == gate(model.bank, np.zeros(bank.window_len))
+    assert np.array_equal(windows[0], tone)
+    assert np.array_equal(windows[1], tone)
+    assert not windows[2].any()
 
 
 def test_positive_credited_to_probe_period():
