@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import expand_global_table, run_network
+from .collab import EpisodeMetrics, expand_global_table, run_network
 from .config import (
     ExperimentConfig,
     build_profile,
@@ -34,12 +34,13 @@ from .config import (
 )
 from .errors import ConfigError, DutysimError
 from .qsched import ActionSpace, init_from_distribution, save_qtable
-from .sim import FixedSchedule, run_schedule, train_qlearn
+from .sim import FixedSchedule, PeriodRecord, SimReport, run_schedule, train_qlearn
 from .trace import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     fmt_float,
     hourly_event_probability,
+    read_json,
     save_trace,
 )
 
@@ -52,44 +53,18 @@ COMPARISON_COLUMNS = [
     "avg_current_ma",
     "lifetime_years",
 ]
-PER_PERIOD_COLUMNS = [
-    "schedule",
-    "phase",
-    "index",
-    "hour",
-    "interval",
-    "activations",
-    "positives",
-    "negatives",
-    "events_total",
-    "events_detected",
-    "reward",
-]
-SERIES_COLUMNS = [
-    "episode",
-    "events_total",
-    "events_detected",
-    "detection_rate",
-    "mean_duplicates",
-    "positives",
-    "negatives",
-    "global_reward",
-    "battery_sd",
-]
 DEVICE_COLUMNS = ["episode", "activations", "battery_level"]
+
+
+def _fields(record, drop=()) -> list[str]:
+    return [f.name for f in dataclasses.fields(record) if f.name not in drop]
+
+
+# The other tables write their records' own fields, in declaration order.
+PER_PERIOD_COLUMNS = ["schedule", "phase", *_fields(PeriodRecord)]
+SERIES_COLUMNS = ["episode", *_fields(EpisodeMetrics, ("index", "activations", "batteries"))]
 # The SimReport fields of the qlearn train/eval summaries in summary.json.
-SUMMARY_FIELDS = [
-    "span_s",
-    "activations",
-    "positives",
-    "negatives",
-    "events_total",
-    "events_detected",
-    "detection_rate",
-    "charge_mah",
-    "avg_current_ma",
-    "lifetime_years",
-]
+SUMMARY_FIELDS = _fields(SimReport, ("periods", "episodes_to_convergence"))
 
 
 def _cell(value) -> str:
@@ -405,12 +380,7 @@ def cmd_report(args) -> int:
     if not args.summary:
         raise ConfigError("--summary is required")
     path = Path(args.summary)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"summary file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    payload = read_json(path, ConfigError, "summary file")
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind not in ("run", "run-network"):
         raise ConfigError(f"{path}: unknown summary kind {kind!r}")

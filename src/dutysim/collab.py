@@ -484,7 +484,8 @@ def run_network(
     a device at the start of the given episode; clusters re-form and, by
     default, epsilon resets for the survivors. init_tables[id] seeds that
     device's table by copy; the others start from zeros. Events are rows of
-    the trace; each device maps its sub-trace's rows back to them.
+    the trace; each device maps the rows of its period stats back to them,
+    and the detection counts are added up from those as the periods run.
     """
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
@@ -534,6 +535,7 @@ def run_network(
     fails_at = dict(config.failures)
 
     episodes: list[EpisodeMetrics] = []
+    detections = np.zeros(len(trace), dtype=np.int64)  # per trace row, devices that heard it
     for t in range(config.episodes * 24):
         day, hour_idx = divmod(t, 24)
         p_start = t * SECONDS_PER_HOUR
@@ -554,8 +556,9 @@ def run_network(
             episodes.append(episode)
         hour = trace.hour_of(p_start)
 
-        # Each period's counts go straight into the device and episode records;
-        # period_detections counts the devices that detected each trace row.
+        # Each period's counts go straight into the device and episode records
+        # and the run's detection counts; period_detections counts the devices
+        # that detected each trace row this period.
         period_stats = {}
         period_detections: dict[int, int] = {}
         own_hashes: dict[int, list[int]] = {}
@@ -570,8 +573,10 @@ def run_network(
             rt.summary.negatives += stats.negatives
             episode.activations[rt.node.id] += stats.activations
             rows = [rt.rows[k] for k in stats.detected]
+            rt.summary.events_detected += len(rows)
             for j in rows:
                 period_detections[j] = period_detections.get(j, 0) + 1
+                detections[j] += 1
             if config.train:
                 own_hashes[rt.node.id] = [hashes[j] for j in rows]
                 if rows:
@@ -623,13 +628,9 @@ def run_network(
 
     for rt in alive:
         rt.engine.finish()
-    # Per event, the devices that detected it (each engine marks an event once).
-    detections = np.zeros(len(trace), dtype=np.int64)
     for rt in runtimes.values():
-        rt.summary.events_detected = len(rt.engine.detected)
         rt.summary.charge_mah = rt.engine.charge_mah
         rt.summary.battery_level = profile.battery_mah - rt.summary.charge_mah
-        detections[[rt.rows[k] for k in rt.engine.detected]] += 1
 
     day = (trace.starts // SECONDS_PER_DAY).astype(np.int64)
     totals = np.bincount(day, minlength=len(episodes))

@@ -20,7 +20,6 @@ and defaults to None. parse -> serialize -> parse is the identity.
 
 import dataclasses
 import functools
-import json
 import sys
 import types
 import typing
@@ -32,7 +31,7 @@ from .detect import DetectorModel
 from .errors import ConfigError, TraceValidationError
 from .power import PowerProfile
 from .qsched import DEFAULT_ACTIONS, ActionSpace, Hyperparameters
-from .trace import DiurnalProfile, EventTrace, generate_trace, load_trace
+from .trace import DiurnalProfile, EventTrace, generate_trace, load_trace, read_json
 
 __all__ = [
     "ExperimentConfig",
@@ -88,7 +87,7 @@ class ExperimentConfig:
     network: NetworkConfig | None = None
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:  # streams key on seed mod 2**64
+        if not 0 <= self.seed < 2**64:  # the seeds rng.substream takes
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         try:
             ActionSpace(self.actions)
@@ -169,14 +168,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}: invalid JSON ({e})") from None
-    return parse_config(data)
+    return parse_config(read_json(Path(path), ConfigError, "config file"))
 
 
 def _to_json(value):
@@ -219,12 +211,7 @@ def build_profile(cfg: ExperimentConfig) -> PowerProfile:
 def load_layout(file: str, base_dir: Path | None = None) -> tuple[DeviceNode, ...]:
     """Read a network.layout_file: a JSON device list, bare or under "devices"."""
     path = _resolve(file, base_dir)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"network.layout_file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    data = read_json(path, ConfigError, "network.layout_file")
     if isinstance(data, dict) and "devices" in data:
         data = data["devices"]
     if not isinstance(data, list) or not data:

@@ -20,12 +20,10 @@ import numpy as np
 
 __all__ = ["substream"]
 
-_MASK64 = (1 << 64) - 1
-
 
 def _key_for(seed: int, path: tuple) -> np.ndarray:
     h = hashlib.sha256()
-    h.update(struct.pack("<Q", seed & _MASK64))
+    h.update(struct.pack("<Q", seed))
     for part in path:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
@@ -37,8 +35,10 @@ def substream(seed: int, *path) -> np.random.Generator:
     """Return a Generator for the named substream of ``seed``.
 
     The same (seed, path) always yields the same stream; distinct paths
-    yield independent streams.
+    yield independent streams. The seed is a 64-bit word, in [0, 2**64).
     """
     if not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=_key_for(seed, path)))

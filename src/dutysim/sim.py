@@ -31,6 +31,8 @@ go which way; both ways give the same ticks, logs and random draws.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -199,7 +201,11 @@ def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -
 
 @dataclass
 class PeriodStats:
-    """One period's probe counts, and the events it detected as rows of the engine's trace."""
+    """One period's probe counts, and the events it detected as rows of the engine's trace.
+
+    ``detected`` is the only record of what a device heard; reports and the
+    network driver read it.
+    """
 
     activations: int = 0
     positives: int = 0
@@ -237,6 +243,11 @@ class TimelineEngine:
     billed wake. The wake that ends a run goes through ``_probe``, as does
     every wake not in a run and every wake with the Goertzel detector or a
     higher fp_rate. Both ways give the same ticks, logs and random draws.
+
+    The engine keeps no record of what it detected; each period's
+    ``PeriodStats.detected`` is the record. It needs none because every
+    detected event has ended by the clock t, or t sits at the horizon, and
+    every later wake is at or after t: no probe can hear an event twice.
     """
 
     def __init__(
@@ -262,8 +273,6 @@ class TimelineEngine:
         self.t = self.t_begin
         self.next_wake = self.t_begin
         self.ptr = 0
-        self.detected_mask = np.zeros(len(trace), dtype=bool)
-        self.detected: list[int] = []  # rows of trace, in detection order
         self.cam_acc = 0.0
         self.ticks_by_mode = dict.fromkeys(MODES, 0)
         self.log: list[LogEntry] | None = [] if collect_log else None
@@ -409,11 +418,10 @@ class TimelineEngine:
             stats.negatives += 1
             return
 
-        detected_now = []
-        for k in hit:
-            if not self.detected_mask[k]:
-                self.detected_mask[k] = True
-                detected_now.append(k)
+        # Every event detected earlier has ended by self.t <= w (or t sits at
+        # the horizon and no wake follows), so the hits are all new, and the
+        # events the recording can add start at or after the record window.
+        detected_now = hit
         rec_start = self.t
         if hit:
             rec_end = max(ends[k] for k in hit)
@@ -422,10 +430,9 @@ class TimelineEngine:
         if rec_end > rec_start:
             # Mic stays on; events starting meanwhile are captured and
             # stretch the recording to their own ends.
-            k = self.ptr
+            k = bisect.bisect_left(starts, w + d["probe_record_s"], self.ptr)
             while k < n and starts[k] < rec_end:
-                if ends[k] > rec_start and not self.detected_mask[k]:
-                    self.detected_mask[k] = True
+                if ends[k] > rec_start:
                     detected_now.append(k)
                     if ends[k] > rec_end:
                         rec_end = ends[k]
@@ -435,7 +442,6 @@ class TimelineEngine:
         if detected_now:
             stats.positives += 1
             stats.detected.extend(detected_now)
-            self.detected.extend(detected_now)
             for _ in detected_now:
                 self._emit("tx_audio", d["d_tx_audio"])
                 self.cam_acc += self.profile.camera_trigger_ratio
@@ -450,13 +456,6 @@ class TimelineEngine:
 
 
 # -- learner ----------------------------------------------------------------
-
-
-def _bin_index(count: int, edges: tuple[int, ...]) -> int:
-    for i, edge in enumerate(edges):
-        if count <= edge:
-            return i
-    return len(edges)
 
 
 class Learner:
@@ -497,7 +496,7 @@ class Learner:
     def learn(
         self, engine: TimelineEngine, r: float, hour: int, n_detected: int, p_end: float
     ) -> None:
-        self.bin = _bin_index(n_detected, self.edges)
+        self.bin = bisect.bisect_left(self.edges, n_detected)
         next_state = ((hour + 1) % 24) * self.n_bins + self.bin
         q_update(self.table, self.state, self.action, r, next_state, self.hp)
         engine.bill_ql("ql_update", p_end)
@@ -548,7 +547,8 @@ def _build_report(
     # start (carry-ins from before the window land in period 0).
     live = overlapping(trace.starts, trace.ends, t_begin, t_end)
     totals = _per_period(trace.starts[live], t_begin, n_periods)
-    detected = _per_period(trace.starts[engine.detected], t_begin, n_periods)
+    rows_detected = [k for *_, stats in rows for k in stats.detected]
+    detected = _per_period(trace.starts[rows_detected], t_begin, n_periods)
 
     periods = []
     for (p, hour, interval, stats) in rows:
@@ -587,16 +587,8 @@ def _build_report(
 
 
 def _day_rng_provider(seed: int, device_id: int):
-    cache: dict[int, np.random.Generator] = {}
-
-    def provider(day: int) -> np.random.Generator:
-        gen = cache.get(day)
-        if gen is None:
-            gen = substream(seed, "device", device_id, "day", day)
-            cache[day] = gen
-        return gen
-
-    return provider
+    """day -> the device's stream for that day, built once per day."""
+    return functools.cache(functools.partial(substream, seed, "device", device_id, "day"))
 
 
 # -- public operations ------------------------------------------------------

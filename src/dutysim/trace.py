@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -326,6 +327,35 @@ def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.n
 # -- serialization ----------------------------------------------------------
 
 
+def read_input(path: Path, error: type[Exception], what: str) -> str:
+    """The UTF-8 text of an input file, the one way the package reads one.
+
+    A missing file or bytes that are not UTF-8 raise ``error`` naming the
+    file; OS-level failures (a directory, no permission) propagate as they are.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e})") from None
+
+
+def read_json(path: Path, error: type[Exception], what: str):
+    """An input file's JSON through ``read_input``; bad JSON raises ``error`` naming the file.
+
+    Past syntax errors, json.loads raises ValueError for an integer over the
+    int-string digit limit and RecursionError for deep nesting.
+    """
+    text = read_input(path, error, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{path}: invalid JSON ({e})") from None
+
+
 def save_trace(trace: EventTrace, path: str | Path) -> None:
     """Write the trace as CSV or JSON, as the file suffix says."""
     path = Path(path)
@@ -369,7 +399,8 @@ def _load_csv(path: Path) -> EventTrace:
     origin_hour = 0
     events: list[Event] = []
     header_seen = False
-    with open(path, newline="") as fh:
+    text = read_input(path, TraceFormatError, "trace file")
+    with io.StringIO(text, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -464,11 +495,7 @@ def _json_point(value) -> tuple[float, float]:
 
 
 def _load_json(path: Path) -> EventTrace:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"{path.name}: {exc}") from exc
+    payload = read_json(path, TraceFormatError, "trace file")
     if not isinstance(payload, dict) or not isinstance(payload.get("events"), list):
         raise TraceFormatError(f"{path.name}: expected an object with an 'events' list")
     events = []

@@ -210,8 +210,14 @@ class PerWakeEngine(TimelineEngine):
     and bill_pings bills one ping at a time; the rest of billing, log and
     state handling come from TimelineEngine. Swap it in for
     ``dutysim.sim.TimelineEngine`` (and ``dutysim.collab.TimelineEngine``)
-    to get the reference result of any run.
+    to get the reference result of any run. It marks each detected event in
+    a mask of its own and skips marked ones, where the engine relies on no
+    probe hearing a detected event again; agreeing results check that.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.detected_mask = np.zeros(len(self.trace), dtype=bool)
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
         p_end, interval = to_ticks(p_end), to_ticks(interval)
@@ -279,7 +285,6 @@ class PerWakeEngine(TimelineEngine):
             stats.positives += 1
             for k in detected_now:
                 stats.detected.append(k)
-                self.detected.append(k)
                 self._emit("tx_audio", d["d_tx_audio"])
                 self.cam_acc += p.camera_trigger_ratio
                 if self.cam_acc >= 1.0 - 1e-9:

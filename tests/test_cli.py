@@ -585,6 +585,49 @@ def test_unreadable_config_is_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+_BIG_INT = b"1" + b"0" * 5000  # past Python's 4,300-digit int-string limit
+_NOT_UTF8 = b'{"seed": "\xff"}'
+_DEEP = b"[" * 100_000 + b"]" * 100_000  # past the recursion limit
+_INPUT_CASES = {
+    "config_big_int": ("cfg.json", _BIG_INT),
+    "config_not_utf8": ("cfg.json", _NOT_UTF8),
+    "config_deep": ("cfg.json", _DEEP),
+    "layout_big_int": ("layout.json", _BIG_INT),
+    "layout_not_utf8": ("layout.json", _NOT_UTF8),
+    "layout_deep": ("layout.json", _DEEP),
+    "trace_json_big_int": ("trace.json", _BIG_INT),
+    "trace_json_not_utf8": ("trace.json", _NOT_UTF8),
+    "trace_json_deep": ("trace.json", _DEEP),
+    "trace_json_missing": ("trace.json", None),
+    "trace_csv_not_utf8": ("trace.csv", b"id,start,duration,band,x,y\n\xff,1,1,,,\n"),
+    "trace_csv_missing": ("trace.csv", None),
+    "summary_big_int": ("summary.json", _BIG_INT),
+    "summary_not_utf8": ("summary.json", _NOT_UTF8),
+    "summary_deep": ("summary.json", _DEEP),
+}
+
+
+@pytest.mark.parametrize("name, content", _INPUT_CASES.values(), ids=_INPUT_CASES)
+def test_malformed_or_missing_input_file_is_named(tmp_path, capsys, name, content):
+    cfg = network_config(episodes=1, n_devices=1)
+    if name.startswith("trace."):
+        cfg["trace"] = {"file": name}
+    elif name == "layout.json":
+        cfg["network"]["layout_file"] = name
+        del cfg["network"]["layout"]
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    if name == "summary.json":
+        argv = ["report", "--summary", str(path)]
+    else:
+        argv = ["run-network", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_config_round_trip_is_identity(tmp_path):
     cfg_dict = network_config(episodes=4, n_devices=3, failures=[[2, 2]],
                               pretrain_days=2, drop_rate=0.25)

@@ -6,8 +6,9 @@ time) and asserts equal results: period stats, per-mode ticks, charge to
 the bit, busy frontier, pending wake, detections, logs and the position of
 every day's random stream; a TimelineEngine that keeps no log must agree
 on all but the log. It then checks the engine invariants: the log tiles the span
-in ticks, the online charge equals the charge recomputed from the log, and
-no more events are detected than there are.
+in ticks, the online charge equals the charge recomputed from the log, no
+more events are detected than there are, and after each period every event
+detected so far has ended by the engine clock t, unless t is at the horizon.
 
 One more property checks the window rule as the engine calls it, from its
 event pointer: on a whole-millisecond grid, each probe hears the events
@@ -129,11 +130,17 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
         trace, t_begin, t_end, profile, detector, _day_rng_provider(seed, 0)
     )
     engines = (fast, slow, bare)
+    detected = {e: [] for e in engines}  # each engine's rows, from its period stats
     for p_start, p_end, interval, bill in periods:
         if bill == "ql_infer":
             for e in engines:
                 e.bill_ql(bill, p_start)
         got, want, got_bare = (e.run_period(p_end, interval) for e in engines)
+        for e, stats in zip(engines, (got, want, got_bare)):
+            detected[e] += stats.detected
+            # The engine's dedupe rule: every detected event has ended by t,
+            # or t is at the horizon, and later wakes come at or after t.
+            assert e.t == e.horizon or all(e.ends[k] <= e.t for k in detected[e])
         if bill == "ql_update":
             for e in engines:
                 e.bill_ql(bill, p_end)
@@ -149,8 +156,8 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
     for e in engines:
         e.finish()
     assert bare.ticks_by_mode == fast.ticks_by_mode
-    assert bare.detected == fast.detected
-    assert fast.detected == slow.detected
+    assert detected[bare] == detected[fast]
+    assert detected[fast] == detected[slow]
     assert fast.log == slow.log
     assert all(type(e.start) is int and type(e.duration) is int for e in fast.log)
     for day in range(int(t_begin // SECONDS_PER_DAY), int(t_end // SECONDS_PER_DAY) + 1):
@@ -159,7 +166,7 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
         )
 
     assert_log_invariants(fast.log, fast.charge_mah, profile, fast.horizon - fast.t_begin)
-    ids = trace.ids[fast.detected].tolist()
+    ids = trace.ids[detected[fast]].tolist()
     in_window = {ev.id for ev in trace.events if ev.start < t_end and ev.end > t_begin}
     assert len(set(ids)) == len(ids)
     assert set(ids) <= in_window

@@ -2,8 +2,10 @@
 
 For every engine a run builds: the log tiles the engine's window exactly in
 ticks, the per-mode tick totals sum to the window and equal the log's, the
-online charge equals the charge recomputed from the log with ``==``, and no
-more events are detected than there are.
+online charge equals the charge recomputed from the log with ``==``, no
+event is detected twice, no more events are detected than there are, and
+after each period every detected event has ended by the engine clock, unless
+the clock is at the horizon.
 """
 
 import contextlib
@@ -37,13 +39,26 @@ detectors = st.builds(
 
 @contextlib.contextmanager
 def recorded_engines():
-    """Collect every TimelineEngine the package builds inside the block."""
+    """Collect every TimelineEngine the package builds inside the block.
+
+    Each keeps the rows of its period stats in ``detected_rows`` and checks,
+    after each period, the rule its dedupe rests on: every event detected so
+    far has ended by the clock t, or t is at the horizon.
+    """
     engines = []
 
     class Recorded(TimelineEngine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.detected_rows = []
             engines.append(self)
+
+        def run_period(self, p_end, interval):
+            stats = super().run_period(p_end, interval)
+            self.detected_rows += stats.detected
+            ends, t = self.ends, self.t
+            assert t == self.horizon or all(ends[k] <= t for k in self.detected_rows)
+            return stats
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "TimelineEngine", Recorded)
@@ -60,7 +75,9 @@ def assert_engine_invariants(engine, finished=True):
         from_log[entry.mode] += entry.duration
     assert from_log == engine.ticks_by_mode
     assert engine.charge_mah == charge_consumed(log, engine.profile, span=span)
-    assert len(engine.detected) <= len(engine.trace)
+    rows = engine.detected_rows
+    assert len(set(rows)) == len(rows)
+    assert len(rows) <= len(engine.trace)
 
 
 def _trace(seed, days, **kwargs):
@@ -142,7 +159,7 @@ def test_network_runs_keep_the_invariants(seed, detector, n_devices, episodes, d
         # The device record and the episode records count the same periods.
         assert device.activations == sum(e.activations.get(device.id, 0) for e in report.episodes)
         assert device.battery_level == PowerProfile().battery_mah - device.charge_mah
-        assert device.events_detected == len(engine.detected)
+        assert device.events_detected == len(engine.detected_rows)
     for episode in report.episodes:
         assert episode.events_detected <= episode.events_total
         assert episode.positives + episode.negatives == sum(episode.activations.values())
