@@ -554,6 +554,7 @@ def run_network(
                         rt.learner.eps = hp.eps_max
             episode = EpisodeMetrics(day, activations={rt.node.id: 0 for rt in alive})
             episodes.append(episode)
+            levels, terms = [], []  # per period: battery levels; reward counts
         hour = trace.hour_of(p_start)
 
         # Each period's counts go straight into the device and episode records
@@ -611,20 +612,23 @@ def run_network(
 
         # The batteries are read after this period's scheduler billing, so
         # the episode ends with its last period's levels and spread.
-        episode.batteries = {
-            rt.node.id: profile.battery_mah - rt.engine.charge_mah for rt in alive
-        }
-        episode.battery_sd = float(np.std(list(episode.batteries.values())))
+        levels.append([profile.battery_mah - rt.engine.charge_mah for rt in alive])
         n_pos = sum(stats.positives for stats in period_stats.values())
         n_neg = sum(stats.negatives for stats in period_stats.values())
         episode.positives += n_pos
         episode.negatives += n_neg
         overlaps = tuple(period_detections[j] for j in sorted(period_detections))
-        episode.global_reward += network_reward(
-            NetworkRewardInputs(
-                n_pos, n_neg, overlaps, episode.battery_sd, hp.w1, config.w2, config.w3
-            )
-        )
+        terms.append((n_pos, n_neg, overlaps))
+        if hour_idx == 23:
+            # The live devices change only at an episode start, so the levels
+            # are a matrix; its row spreads equal per-period np.std calls.
+            spreads = np.std(levels, axis=1).tolist()
+            for (n_pos, n_neg, overlaps), sd in zip(terms, spreads):
+                episode.global_reward += network_reward(
+                    NetworkRewardInputs(n_pos, n_neg, overlaps, sd, hp.w1, config.w2, config.w3)
+                )
+            episode.batteries = {rt.node.id: level for rt, level in zip(alive, levels[-1])}
+            episode.battery_sd = spreads[-1]
 
     for rt in alive:
         rt.engine.finish()

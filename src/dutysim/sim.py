@@ -19,14 +19,15 @@ Training episodes are whole days, and the learner itself ends each one.
 
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
-Charge is billed from a tick total per mode. With an abstract detector of
-low false-positive rate, wakes whose record windows meet no event are billed
-in bulk. At fp_rate 0 a run of such wakes is closed-form integer arithmetic,
-O(1) whatever its length, so cost scales with events, periods and days
+Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
+is one loop per device-period. With an abstract detector of low
+false-positive rate it bills each run of wakes whose record windows meet no
+event in one step: at fp_rate 0 in closed-form integer arithmetic, O(1)
+whatever the run's length, so cost scales with events, periods and days
 rather than probes; at a low positive fp_rate it also draws one number per
-wake. The Goertzel detector synthesizes noise for every window, so each of
-its wakes is probed one by one. ``TimelineEngine`` says exactly which wakes
-go which way; both ways give the same ticks, logs and random draws.
+wake. Every other wake is probed singly in the same loop, every wake of the
+Goertzel detector among them, as it synthesizes noise for every window.
+Both ways give the same ticks, logs and random draws.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .qsched import (
     select_action,
 )
 from .rng import substream
-from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, overlapping
+from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, first_open_row, overlapping
 
 __all__ = [
     "FixedSchedule",
@@ -188,15 +189,17 @@ TICKS_PER_DAY = round(SECONDS_PER_DAY) * TICKS_PER_S
 BULK_MAX_FP = 0.1
 
 
-def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -> None:
-    """Raise ScheduleError unless every interval is longer than the probe in ticks."""
-    d_probe = profile.ticks["d_probe"]
+def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -> list[int]:
+    """The intervals in ticks; ScheduleError unless each is longer than the probe in ticks."""
+    ticks = []
     for interval in intervals:
-        if to_ticks(interval) <= d_probe:
+        ticks.append(to_ticks(interval))
+        if ticks[-1] <= profile.ticks["d_probe"]:
             raise ScheduleError(
                 f"{what} {interval} s not longer than the probe "
                 f"({profile.d_probe} s) in whole nanoseconds"
             )
+    return ticks
 
 
 @dataclass
@@ -226,10 +229,12 @@ class TimelineEngine:
     methods keep the busy frontier, the pending wake, and the per-mode ticks
     consistent; the exported log (when collected) tiles the window exactly.
 
-    Each wake is probed through ``make_probe_fn(detector)``. When the
-    detector is abstract with fp_rate <= BULK_MAX_FP, run_period bills in
-    one step each run of quiet wakes w + i * interval, i < k, from the
-    current wake w on. k is the least of three bounds:
+    run_period is the one wake loop. It keeps the clock, event pointer,
+    pending wake, camera accumulator, counts and tick sums in locals and
+    stores them once per period; ``_emit`` serves only bill_ql, bill_pings
+    and finish. When the detector is abstract with fp_rate <= BULK_MAX_FP,
+    run_period bills in one step each run of quiet wakes w + i * interval,
+    i < k, from the current wake w on. k is the least of three bounds:
       - the wakes before the period end, the horizon and the next day
         boundary (the random stream is per day);
       - the wakes whose record windows end by the start of the next event
@@ -240,9 +245,11 @@ class TimelineEngine:
     probe ticks, k activations and k negatives. With fp_rate > 0, k is cut
     at the first false alarm drawn from the day's stream (and after about
     4 / fp_rate draws), and the stream is left with exactly one draw per
-    billed wake. The wake that ends a run goes through ``_probe``, as does
-    every wake not in a run and every wake with the Goertzel detector or a
-    higher fp_rate. Both ways give the same ticks, logs and random draws.
+    billed wake. The wake that ends a run is probed singly: its record
+    window goes to ``trace.overlapping`` from the event pointer, and the
+    hits' bands to ``make_probe_fn(detector)``, the one detector call. So
+    is every wake not in a run, and every wake with the Goertzel detector or
+    a higher fp_rate. Both ways give the same ticks, logs and random draws.
 
     The engine keeps no record of what it detected; each period's
     ``PeriodStats.detected`` is the record. It needs none because every
@@ -322,137 +329,162 @@ class TimelineEngine:
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
         """Process all wakes scheduled before p_end (s) at the given interval (s)."""
-        _check_intervals((interval,), self.profile)
-        p_end, interval = to_ticks(p_end), to_ticks(interval)
-        stats = PeriodStats()
-        while self.next_wake < p_end and self.next_wake < self.horizon:
-            w = max(self.next_wake, self.t)
-            if self._quiet_fp is not None and w < p_end and w < self.horizon:
-                w = self._bill_quiet_wakes(w, p_end, interval, stats)
-            if w >= p_end or w >= self.horizon:
+        (interval,) = _check_intervals((interval,), self.profile)
+        horizon = self.horizon
+        stop = min(to_ticks(p_end), horizon)
+        d = self.dur
+        d_probe, d_record, d_fa = d["d_probe"], d["probe_record_s"], d["false_alarm_record_s"]
+        d_audio, d_camera, d_image = d["d_tx_audio"], d["d_camera"], d["d_tx_image"]
+        cam_ratio = self.profile.camera_trigger_ratio
+        starts, ends, bands = self.starts, self.ends, self._bands
+        n = len(starts)
+        log, fp, probe_fn, rng_for_day = self.log, self._quiet_fp, self.probe_fn, self.rng_for_day
+        # A false alarm ends a quiet run after about 1/fp wakes, and 4/fp
+        # draws hold none with chance e**-4. Drawing for the whole run made
+        # 0.3 s intervals 1.3-1.6x slower at fp_rate 0.002-0.05; caps from
+        # 1/fp to 8/fp timed alike at 3 and 30 s.
+        cap = int(4.0 / fp) + 16 if fp else 0
+        t, ptr, next_wake, cam_acc = self.t, self.ptr, self.next_wake, self.cam_acc
+        activations = positives = negatives = 0
+        detected = []
+        sleep = probe = recording = audio = camera = image = 0
+        while next_wake < stop:
+            w = next_wake if next_wake > t else t
+            # Events before ptr have ended by w, so no record window from w on meets them.
+            while ptr < n and ends[ptr] <= w:
+                ptr += 1
+            if fp is not None and w < stop:
+                # Bill the quiet wakes w + i * interval, i < k, in one step;
+                # the class docstring gives the bounds on k.
+                day_end = (w // TICKS_PER_DAY + 1) * TICKS_PER_DAY
+                k = ((stop if stop < day_end else day_end) - 1 - w) // interval + 1
+                k_horizon = (horizon - d_probe - w) // interval + 1
+                if k_horizon < k:
+                    k = k_horizon
+                if ptr < n:
+                    k_event = (starts[ptr] - d_record - w) // interval + 1
+                    if k_event < k:
+                        k = k_event
+                if fp > 0.0 and k > 0:
+                    rng = rng_for_day(w // TICKS_PER_DAY)
+                    state = rng.bit_generator.state
+                    fires = rng.random(k if k < cap else cap) < fp
+                    k = fires.size
+                    if fires.any():
+                        # Keep exactly one draw per billed wake; the wake
+                        # that fired is probed below and draws its own.
+                        k = int(fires.argmax())
+                        rng.bit_generator.state = state
+                        rng.random(k)
+                if k > 0:
+                    last = w + (k - 1) * interval
+                    gap = interval - d_probe
+                    sleep += (w - t) + (k - 1) * gap
+                    probe += k * d_probe
+                    if log is not None:
+                        if w > t:
+                            log.append(LogEntry("sleep", t, w - t))
+                        log.append(LogEntry("probe", w, d_probe))
+                        for wk in range(w + interval, last + 1, interval):
+                            log.append(LogEntry("sleep", wk - gap, gap))
+                            log.append(LogEntry("probe", wk, d_probe))
+                    t = last + d_probe
+                    activations += k
+                    negatives += k
+                    w = last + interval
+                    while ptr < n and ends[ptr] <= w:
+                        ptr += 1
+            if w >= stop:
                 # Activity pushed the effective wake out of this period.
-                self.next_wake = w
+                next_wake = w
                 break
-            self._probe(w, stats)
-            self.next_wake = max(w + interval, self.t)
-        return stats
+
+            # One probe at w. t <= w < horizon, so the sleep needs no clip
+            # and the probe lasts at least a tick.
+            if w > t:
+                sleep += w - t
+                if log is not None:
+                    log.append(LogEntry("sleep", t, w - t))
+            dur = d_probe if w + d_probe <= horizon else horizon - w
+            probe += dur
+            if log is not None:
+                log.append(LogEntry("probe", w, dur))
+            t = w + dur
+            hit = overlapping(starts, ends, w, w + d_record, ptr)
+            activations += 1
+            if not probe_fn([bands[j] for j in hit], rng_for_day(w // TICKS_PER_DAY)):
+                negatives += 1
+                next_wake = w + interval if w + interval > t else t
+                continue
+
+            # Every event detected earlier has ended by the clock before this
+            # probe, which is at most w (or sits at the horizon and no wake
+            # follows), so the hits are all new, and the events the recording
+            # can add start at or after the record window.
+            rec_end = ends[hit[0]] if hit else t + d_fa
+            for j in hit:
+                if ends[j] > rec_end:
+                    rec_end = ends[j]
+            if rec_end > t:
+                # Mic stays on; events starting meanwhile are captured and
+                # stretch the recording to their own ends.
+                j = bisect.bisect_left(starts, w + d_record, ptr)
+                while j < n and starts[j] < rec_end:
+                    if ends[j] > t:
+                        hit.append(j)
+                        if ends[j] > rec_end:
+                            rec_end = ends[j]
+                    j += 1
+                dur = (rec_end if rec_end <= horizon else horizon) - t
+                if dur > 0:
+                    recording += dur
+                    if log is not None:
+                        log.append(LogEntry("event_record", t, dur))
+                    t += dur
+            if hit:
+                positives += 1
+                detected += hit
+            else:
+                # False alarm: the clip still gets recorded and sent.
+                negatives += 1
+            for _ in range(len(hit) or 1):  # a clip per event, or the false alarm's
+                dur = d_audio if t + d_audio <= horizon else horizon - t
+                if dur > 0:
+                    audio += dur
+                    if log is not None:
+                        log.append(LogEntry("tx_audio", t, dur))
+                    t += dur
+                if not hit:
+                    break
+                cam_acc += cam_ratio
+                if cam_acc >= 1.0 - 1e-9:
+                    cam_acc -= 1.0
+                    dur = d_camera if t + d_camera <= horizon else horizon - t
+                    if dur > 0:
+                        camera += dur
+                        if log is not None:
+                            log.append(LogEntry("camera", t, dur))
+                        t += dur
+                    dur = d_image if t + d_image <= horizon else horizon - t
+                    if dur > 0:
+                        image += dur
+                        if log is not None:
+                            log.append(LogEntry("tx_image", t, dur))
+                        t += dur
+            next_wake = w + interval if w + interval > t else t
+
+        self.t, self.ptr, self.next_wake, self.cam_acc = t, ptr, next_wake, cam_acc
+        ticks = self.ticks_by_mode
+        ticks["sleep"] += sleep
+        ticks["probe"] += probe
+        ticks["event_record"] += recording
+        ticks["tx_audio"] += audio
+        ticks["camera"] += camera
+        ticks["tx_image"] += image
+        return PeriodStats(activations, positives, negatives, detected)
 
     def finish(self) -> None:
         self._sleep_to(self.horizon)
-
-    def _bill_quiet_wakes(self, w: int, p_end: int, interval: int, stats: PeriodStats) -> int:
-        """Bill the run of quiet wakes w, w + interval, ... in one step.
-
-        Returns the first wake not billed (w itself when none qualifies); the
-        bounds are listed in the class docstring. Leaves t, the per-mode
-        ticks, log, stats and the day's stream exactly as probing the billed
-        wakes one by one would.
-        """
-        starts, ends = self.starts, self.ends
-        n = len(starts)
-        while self.ptr < n and ends[self.ptr] <= w:
-            self.ptr += 1
-        d_probe = self.dur["d_probe"]
-        day = w // TICKS_PER_DAY
-        # The three bounds: wakes before w_end (at least one, as w < w_end),
-        # wakes whose probes end inside the horizon, and wakes whose record
-        # windows end by starts[ptr]; events from ptr on start there or
-        # later, and earlier ones have ended.
-        w_end = min(p_end, self.horizon, (day + 1) * TICKS_PER_DAY)
-        k = min(
-            (w_end - 1 - w) // interval + 1,
-            (self.horizon - d_probe - w) // interval + 1,
-        )
-        if self.ptr < n:
-            k = min(k, (starts[self.ptr] - self.dur["probe_record_s"] - w) // interval + 1)
-        fp = self._quiet_fp
-        if fp > 0.0 and k > 0:
-            rng = self.rng_for_day(day)
-            state = rng.bit_generator.state
-            # A false alarm ends the run after about 1/fp wakes, and 4/fp
-            # draws hold none with chance e**-4. Drawing for the whole run
-            # made 0.3 s intervals 1.3-1.6x slower at fp_rate 0.002-0.05;
-            # caps from 1/fp to 8/fp timed alike at 3 and 30 s.
-            fires = rng.random(min(k, int(4.0 / fp) + 16)) < fp
-            k = fires.size
-            if fires.any():
-                # Keep exactly one draw per billed wake; _probe draws for
-                # the wake that fired.
-                k = int(fires.argmax())
-                rng.bit_generator.state = state
-                rng.random(k)
-        if k <= 0:
-            return w
-
-        t = self.t
-        last = w + (k - 1) * interval
-        gap = interval - d_probe
-        self.ticks_by_mode["sleep"] += (w - t) + (k - 1) * gap
-        self.ticks_by_mode["probe"] += k * d_probe
-        if self.log is not None:
-            log = self.log
-            if w > t:
-                log.append(LogEntry("sleep", t, w - t))
-            log.append(LogEntry("probe", w, d_probe))
-            for wk in range(w + interval, last + 1, interval):
-                log.append(LogEntry("sleep", wk - gap, gap))
-                log.append(LogEntry("probe", wk, d_probe))
-        self.t = last + d_probe
-        stats.activations += k
-        stats.negatives += k
-        return last + interval
-
-    def _probe(self, w: int, stats: PeriodStats) -> None:
-        d = self.dur
-        self._sleep_to(w)
-        self._emit("probe", d["d_probe"])
-        starts, ends = self.starts, self.ends
-        n = len(starts)
-        while self.ptr < n and ends[self.ptr] <= w:
-            self.ptr += 1
-        hit = overlapping(starts, ends, w, w + d["probe_record_s"], self.ptr)
-        rng = self.rng_for_day(w // TICKS_PER_DAY)
-        fired = self.probe_fn([self._bands[k] for k in hit], rng)
-        stats.activations += 1
-        if not fired:
-            stats.negatives += 1
-            return
-
-        # Every event detected earlier has ended by self.t <= w (or t sits at
-        # the horizon and no wake follows), so the hits are all new, and the
-        # events the recording can add start at or after the record window.
-        detected_now = hit
-        rec_start = self.t
-        if hit:
-            rec_end = max(ends[k] for k in hit)
-        else:
-            rec_end = rec_start + d["false_alarm_record_s"]
-        if rec_end > rec_start:
-            # Mic stays on; events starting meanwhile are captured and
-            # stretch the recording to their own ends.
-            k = bisect.bisect_left(starts, w + d["probe_record_s"], self.ptr)
-            while k < n and starts[k] < rec_end:
-                if ends[k] > rec_start:
-                    detected_now.append(k)
-                    if ends[k] > rec_end:
-                        rec_end = ends[k]
-                k += 1
-            self._emit("event_record", rec_end - rec_start)
-
-        if detected_now:
-            stats.positives += 1
-            stats.detected.extend(detected_now)
-            for _ in detected_now:
-                self._emit("tx_audio", d["d_tx_audio"])
-                self.cam_acc += self.profile.camera_trigger_ratio
-                if self.cam_acc >= 1.0 - 1e-9:
-                    self.cam_acc -= 1.0
-                    self._emit("camera", d["d_camera"])
-                    self._emit("tx_image", d["d_tx_image"])
-        else:
-            # False alarm: the clip still gets recorded and sent.
-            stats.negatives += 1
-            self._emit("tx_audio", d["d_tx_audio"])
 
 
 # -- learner ----------------------------------------------------------------
@@ -545,7 +577,9 @@ def _build_report(
     n_periods = len(rows)
     # Events intersecting the window, attributed to the period of their
     # start (carry-ins from before the window land in period 0).
-    live = overlapping(trace.starts, trace.ends, t_begin, t_end)
+    live = overlapping(
+        trace.starts, trace.ends, t_begin, t_end, first_open_row(trace.ends, t_begin)
+    )
     totals = _per_period(trace.starts[live], t_begin, n_periods)
     rows_detected = [k for *_, stats in rows for k in stats.detected]
     detected = _per_period(trace.starts[rows_detected], t_begin, n_periods)

@@ -300,13 +300,19 @@ def overlapping(starts, ends, t0, t1, lo: int = 0) -> list[int]:
     return [j for j in range(lo, bisect.bisect_left(starts, t1, lo)) if ends[j] > t0]
 
 
+def first_open_row(ends: np.ndarray, t0: float) -> int:
+    """A ``lo`` for ``overlapping`` on a float column: every row before it ends by t0."""
+    return int(np.searchsorted(np.maximum.accumulate(ends), t0, "right"))
+
+
 def events_in_window(trace: EventTrace, t0: float, t1: float) -> list[Event]:
     """Events whose [start, end) meets the half-open window [t0, t1), as ``overlapping`` says."""
     if t1 < t0:
         raise ValueError(f"window end {t1} before start {t0}")
     if t0 == t1:
         return []
-    return [trace.events[j] for j in overlapping(trace.starts, trace.ends, t0, t1)]
+    rows = overlapping(trace.starts, trace.ends, t0, t1, first_open_row(trace.ends, t0))
+    return [trace.events[j] for j in rows]
 
 
 def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.ndarray:

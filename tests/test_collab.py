@@ -7,6 +7,8 @@ core simulator.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -766,3 +768,47 @@ def test_init_table_shape_checked_and_expansion_accepted():
     assert rep.tables[0].values.shape == (24 * cfg.n_bins, 5)
     # The caller's table object is seeded by copy, not adopted.
     assert seeded.visits.sum() == 0
+
+
+# ---------------------------------------------------------------------------
+# the battery spread, taken once per episode
+
+
+@given(
+    st.lists(
+        st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=300).map(tuple),
+        min_size=1,
+        max_size=24,
+    ).filter(lambda rows: len(set(map(len, rows))) == 1)
+)
+@settings(max_examples=200, deadline=None)
+def test_row_spreads_equal_per_row_spreads_to_the_bit(rows):
+    # run_network takes np.std of a period-by-device matrix along its rows;
+    # past 8 columns numpy's pairwise summation unrolls, and the rows must
+    # still match one np.std call per period.
+    levels = np.array(rows)
+    spreads = np.std(levels, axis=1)
+    for i, row in enumerate(rows):
+        assert spreads[i].hex() == float(np.std(list(row))).hex()
+
+
+def nine_device_report():
+    """A 3 x 3 grid of overlapping devices on a lossy channel; the centre one fails."""
+    nodes = tuple(
+        DeviceNode(3 * row + col, 2.0 + 3.0 * col, 2.0 + 3.0 * row, 2.5, 6.0)
+        for row in range(3)
+        for col in range(3)
+    )
+    config = NetworkConfig(layout=nodes, episodes=2, drop_rate=0.3, failures=((4, 1),))
+    detector = DetectorModel(tp_rate=0.9, fp_rate=0.01)
+    return run_network(area_trace(2, 5), config, W1, ActionSpace(), detector, PROFILE, 5)
+
+
+def test_nine_device_network_output_is_pinned():
+    # Nine live devices, then eight: both sides of numpy's unrolled
+    # summation. The digest is of the output that one np.std call per
+    # period gives.
+    report = nine_device_report()
+    assert [d.removed_at for d in report.devices] == [None] * 4 + [1] + [None] * 4
+    blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == "ffada66afb8330f19f294aae8d95e4fe8a45c45a401d4b55e05df30f1484d6c7"

@@ -228,16 +228,15 @@ def whole_ms_cases(draw):
 def test_each_probe_hears_the_events_the_scan_oracle_finds(case, seed):
     profile, trace, t_begin, t_end, detector, periods = case
     wakes, heard = [], []
-
-    class Recorded(TimelineEngine):
-        def _probe(self, w, stats):
-            wakes.append(w)
-            super()._probe(w, stats)
-
-    engine = _engine(Recorded, profile, trace, t_begin, t_end, detector, seed)
+    engine = _engine(TimelineEngine, profile, trace, t_begin, t_end, detector, seed)
     probe_fn = engine.probe_fn
 
     def hear(bands, rng):
+        # run_period keeps the clock in a local; when the detector is asked,
+        # the last log entry is this probe's, starting at its wake.
+        entry = engine.log[-1]
+        assert entry.mode == "probe"
+        wakes.append(entry.start)
         heard.append(bands)
         return probe_fn(bands, rng)
 
@@ -280,12 +279,23 @@ def test_pings_clip_at_the_horizon_as_one_at_a_time(collect_log):
         assert [e.mode for e in fast.log] == ["sleep", "ping", "ping", "ping"]
 
 
-def test_quiet_day_takes_no_single_probes(monkeypatch):
-    calls = []
-    monkeypatch.setattr(TimelineEngine, "_probe", lambda self, w, stats: calls.append(w))
+def counting_probes(engine) -> list:
+    """Wrap the engine's detector; single probes ask it, bulk-billed wakes never do."""
+    calls, probe_fn = [], engine.probe_fn
+
+    def counting(bands, rng):
+        calls.append(bands)
+        return probe_fn(bands, rng)
+
+    engine.probe_fn = counting
+    return calls
+
+
+def test_quiet_day_takes_no_single_probes():
     detector = DetectorModel(fp_rate=0.0)
     trace = make_trace([], horizon=SECONDS_PER_DAY)
     engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, SECONDS_PER_DAY, detector, 1)
+    calls = counting_probes(engine)
     activations = 0
     for hour in range(24):
         activations += engine.run_period((hour + 1) * 3600.0, 3.0).activations
@@ -295,17 +305,9 @@ def test_quiet_day_takes_no_single_probes(monkeypatch):
 
 @pytest.mark.parametrize("fp_rate", [0.0, 0.01])
 @pytest.mark.parametrize("gap_wakes", [1, 3])
-def test_short_quiet_runs_are_billed_in_bulk(monkeypatch, fp_rate, gap_wakes):
+def test_short_quiet_runs_are_billed_in_bulk(fp_rate, gap_wakes):
     # Up to BULK_MAX_FP a run of any length is billed in bulk, also when it
     # draws from the day's stream.
-    probe = TimelineEngine._probe
-    calls = []
-
-    def counting_probe(self, w, stats):
-        calls.append(w)
-        probe(self, w, stats)
-
-    monkeypatch.setattr(TimelineEngine, "_probe", counting_probe)
     # Short events gap_wakes wakes apart, with gap_wakes quiet wakes
     # between two of them.
     gap = 3.0 * gap_wakes
@@ -313,6 +315,7 @@ def test_short_quiet_runs_are_billed_in_bulk(monkeypatch, fp_rate, gap_wakes):
     trace = make_trace(events, horizon=SECONDS_PER_DAY)
     detector = DetectorModel(fp_rate=fp_rate)
     engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, 3600.0, detector, 1)
+    calls = counting_probes(engine)
     activations = engine.run_period(3600.0, 3.0).activations
     if fp_rate == 0.0:
         assert activations == 1200

@@ -12,10 +12,12 @@ from dutysim.trace import (
     Event,
     EventTrace,
     events_in_window,
+    first_open_row,
     generate_trace,
     hourly_event_probability,
     load_trace,
     make_trace,
+    overlapping,
     save_trace,
 )
 
@@ -410,6 +412,20 @@ def _trace_and_window(draw):
 def test_window_matches_scan_property(case):
     tr, t0, t1 = case
     assert events_in_window(tr, t0, t1) == events_in_window_scan(tr, t0, t1)
+
+
+@given(_trace_and_window(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_first_open_row_skips_only_rows_that_ended(case, at_an_end):
+    tr, t0, t1 = case
+    if at_an_end and len(tr):
+        # Windows that open exactly where an event ends.
+        t0 = float(tr.ends[int(t0) % len(tr)])
+        t1 = max(t1, t0)
+    lo = first_open_row(tr.ends, t0)
+    assert all(end <= t0 for end in tr.ends[:lo])
+    want = overlapping(tr.starts, tr.ends, t0, t1)
+    assert overlapping(tr.starts, tr.ends, t0, t1, lo) == want
 
 
 # -- hourly probability ------------------------------------------------------
