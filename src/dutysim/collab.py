@@ -24,7 +24,6 @@ are billed in one step at the period end.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -234,18 +233,19 @@ def deliver_pings(
     receivers = _receivers(tuple(nodes))
     sender_ids = sorted(detections)
     mailbox: dict[int, dict[int, list[int]]] = {i: {} for i in sorted(receivers)}
-    if drop_rate > 0:
-        n = sum(len(detections[i]) * len(receivers[i]) for i in sender_ids)
-        lost = iter((rng.random(n) < drop_rate).tolist())
-    else:
-        lost = itertools.repeat(False)
+    n = sum(len(detections[i]) * len(receivers[i]) for i in sender_ids)
+    kept = (rng.random(n) >= drop_rate).tolist() if drop_rate > 0 else [True] * n
+    start = 0
     for sender_id in sender_ids:
-        reach = receivers[sender_id]
-        for h in detections[sender_id]:
-            for receiver_id in reach:
-                if next(lost):
-                    continue
-                mailbox[receiver_id].setdefault(h, []).append(sender_id)
+        hashes, reach = detections[sender_id], receivers[sender_id]
+        end = start + len(hashes) * len(reach)
+        # A sender's block is hash-major, so each receiver's draws are a stride.
+        for i, receiver_id in enumerate(reach):
+            row = mailbox[receiver_id]
+            for h, keep in zip(hashes, kept[start + i : end : len(reach)]):
+                if keep:
+                    row.setdefault(h, []).append(sender_id)
+        start = end
     return {
         i: {h: tuple(senders) for h, senders in row.items()}
         for i, row in mailbox.items()
@@ -270,15 +270,13 @@ def local_reward(
     detection when the device holds the slot, this period, in a cluster one
     of the matching senders belongs to.
     """
-    holding = [
-        c for c in clusters if device_id in c.members and c.slot_holder(t) == device_id
-    ]
+    holding = [set(c.members) for c in clusters if c.slot_holder(t) == device_id]
     penalty = 0.0
     for h in own_hashes:
         senders = mailbox_row.get(h, ())
         if not senders:
             continue
-        if any(set(senders) & set(c.members) for c in holding):
+        if holding and any(not members.isdisjoint(senders) for members in holding):
             continue
         penalty += len(senders)
     return reward(RewardInputs(n_pos, n_neg), w1) - w2 * penalty
@@ -535,7 +533,7 @@ def run_network(
     fails_at = dict(config.failures)
 
     episodes: list[EpisodeMetrics] = []
-    detections = np.zeros(len(trace), dtype=np.int64)  # per trace row, devices that heard it
+    detections = [0] * len(trace)  # per trace row, devices that heard it
     for t in range(config.episodes * 24):
         day, hour_idx = divmod(t, 24)
         p_start = t * SECONDS_PER_HOUR
@@ -636,6 +634,7 @@ def run_network(
         rt.summary.charge_mah = rt.engine.charge_mah
         rt.summary.battery_level = profile.battery_mah - rt.summary.charge_mah
 
+    detections = np.array(detections, dtype=np.int64)
     day = (trace.starts // SECONDS_PER_DAY).astype(np.int64)
     totals = np.bincount(day, minlength=len(episodes))
     hits = np.bincount(day, weights=detections > 0, minlength=len(episodes))

@@ -126,6 +126,7 @@ class PowerProfile:
 
     @cached_property
     def _current_by_mode(self) -> dict[str, float]:
+        """mA per mode, keyed in MODES order, the order charge_from_ticks sums in."""
         return {
             "sleep": self.i_sleep,
             "probe": (
@@ -193,8 +194,8 @@ def charge_from_ticks(ticks_by_mode: Mapping[str, int], profile: PowerProfile) -
     per mode, whatever the number or order of the activities behind it.
     """
     total = 0.0
-    for mode in MODES:
-        total += profile.current(mode) * ticks_by_mode.get(mode, 0) / _TICKS_PER_HOUR
+    for mode, current in profile._current_by_mode.items():
+        total += current * ticks_by_mode.get(mode, 0) / _TICKS_PER_HOUR
     return total
 
 

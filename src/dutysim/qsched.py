@@ -13,6 +13,7 @@ epsilon <- max(eps_min, epsilon * eps_decay).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -114,10 +115,10 @@ class QTable:
 
     def greedy_action(self, state: int) -> int:
         """Lowest-index argmax over the state's row."""
-        return int(np.argmax(self.values[state]))
+        return int(self.values[state].argmax())
 
     def greedy_policy(self) -> np.ndarray:
-        return np.argmax(self.values, axis=1).astype(np.int64)
+        return self.values.argmax(axis=1).astype(np.int64)
 
     def copy(self) -> "QTable":
         return QTable(values=self.values.copy(), visits=self.visits.copy())
@@ -151,12 +152,12 @@ def q_update(
     Arithmetic runs in float64; the result is stored back as float32. The
     visit counter for the cell increments by one.
     """
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
     q = float(table.values[state, action])
     best_next = float(table.values[next_state].max())
     updated = q + hp.alpha * (r + hp.gamma * best_next - q)
-    if not np.isfinite(updated):
+    if not math.isfinite(updated):
         raise ValueError("q_update produced a non-finite value")
     table.values[state, action] = np.float32(updated)
     table.visits[state, action] += 1

@@ -22,12 +22,14 @@ range); seconds appear only at the edges, in the inputs and in the reports.
 Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
 is one loop per device-period. With an abstract detector of low
 false-positive rate it bills each run of wakes whose record windows meet no
-event in one step: at fp_rate 0 in closed-form integer arithmetic, O(1)
-whatever the run's length, so cost scales with events, periods and days
-rather than probes; at a low positive fp_rate it also draws one number per
-wake. Every other wake is probed singly in the same loop, every wake of the
-Goertzel detector among them, as it synthesizes noise for every window.
-Both ways give the same ticks, logs and random draws.
+event in one step, up to the first wake that hears one: at fp_rate 0 in
+closed-form integer arithmetic, O(1) whatever the run's length. So cost
+follows the events that wakes hear, and periods and days, rather than
+probes; an event that falls between two wakes costs only a pointer step. At
+a low positive fp_rate a run also draws one number per wake. Every other
+wake is probed singly in the same loop, every wake of the Goertzel detector
+among them, as it synthesizes noise for every window. Both ways give the
+same ticks, logs and random draws.
 """
 
 from __future__ import annotations
@@ -237,8 +239,14 @@ class TimelineEngine:
     i < k, from the current wake w on. k is the least of three bounds:
       - the wakes before the period end, the horizon and the next day
         boundary (the random stream is per day);
-      - the wakes whose record windows end by the start of the next event
-        that has not ended yet, so no event overlaps them;
+      - the wakes before the first one whose record window hears an event.
+        Window i is [w + i * interval, w + i * interval + record). For
+        event j from the event pointer on, i_j, the first window that ends
+        after the event starts, is the only candidate: it hears the event
+        iff it starts before the event ends, and no later window does if
+        it does not. i_j never falls as j grows, so the walk stops at the
+        first i_j that hears its event or reaches the other bounds, and an
+        event that no wake hears costs a few integer operations;
       - the wakes whose probes end inside the horizon.
     With fp_rate 0 that is closed-form integer arithmetic, O(1) per run:
     (w - t) + (k - 1) * (interval - d_probe) sleep ticks and k * d_probe
@@ -361,10 +369,18 @@ class TimelineEngine:
                 k_horizon = (horizon - d_probe - w) // interval + 1
                 if k_horizon < k:
                     k = k_horizon
-                if ptr < n:
-                    k_event = (starts[ptr] - d_record - w) // interval + 1
-                    if k_event < k:
-                        k = k_event
+                # i is i_j, the one window that can be the first to hear event j.
+                j = ptr
+                while j < n:
+                    i = (starts[j] - d_record - w) // interval + 1
+                    if i < 0:
+                        i = 0
+                    if i >= k:
+                        break
+                    if w + i * interval < ends[j]:
+                        k = i
+                        break
+                    j += 1
                 if fp > 0.0 and k > 0:
                     rng = rng_for_day(w // TICKS_PER_DAY)
                     state = rng.bit_generator.state

@@ -4,7 +4,8 @@ Everything here is deliberately naive: direct DFT matrix products, the
 scalar Goertzel recurrence, 1 ms time-grid energy integration, linear
 interval scans, exhaustive subset clique enumeration, a timeline engine
 that probes every wake one by one, a byte-by-byte event hash and ping
-delivery that measures every distance per ping. Slow and obviously correct beats fast
+delivery that measures every distance per ping, and a local reward that
+intersects fresh sets per detection. Slow and obviously correct beats fast
 and clever for an oracle.
 """
 
@@ -173,6 +174,24 @@ def deliver_pings_per_ping(nodes, detections, drop_rate=0.0, rng=None):
                     continue
                 mailbox[receiver_id].setdefault(h, []).append(sender_id)
     return {i: {h: tuple(s) for h, s in row.items()} for i, row in mailbox.items()}
+
+
+def local_reward_by_intersection(
+    device_id, t, n_pos, n_neg, own_hashes, mailbox_row, clusters, w1, w2
+):
+    """local_reward with a fresh set intersection per detection and holding cluster."""
+    holding = [
+        c for c in clusters if device_id in c.members and c.slot_holder(t) == device_id
+    ]
+    penalty = 0.0
+    for h in own_hashes:
+        senders = mailbox_row.get(h, ())
+        if not senders:
+            continue
+        if any(set(senders) & set(c.members) for c in holding):
+            continue
+        penalty += len(senders)
+    return n_pos - w1 * n_neg - w2 * penalty
 
 
 def stream_position(rng: np.random.Generator) -> tuple:

@@ -41,6 +41,7 @@ from dutysim.trace import DiurnalProfile, Event, generate_trace, make_trace
 from _oracles import (
     deliver_pings_per_ping,
     event_hash,
+    local_reward_by_intersection,
     maximal_cliques_bruteforce,
     stream_position,
     two_peak_rates,
@@ -470,6 +471,35 @@ def test_isolated_device_reduces_to_core_reward(n_pos, n_neg, w1, w2):
         w2=w2,
     )
     assert got == reward(RewardInputs(n_pos=n_pos, n_neg=n_neg), w1)
+
+
+@st.composite
+def local_reward_cases(draw):
+    """A device, a period, random clusters, own hashes with repeats, and a mailbox row."""
+    ids, hashes = st.integers(0, 5), st.integers(0, 6)
+    clusters = [
+        Cluster(members=tuple(sorted(draw(st.sets(ids, min_size=2, max_size=5)))))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    own = draw(st.lists(hashes, max_size=8))
+    mailbox_row = draw(
+        st.dictionaries(hashes, st.lists(ids, max_size=4).map(tuple), max_size=7)
+    )
+    return draw(ids), draw(st.integers(0, 60)), own, mailbox_row, clusters
+
+
+@given(
+    case=local_reward_cases(),
+    n_pos=st.integers(0, 200),
+    n_neg=st.integers(0, 200),
+    w1=st.floats(0.0, 1.0),
+    w2=st.floats(0.0, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_local_reward_matches_the_set_intersection_oracle(case, n_pos, n_neg, w1, w2):
+    device_id, t, own, mailbox_row, clusters = case
+    args = (device_id, t, n_pos, n_neg, own, mailbox_row, clusters, w1, w2)
+    assert local_reward(*args).hex() == local_reward_by_intersection(*args).hex()
 
 
 # ---------------------------------------------------------------------------

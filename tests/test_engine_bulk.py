@@ -10,9 +10,11 @@ in ticks, the online charge equals the charge recomputed from the log, no
 more events are detected than there are, and after each period every event
 detected so far has ended by the engine clock t, unless t is at the horizon.
 
-One more property checks the window rule as the engine calls it, from its
-event pointer: on a whole-millisecond grid, each probe hears the events
-that ``_oracles.events_in_window_scan`` finds in its record window.
+On a whole-millisecond grid, where event edges meet wakes and record
+window ends exactly, one more property runs the same equality check with
+bulk-billed detectors, and another checks the window rule as the engine
+calls it, from its event pointer: each probe hears the events that
+``_oracles.events_in_window_scan`` finds in its record window.
 """
 
 import contextlib
@@ -182,14 +184,14 @@ def test_bulk_engine_matches_per_wake_engine(case, bulk_max_fp):
 
 
 @st.composite
-def whole_ms_cases(draw):
+def whole_ms_cases(draw, fp_rates=(0.3, 1.0)):
     """Engine runs on a whole-millisecond grid, so ticks and float seconds order alike.
 
     Each event's band is its id. Wakes, periods and profile durations are
     whole milliseconds too, and an event is kept only when start + duration
     is its whole-millisecond end in float, as the scan oracle computes it.
     Coarse grids and whole-second intervals make event edges meet wakes and
-    window ends.
+    window ends. The detector's fp_rate is one of ``fp_rates``.
     """
     profile = draw(st.sampled_from(PROFILES))
     unit = draw(st.sampled_from([1, 100, 1000]))  # ms
@@ -216,11 +218,23 @@ def whole_ms_cases(draw):
         p_end_ms = min(p_start_ms + draw(st.integers(300_000, 4_000_000)), t_end_ms)
         periods.append((p_end_ms / 1000, draw(interval_ms) / 1000))
         p_start_ms = p_end_ms
-    # Above BULK_MAX_FP every wake is probed, none billed in bulk.
+    # Above BULK_MAX_FP (the default rates) every wake is probed, none billed in bulk.
     detector = DetectorModel(
-        tp_rate=draw(st.sampled_from([0.0, 0.5, 1.0])), fp_rate=draw(st.sampled_from([0.3, 1.0]))
+        tp_rate=draw(st.sampled_from([0.0, 0.5, 1.0])), fp_rate=draw(st.sampled_from(fp_rates))
     )
     return profile, trace, t_begin_ms / 1000, t_end_ms / 1000, detector, periods
+
+
+@settings(max_examples=60, deadline=None)
+@given(whole_ms_cases(fp_rates=(0.0, 0.02)), st.integers(0, 2**16))
+def test_bulk_runs_match_per_wake_where_event_edges_meet_windows(case, seed):
+    # The quiet-run bound compares event starts with window ends and event
+    # ends with wakes; on the grid these meet exactly, so a bound that gets
+    # an edge wrong bills in bulk a wake whose window hears an event.
+    profile, trace, t_begin, t_end, detector, periods = case
+    p_starts = [t_begin] + [p_end for p_end, _ in periods[:-1]]
+    periods = [(p_start, p_end, iv, None) for p_start, (p_end, iv) in zip(p_starts, periods)]
+    assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,6 +314,21 @@ def test_quiet_day_takes_no_single_probes():
     for hour in range(24):
         activations += engine.run_period((hour + 1) * 3600.0, 3.0).activations
     assert activations == 28800
+    assert calls == []
+
+
+def test_events_between_wakes_take_no_single_probe():
+    # Each 0.05 s event starts 20 s after a wake of a 60 s grid and ends
+    # long before the next, so no record window hears it and the whole
+    # hour is one quiet run.
+    events = [Event(id=j, start=60.0 * j + 20.0, duration=0.05) for j in range(60)]
+    trace = make_trace(events, horizon=SECONDS_PER_DAY)
+    detector = DetectorModel(fp_rate=0.0)
+    engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, 3600.0, detector, 1)
+    calls = counting_probes(engine)
+    stats = engine.run_period(3600.0, 60.0)
+    assert stats.activations == 60
+    assert stats.detected == []
     assert calls == []
 
 

@@ -9,6 +9,7 @@ from dutysim.power import (
     LogEntry,
     PowerProfile,
     charge_consumed,
+    charge_from_ticks,
     lifetime_years,
     to_ticks,
     validate_log,
@@ -79,6 +80,26 @@ def test_profile_current_lookup():
     assert PowerProfile(probe_detector="tflite").current("probe") == 33.11
     with pytest.raises(ValueError, match="mode"):
         p.current("laser")
+
+
+@pytest.mark.parametrize("probe_detector", ["goertzel", "tflite"])
+def test_mode_currents_list_modes_in_order(probe_detector):
+    # charge_from_ticks adds one term per mode in this dict's order, so
+    # MODES order keeps every charge's bits.
+    p = PowerProfile(probe_detector=probe_detector)
+    assert tuple(p._current_by_mode) == MODES
+    assert list(p._current_by_mode.values()) == [p.current(m) for m in MODES]
+
+
+@given(st.lists(st.integers(0, 2**62), min_size=len(MODES), max_size=len(MODES)))
+@settings(max_examples=50, deadline=None)
+def test_charge_from_ticks_adds_the_modes_in_order(ticks):
+    p = PowerProfile()
+    by_mode = dict(zip(MODES, ticks))
+    want = 0.0
+    for mode in MODES:
+        want += p.current(mode) * by_mode[mode] / 3.6e12
+    assert charge_from_ticks(by_mode, p).hex() == want.hex()
 
 
 # -- charge_consumed ---------------------------------------------------------
