@@ -34,7 +34,8 @@ from .config import (
 )
 from .errors import ConfigError, DutysimError
 from .qsched import ActionSpace, init_from_distribution, save_qtable
-from .sim import FixedSchedule, PeriodRecord, SimReport, run_schedule, train_qlearn
+from .sim import FixedSchedule, PeriodRecord, SimReport, convergence_episodes
+from .sim import run_schedule, train_qlearn
 from .trace import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -64,7 +65,7 @@ def _fields(record, drop=()) -> list[str]:
 PER_PERIOD_COLUMNS = ["schedule", "phase", *_fields(PeriodRecord)]
 SERIES_COLUMNS = ["episode", *_fields(EpisodeMetrics, ("index", "activations", "batteries"))]
 # The SimReport fields of the qlearn train/eval summaries in summary.json.
-SUMMARY_FIELDS = _fields(SimReport, ("periods", "episodes_to_convergence"))
+SUMMARY_FIELDS = _fields(SimReport, ("periods",))
 
 
 def _cell(value) -> str:
@@ -190,11 +191,6 @@ def cmd_run(args) -> int:
 
     if cfg.schedules.qlearn is not None:
         q = cfg.schedules.qlearn
-        if q.eval_days < 1:
-            raise ConfigError(
-                "schedules.qlearn.eval_days: need >= 1 so every schedule is "
-                "compared on the same held-out window"
-            )
         needed = (q.train_days + q.eval_days) * SECONDS_PER_DAY
         if trace.horizon < needed:
             raise ConfigError(
@@ -222,7 +218,7 @@ def cmd_run(args) -> int:
         period_rows.extend(_period_rows("qlearn", "train", result.train_report))
         period_rows.extend(_period_rows("qlearn", "eval", result.eval_report))
         qlearn_payload = {
-            "episodes_to_convergence": result.train_report.episodes_to_convergence,
+            "episodes_to_convergence": convergence_episodes(result.policy_history),
             "eps_final": result.eps_final,
             "greedy_policy": [int(a) for a in result.table.greedy_policy()],
             "policy_history": [[int(a) for a in p] for p in result.policy_history],

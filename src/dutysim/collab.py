@@ -8,8 +8,8 @@ matching hashes to estimate how many neighbors saw the same event. Each
 device fine-tunes its own Q-table with the single-device scheduler,
 ``sim.Learner``, against a local reward that subtracts an overlap penalty
 for duplicated detections, waived in periods where the device holds a
-cluster slot. The global network reward, with the battery spread term, is
-computed as an evaluation metric only.
+cluster slot. The global network reward, ``network_reward``, also subtracts
+the battery spread term and is computed as an evaluation metric only.
 
 The per-device state space extends the hour with a binned count of the
 device's own detections in the previous period.
@@ -32,7 +32,7 @@ import numpy as np
 from .detect import DetectorModel
 from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
-from .qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
+from .qsched import ActionSpace, Hyperparameters, QTable, reward
 from .rng import substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
@@ -40,7 +40,6 @@ from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 __all__ = [
     "DeviceNode",
     "Cluster",
-    "NetworkRewardInputs",
     "NetworkConfig",
     "EpisodeMetrics",
     "DeviceSummary",
@@ -163,32 +162,25 @@ def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
     return [Cluster(members=c) for c in cliques]
 
 
-@dataclass(frozen=True)
-class NetworkRewardInputs:
-    n_pos: int
-    n_neg: int
-    overlaps: tuple[int, ...]
-    battery_sd: float
-    w1: float
-    w2: float
-    w3: float
-
-    def __post_init__(self):
-        if self.n_pos < 0 or self.n_neg < 0:
-            raise ValueError("activation counts must be >= 0")
-        if any(o < 1 for o in self.overlaps):
-            raise ValueError("every overlap count must be >= 1")
-        if self.battery_sd < 0:
-            raise ValueError("battery_sd must be >= 0")
-
-
-def network_reward(inputs: NetworkRewardInputs) -> float:
-    overlap_penalty = sum(o - 1 for o in inputs.overlaps)
-    return (
-        reward(RewardInputs(inputs.n_pos, inputs.n_neg), inputs.w1)
-        - inputs.w2 * overlap_penalty
-        - inputs.w3 * inputs.battery_sd
-    )
+def network_reward(
+    n_pos: int,
+    n_neg: int,
+    overlaps: tuple[int, ...],
+    battery_sd: float,
+    w1: float,
+    w2: float,
+    w3: float,
+) -> float:
+    """Global period reward: ``reward`` minus w2 per duplicate detection and w3
+    times the battery spread. overlaps holds, per detected event, the number
+    of devices that detected it.
+    """
+    if any(o < 1 for o in overlaps):
+        raise ValueError("every overlap count must be >= 1")
+    if battery_sd < 0:
+        raise ValueError("battery_sd must be >= 0")
+    overlap_penalty = sum(o - 1 for o in overlaps)
+    return reward(n_pos, n_neg, w1) - w2 * overlap_penalty - w3 * battery_sd
 
 
 @functools.lru_cache(maxsize=16)
@@ -279,7 +271,7 @@ def local_reward(
         if holding and any(not members.isdisjoint(senders) for members in holding):
             continue
         penalty += len(senders)
-    return reward(RewardInputs(n_pos, n_neg), w1) - w2 * penalty
+    return reward(n_pos, n_neg, w1) - w2 * penalty
 
 
 def expand_global_table(table: QTable, n_bins: int) -> QTable:
@@ -615,15 +607,14 @@ def run_network(
         n_neg = sum(stats.negatives for stats in period_stats.values())
         episode.positives += n_pos
         episode.negatives += n_neg
-        overlaps = tuple(period_detections[j] for j in sorted(period_detections))
-        terms.append((n_pos, n_neg, overlaps))
+        terms.append((n_pos, n_neg, tuple(period_detections.values())))
         if hour_idx == 23:
             # The live devices change only at an episode start, so the levels
             # are a matrix; its row spreads equal per-period np.std calls.
             spreads = np.std(levels, axis=1).tolist()
             for (n_pos, n_neg, overlaps), sd in zip(terms, spreads):
                 episode.global_reward += network_reward(
-                    NetworkRewardInputs(n_pos, n_neg, overlaps, sd, hp.w1, config.w2, config.w3)
+                    n_pos, n_neg, overlaps, sd, hp.w1, config.w2, config.w3
                 )
             episode.batteries = {rt.node.id: level for rt, level in zip(alive, levels[-1])}
             episode.battery_sd = spreads[-1]

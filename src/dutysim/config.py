@@ -63,6 +63,12 @@ class QLearnSpec:
     eval_days: int = 4
     init_scale: float | None = None
 
+    def __post_init__(self):
+        if self.train_days < 1:
+            raise ValueError(f"train_days must be >= 1, got {self.train_days}")
+        if self.eval_days < 1:  # every schedule is compared on the held-out days
+            raise ValueError(f"eval_days must be >= 1, got {self.eval_days}")
+
 
 @dataclass(frozen=True)
 class Schedules:

@@ -8,7 +8,9 @@ follows the one-step update
     Q(s, a) <- Q(s, a) + alpha * (r + gamma * max_a' Q(s', a') - Q(s, a))
 
 with epsilon-greedy selection and per-episode epsilon decay
-epsilon <- max(eps_min, epsilon * eps_decay).
+epsilon <- max(eps_min, epsilon * eps_decay). The period reward r is
+``reward(n_pos, n_neg, w1) = n_pos - w1 * n_neg``: the period's positive
+activations minus its w1-weighted false ones.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "DEFAULT_ACTIONS",
     "Hyperparameters",
     "QTable",
-    "RewardInputs",
     "reward",
     "q_update",
     "select_action",
@@ -124,19 +125,11 @@ class QTable:
         return QTable(values=self.values.copy(), visits=self.visits.copy())
 
 
-@dataclass(frozen=True)
-class RewardInputs:
-    n_pos: int
-    n_neg: int
-
-    def __post_init__(self):
-        if self.n_pos < 0 or self.n_neg < 0:
-            raise ValueError("activation counts must be >= 0")
-
-
-def reward(inputs: RewardInputs, w1: float) -> float:
+def reward(n_pos: int, n_neg: int, w1: float) -> float:
     """Per-period reward: positives minus w1-weighted negatives."""
-    return inputs.n_pos - w1 * inputs.n_neg
+    if n_pos < 0 or n_neg < 0:
+        raise ValueError("activation counts must be >= 0")
+    return n_pos - w1 * n_neg
 
 
 def q_update(

@@ -49,7 +49,6 @@ from .qsched import (
     ActionSpace,
     Hyperparameters,
     QTable,
-    RewardInputs,
     decay_epsilon,
     q_update,
     reward,
@@ -119,7 +118,6 @@ class SimReport:
     charge_mah: float
     avg_current_ma: float
     lifetime_years: float
-    episodes_to_convergence: int | None = None
 
 
 # -- detector wiring --------------------------------------------------------
@@ -569,7 +567,7 @@ def _run_periods(engine, t_begin, t_end, n_periods, learner=None, interval=None,
             interval = learner.choose(engine, hour, p_start)
         stats = engine.run_period(p_end, interval)
         if w1 is not None:
-            r = reward(RewardInputs(stats.positives, stats.negatives), w1)
+            r = reward(stats.positives, stats.negatives, w1)
             learner.learn(engine, r, hour, len(stats.detected), p_end)
         rows.append((p, hour, interval, stats))
     return rows
@@ -602,7 +600,7 @@ def _build_report(
 
     periods = []
     for (p, hour, interval, stats) in rows:
-        r = reward(RewardInputs(stats.positives, stats.negatives), w1)
+        r = reward(stats.positives, stats.negatives, w1)
         periods.append(
             PeriodRecord(
                 index=p,
@@ -749,7 +747,6 @@ def train_qlearn(
     rows = _run_periods(engine, 0.0, train_end, train_days * 24, learner, w1=hp.w1)
     engine.finish()
     train_report = _build_report(trace, 0.0, train_end, rows, engine, hp.w1, profile)
-    train_report.episodes_to_convergence = convergence_episodes(learner.history)
 
     if eval_days > 0:
         eval_spec = GreedySchedule(table=table, actions=actions)
@@ -764,7 +761,6 @@ def train_qlearn(
             t_begin=train_end,
             duration_s=eval_days * SECONDS_PER_DAY,
         )
-        eval_report.episodes_to_convergence = train_report.episodes_to_convergence
     else:
         eval_report = train_report
         eval_log = None

@@ -29,6 +29,9 @@ from .rng import substream
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_HOUR = 3600.0
 
+# The largest rate numpy's Poisson sampler accepts: int64 max - 10 * sqrt(int64 max).
+_POISSON_MAX_RATE = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
 _CSV_HEADER = ["id", "start", "duration", "band", "x", "y"]
 _COLUMNS = ("ids", "starts", "durations", "bands", "xs", "ys")
 
@@ -210,6 +213,12 @@ class DiurnalProfile:
             )
         if any(r < 0 for r in self.hourly_rate):
             raise TraceValidationError("hourly_rate entries must be >= 0")
+        for hour, r in enumerate(self.hourly_rate):
+            if r > _POISSON_MAX_RATE:
+                raise TraceValidationError(
+                    f"hourly_rate[{hour}] must be <= {_POISSON_MAX_RATE!r}, "
+                    f"numpy's Poisson limit, got {r!r}"
+                )
         if not self.duration_mean > 0:
             raise TraceValidationError("duration_mean must be positive")
         if self.duration_sd < 0:

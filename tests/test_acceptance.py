@@ -18,7 +18,6 @@ from dutysim.cli import main as cli_main
 from dutysim.collab import (
     DeviceNode,
     NetworkConfig,
-    NetworkRewardInputs,
     expand_global_table,
     form_clusters,
     network_reward,
@@ -30,11 +29,10 @@ from dutysim.qsched import (
     DEFAULT_ACTIONS,
     ActionSpace,
     Hyperparameters,
-    RewardInputs,
     reward,
 )
 from dutysim.rng import substream
-from dutysim.sim import FixedSchedule, run_schedule, train_qlearn
+from dutysim.sim import FixedSchedule, convergence_episodes, run_schedule, train_qlearn
 from dutysim.trace import SECONDS_PER_DAY, events_in_window
 
 from _oracles import (
@@ -188,7 +186,7 @@ def test_criterion_4_convergence(capsys):
         result = train_qlearn(
             trace, 60, 0, HP, ActionSpace(), ORACLE, PROFILE, seed
         )
-        episodes.append(result.train_report.episodes_to_convergence)
+        episodes.append(convergence_episodes(result.policy_history))
     elapsed = time.perf_counter() - t0
     passing = sum(1 for e in episodes if e is not None and e <= 50)
     ok = passing >= 8 and elapsed < 120.0
@@ -305,7 +303,7 @@ def test_criterion_6_oracle_equivalences(capsys):
         n_neg = int(rng.integers(0, 1000))
         w1 = float(rng.uniform(0.0, 2.0))
         w2 = float(rng.uniform(0.0, 2.0))
-        inputs = NetworkRewardInputs(
+        got = network_reward(
             n_pos=n_pos,
             n_neg=n_neg,
             overlaps=(1,) * int(rng.integers(0, 30)),
@@ -314,9 +312,7 @@ def test_criterion_6_oracle_equivalences(capsys):
             w2=w2,
             w3=0.0,
         )
-        reward_ok &= network_reward(inputs) == reward(
-            RewardInputs(n_pos=n_pos, n_neg=n_neg), w1
-        )
+        reward_ok &= got == reward(n_pos=n_pos, n_neg=n_neg, w1=w1)
 
     ok = clique_ok and window_ok and reward_ok
     _verdict(

@@ -11,6 +11,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from dutysim.collab import DeviceNode, NetworkConfig
 from dutysim.config import ExperimentConfig, TraceSource, config_to_dict, parse_config
 from dutysim.detect import DetectorModel
 from dutysim.qsched import load_qtable
+from dutysim.sim import convergence_episodes
 from dutysim.trace import DiurnalProfile, load_trace
 
 FLAT_PROFILE = {
@@ -165,6 +167,8 @@ def test_run_emits_six_row_comparison(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "run"
     assert len(summary["qlearn"]["policy_history"]) == 2
+    history = [np.array(p) for p in summary["qlearn"]["policy_history"]]
+    assert summary["qlearn"]["episodes_to_convergence"] == convergence_episodes(history)
 
 
 @pytest.mark.parametrize(
@@ -367,6 +371,12 @@ def _duplicate_id_network():
     return cfg
 
 
+def _train_days_with_init_scale(train_days):
+    cfg = run_config()
+    cfg["schedules"]["qlearn"] = {"train_days": train_days, "eval_days": 1, "init_scale": 1.0}
+    return cfg
+
+
 def _band_trace(band_range):
     profile = dict(FLAT_PROFILE, band_range=band_range)
     return {"seed": 1, "trace": {"profile": profile}}
@@ -395,6 +405,17 @@ def _band_trace(band_range):
             "detector: noise_sd",
         ),
         ("run", {**run_config(), "power": {"d_ping": 1e-10}}, "power: d_ping must be at least 1 ns"),
+        (
+            "gen-trace",
+            {
+                "seed": 1,
+                "trace": {"profile": dict(FLAT_PROFILE, hourly_rate=[2**70] + [0.5] * 23)},
+            },
+            "trace.profile: hourly_rate[0]",
+        ),
+        # init_scale reads the training days' event rates before training starts.
+        ("run", _train_days_with_init_scale(0), "schedules.qlearn: train_days"),
+        ("run", _train_days_with_init_scale(-1), "schedules.qlearn: train_days"),
     ],
     ids=[
         "layout_radius",
@@ -405,6 +426,9 @@ def _band_trace(band_range):
         "band_range_non_positive",
         "noise_sd_negative",
         "duration_below_a_tick",
+        "hourly_rate_past_poisson_limit",
+        "train_days_zero_with_init_scale",
+        "train_days_negative_with_init_scale",
     ],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(
@@ -818,10 +842,15 @@ def test_parse_config_names_offending_fields(tmp_path):
         ({**base, "trace": {"file": None}}, "trace"),
         ({**base, "network": {"layout_file": 5}}, "network.layout_file"),
         ({**base, "schedules": {"qlearn": {"train_days": 1.5}}}, "train_days"),
+        ({**base, "schedules": {"qlearn": {"train_days": 0}}}, "schedules.qlearn: train_days"),
+        ({**base, "schedules": {"qlearn": {"train_days": -1}}}, "schedules.qlearn: train_days"),
+        ({**base, "schedules": {"qlearn": {"eval_days": 0}}}, "schedules.qlearn: eval_days"),
         (profile_case(band_range=[5000, 100]), "trace.profile: band_range"),
         (profile_case(band_range=[-100, 100]), "trace.profile: band_range"),
         (profile_case(area=[10, 0, 0, 10]), "trace.profile: area"),
         (profile_case(hourly_rate=[-1.0] * 24), "trace.profile: hourly_rate"),
+        # Above numpy's Poisson limit.
+        (profile_case(hourly_rate=[0.5] * 23 + [2**70]), "trace.profile: hourly_rate[23]"),
         (profile_case(days=0), "trace.profile: days"),
         (profile_case(origin_hour=25), "trace.profile: origin_hour"),
         ({**base, "detector": {"noise_sd": -1}}, "detector: noise_sd"),

@@ -21,7 +21,6 @@ from dutysim.collab import (
     Cluster,
     DeviceNode,
     NetworkConfig,
-    NetworkRewardInputs,
     deliver_pings,
     event_hashes,
     expand_global_table,
@@ -33,7 +32,7 @@ from dutysim.collab import (
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
-from dutysim.qsched import ActionSpace, Hyperparameters, QTable, RewardInputs, reward
+from dutysim.qsched import ActionSpace, Hyperparameters, QTable, reward
 from dutysim.rng import substream
 from dutysim.sim import FixedSchedule, TimelineEngine, run_schedule, train_qlearn
 from dutysim.trace import DiurnalProfile, Event, generate_trace, make_trace
@@ -77,17 +76,17 @@ def network(*nodes, **kwargs):
 
 
 def test_network_reward_worked_example():
-    inputs = NetworkRewardInputs(
+    got = network_reward(
         n_pos=6, n_neg=4, overlaps=(2, 3), battery_sd=0.0, w1=0.1, w2=0.5, w3=0.0
     )
-    assert network_reward(inputs) == pytest.approx(4.1, rel=1e-12)
+    assert got == pytest.approx(4.1, rel=1e-12)
 
 
 def test_network_reward_battery_term_only():
-    inputs = NetworkRewardInputs(
+    got = network_reward(
         n_pos=0, n_neg=0, overlaps=(), battery_sd=2.5, w1=0.0, w2=0.0, w3=1.0
     )
-    assert network_reward(inputs) == pytest.approx(-2.5, rel=1e-12)
+    assert got == pytest.approx(-2.5, rel=1e-12)
 
 
 @given(
@@ -101,7 +100,7 @@ def test_network_reward_battery_term_only():
 def test_network_reward_unit_overlaps_match_core_reward(n_pos, n_neg, n_events, w1, w2):
     # Every event seen exactly once and no battery term: the network reward
     # collapses to the single-device reward on the same totals.
-    inputs = NetworkRewardInputs(
+    got = network_reward(
         n_pos=n_pos,
         n_neg=n_neg,
         overlaps=(1,) * n_events,
@@ -110,20 +109,20 @@ def test_network_reward_unit_overlaps_match_core_reward(n_pos, n_neg, n_events, 
         w2=w2,
         w3=0.0,
     )
-    core = reward(RewardInputs(n_pos=n_pos, n_neg=n_neg), w1)
-    assert network_reward(inputs) == core
+    core = reward(n_pos=n_pos, n_neg=n_neg, w1=w1)
+    assert got == core
 
 
 def test_network_reward_inputs_validation():
     with pytest.raises(ValueError):
-        NetworkRewardInputs(n_pos=-1, n_neg=0, overlaps=(), battery_sd=0.0,
-                            w1=0.1, w2=0.5, w3=0.0)
+        network_reward(n_pos=-1, n_neg=0, overlaps=(), battery_sd=0.0,
+                       w1=0.1, w2=0.5, w3=0.0)
     with pytest.raises(ValueError):
-        NetworkRewardInputs(n_pos=0, n_neg=0, overlaps=(1, 0), battery_sd=0.0,
-                            w1=0.1, w2=0.5, w3=0.0)
+        network_reward(n_pos=0, n_neg=0, overlaps=(1, 0), battery_sd=0.0,
+                       w1=0.1, w2=0.5, w3=0.0)
     with pytest.raises(ValueError):
-        NetworkRewardInputs(n_pos=0, n_neg=0, overlaps=(), battery_sd=-0.5,
-                            w1=0.1, w2=0.5, w3=0.0)
+        network_reward(n_pos=0, n_neg=0, overlaps=(), battery_sd=-0.5,
+                       w1=0.1, w2=0.5, w3=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +469,7 @@ def test_isolated_device_reduces_to_core_reward(n_pos, n_neg, w1, w2):
         w1=w1,
         w2=w2,
     )
-    assert got == reward(RewardInputs(n_pos=n_pos, n_neg=n_neg), w1)
+    assert got == reward(n_pos=n_pos, n_neg=n_neg, w1=w1)
 
 
 @st.composite

@@ -9,7 +9,6 @@ from dutysim.qsched import (
     ActionSpace,
     Hyperparameters,
     QTable,
-    RewardInputs,
     decay_epsilon,
     init_from_distribution,
     load_qtable,
@@ -55,14 +54,14 @@ def test_hyperparameter_validation():
 
 
 def test_reward_examples():
-    assert reward(RewardInputs(0, 0), 0.1) == 0.0
-    assert reward(RewardInputs(5, 10), 0.1) == 4.0
-    assert reward(RewardInputs(0, 20), 0.5) == -10.0
+    assert reward(0, 0, 0.1) == 0.0
+    assert reward(5, 10, 0.1) == 4.0
+    assert reward(0, 20, 0.5) == -10.0
 
 
 def test_reward_inputs_validation():
     with pytest.raises(ValueError):
-        RewardInputs(-1, 0)
+        reward(-1, 0, 0.1)
 
 
 # -- q_update ----------------------------------------------------------------

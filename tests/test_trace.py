@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -361,6 +362,25 @@ def test_profile_validation():
     ):
         with pytest.raises(TraceValidationError):
             two_peak_profile(**bad)
+
+
+def test_profile_rate_bound_is_numpys_poisson_limit():
+    # int64 max - 10 * sqrt(int64 max); only the profiles are built, no trace.
+    limit = 9.223372006484771e18
+    rates = (0.5,) * 23
+    DiurnalProfile(hourly_rate=rates + (limit,), duration_mean=3.0, duration_sd=0.0, days=1)
+    with pytest.raises(TraceValidationError, match=r"hourly_rate\[23\]"):
+        DiurnalProfile(
+            hourly_rate=rates + (math.nextafter(limit, math.inf),),
+            duration_mean=3.0,
+            duration_sd=0.0,
+            days=1,
+        )
+    # The bound is numpy's own: one draw at the limit passes, the next float fails.
+    rng = np.random.default_rng(0)
+    rng.poisson(limit)
+    with pytest.raises(ValueError):
+        rng.poisson(math.nextafter(limit, math.inf))
 
 
 def test_generate_rejects_zero_days():
