@@ -35,7 +35,7 @@ from .config import (
 from .errors import ConfigError, DutysimError
 from .qsched import ActionSpace, init_from_distribution, save_qtable
 from .sim import FixedSchedule, PeriodRecord, SimReport, convergence_episodes
-from .sim import run_schedule, train_qlearn
+from .sim import GreedySchedule, run_schedule, train_qlearn
 from .trace import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -207,7 +207,6 @@ def cmd_run(args) -> int:
         result = train_qlearn(
             trace,
             q.train_days,
-            q.eval_days,
             cfg.hyperparameters,
             actions,
             detector,
@@ -215,15 +214,19 @@ def cmd_run(args) -> int:
             cfg.seed,
             init_table=init_table,
         )
+        qlearn_report, _ = run_schedule(
+            trace, GreedySchedule(result.table, actions), detector, profile, cfg.seed,
+            t_begin=t_begin, duration_s=duration,
+        )
         period_rows.extend(_period_rows("qlearn", "train", result.train_report))
-        period_rows.extend(_period_rows("qlearn", "eval", result.eval_report))
+        period_rows.extend(_period_rows("qlearn", "eval", qlearn_report))
         qlearn_payload = {
             "episodes_to_convergence": convergence_episodes(result.policy_history),
             "eps_final": result.eps_final,
             "greedy_policy": [int(a) for a in result.table.greedy_policy()],
             "policy_history": [[int(a) for a in p] for p in result.policy_history],
             "train": _pick(result.train_report, SUMMARY_FIELDS),
-            "eval": _pick(result.eval_report, SUMMARY_FIELDS),
+            "eval": _pick(qlearn_report, SUMMARY_FIELDS),
         }
         (out_dir / "qtable.bin").write_bytes(save_qtable(result.table))
         outputs.append("qtable.bin")
@@ -231,19 +234,12 @@ def cmd_run(args) -> int:
     for interval in cfg.schedules.fixed:
         spec = FixedSchedule(interval)
         report, _ = run_schedule(
-            trace,
-            spec,
-            detector,
-            profile,
-            cfg.seed,
-            collect_log=False,
-            t_begin=t_begin,
-            duration_s=duration,
+            trace, spec, detector, profile, cfg.seed, t_begin=t_begin, duration_s=duration
         )
         comparison.append(_comparison_row(spec.name, report))
         period_rows.extend(_period_rows(spec.name, "eval", report))
     if qlearn_payload is not None:
-        comparison.append(_comparison_row("qlearn", result.eval_report))
+        comparison.append(_comparison_row("qlearn", qlearn_report))
 
     summary = {
         "kind": "run",
@@ -287,7 +283,6 @@ def cmd_run_network(args) -> int:
         pre = train_qlearn(
             trace,
             net_cfg.pretrain_days,
-            0,
             cfg.hyperparameters,
             actions,
             cfg.detector,

@@ -30,7 +30,7 @@ from .collab import DeviceNode, NetworkConfig
 from .detect import DetectorModel
 from .errors import ConfigError, TraceValidationError
 from .power import PowerProfile
-from .qsched import DEFAULT_ACTIONS, ActionSpace, Hyperparameters
+from .qsched import DEFAULT_ACTIONS, Q_MAX, ActionSpace, Hyperparameters
 from .trace import DiurnalProfile, EventTrace, generate_trace, load_trace, read_json
 
 __all__ = [
@@ -68,6 +68,8 @@ class QLearnSpec:
             raise ValueError(f"train_days must be >= 1, got {self.train_days}")
         if self.eval_days < 1:  # every schedule is compared on the held-out days
             raise ValueError(f"eval_days must be >= 1, got {self.eval_days}")
+        if self.init_scale is not None and not abs(self.init_scale) <= Q_MAX:
+            raise ValueError(f"init_scale must lie within float32 range, got {self.init_scale}")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,9 @@ __all__ = [
 
 DEFAULT_ACTIONS = (3.0, 5.0, 60.0, 300.0, 1800.0)
 
+# The largest magnitude a float32 table cell holds.
+Q_MAX = float(np.finfo(np.float32).max)
+
 _MAGIC = b"QTBL"
 _VERSION = 1
 
@@ -143,15 +146,16 @@ def q_update(
     """One-step in-place update of the (state, action) cell.
 
     Arithmetic runs in float64; the result is stored back as float32. The
-    visit counter for the cell increments by one.
+    visit counter for the cell increments by one. A result beyond float32's
+    range raises ValueError and leaves the cell and its count unchanged.
     """
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
     q = float(table.values[state, action])
     best_next = float(table.values[next_state].max())
     updated = q + hp.alpha * (r + hp.gamma * best_next - q)
-    if not math.isfinite(updated):
-        raise ValueError("q_update produced a non-finite value")
+    if not abs(updated) <= Q_MAX:
+        raise ValueError(f"q_update produced {updated}, outside float32 range")
     table.values[state, action] = np.float32(updated)
     table.visits[state, action] += 1
     return table

@@ -16,6 +16,8 @@ Q-learning scheduler that both train_qlearn and the network mode
 (``collab.run_network``) drive. It chooses epsilon-greedily with per-period
 updates when training and greedily, without learning, when evaluating.
 Training episodes are whole days, and the learner itself ends each one.
+``train_qlearn`` only trains; ``run_schedule`` evaluates every schedule over
+the held-out window, the trained table as a ``GreedySchedule`` among them.
 
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
@@ -551,26 +553,34 @@ class Learner:
             self.history.append(self.table.greedy_policy())
 
 
-def _run_periods(engine, t_begin, t_end, n_periods, learner=None, interval=None, w1=None):
-    """Drive the engine through hourly periods from t_begin; returns raw period tuples.
+def _run_periods(
+    trace, t_begin, t_end, detector, profile, rng_for_day, w1, collect_log, *,
+    interval=None, learner=None, learn=False,
+):
+    """Drive one engine through the hourly periods of [t_begin, t_end).
 
-    Without a learner every period runs at ``interval``. A learner chooses
-    each period's interval, and learns from the period reward when given
-    its false-alarm weight ``w1``; the learner ends its own episodes.
+    Every period runs at ``interval``, unless a learner chooses each
+    period's interval; with ``learn`` it also learns from the period reward
+    and ends its own episodes. Rewards are scored with the false-alarm
+    weight ``w1``. Returns the report and the engine's log.
     """
+    engine = TimelineEngine(
+        trace, t_begin, t_end, profile, detector, rng_for_day, collect_log=collect_log
+    )
     rows = []
-    for p in range(n_periods):
+    for p in range(int(math.ceil((t_end - t_begin) / SECONDS_PER_HOUR))):
         p_start = t_begin + p * SECONDS_PER_HOUR
         p_end = min(p_start + SECONDS_PER_HOUR, t_end)
-        hour = engine.trace.hour_of(p_start)
+        hour = trace.hour_of(p_start)
         if learner is not None:
             interval = learner.choose(engine, hour, p_start)
         stats = engine.run_period(p_end, interval)
-        if w1 is not None:
+        if learn:
             r = reward(stats.positives, stats.negatives, w1)
             learner.learn(engine, r, hour, len(stats.detected), p_end)
         rows.append((p, hour, interval, stats))
-    return rows
+    engine.finish()
+    return _build_report(trace, t_begin, t_end, rows, engine, w1, profile), engine.log
 
 
 def _per_period(starts: np.ndarray, t_begin: float, n_periods: int) -> np.ndarray:
@@ -649,15 +659,16 @@ def run_schedule(
     profile: PowerProfile,
     seed: int,
     *,
-    collect_log: bool = True,
+    collect_log: bool = False,
     device_id: int = 0,
     t_begin: float = 0.0,
     duration_s: float | None = None,
 ) -> tuple[SimReport, list[LogEntry] | None]:
     """Simulate one schedule over a window of the trace.
 
-    Returns the report and, when collect_log, an activity log tiling the
-    window exactly.
+    A ``GreedySchedule`` replays a trained table without learning, so a
+    learned policy is evaluated exactly as a fixed schedule is. Returns the
+    report and, when collect_log, an activity log tiling the window exactly.
     """
     t_end = trace.horizon if duration_s is None else t_begin + duration_s
     hp = Hyperparameters()
@@ -673,37 +684,26 @@ def run_schedule(
         learner, interval = Learner(spec.table, hp, spec.actions, None, eps=0.0), None
     else:
         raise ScheduleError(f"unknown schedule spec {spec!r}")
-    engine = TimelineEngine(
-        trace,
-        t_begin,
-        t_end,
-        profile,
-        detector,
-        _day_rng_provider(seed, device_id),
-        collect_log=collect_log,
+    return _run_periods(
+        trace, t_begin, t_end, detector, profile, _day_rng_provider(seed, device_id), hp.w1,
+        collect_log, interval=interval, learner=learner,
     )
-    n_periods = int(math.ceil((t_end - t_begin) / SECONDS_PER_HOUR))
-    rows = _run_periods(engine, t_begin, t_end, n_periods, learner, interval)
-    engine.finish()
-    report = _build_report(trace, t_begin, t_end, rows, engine, hp.w1, profile)
-    return report, engine.log
 
 
 @dataclass
 class TrainResult:
+    """A trained table, the training window's report and the greedy policy after each episode."""
+
     table: QTable
     train_report: SimReport
-    eval_report: SimReport
     policy_history: list[np.ndarray]
     eps_final: float
     train_log: list[LogEntry] | None = None
-    eval_log: list[LogEntry] | None = None
 
 
 def train_qlearn(
     trace: EventTrace,
     train_days: int,
-    eval_days: int,
     hp: Hyperparameters,
     actions: ActionSpace,
     detector: DetectorModel,
@@ -712,23 +712,23 @@ def train_qlearn(
     *,
     init_table: QTable | None = None,
     device_id: int = 0,
-    collect_logs: bool = False,
+    collect_log: bool = False,
 ) -> TrainResult:
-    """Train over the leading days of the trace, then evaluate greedily.
+    """Train over the leading ``train_days`` days of the trace.
 
     Each training day is one episode: per period an action is chosen
     epsilon-greedily at period start, held for the period, and updated at
     period end with the period reward; the next-state index wraps from the
     last hour to the first. The learner ends each episode (``Learner``).
-    Evaluation runs the greedy policy over the following days with learning
-    frozen.
+    To evaluate the trained table, run ``GreedySchedule(result.table,
+    actions)`` through ``run_schedule``, as any fixed schedule is run.
     """
-    if train_days < 1 or eval_days < 0:
-        raise ScheduleError("need train_days >= 1 and eval_days >= 0")
-    needed = (train_days + eval_days) * SECONDS_PER_DAY
-    if trace.horizon < needed:
+    if train_days < 1:
+        raise ScheduleError("need train_days >= 1")
+    train_end = train_days * SECONDS_PER_DAY
+    if trace.horizon < train_end:
         raise ScheduleError(
-            f"trace horizon {trace.horizon} s shorter than {needed} s of episodes"
+            f"trace horizon {trace.horizon} s shorter than {train_end} s of episodes"
         )
     _check_intervals(actions.intervals, profile, "action")
     if init_table is not None:
@@ -738,41 +738,17 @@ def train_qlearn(
     else:
         table = QTable.zeros(24, len(actions))
     rng_for_day = _day_rng_provider(seed, device_id)
-
-    train_end = train_days * SECONDS_PER_DAY
-    engine = TimelineEngine(
-        trace, 0.0, train_end, profile, detector, rng_for_day, collect_log=collect_logs
-    )
     learner = Learner(table, hp, actions, rng_for_day)
-    rows = _run_periods(engine, 0.0, train_end, train_days * 24, learner, w1=hp.w1)
-    engine.finish()
-    train_report = _build_report(trace, 0.0, train_end, rows, engine, hp.w1, profile)
-
-    if eval_days > 0:
-        eval_spec = GreedySchedule(table=table, actions=actions)
-        eval_report, eval_log = run_schedule(
-            trace,
-            eval_spec,
-            detector,
-            profile,
-            seed,
-            collect_log=collect_logs,
-            device_id=device_id,
-            t_begin=train_end,
-            duration_s=eval_days * SECONDS_PER_DAY,
-        )
-    else:
-        eval_report = train_report
-        eval_log = None
-
+    train_report, train_log = _run_periods(
+        trace, 0.0, train_end, detector, profile, rng_for_day, hp.w1, collect_log,
+        learner=learner, learn=True,
+    )
     return TrainResult(
         table=table,
         train_report=train_report,
-        eval_report=eval_report,
         policy_history=learner.history,
         eps_final=learner.eps,
-        train_log=engine.log,
-        eval_log=eval_log,
+        train_log=train_log,
     )
 
 

@@ -446,8 +446,15 @@ def test_values_rejected_by_domain_types_are_validation_errors(
         ([0, 1], [[7, 0]], "network.layout_file: failures: unknown device 7"),
         ([0, 1], [[1, 1]], "network: failures entries are (device_id, 0 <= episode < episodes)"),
         ([0, 1], [[1, 0], [1, 0]], "network: failures: a device can fail only once"),
+        ([], [], "need a non-empty device list"),
     ],
-    ids=["duplicate_id", "failure_unknown_device", "failure_after_last_episode", "failure_twice"],
+    ids=[
+        "duplicate_id",
+        "failure_unknown_device",
+        "failure_after_last_episode",
+        "failure_twice",
+        "empty",
+    ],
 )
 def test_network_layout_file_is_checked_like_layout(
     tmp_path, capsys, layout_ids, failures, message
@@ -845,9 +852,16 @@ def test_parse_config_names_offending_fields(tmp_path):
         ({**base, "schedules": {"qlearn": {"train_days": 0}}}, "schedules.qlearn: train_days"),
         ({**base, "schedules": {"qlearn": {"train_days": -1}}}, "schedules.qlearn: train_days"),
         ({**base, "schedules": {"qlearn": {"eval_days": 0}}}, "schedules.qlearn: eval_days"),
+        # Past float32's largest value, the seeded table would hold inf.
+        (
+            {**base, "schedules": {"qlearn": {"init_scale": 3.5e38}}},
+            "schedules.qlearn: init_scale",
+        ),
         (profile_case(band_range=[5000, 100]), "trace.profile: band_range"),
         (profile_case(band_range=[-100, 100]), "trace.profile: band_range"),
         (profile_case(area=[10, 0, 0, 10]), "trace.profile: area"),
+        (profile_case(area=[0, 10, 0]), "trace.profile.area: expected 4 items, got 3"),
+        (profile_case(area=5), "trace.profile.area: expected a list"),
         (profile_case(hourly_rate=[-1.0] * 24), "trace.profile: hourly_rate"),
         # Above numpy's Poisson limit.
         (profile_case(hourly_rate=[0.5] * 23 + [2**70]), "trace.profile: hourly_rate[23]"),
@@ -870,6 +884,10 @@ def test_parse_config_names_offending_fields(tmp_path):
         ({**base, "actions": [3, math.nan, 60]}, "actions[1]"),
         ({**base, "schedules": {"fixed": [math.inf]}}, "schedules.fixed[0]"),
         ({**base, "network": {"layout": [dict(device, x=-math.inf)]}}, "layout[0].x"),
+        (
+            {**base, "network": {"layout": [dict(device, id=-1)]}},
+            "network.layout[0]: device id must be >= 0",
+        ),
         (
             {**base, "network": {"layout": [dict(device, sensing_radius=math.nan)]}},
             "layout[0].sensing_radius",

@@ -34,7 +34,7 @@ from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable, reward
 from dutysim.rng import substream
-from dutysim.sim import FixedSchedule, TimelineEngine, run_schedule, train_qlearn
+from dutysim.sim import FixedSchedule, GreedySchedule, TimelineEngine, run_schedule, train_qlearn
 from dutysim.trace import DiurnalProfile, Event, generate_trace, make_trace
 
 from _oracles import (
@@ -576,7 +576,7 @@ def test_single_device_fixed_run_matches_run_schedule():
     cfg = network(episodes=2, train=False, fixed_interval=60.0)
     rep = run_network(tr, cfg, HP, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
     sim_rep, sim_log = run_schedule(
-        tr, FixedSchedule(60.0), ORACLE, PROFILE, 11, duration_s=2 * 86400.0
+        tr, FixedSchedule(60.0), ORACLE, PROFILE, 11, collect_log=True, duration_s=2 * 86400.0
     )
     assert rep.logs[0] == sim_log
     assert rep.devices[0].charge_mah == sim_rep.charge_mah
@@ -593,7 +593,7 @@ def test_single_device_training_matches_train_qlearn():
     hp = Hyperparameters(w1=0.02)
     cfg = network(episodes=3, detection_bins=())
     rep = run_network(tr, cfg, hp, ActionSpace(), ORACLE, PROFILE, 11)
-    res = train_qlearn(tr, 3, 0, hp, ActionSpace(), ORACLE, PROFILE, 11)
+    res = train_qlearn(tr, 3, hp, ActionSpace(), ORACLE, PROFILE, 11)
     assert np.array_equal(rep.tables[0].values, res.table.values)
     assert np.array_equal(rep.tables[0].visits, res.table.visits)
 
@@ -606,7 +606,7 @@ def test_lone_network_device_pings_each_detection_and_train_qlearn_does_not():
     rep = run_network(tr, cfg, W1, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
     pings = sum(1 for entry in rep.logs[0] if entry.mode == "ping")
     assert pings == rep.devices[0].events_detected > 0
-    res = train_qlearn(tr, 3, 0, W1, ActionSpace(), ORACLE, PROFILE, 11, collect_logs=True)
+    res = train_qlearn(tr, 3, W1, ActionSpace(), ORACLE, PROFILE, 11, collect_log=True)
     assert not any(entry.mode == "ping" for entry in res.train_log)
     assert np.array_equal(rep.tables[0].values, res.table.values)
     assert np.array_equal(rep.tables[0].visits, res.table.visits)
@@ -629,12 +629,16 @@ def test_event_ids_are_only_labels():
     cfg = network(*nodes, episodes=2, drop_rate=0.3)
 
     def results(trace):
-        trained = train_qlearn(trace, 1, 1, W1, ActionSpace(), detector, PROFILE, 13)
+        trained = train_qlearn(trace, 1, W1, ActionSpace(), detector, PROFILE, 13)
+        greedy, _ = run_schedule(
+            trace, GreedySchedule(trained.table), detector, PROFILE, 13,
+            t_begin=86400.0, duration_s=86400.0,
+        )
         fixed, _ = run_schedule(trace, FixedSchedule(7.0), detector, PROFILE, 13)
         net = run_network(trace, cfg, W1, ActionSpace(), detector, PROFILE, 13)
         tables = [trained.table] + [net.tables[n.id] for n in nodes]
         return (
-            (trained.train_report, trained.eval_report, fixed, net.to_dict()),
+            (trained.train_report, greedy, fixed, net.to_dict()),
             [(t.values.tolist(), t.visits.tolist()) for t in tables],
         )
 

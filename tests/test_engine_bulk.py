@@ -367,7 +367,7 @@ def test_interval_within_a_tick_of_the_probe_is_rejected():
         run_schedule(trace, FixedSchedule(interval), detector, profile, 1)
     actions = ActionSpace((interval, 60.0))
     with pytest.raises(ScheduleError, match="nanoseconds"):
-        train_qlearn(trace, 1, 0, Hyperparameters(), actions, detector, profile, 1)
+        train_qlearn(trace, 1, Hyperparameters(), actions, detector, profile, 1)
 
 
 @pytest.mark.parametrize(
@@ -441,7 +441,10 @@ def test_run_schedule_matches_per_wake(seed, duration_sd, detector, t_begin, hou
     span = hours * 3600.0 + 1234.5
     for spec in (FixedSchedule(interval), GreedySchedule(table, ActionSpace((3.0, 7.1, 60.0, 300.0, 1800.0)))):
         def go():
-            return run_schedule(trace, spec, detector, profile, seed, t_begin=t_begin, duration_s=span)
+            return run_schedule(
+                trace, spec, detector, profile, seed,
+                collect_log=True, t_begin=t_begin, duration_s=span,
+            )
 
         fast, fast_log = go()
         with per_wake_engine():
@@ -461,22 +464,27 @@ def test_train_qlearn_matches_per_wake(seed, detector):
     profile = PROFILES[0]
 
     def go():
-        return train_qlearn(
-            trace, 1, 1, Hyperparameters(w1=0.02), ActionSpace(), detector, profile, seed,
-            collect_logs=True,
+        result = train_qlearn(
+            trace, 1, Hyperparameters(w1=0.02), ActionSpace(), detector, profile, seed,
+            collect_log=True,
         )
+        evaluated = run_schedule(
+            trace, GreedySchedule(result.table), detector, profile, seed,
+            collect_log=True, t_begin=SECONDS_PER_DAY, duration_s=SECONDS_PER_DAY,
+        )
+        return result, evaluated
 
-    fast = go()
+    fast, (fast_eval, fast_eval_log) = go()
     with per_wake_engine():
-        slow = go()
+        slow, (slow_eval, slow_eval_log) = go()
     assert np.array_equal(fast.table.values, slow.table.values)
     assert np.array_equal(fast.table.visits, slow.table.visits)
     assert fast.train_report == slow.train_report
-    assert fast.eval_report == slow.eval_report
+    assert fast_eval == slow_eval
     assert fast.train_log == slow.train_log
-    assert fast.eval_log == slow.eval_log
+    assert fast_eval_log == slow_eval_log
     assert bits(fast.eps_final) == bits(slow.eps_final)
-    for report, log in ((fast.train_report, fast.train_log), (fast.eval_report, fast.eval_log)):
+    for report, log in ((fast.train_report, fast.train_log), (fast_eval, fast_eval_log)):
         assert_log_invariants(log, report.charge_mah, profile, to_ticks(SECONDS_PER_DAY))
         assert report.events_detected <= report.events_total
 

@@ -116,7 +116,8 @@ def test_fixed_and_greedy_runs_keep_the_invariants(
         spec = FixedSchedule(interval)
     with recorded_engines() as engines:
         report, log = run_schedule(
-            trace, spec, detector, profile, seed, t_begin=t_begin, duration_s=span
+            trace, spec, detector, profile, seed,
+            collect_log=True, t_begin=t_begin, duration_s=span,
         )
     (engine,) = engines
     assert log is engine.log

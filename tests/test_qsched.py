@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,21 @@ def test_q_update_rejects_non_finite_reward():
     t = QTable.zeros(24, 5)
     with pytest.raises(ValueError):
         q_update(t, 0, 0, float("nan"), 0, Hyperparameters())
+
+
+@pytest.mark.parametrize("r", [-1e40, 1e40, 3.5e39])
+def test_q_update_rejects_values_float32_cannot_hold(r):
+    # Finite in float64, but stored as a float32 cell the value would be inf.
+    t = QTable.zeros(24, 5)
+    t.values[0, 1] = 7.0
+    t.visits[0, 1] = 3
+    before = t.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float32"):
+            q_update(t, 0, 1, r, 0, Hyperparameters())
+    assert np.array_equal(t.values, before.values)
+    assert np.array_equal(t.visits, before.visits)
 
 
 @given(

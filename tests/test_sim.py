@@ -51,7 +51,7 @@ def test_empty_trace_fixed_60():
 
 def test_single_event_detected_by_fixed_3():
     tr = make_trace([Event(id=0, start=100.0, duration=3.0)], horizon=86400.0)
-    report, log = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1)
+    report, log = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1, collect_log=True)
     assert report.events_total == 1
     assert report.events_detected == 1
     assert report.positives == 1
@@ -72,8 +72,8 @@ def test_event_missed_by_long_interval():
 
 def test_interval_monotonicity_on_dense_trace():
     tr = two_peak_trace(1, 5)
-    short, _ = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1, collect_log=False)
-    long, _ = run_schedule(tr, FixedSchedule(1800.0), ORACLE, PROFILE, 1, collect_log=False)
+    short, _ = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1)
+    long, _ = run_schedule(tr, FixedSchedule(1800.0), ORACLE, PROFILE, 1)
     assert short.events_detected >= long.events_detected
     assert long.activations <= short.activations
 
@@ -81,20 +81,20 @@ def test_interval_monotonicity_on_dense_trace():
 def test_fixed_3_oracle_detects_everything():
     # All durations are exactly 3 s, so a 3 s cadence cannot miss.
     tr = two_peak_trace(1, 7)
-    report, _ = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1, collect_log=False)
+    report, _ = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1)
     assert report.detection_rate == 1.0
 
 
 def test_log_tiles_the_horizon_exactly():
     tr = two_peak_trace(1, 3)
-    report, log = run_schedule(tr, FixedSchedule(5.0), ORACLE, PROFILE, 2)
+    report, log = run_schedule(tr, FixedSchedule(5.0), ORACLE, PROFILE, 2, collect_log=True)
     validate_log(log, span=to_ticks(tr.horizon))
     assert log[0].start == 0
 
 
 def test_log_on_partial_hours():
     tr = make_trace([Event(id=0, start=4000.0, duration=65.0)], horizon=5400.0)
-    report, log = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 2)
+    report, log = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 2, collect_log=True)
     validate_log(log, span=to_ticks(5400.0))
     assert len(report.periods) == 2
     assert report.events_detected == 1
@@ -102,14 +102,14 @@ def test_log_on_partial_hours():
 
 def test_online_offline_charge_identical():
     tr = two_peak_trace(1, 9)
-    report, log = run_schedule(tr, FixedSchedule(5.0), ORACLE, PROFILE, 3)
+    report, log = run_schedule(tr, FixedSchedule(5.0), ORACLE, PROFILE, 3, collect_log=True)
     assert report.charge_mah == charge_consumed(log, PROFILE, span=to_ticks(tr.horizon))
 
 
 def test_counts_add_up_per_period():
     tr = two_peak_trace(1, 11)
     detector = DetectorModel(tp_rate=0.7, fp_rate=0.05)
-    report, _ = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 4, collect_log=False)
+    report, _ = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 4)
     for p in report.periods:
         assert p.activations == p.positives + p.negatives
     assert report.activations == report.positives + report.negatives
@@ -118,7 +118,9 @@ def test_counts_add_up_per_period():
 
 def test_false_positive_probes_count_negative():
     detector = DetectorModel(tp_rate=1.0, fp_rate=1.0)
-    report, log = run_schedule(_empty_day(), FixedSchedule(1800.0), detector, PROFILE, 5)
+    report, log = run_schedule(
+        _empty_day(), FixedSchedule(1800.0), detector, PROFILE, 5, collect_log=True
+    )
     assert report.positives == 0
     assert report.negatives == report.activations
     # Every false alarm still bills a clip recording and an audio upload.
@@ -130,7 +132,7 @@ def test_false_positive_probes_count_negative():
 
 def test_camera_fires_every_third_detection():
     tr = two_peak_trace(1, 13)
-    report, log = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 6)
+    report, log = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 6, collect_log=True)
     cameras = sum(1 for e in log if e.mode == "camera")
     images = sum(1 for e in log if e.mode == "tx_image")
     audios = sum(1 for e in log if e.mode == "tx_audio")
@@ -157,8 +159,8 @@ def test_probe_window_is_tenth_of_a_second():
     # 0.15 s in is not (and has ended by the next wake).
     near = make_trace([Event(id=0, start=100.05, duration=0.9)], horizon=86400.0)
     far = make_trace([Event(id=0, start=100.15, duration=0.9)], horizon=86400.0)
-    hit, _ = run_schedule(near, FixedSchedule(100.0), ORACLE, PROFILE, 1, collect_log=False)
-    miss, _ = run_schedule(far, FixedSchedule(100.0), ORACLE, PROFILE, 1, collect_log=False)
+    hit, _ = run_schedule(near, FixedSchedule(100.0), ORACLE, PROFILE, 1)
+    miss, _ = run_schedule(far, FixedSchedule(100.0), ORACLE, PROFILE, 1)
     assert hit.events_detected == 1
     assert miss.events_detected == 0
 
@@ -230,8 +232,8 @@ def test_window_outside_horizon_rejected():
 def test_run_is_deterministic():
     tr = two_peak_trace(1, 21)
     detector = DetectorModel(tp_rate=0.8, fp_rate=0.02)
-    a, log_a = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 9)
-    b, log_b = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 9)
+    a, log_a = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 9, collect_log=True)
+    b, log_b = run_schedule(tr, FixedSchedule(5.0), detector, PROFILE, 9, collect_log=True)
     assert a == b
     assert log_a == log_b
 
@@ -239,8 +241,8 @@ def test_run_is_deterministic():
 def test_seed_changes_detection_draws():
     tr = two_peak_trace(1, 21)
     detector = DetectorModel(tp_rate=0.5, fp_rate=0.0)
-    a, _ = run_schedule(tr, FixedSchedule(60.0), detector, PROFILE, 1, collect_log=False)
-    b, _ = run_schedule(tr, FixedSchedule(60.0), detector, PROFILE, 2, collect_log=False)
+    a, _ = run_schedule(tr, FixedSchedule(60.0), detector, PROFILE, 1)
+    b, _ = run_schedule(tr, FixedSchedule(60.0), detector, PROFILE, 2)
     assert a.events_detected != b.events_detected
 
 
@@ -256,7 +258,7 @@ def _peak_trace(days, seed):
 def test_trained_policy_specializes_by_hour():
     tr = _peak_trace(51, 31)
     hp = Hyperparameters(w1=0.02)
-    result = train_qlearn(tr, 50, 1, hp, ActionSpace(), ORACLE, PROFILE, 31)
+    result = train_qlearn(tr, 50, hp, ActionSpace(), ORACLE, PROFILE, 31)
     policy = result.table.greedy_policy()
     for hour in (5, 6, 7):
         assert policy[hour] == 0, f"hour {hour} picked action {policy[hour]}"
@@ -272,19 +274,22 @@ def test_huge_w1_prefers_longest_interval():
     profile = DiurnalProfile(hourly_rate=rates, duration_mean=3.0, duration_sd=0.0, days=41)
     tr = generate_trace(profile, 17)
     hp = Hyperparameters(gamma=0.0, w1=1000.0)
-    result = train_qlearn(tr, 40, 1, hp, ActionSpace(), ORACLE, PROFILE, 17)
+    result = train_qlearn(tr, 40, hp, ActionSpace(), ORACLE, PROFILE, 17)
     assert np.all(result.table.greedy_policy() == 4)
 
 
 def test_training_is_deterministic():
     tr = two_peak_trace(6, 41)
     hp = Hyperparameters(w1=0.02)
-    a = train_qlearn(tr, 4, 2, hp, ActionSpace(), ORACLE, PROFILE, 41)
-    b = train_qlearn(tr, 4, 2, hp, ActionSpace(), ORACLE, PROFILE, 41)
+    a = train_qlearn(tr, 4, hp, ActionSpace(), ORACLE, PROFILE, 41)
+    b = train_qlearn(tr, 4, hp, ActionSpace(), ORACLE, PROFILE, 41)
     assert np.array_equal(a.table.values, b.table.values)
     assert np.array_equal(a.table.visits, b.table.visits)
     assert a.train_report == b.train_report
-    assert a.eval_report == b.eval_report
+    held_out = {"t_begin": 4 * 86400.0, "duration_s": 2 * 86400.0}
+    assert run_schedule(tr, GreedySchedule(a.table), ORACLE, PROFILE, 41, **held_out) == (
+        run_schedule(tr, GreedySchedule(b.table), ORACLE, PROFILE, 41, **held_out)
+    )
     assert len(a.policy_history) == 4
     assert all(np.array_equal(x, y) for x, y in zip(a.policy_history, b.policy_history))
     assert a.eps_final == b.eps_final
@@ -293,8 +298,10 @@ def test_training_is_deterministic():
 def test_training_logs_and_billing():
     tr = two_peak_trace(3, 43)
     hp = Hyperparameters(w1=0.02)
-    result = train_qlearn(
-        tr, 2, 1, hp, ActionSpace(), ORACLE, PROFILE, 43, collect_logs=True
+    result = train_qlearn(tr, 2, hp, ActionSpace(), ORACLE, PROFILE, 43, collect_log=True)
+    eval_report, eval_log = run_schedule(
+        tr, GreedySchedule(result.table), ORACLE, PROFILE, 43,
+        collect_log=True, t_begin=2 * 86400.0, duration_s=86400.0,
     )
     train_log = result.train_log
     validate_log(train_log, span=to_ticks(2 * 86400.0))
@@ -302,7 +309,6 @@ def test_training_logs_and_billing():
     # The last period's update lands on the horizon instant, and the log
     # tiles [0, span] exactly, so 48 periods bill 47 in-window updates.
     assert sum(1 for e in train_log if e.mode == "ql_update") == 47
-    eval_log = result.eval_log
     validate_log(eval_log, span=to_ticks(86400.0))
     assert eval_log[0].start == to_ticks(2 * 86400.0)
     # Greedy evaluation bills inference but never updates.
@@ -311,26 +317,20 @@ def test_training_logs_and_billing():
     # Online totals match the exported logs exactly.
     train_span, eval_span = to_ticks(2 * 86400.0), to_ticks(86400.0)
     assert result.train_report.charge_mah == charge_consumed(train_log, PROFILE, span=train_span)
-    assert result.eval_report.charge_mah == charge_consumed(eval_log, PROFILE, span=eval_span)
+    assert eval_report.charge_mah == charge_consumed(eval_log, PROFILE, span=eval_span)
 
 
 def test_epsilon_decays_per_episode():
     tr = two_peak_trace(6, 47)
     hp = Hyperparameters(w1=0.02)
-    result = train_qlearn(tr, 5, 1, hp, ActionSpace(), ORACLE, PROFILE, 47)
+    result = train_qlearn(tr, 5, hp, ActionSpace(), ORACLE, PROFILE, 47)
     assert result.eps_final == pytest.approx(0.3 * 0.99**5)
 
 
 def test_train_rejects_short_horizon():
     tr = two_peak_trace(2, 51)
     with pytest.raises(ScheduleError, match="horizon"):
-        train_qlearn(tr, 2, 1, Hyperparameters(), ActionSpace(), ORACLE, PROFILE, 1)
-
-
-def test_train_zero_eval_days_reuses_train_report():
-    tr = two_peak_trace(2, 53)
-    result = train_qlearn(tr, 2, 0, Hyperparameters(w1=0.02), ActionSpace(), ORACLE, PROFILE, 2)
-    assert result.eval_report is result.train_report
+        train_qlearn(tr, 3, Hyperparameters(), ActionSpace(), ORACLE, PROFILE, 1)
 
 
 def test_train_with_init_table():
@@ -338,7 +338,7 @@ def test_train_with_init_table():
     init = QTable.zeros(24, 5)
     init.values[:, 0] = 5.0
     result = train_qlearn(
-        tr, 2, 1, Hyperparameters(w1=0.02), ActionSpace(), ORACLE, PROFILE, 3, init_table=init
+        tr, 2, Hyperparameters(w1=0.02), ActionSpace(), ORACLE, PROFILE, 3, init_table=init
     )
     # The input table is copied, not mutated.
     assert np.all(init.values[:, 0] == 5.0)
@@ -351,7 +351,6 @@ def test_train_rejects_mismatched_init_table():
     with pytest.raises(ScheduleError, match="init_table"):
         train_qlearn(
             tr,
-            1,
             1,
             Hyperparameters(),
             ActionSpace(),
@@ -404,7 +403,7 @@ def _cli_comparison(tmp_path, trace, fixed, seed):
 def test_compare_single_spec_matches_run(tmp_path, capsys):
     tr = two_peak_trace(1, 63)
     rows = _cli_comparison(tmp_path, tr, [60], 7)
-    report, _ = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 7, collect_log=False)
+    report, _ = run_schedule(tr, FixedSchedule(60.0), ORACLE, PROFILE, 7)
     assert rows == [
         {
             "name": "fixed_60",

@@ -238,6 +238,9 @@ _CSV = "id,start,duration,band,x,y\n"
          "horizon must be positive and finite, got inf"),
         ("trace.csv", _CSV + f"{2**63},5,3,,,\n", TraceFormatError,
          "2: id 9223372036854775808 does not fit in int64"),
+        ("trace.csv", "# horizon=abc\n" + _CSV, TraceFormatError, "1: bad horizon value 'abc'"),
+        ("trace.csv", "# horizon=86400\n", TraceFormatError, "missing header row"),
+        ("trace.csv", _CSV + "7,5,3,,\n", TraceFormatError, "2: expected 6 columns, got 5"),
         ("trace.json", '{"events": [{"id": 7, "start": 5, "duration": 3, "band": Infinity}]}',
          TraceValidationError, "event 7: band must be finite, got inf"),
         ("trace.json", '{"horizon": 86400, "events": [{"id": 7, "start": NaN, "duration": 3}]}',
@@ -253,6 +256,9 @@ _CSV = "id,start,duration,band,x,y\n"
         "csv_location_inf",
         "csv_horizon_inf",
         "csv_id_too_large",
+        "csv_horizon_not_a_number",
+        "csv_comments_only",
+        "csv_five_cells",
         "json_band_inf",
         "json_start_nan",
         "json_horizon_inf",
