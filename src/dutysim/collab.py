@@ -32,7 +32,7 @@ import numpy as np
 from .detect import DetectorModel
 from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
-from .qsched import ActionSpace, Hyperparameters, QTable, reward
+from .qsched import W_MAX, ActionSpace, Hyperparameters, QTable, reward
 from .rng import substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
@@ -329,8 +329,9 @@ class NetworkConfig:
             raise ValueError(f"pretrain_days must be >= 0, got {self.pretrain_days}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.w2 < 0 or self.w3 < 0:
-            raise ValueError("w2 and w3 must be >= 0")
+        for name in ("w2", "w3"):
+            if not 0 <= getattr(self, name) <= W_MAX:
+                raise ValueError(f"{name} must be in [0, {W_MAX:g}], got {getattr(self, name)}")
         if not 0 <= self.drop_rate <= 1:
             raise ValueError("drop_rate must lie in [0, 1]")
         edges = tuple(int(e) for e in self.detection_bins)

@@ -41,6 +41,9 @@ DEFAULT_ACTIONS = (3.0, 5.0, 60.0, 300.0, 1800.0)
 
 # The largest magnitude a float32 table cell holds.
 Q_MAX = float(np.finfo(np.float32).max)
+# The largest reward weight (w1, and the network's w2 and w3). Even at 1 ns
+# wake intervals a period reward then stays below about 4e18, far inside Q_MAX.
+W_MAX = 1e6
 
 _MAGIC = b"QTBL"
 _VERSION = 1
@@ -87,6 +90,8 @@ class Hyperparameters:
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
         if not 0 < self.eps_decay <= 1:
             raise ValueError(f"eps_decay must be in (0, 1], got {self.eps_decay}")
+        if not 0 <= self.w1 <= W_MAX:
+            raise ValueError(f"w1 must be in [0, {W_MAX:g}], got {self.w1}")
 
 
 @dataclass
@@ -199,6 +204,8 @@ def init_from_distribution(
         raise ValueError("event probabilities must lie in [0, 1]")
     if n_actions < 2:
         raise ValueError("need at least 2 actions")
+    if not abs(scale) <= Q_MAX:
+        raise ValueError(f"scale must lie within float32 range, got {scale}")
     rank_weight = (n_actions - 1 - np.arange(n_actions)) / (n_actions - 1)
     values = (scale * np.outer(probs, rank_weight)).astype(np.float32)
     return QTable(values=values, visits=np.zeros_like(values, dtype=np.uint32))

@@ -22,16 +22,16 @@ the held-out window, the trained table as a ``GreedySchedule`` among them.
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
 Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
-is one loop per device-period. With an abstract detector of low
-false-positive rate it bills each run of wakes whose record windows meet no
-event in one step, up to the first wake that hears one: at fp_rate 0 in
-closed-form integer arithmetic, O(1) whatever the run's length. So cost
-follows the events that wakes hear, and periods and days, rather than
-probes; an event that falls between two wakes costs only a pointer step. At
-a low positive fp_rate a run also draws one number per wake. Every other
-wake is probed singly in the same loop, every wake of the Goertzel detector
-among them, as it synthesizes noise for every window. Both ways give the
-same ticks, logs and random draws.
+is one loop per device-period; it bills each run of wakes in one statement
+and every activity after a fire through ``_emit``. With an abstract detector
+of low false-positive rate a run covers every wake whose record window meets
+no event, up to the first wake that hears one: at fp_rate 0 in closed-form
+integer arithmetic, O(1) whatever the run's length. So cost follows the
+events that wakes hear, and periods and days, rather than probes. At a low
+positive fp_rate a run also draws one number per wake. The wake that ends a
+run is probed singly, as is every wake of the Goertzel detector, which
+synthesizes noise for every window. Both ways give the same ticks, logs and
+random draws.
 """
 
 from __future__ import annotations
@@ -232,11 +232,13 @@ class TimelineEngine:
     consistent; the exported log (when collected) tiles the window exactly.
 
     run_period is the one wake loop. It keeps the clock, event pointer,
-    pending wake, camera accumulator, counts and tick sums in locals and
-    stores them once per period; ``_emit`` serves only bill_ql, bill_pings
-    and finish. When the detector is abstract with fp_rate <= BULK_MAX_FP,
-    run_period bills in one step each run of quiet wakes w + i * interval,
-    i < k, from the current wake w on. k is the least of three bounds:
+    pending wake, camera accumulator, counts and sleep and probe ticks in
+    locals and stores them once per period. One statement bills each run of
+    wakes; ``_emit`` bills every activity after a fire, as it does for
+    bill_ql, bill_pings and finish. A run is the quiet wakes w + i * interval,
+    i < k, from the current wake w on, then the wake after them if it falls
+    before the period end. With an abstract detector of fp_rate <=
+    BULK_MAX_FP, k is the least of three bounds:
       - the wakes before the period end, the horizon and the next day
         boundary (the random stream is per day);
       - the wakes before the first one whose record window hears an event.
@@ -248,16 +250,16 @@ class TimelineEngine:
         first i_j that hears its event or reaches the other bounds, and an
         event that no wake hears costs a few integer operations;
       - the wakes whose probes end inside the horizon.
-    With fp_rate 0 that is closed-form integer arithmetic, O(1) per run:
-    (w - t) + (k - 1) * (interval - d_probe) sleep ticks and k * d_probe
-    probe ticks, k activations and k negatives. With fp_rate > 0, k is cut
-    at the first false alarm drawn from the day's stream (and after about
-    4 / fp_rate draws), and the stream is left with exactly one draw per
-    billed wake. The wake that ends a run is probed singly: its record
-    window goes to ``trace.overlapping`` from the event pointer, and the
-    hits' bands to ``make_probe_fn(detector)``, the one detector call. So
-    is every wake not in a run, and every wake with the Goertzel detector or
-    a higher fp_rate. Both ways give the same ticks, logs and random draws.
+    With fp_rate 0 that is closed-form integer arithmetic, O(1) per run.
+    With fp_rate > 0, k is cut at the first false alarm drawn from the
+    day's stream (and after about 4 / fp_rate draws), and the stream is left
+    with exactly one draw per billed wake. Otherwise k is 0. The wake after
+    the quiet ones is probed singly: its record window goes to
+    ``trace.overlapping`` from the event pointer, and the hits' bands to
+    ``make_probe_fn(detector)``, the one detector call. The third bound
+    keeps every quiet probe inside the horizon, so only that last probe is
+    clipped. Billed in runs or wake by wake, the ticks, logs and random
+    draws are the same.
 
     The engine keeps no record of what it detected; each period's
     ``PeriodStats.detected`` is the record. It needs none because every
@@ -291,9 +293,11 @@ class TimelineEngine:
         self.cam_acc = 0.0
         self.ticks_by_mode = dict.fromkeys(MODES, 0)
         self.log: list[LogEntry] | None = [] if collect_log else None
-        self.starts = np.rint(trace.starts * 1e9).astype(np.int64).tolist()
-        self.ends = np.rint(trace.ends * 1e9).astype(np.int64).tolist()
-        self._bands = trace.bands.tolist()
+        starts = np.rint(trace.starts * 1e9).astype(np.int64)
+        live = int(starts.searchsorted(self.horizon))  # later events are outside the window
+        self.starts = starts[:live].tolist()
+        self.ends = np.rint(trace.ends[:live] * 1e9).astype(np.int64).tolist()
+        self._bands = trace.bands[:live].tolist()
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
         self.dur = profile.ticks
@@ -352,18 +356,24 @@ class TimelineEngine:
         # 0.3 s intervals 1.3-1.6x slower at fp_rate 0.002-0.05; caps from
         # 1/fp to 8/fp timed alike at 3 and 30 s.
         cap = int(4.0 / fp) + 16 if fp else 0
+        gap = interval - d_probe
         t, ptr, next_wake, cam_acc = self.t, self.ptr, self.next_wake, self.cam_acc
         activations = positives = negatives = 0
         detected = []
-        sleep = probe = recording = audio = camera = image = 0
+        sleep = probe = 0
         while next_wake < stop:
             w = next_wake if next_wake > t else t
+            if w >= stop:
+                # Activity pushed the effective wake out of this period.
+                next_wake = w
+                break
             # Events before ptr have ended by w, so no record window from w on meets them.
             while ptr < n and ends[ptr] <= w:
                 ptr += 1
-            if fp is not None and w < stop:
-                # Bill the quiet wakes w + i * interval, i < k, in one step;
-                # the class docstring gives the bounds on k.
+            k = 0
+            if fp is not None:
+                # The run of quiet wakes w + i * interval, i < k; the class
+                # docstring gives the bounds on k.
                 day_end = (w // TICKS_PER_DAY + 1) * TICKS_PER_DAY
                 k = ((stop if stop < day_end else day_end) - 1 - w) // interval + 1
                 k_horizon = (horizon - d_probe - w) // interval + 1
@@ -392,42 +402,31 @@ class TimelineEngine:
                         k = int(fires.argmax())
                         rng.bit_generator.state = state
                         rng.random(k)
-                if k > 0:
-                    last = w + (k - 1) * interval
-                    gap = interval - d_probe
-                    sleep += (w - t) + (k - 1) * gap
-                    probe += k * d_probe
-                    if log is not None:
-                        if w > t:
-                            log.append(LogEntry("sleep", t, w - t))
-                        log.append(LogEntry("probe", w, d_probe))
-                        for wk in range(w + interval, last + 1, interval):
-                            log.append(LogEntry("sleep", wk - gap, gap))
-                            log.append(LogEntry("probe", wk, d_probe))
-                    t = last + d_probe
-                    activations += k
-                    negatives += k
-                    w = last + interval
-                    while ptr < n and ends[ptr] <= w:
-                        ptr += 1
-            if w >= stop:
-                # Activity pushed the effective wake out of this period.
-                next_wake = w
-                break
-
-            # One probe at w. t <= w < horizon, so the sleep needs no clip
-            # and the probe lasts at least a tick.
-            if w > t:
-                sleep += w - t
-                if log is not None:
-                    log.append(LogEntry("sleep", t, w - t))
-            dur = d_probe if w + d_probe <= horizon else horizon - w
-            probe += dur
+            # Bill the k quiet wakes and the one after them, unless it is at
+            # or past stop; only the last probe can meet the horizon.
+            single = w + k * interval < stop
+            m = k + single - 1  # the wakes before the last one billed
+            last = w + m * interval
+            dur = d_probe if last + d_probe <= horizon else horizon - last
+            sleep += (w - t) + m * gap
+            probe += m * d_probe + dur
             if log is not None:
-                log.append(LogEntry("probe", w, dur))
-            t = w + dur
+                if w > t:
+                    log.append(LogEntry("sleep", t, w - t))
+                for wk in range(w, last, interval):
+                    log.append(LogEntry("probe", wk, d_probe))
+                    log.append(LogEntry("sleep", wk + d_probe, gap))
+                log.append(LogEntry("probe", last, dur))
+            t = last + dur
+            activations += m + 1
+            negatives += k
+            if not single:
+                next_wake = last + interval
+                break
+            w = last
+            while ptr < n and ends[ptr] <= w:
+                ptr += 1
             hit = overlapping(starts, ends, w, w + d_record, ptr)
-            activations += 1
             if not probe_fn([bands[j] for j in hit], rng_for_day(w // TICKS_PER_DAY)):
                 negatives += 1
                 next_wake = w + interval if w + interval > t else t
@@ -436,7 +435,9 @@ class TimelineEngine:
             # Every event detected earlier has ended by the clock before this
             # probe, which is at most w (or sits at the horizon and no wake
             # follows), so the hits are all new, and the events the recording
-            # can add start at or after the record window.
+            # can add start at or after the record window. The rest of the
+            # fire is billed through _emit, from self.t.
+            self.t = t
             rec_end = ends[hit[0]] if hit else t + d_fa
             for j in hit:
                 if ends[j] > rec_end:
@@ -451,12 +452,7 @@ class TimelineEngine:
                         if ends[j] > rec_end:
                             rec_end = ends[j]
                     j += 1
-                dur = (rec_end if rec_end <= horizon else horizon) - t
-                if dur > 0:
-                    recording += dur
-                    if log is not None:
-                        log.append(LogEntry("event_record", t, dur))
-                    t += dur
+                self._emit("event_record", rec_end - t)
             if hit:
                 positives += 1
                 detected += hit
@@ -464,39 +460,20 @@ class TimelineEngine:
                 # False alarm: the clip still gets recorded and sent.
                 negatives += 1
             for _ in range(len(hit) or 1):  # a clip per event, or the false alarm's
-                dur = d_audio if t + d_audio <= horizon else horizon - t
-                if dur > 0:
-                    audio += dur
-                    if log is not None:
-                        log.append(LogEntry("tx_audio", t, dur))
-                    t += dur
+                self._emit("tx_audio", d_audio)
                 if not hit:
                     break
                 cam_acc += cam_ratio
                 if cam_acc >= 1.0 - 1e-9:
                     cam_acc -= 1.0
-                    dur = d_camera if t + d_camera <= horizon else horizon - t
-                    if dur > 0:
-                        camera += dur
-                        if log is not None:
-                            log.append(LogEntry("camera", t, dur))
-                        t += dur
-                    dur = d_image if t + d_image <= horizon else horizon - t
-                    if dur > 0:
-                        image += dur
-                        if log is not None:
-                            log.append(LogEntry("tx_image", t, dur))
-                        t += dur
+                    self._emit("camera", d_camera)
+                    self._emit("tx_image", d_image)
+            t = self.t
             next_wake = w + interval if w + interval > t else t
 
         self.t, self.ptr, self.next_wake, self.cam_acc = t, ptr, next_wake, cam_acc
-        ticks = self.ticks_by_mode
-        ticks["sleep"] += sleep
-        ticks["probe"] += probe
-        ticks["event_record"] += recording
-        ticks["tx_audio"] += audio
-        ticks["camera"] += camera
-        ticks["tx_image"] += image
+        self.ticks_by_mode["sleep"] += sleep
+        self.ticks_by_mode["probe"] += probe
         return PeriodStats(activations, positives, negatives, detected)
 
     def finish(self) -> None:
@@ -660,15 +637,15 @@ def run_schedule(
     seed: int,
     *,
     collect_log: bool = False,
-    device_id: int = 0,
     t_begin: float = 0.0,
     duration_s: float | None = None,
 ) -> tuple[SimReport, list[LogEntry] | None]:
     """Simulate one schedule over a window of the trace.
 
     A ``GreedySchedule`` replays a trained table without learning, so a
-    learned policy is evaluated exactly as a fixed schedule is. Returns the
-    report and, when collect_log, an activity log tiling the window exactly.
+    learned policy is evaluated exactly as a fixed schedule is, on device 0's
+    streams. Returns the report and, when collect_log, an activity log
+    tiling the window exactly.
     """
     t_end = trace.horizon if duration_s is None else t_begin + duration_s
     hp = Hyperparameters()
@@ -685,7 +662,7 @@ def run_schedule(
     else:
         raise ScheduleError(f"unknown schedule spec {spec!r}")
     return _run_periods(
-        trace, t_begin, t_end, detector, profile, _day_rng_provider(seed, device_id), hp.w1,
+        trace, t_begin, t_end, detector, profile, _day_rng_provider(seed, 0), hp.w1,
         collect_log, interval=interval, learner=learner,
     )
 

@@ -881,6 +881,11 @@ def test_parse_config_names_offending_fields(tmp_path):
         (profile_case(duration_sd=math.nan), "trace.profile.duration_sd"),
         ({**base, "hyperparameters": {"w1": math.nan}}, "hyperparameters.w1"),
         ({**base, "hyperparameters": {"w1": 10**400}}, "hyperparameters.w1"),
+        # Reward weights outside [0, qsched.W_MAX].
+        ({**base, "hyperparameters": {"w1": 1e40}}, "hyperparameters: w1"),
+        ({**base, "hyperparameters": {"w1": -5}}, "hyperparameters: w1"),
+        ({**base, "network": {"layout_file": "x.json", "w2": 1e40}}, "network: w2"),
+        ({**base, "network": {"layout_file": "x.json", "w3": 1e308}}, "network: w3"),
         ({**base, "actions": [3, math.nan, 60]}, "actions[1]"),
         ({**base, "schedules": {"fixed": [math.inf]}}, "schedules.fixed[0]"),
         ({**base, "network": {"layout": [dict(device, x=-math.inf)]}}, "layout[0].x"),

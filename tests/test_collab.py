@@ -44,6 +44,7 @@ from _oracles import (
     maximal_cliques_bruteforce,
     stream_position,
     two_peak_rates,
+    two_peak_trace,
 )
 
 ORACLE = DetectorModel(tp_rate=1.0, fp_rate=0.0)
@@ -724,6 +725,33 @@ def test_duplicates_fall_while_detection_holds():
     assert last.mean_duplicates < first.mean_duplicates
     assert last.detection_rate >= 0.85
     assert len(rep.clusters) == 1 and rep.clusters[0].members == (0, 1, 2)
+
+
+@pytest.mark.parametrize("seed", [707, 1, 2])
+def test_collaboration_saves_charge_at_a_bounded_detection_cost(seed):
+    # Criterion 5's set-up without the failure: three co-located devices
+    # seeded from 10 pretraining days, 40 episodes, learning alone (w2 = 0)
+    # or collaboratively (the default w2). Measured savings are 18.2, 21.6
+    # and 24.0% of the charge at a cost of 1.9, 6.2 and 3.1 points of
+    # detection rate over the last 10 episodes (seeds 707, 1, 2); the bounds
+    # guard against regression and are not targets.
+    trace = two_peak_trace(40, seed, area=AREA)
+    pretrain = train_qlearn(trace, 10, W1, ActionSpace(), ORACLE, PROFILE, seed, device_id=-1)
+    nodes = [covering_node(i) for i in range(3)]
+    arms = []
+    for w2 in (0.0, NetworkConfig.w2):
+        cfg = network(*nodes, episodes=40, w2=w2)
+        table = expand_global_table(pretrain.table, cfg.n_bins)
+        rep = run_network(
+            trace, cfg, W1, ActionSpace(), ORACLE, PROFILE, seed,
+            init_tables={i: table for i in range(3)},
+        )
+        charge = sum(d.charge_mah for d in rep.devices)
+        rate = float(np.mean([e.detection_rate for e in rep.episodes[-10:]]))
+        arms.append((charge, rate))
+    (alone_charge, alone_rate), (collab_charge, collab_rate) = arms
+    assert 1.0 - collab_charge / alone_charge >= 0.15
+    assert alone_rate - collab_rate <= 0.08
 
 
 def test_event_counted_once_in_network_rate():

@@ -269,6 +269,10 @@ def test_init_validation():
         init_from_distribution(np.array([0.5, 1.5]), 1.0, 5)
     with pytest.raises(ValueError):
         init_from_distribution(np.array([0.5]), 1.0, 1)
+    # A scale past float32's range would store inf; NaN is rejected with it.
+    for scale in (1e39, -1e39, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            init_from_distribution([1.0] * 24, scale, 5)
 
 
 # -- serialization -----------------------------------------------------------

@@ -154,6 +154,23 @@ def test_chained_events_share_one_positive():
     assert report.positives == 1
 
 
+def test_event_starting_after_the_window_is_never_detected():
+    # The wake at 5397 s hears event 0, whose recording would run past the
+    # window's end at 5400 s, inside the last, partial period; event 1
+    # starts after that end, so neither the recording nor the report may
+    # count it.
+    tr = make_trace(
+        [
+            Event(id=0, start=5397.05, duration=10.0),
+            Event(id=1, start=5401.0, duration=10.0),
+        ],
+        horizon=86400.0,
+    )
+    report, _ = run_schedule(tr, FixedSchedule(3.0), ORACLE, PROFILE, 1, duration_s=5400.0)
+    assert report.events_total == 1
+    assert report.events_detected == 1
+
+
 def test_probe_window_is_tenth_of_a_second():
     # An event starting 0.05 s into the window is caught; one starting
     # 0.15 s in is not (and has ended by the next wake).
