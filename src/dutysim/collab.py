@@ -17,14 +17,17 @@ device's own detections in the previous period.
 The per-period network loop does each piece of work once: every event is
 hashed once per run, each sender's receivers are found once per node set
 (at the start and after a failure), a period in which no device detected
-anything skips ping delivery and its random stream, and a device's pings
-are billed in one step at the period end.
+anything skips ping delivery and its random stream, the pings stream is
+built once per run and re-keyed (``rng.rekey``) for each period that pings,
+and a device's pings are billed in one step at the period end.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ from .detect import DetectorModel
 from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
 from .qsched import W_MAX, ActionSpace, Hyperparameters, QTable, reward
-from .rng import substream
+from .rng import rekey, substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
@@ -175,11 +178,11 @@ def network_reward(
     times the battery spread. overlaps holds, per detected event, the number
     of devices that detected it.
     """
-    if any(o < 1 for o in overlaps):
+    if overlaps and min(overlaps) < 1:
         raise ValueError("every overlap count must be >= 1")
     if battery_sd < 0:
         raise ValueError("battery_sd must be >= 0")
-    overlap_penalty = sum(o - 1 for o in overlaps)
+    overlap_penalty = sum(overlaps) - len(overlaps)
     return reward(n_pos, n_neg, w1) - w2 * overlap_penalty - w3 * battery_sd
 
 
@@ -224,24 +227,21 @@ def deliver_pings(
         raise ValueError("drop_rate > 0 needs an rng")
     receivers = _receivers(tuple(nodes))
     sender_ids = sorted(detections)
-    mailbox: dict[int, dict[int, list[int]]] = {i: {} for i in sorted(receivers)}
+    mailbox: dict[int, dict[int, tuple[int, ...]]] = {i: {} for i in sorted(receivers)}
     n = sum(len(detections[i]) * len(receivers[i]) for i in sender_ids)
     kept = (rng.random(n) >= drop_rate).tolist() if drop_rate > 0 else [True] * n
     start = 0
     for sender_id in sender_ids:
         hashes, reach = detections[sender_id], receivers[sender_id]
         end = start + len(hashes) * len(reach)
+        sender = (sender_id,)
         # A sender's block is hash-major, so each receiver's draws are a stride.
         for i, receiver_id in enumerate(reach):
             row = mailbox[receiver_id]
-            for h, keep in zip(hashes, kept[start + i : end : len(reach)]):
-                if keep:
-                    row.setdefault(h, []).append(sender_id)
+            for h in itertools.compress(hashes, kept[start + i : end : len(reach)]):
+                row[h] = row.get(h, ()) + sender
         start = end
-    return {
-        i: {h: tuple(senders) for h, senders in row.items()}
-        for i, row in mailbox.items()
-    }
+    return mailbox
 
 
 def local_reward(
@@ -262,15 +262,16 @@ def local_reward(
     detection when the device holds the slot, this period, in a cluster one
     of the matching senders belongs to.
     """
-    holding = [set(c.members) for c in clusters if c.slot_holder(t) == device_id]
     penalty = 0.0
+    waived = None  # the members of the clusters whose slot the device holds
     for h in own_hashes:
-        senders = mailbox_row.get(h, ())
+        senders = mailbox_row.get(h)
         if not senders:
             continue
-        if holding and any(not members.isdisjoint(senders) for members in holding):
-            continue
-        penalty += len(senders)
+        if waived is None:
+            waived = {m for c in clusters if c.slot_holder(t) == device_id for m in c.members}
+        if waived.isdisjoint(senders):
+            penalty += len(senders)
     return reward(n_pos, n_neg, w1) - w2 * penalty
 
 
@@ -468,7 +469,8 @@ def run_network(
     update each table against its local reward. Event hashes are computed
     once, for the whole trace, before the first period; deliver_pings finds
     receivers once per node set; a period with no detection on any device
-    delivers nothing and builds no pings stream. A training device bills
+    delivers nothing and draws no pings; the others re-key one pings stream
+    to the period's substream. A training device bills
     one ping per detection at the period end, in one step, even with no
     neighbour to hear it; train_qlearn bills none, so a lone network device
     keeps a different log and charge. Failures listed in the config remove
@@ -522,8 +524,10 @@ def run_network(
         )
 
     alive = list(runtimes.values())
+    nodes = tuple(order)  # the live devices, as deliver_pings takes them
     clusters = form_clusters(order) if len(order) > 1 else []
     fails_at = dict(config.failures)
+    rng_pings = None  # one pings stream, re-keyed for each period that pings
 
     episodes: list[EpisodeMetrics] = []
     detections = [0] * len(trace)  # per trace row, devices that heard it
@@ -539,7 +543,8 @@ def run_network(
                 alive = [rt for rt in alive if rt.summary.removed_at is None]
                 if not alive:
                     raise ScheduleError(f"all devices removed by episode {day}")
-                clusters = form_clusters([rt.node for rt in alive]) if len(alive) > 1 else []
+                nodes = tuple(rt.node for rt in alive)
+                clusters = form_clusters(list(nodes)) if len(alive) > 1 else []
                 if config.eps_reset_on_change:
                     for rt in alive:
                         rt.learner.eps = hp.eps_max
@@ -548,46 +553,53 @@ def run_network(
             levels, terms = [], []  # per period: battery levels; reward counts
         hour = trace.hour_of(p_start)
 
-        # Each period's counts go straight into the device and episode records
-        # and the run's detection counts; period_detections counts the devices
-        # that detected each trace row this period.
-        period_stats = {}
-        period_detections: dict[int, int] = {}
+        # Each period's counts go straight into the device and episode records;
+        # period_rows lists the period's detections as trace rows, device by
+        # device.
+        period_stats = []  # in the order of alive
+        period_rows: list[int] = []
         own_hashes: dict[int, list[int]] = {}
+        n_pos = n_neg = 0
         for rt in alive:
             if config.train:
                 interval = rt.learner.choose(rt.engine, hour, p_start)
             else:
                 interval = config.fixed_interval
-            stats = period_stats[rt.node.id] = rt.engine.run_period(p_end, interval)
-            rt.summary.activations += stats.activations
-            rt.summary.positives += stats.positives
-            rt.summary.negatives += stats.negatives
-            episode.activations[rt.node.id] += stats.activations
-            rows = [rt.rows[k] for k in stats.detected]
-            rt.summary.events_detected += len(rows)
-            for j in rows:
-                period_detections[j] = period_detections.get(j, 0) + 1
-                detections[j] += 1
-            if config.train:
-                own_hashes[rt.node.id] = [hashes[j] for j in rows]
-                if rows:
+            stats = rt.engine.run_period(p_end, interval)
+            period_stats.append(stats)
+            summary = rt.summary
+            summary.activations += stats.activations
+            summary.positives += stats.positives
+            summary.negatives += stats.negatives
+            episode.activations[summary.id] += stats.activations
+            n_pos += stats.positives
+            n_neg += stats.negatives
+            if stats.detected:
+                rows = [rt.rows[k] for k in stats.detected]
+                summary.events_detected += len(rows)
+                period_rows += rows
+                for j in rows:
+                    detections[j] += 1
+                if config.train:
+                    own_hashes[summary.id] = [hashes[j] for j in rows]
                     rt.engine.bill_pings(len(rows), p_end)
+            elif config.train:
+                own_hashes[summary.id] = []
 
         if config.train:
             mailbox = {}
-            if any(own_hashes.values()):
-                # A period without pings draws nothing, so its stream is not built.
-                rng_pings = substream(seed, "pings", t) if config.drop_rate > 0 else None
+            if period_rows:
+                # A period without pings draws nothing, so it needs no stream.
+                if config.drop_rate > 0:
+                    if rng_pings is None:
+                        rng_pings = substream(seed, "pings", t)
+                    else:
+                        rekey(rng_pings, seed, "pings", t)
                 mailbox = deliver_pings(
-                    [rt.node for rt in alive],
-                    own_hashes,
-                    drop_rate=config.drop_rate,
-                    rng=rng_pings,
+                    nodes, own_hashes, drop_rate=config.drop_rate, rng=rng_pings
                 )
-            for rt in alive:
+            for rt, stats in zip(alive, period_stats):
                 did = rt.node.id
-                stats = period_stats[did]
                 r = local_reward(
                     did,
                     t,
@@ -604,11 +616,11 @@ def run_network(
         # The batteries are read after this period's scheduler billing, so
         # the episode ends with its last period's levels and spread.
         levels.append([profile.battery_mah - rt.engine.charge_mah for rt in alive])
-        n_pos = sum(stats.positives for stats in period_stats.values())
-        n_neg = sum(stats.negatives for stats in period_stats.values())
         episode.positives += n_pos
         episode.negatives += n_neg
-        terms.append((n_pos, n_neg, tuple(period_detections.values())))
+        # Per trace row detected this period, the number of devices that detected it.
+        overlaps = tuple(Counter(period_rows).values()) if period_rows else ()
+        terms.append((n_pos, n_neg, overlaps))
         if hour_idx == 23:
             # The live devices change only at an episode start, so the levels
             # are a matrix; its row spreads equal per-period np.std calls.

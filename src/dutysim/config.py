@@ -209,7 +209,10 @@ def _resolve(file: str, base_dir: Path | None) -> Path:
 def build_trace(cfg: ExperimentConfig, base_dir: Path | None = None) -> EventTrace:
     if cfg.trace.file is not None:
         return load_trace(_resolve(cfg.trace.file, base_dir))
-    return generate_trace(cfg.trace.profile, cfg.seed)
+    try:
+        return generate_trace(cfg.trace.profile, cfg.seed)
+    except TraceValidationError as e:
+        raise ConfigError(f"trace.profile: {e}") from None
 
 
 def build_profile(cfg: ExperimentConfig) -> PowerProfile:

@@ -98,6 +98,10 @@ class Hyperparameters:
 class QTable:
     """Action-value table: values[s, a] float32, visits[s, a] uint32.
 
+    Values are finite: ``q_update``, ``init_from_distribution`` and
+    ``load_qtable`` never make or accept NaN or infinity, so a row's
+    Python ``max`` is its numpy max.
+
     Single writer; reads during an update see either the old or new value of
     the one touched cell.
     """
@@ -124,7 +128,8 @@ class QTable:
 
     def greedy_action(self, state: int) -> int:
         """Lowest-index argmax over the state's row."""
-        return int(self.values[state].argmax())
+        row = self.values[state].tolist()
+        return row.index(max(row))
 
     def greedy_policy(self) -> np.ndarray:
         return self.values.argmax(axis=1).astype(np.int64)
@@ -157,11 +162,11 @@ def q_update(
     if not math.isfinite(r):
         raise ValueError(f"reward must be finite, got {r}")
     q = float(table.values[state, action])
-    best_next = float(table.values[next_state].max())
+    best_next = max(table.values[next_state].tolist())
     updated = q + hp.alpha * (r + hp.gamma * best_next - q)
     if not abs(updated) <= Q_MAX:
         raise ValueError(f"q_update produced {updated}, outside float32 range")
-    table.values[state, action] = np.float32(updated)
+    table.values[state, action] = updated  # rounds to float32 as np.float32(updated) does
     table.visits[state, action] += 1
     return table
 
@@ -200,7 +205,7 @@ def init_from_distribution(
     probs = np.asarray(event_prob, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
         raise ValueError("event_prob must be a non-empty 1D sequence")
-    if ((probs < 0) | (probs > 1)).any():
+    if not ((probs >= 0) & (probs <= 1)).all():
         raise ValueError("event probabilities must lie in [0, 1]")
     if n_actions < 2:
         raise ValueError("need at least 2 actions")
@@ -243,6 +248,8 @@ def load_qtable(data: bytes) -> QTable:
             f"expected {expected} bytes for {n_states}x{n_actions}, got {len(data)}"
         )
     values = np.frombuffer(data, dtype="<f4", count=count, offset=head_len)
+    if not np.isfinite(values).all():
+        raise QTableFormatError("values must be finite")
     visits = np.frombuffer(data, dtype="<u4", count=count, offset=head_len + count * 4)
     return QTable(
         values=values.reshape(n_states, n_actions).astype(np.float32),

@@ -22,7 +22,7 @@ the held-out window, the trained table as a ``GreedySchedule`` among them.
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
 Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
-is one loop per device-period; it bills each run of wakes in one statement
+is one loop per device-period; it bills each run of wakes in one block
 and every activity after a fire through ``_emit``. With an abstract detector
 of low false-positive rate a run covers every wake whose record window meets
 no event, up to the first wake that hears one: at fp_rate 0 in closed-form
@@ -31,7 +31,9 @@ events that wakes hear, and periods and days, rather than probes. At a low
 positive fp_rate a run also draws one number per wake. The wake that ends a
 run is probed singly, as is every wake of the Goertzel detector, which
 synthesizes noise for every window. Both ways give the same ticks, logs and
-random draws.
+random draws. A single probe walks the event list forward once: through its
+record window, and on a fire on through the recording. The reports ask
+``trace.overlapping``, the same window rule on float columns.
 """
 
 from __future__ import annotations
@@ -130,12 +132,21 @@ def make_probe_fn(model: DetectorModel):
 
     ``bands`` lists the dominant band of each event overlapping the record
     window (NaN for untagged events). Abstract models with rates of exactly
-    0 or 1 consume no randomness.
+    0 or 1 consume no randomness: their answer depends only on whether an
+    event is heard, and the probe returns it without asking
+    ``sample_detection``.
     """
     if model.kind == "abstract":
+        if model.tp_rate in (0.0, 1.0) and model.fp_rate in (0.0, 1.0):
+            heard, quiet = model.tp_rate == 1.0, model.fp_rate == 1.0
 
-        def probe_fn(bands, rng):
-            return sample_detection(model, bool(bands), rng)
+            def probe_fn(bands, rng):
+                return heard if bands else quiet
+
+        else:
+
+            def probe_fn(bands, rng):
+                return sample_detection(model, bool(bands), rng)
 
         return probe_fn
 
@@ -233,12 +244,16 @@ class TimelineEngine:
 
     run_period is the one wake loop. It keeps the clock, event pointer,
     pending wake, camera accumulator, counts and sleep and probe ticks in
-    locals and stores them once per period. One statement bills each run of
-    wakes; ``_emit`` bills every activity after a fire, as it does for
-    bill_ql, bill_pings and finish. A run is the quiet wakes w + i * interval,
-    i < k, from the current wake w on, then the wake after them if it falls
-    before the period end. With an abstract detector of fp_rate <=
-    BULK_MAX_FP, k is the least of three bounds:
+    locals and stores them once per period; the day boundary and horizon
+    bound on a run are worked out once per day segment of a period, and
+    each distinct interval is checked once per engine. One block bills each
+    run of wakes: the sleep up to it and its last probe, which alone can be
+    clipped, as ticks, and its other wakes as a count of full probes and
+    gaps, multiplied out once per period. ``_emit`` bills every activity
+    after a fire, as it does for bill_ql, bill_pings and finish. A run is the quiet wakes
+    w + i * interval, i < k, from the current wake w on, then the wake after
+    them if it falls before the period end. With an abstract detector of
+    fp_rate <= BULK_MAX_FP, k is the least of three bounds:
       - the wakes before the period end, the horizon and the next day
         boundary (the random stream is per day);
       - the wakes before the first one whose record window hears an event.
@@ -254,12 +269,18 @@ class TimelineEngine:
     With fp_rate > 0, k is cut at the first false alarm drawn from the
     day's stream (and after about 4 / fp_rate draws), and the stream is left
     with exactly one draw per billed wake. Otherwise k is 0. The wake after
-    the quiet ones is probed singly: its record window goes to
-    ``trace.overlapping`` from the event pointer, and the hits' bands to
-    ``make_probe_fn(detector)``, the one detector call. The third bound
-    keeps every quiet probe inside the horizon, so only that last probe is
-    clipped. Billed in runs or wake by wake, the ticks, logs and random
-    draws are the same.
+    the quiet ones is probed singly, by one forward walk over the event
+    list. It starts at the event that ended the quiet walk, as every event
+    before it has ended by that wake, or at the event pointer when draws
+    cut the run short (an event the quiet walk stepped over may not have
+    ended by an earlier wake). The walk collects the record window's hits,
+    ``trace.overlapping``'s rule on tick lists, and the end of the
+    recording they start; their bands go to ``make_probe_fn(detector)``,
+    the one detector call. On a fire the walk goes on from the same index
+    while events start before the recording ends, and each one it captures
+    stretches the recording. The third bound keeps every quiet probe
+    inside the horizon, so only that last probe is clipped. Billed in runs
+    or wake by wake, the ticks, logs and random draws are the same.
 
     The engine keeps no record of what it detected; each period's
     ``PeriodStats.detected`` is the record. It needs none because every
@@ -301,20 +322,22 @@ class TimelineEngine:
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
         self.dur = profile.ticks
+        self._interval_ticks: dict[float, int] = {}  # each interval checked once
 
     @property
     def charge_mah(self) -> float:
         return charge_from_ticks(self.ticks_by_mode, self.profile)
 
     def _emit(self, mode: str, duration: int) -> None:
-        if self.t + duration > self.horizon:
-            duration = self.horizon - self.t
+        t = self.t
+        if t + duration > self.horizon:
+            duration = self.horizon - t
         if duration <= 0:
             return
         self.ticks_by_mode[mode] += duration
         if self.log is not None:
-            self.log.append(LogEntry(mode, self.t, duration))
-        self.t += duration
+            self.log.append(LogEntry(mode, t, duration))
+        self.t = t + duration
 
     def _sleep_to(self, target: int) -> None:
         if target > self.t:
@@ -322,7 +345,9 @@ class TimelineEngine:
 
     def bill_ql(self, mode: str, at: float) -> None:
         """Insert a scheduler inference or update activity at the frontier."""
-        self._sleep_to(to_ticks(at))
+        at = to_ticks(at)
+        if at > self.t:
+            self._emit("sleep", at - self.t)
         self._emit(mode, self.dur["d_ql"])
 
     def bill_pings(self, k: int, at: float) -> None:
@@ -341,7 +366,11 @@ class TimelineEngine:
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
         """Process all wakes scheduled before p_end (s) at the given interval (s)."""
-        (interval,) = _check_intervals((interval,), self.profile)
+        seconds = interval
+        interval = self._interval_ticks.get(seconds)
+        if interval is None:
+            (interval,) = _check_intervals((seconds,), self.profile)
+            self._interval_ticks[seconds] = interval
         horizon = self.horizon
         stop = min(to_ticks(p_end), horizon)
         d = self.dur
@@ -360,7 +389,9 @@ class TimelineEngine:
         t, ptr, next_wake, cam_acc = self.t, self.ptr, self.next_wake, self.cam_acc
         activations = positives = negatives = 0
         detected = []
-        sleep = probe = 0
+        sleep = probe = quiet = 0  # quiet counts the wakes billed a full probe and gap
+        # The day of the current day segment, its end, and the last wake a run may bill in it.
+        day = day_end = last_wake = 0
         while next_wake < stop:
             w = next_wake if next_wake > t else t
             if w >= stop:
@@ -371,18 +402,21 @@ class TimelineEngine:
             while ptr < n and ends[ptr] <= w:
                 ptr += 1
             k = 0
+            j = ptr
             if fp is not None:
                 # The run of quiet wakes w + i * interval, i < k; the class
                 # docstring gives the bounds on k.
-                day_end = (w // TICKS_PER_DAY + 1) * TICKS_PER_DAY
-                k = ((stop if stop < day_end else day_end) - 1 - w) // interval + 1
-                k_horizon = (horizon - d_probe - w) // interval + 1
-                if k_horizon < k:
-                    k = k_horizon
+                if w >= day_end:
+                    day = w // TICKS_PER_DAY
+                    day_end = (day + 1) * TICKS_PER_DAY
+                    last_wake = min(stop, day_end) - 1
+                    if horizon - d_probe < last_wake:
+                        last_wake = horizon - d_probe
+                k = (last_wake - w) // interval + 1
                 # i is i_j, the one window that can be the first to hear event j.
-                j = ptr
+                w_record = w + d_record
                 while j < n:
-                    i = (starts[j] - d_record - w) // interval + 1
+                    i = (starts[j] - w_record) // interval + 1
                     if i < 0:
                         i = 0
                     if i >= k:
@@ -392,7 +426,11 @@ class TimelineEngine:
                         break
                     j += 1
                 if fp > 0.0 and k > 0:
-                    rng = rng_for_day(w // TICKS_PER_DAY)
+                    # A false alarm or the cap can end the run before the
+                    # events the walk stepped over have ended, so the single
+                    # probe walks from ptr.
+                    j = ptr
+                    rng = rng_for_day(day)
                     state = rng.bit_generator.state
                     fires = rng.random(k if k < cap else cap) < fp
                     k = fires.size
@@ -404,12 +442,15 @@ class TimelineEngine:
                         rng.random(k)
             # Bill the k quiet wakes and the one after them, unless it is at
             # or past stop; only the last probe can meet the horizon.
-            single = w + k * interval < stop
-            m = k + single - 1  # the wakes before the last one billed
-            last = w + m * interval
-            dur = d_probe if last + d_probe <= horizon else horizon - last
-            sleep += (w - t) + m * gap
-            probe += m * d_probe + dur
+            after = w + k * interval  # the wake after the quiet ones
+            if after < stop:
+                m, last = k, after  # m: the wakes before the last one billed
+            else:
+                m, last = k - 1, after - interval
+            dur = d_probe if last <= horizon - d_probe else horizon - last
+            sleep += w - t
+            probe += dur
+            quiet += m
             if log is not None:
                 if w > t:
                     log.append(LogEntry("sleep", t, w - t))
@@ -420,14 +461,29 @@ class TimelineEngine:
             t = last + dur
             activations += m + 1
             negatives += k
-            if not single:
-                next_wake = last + interval
+            if after >= stop:
+                next_wake = after
                 break
+            # The single probe at w. Every event before j has ended by w, so
+            # one walk from there covers the record window and, after a fire,
+            # the recording.
             w = last
+            ptr = j
             while ptr < n and ends[ptr] <= w:
                 ptr += 1
-            hit = overlapping(starts, ends, w, w + d_record, ptr)
-            if not probe_fn([bands[j] for j in hit], rng_for_day(w // TICKS_PER_DAY)):
+            window_end = w + d_record
+            hit, heard = [], []
+            rec_end = w
+            j = ptr
+            while j < n and starts[j] < window_end:
+                end = ends[j]
+                if end > w:
+                    hit.append(j)
+                    heard.append(bands[j])
+                    if end > rec_end:
+                        rec_end = end
+                j += 1
+            if not probe_fn(heard, rng_for_day(day if w < day_end else w // TICKS_PER_DAY)):
                 negatives += 1
                 next_wake = w + interval if w + interval > t else t
                 continue
@@ -435,45 +491,44 @@ class TimelineEngine:
             # Every event detected earlier has ended by the clock before this
             # probe, which is at most w (or sits at the horizon and no wake
             # follows), so the hits are all new, and the events the recording
-            # can add start at or after the record window. The rest of the
-            # fire is billed through _emit, from self.t.
+            # can add start at or after the record window, at j on. The rest
+            # of the fire is billed through _emit, from self.t.
             self.t = t
-            rec_end = ends[hit[0]] if hit else t + d_fa
-            for j in hit:
-                if ends[j] > rec_end:
-                    rec_end = ends[j]
+            if not hit:
+                rec_end = t + d_fa
             if rec_end > t:
                 # Mic stays on; events starting meanwhile are captured and
                 # stretch the recording to their own ends.
-                j = bisect.bisect_left(starts, w + d_record, ptr)
                 while j < n and starts[j] < rec_end:
-                    if ends[j] > t:
+                    end = ends[j]
+                    if end > t:
                         hit.append(j)
-                        if ends[j] > rec_end:
-                            rec_end = ends[j]
+                        if end > rec_end:
+                            rec_end = end
                     j += 1
                 self._emit("event_record", rec_end - t)
             if hit:
                 positives += 1
                 detected += hit
+                for _ in hit:  # a clip per event; camera_trigger_ratio of them get a picture
+                    self._emit("tx_audio", d_audio)
+                    cam_acc += cam_ratio
+                    if cam_acc >= 1.0 - 1e-9:
+                        cam_acc -= 1.0
+                        self._emit("camera", d_camera)
+                        self._emit("tx_image", d_image)
             else:
                 # False alarm: the clip still gets recorded and sent.
                 negatives += 1
-            for _ in range(len(hit) or 1):  # a clip per event, or the false alarm's
                 self._emit("tx_audio", d_audio)
-                if not hit:
-                    break
-                cam_acc += cam_ratio
-                if cam_acc >= 1.0 - 1e-9:
-                    cam_acc -= 1.0
-                    self._emit("camera", d_camera)
-                    self._emit("tx_image", d_image)
             t = self.t
+            # Every event before j has ended by the clock t (or t sits at the horizon).
+            ptr = j
             next_wake = w + interval if w + interval > t else t
 
         self.t, self.ptr, self.next_wake, self.cam_acc = t, ptr, next_wake, cam_acc
-        self.ticks_by_mode["sleep"] += sleep
-        self.ticks_by_mode["probe"] += probe
+        self.ticks_by_mode["sleep"] += sleep + quiet * gap
+        self.ticks_by_mode["probe"] += probe + quiet * d_probe
         return PeriodStats(activations, positives, negatives, detected)
 
     def finish(self) -> None:
@@ -516,7 +571,7 @@ class Learner:
         rng = self.rng_for_day(int(p_start // SECONDS_PER_DAY)) if self.eps > 0 else None
         self.action = select_action(self.table, self.state, self.eps, rng)
         engine.bill_ql("ql_infer", p_start)
-        return self.actions[self.action]
+        return self.actions.intervals[self.action]
 
     def learn(
         self, engine: TimelineEngine, r: float, hour: int, n_detected: int, p_end: float

@@ -413,6 +413,18 @@ def _band_trace(band_range):
             },
             "trace.profile: hourly_rate[0]",
         ),
+        # Generated traces are bounded: this one needed 7.45 GiB and exited 2.
+        (
+            "gen-trace",
+            {"seed": 1, "trace": {"profile": dict(FLAT_PROFILE, hourly_rate=[1e9] + [0.5] * 23)}},
+            "trace.profile: hourly_rate: sum(hourly_rate) * days",
+        ),
+        # ... and this one ran for longer than 20 s.
+        (
+            "gen-trace",
+            {"seed": 1, "trace": {"profile": dict(FLAT_PROFILE, days=100_000_000)}},
+            "trace.profile: days must be <= 10000",
+        ),
         # init_scale reads the training days' event rates before training starts.
         ("run", _train_days_with_init_scale(0), "schedules.qlearn: train_days"),
         ("run", _train_days_with_init_scale(-1), "schedules.qlearn: train_days"),
@@ -427,6 +439,8 @@ def _band_trace(band_range):
         "noise_sd_negative",
         "duration_below_a_tick",
         "hourly_rate_past_poisson_limit",
+        "hourly_rate_past_event_limit",
+        "days_past_limit",
         "train_days_zero_with_init_scale",
         "train_days_negative_with_init_scale",
     ],

@@ -272,6 +272,25 @@ def test_quiet_run_across_midnight_draws_from_each_day(fp_rate):
     assert_engines_agree(PROFILES[0], trace, t_begin, t_end, detector, periods, 5)
 
 
+def test_false_alarm_that_cuts_a_run_records_an_event_the_walk_stepped_over():
+    # Wakes every 10 s from 0. Event 0 (91-91.5 s) falls between the wakes
+    # at 90 and 100 s, so the quiet walk steps over it; event 1 (from
+    # 120.05 s) is heard by the wake at 120 s, which ends the walk. Seed 4's
+    # day-0 stream first draws below BULK_MAX_FP at its tenth number, so a
+    # false alarm at the wake at 90 s cuts the run, and its 3 s recording
+    # captures event 0. A single probe that walked from the walk's heard
+    # event, not from the event pointer, would miss it.
+    events = [Event(id=0, start=91.0, duration=0.5), Event(id=1, start=120.05, duration=5.0)]
+    trace = make_trace(events, horizon=SECONDS_PER_DAY)
+    detector = DetectorModel(tp_rate=1.0, fp_rate=BULK_MAX_FP)
+    periods = [(0.0, 3600.0, 10.0, None)]
+    assert_engines_agree(PROFILES[0], trace, 0.0, 3600.0, detector, periods, 4)
+    engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, 3600.0, detector, 4)
+    stats = engine.run_period(3600.0, 10.0)
+    assert stats.detected == [0, 1]
+    assert [e.start for e in engine.log if e.mode == "event_record"][0] == to_ticks(90.13)
+
+
 @pytest.mark.parametrize("collect_log", [False, True])
 def test_pings_clip_at_the_horizon_as_one_at_a_time(collect_log):
     profile = PROFILES[0]

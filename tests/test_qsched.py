@@ -315,3 +315,15 @@ def test_load_trailing_bytes_rejected():
     blob = save_qtable(QTable.zeros(2, 2)) + b"\x00"
     with pytest.raises(QTableFormatError):
         load_qtable(blob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tables_never_take_non_finite_values(bad):
+    # greedy_action and q_update read a row's max as Python's max of its
+    # values, which equals numpy's only while no value is NaN.
+    t = QTable.zeros(2, 2)
+    t.values[1, 0] = bad
+    with pytest.raises(QTableFormatError, match="finite"):
+        load_qtable(save_qtable(t))
+    with pytest.raises(ValueError, match="probabilities"):
+        init_from_distribution([0.5, bad], 1.0, 2)

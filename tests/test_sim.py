@@ -6,7 +6,7 @@ import pytest
 
 from dutysim import sim
 from dutysim.cli import main
-from dutysim.detect import DetectorModel, gate, synthesize_tone
+from dutysim.detect import DetectorModel, gate, sample_detection, synthesize_tone
 from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
@@ -26,7 +26,7 @@ from dutysim.trace import (
     save_trace,
 )
 
-from _oracles import two_peak_trace
+from _oracles import stream_position, two_peak_trace
 
 ORACLE = DetectorModel(tp_rate=1.0, fp_rate=0.0)
 PROFILE = PowerProfile()
@@ -206,6 +206,34 @@ def test_out_of_bank_event_is_its_own_tone(monkeypatch):
     assert np.array_equal(windows[0], tone)
     assert np.array_equal(windows[1], tone)
     assert not windows[2].any()
+
+
+@pytest.mark.parametrize("tp_rate", [0.0, 1.0])
+@pytest.mark.parametrize("fp_rate", [0.0, 1.0])
+def test_sure_abstract_probes_answer_as_sample_detection_without_drawing(tp_rate, fp_rate):
+    model = DetectorModel(tp_rate=tp_rate, fp_rate=fp_rate)
+    probe = make_probe_fn(model)
+    rng = sim._day_rng_provider(3, 0)(0)
+    before = stream_position(rng)
+    for bands in ([], [4000.0], [float("nan"), 500.0]):
+        assert probe(bands, rng) is sample_detection(model, bool(bands), rng)
+    assert stream_position(rng) == before
+
+
+@pytest.mark.parametrize("tp_rate, fp_rate", [(0.5, 0.0), (1.0, 0.02), (0.3, 0.7)])
+def test_uncertain_abstract_probe_draws_one_number(tp_rate, fp_rate):
+    # Each probe whose rate lies strictly between 0 and 1 takes one number
+    # from the stream and fires iff it is below the rate; a sure one takes none.
+    probe = make_probe_fn(DetectorModel(tp_rate=tp_rate, fp_rate=fp_rate))
+    rng, twin = (sim._day_rng_provider(3, 0)(0) for _ in range(2))
+    for bands in ([], [4000.0], [], [4000.0, 5000.0]) * 3:
+        rate = tp_rate if bands else fp_rate
+        fired = probe(bands, rng)
+        if 0.0 < rate < 1.0:
+            assert fired is (twin.random() < rate)
+        else:
+            assert fired is (rate == 1.0)
+        assert stream_position(rng) == stream_position(twin)
 
 
 def test_positive_credited_to_probe_period():

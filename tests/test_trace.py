@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from dutysim.errors import TraceFormatError, TraceValidationError
 from dutysim.trace import (
+    MAX_DAYS,
+    MAX_EXPECTED_EVENTS,
     SECONDS_PER_DAY,
     DiurnalProfile,
     Event,
@@ -387,6 +390,19 @@ def test_profile_rate_bound_is_numpys_poisson_limit():
     rng.poisson(limit)
     with pytest.raises(ValueError):
         rng.poisson(math.nextafter(limit, math.inf))
+
+
+def test_generate_bounds_days_and_expected_events():
+    quiet = DiurnalProfile(
+        hourly_rate=(0.0,) * 24, duration_mean=3.0, duration_sd=0.0, days=MAX_DAYS
+    )
+    assert len(generate_trace(quiet, 1)) == 0
+    with pytest.raises(TraceValidationError, match="days must be <= 10000"):
+        generate_trace(dataclasses.replace(quiet, days=MAX_DAYS + 1), 1)
+    # Refused before any draw; generating it would take about 1 GB.
+    rates = (math.nextafter(MAX_EXPECTED_EVENTS / 2, math.inf),) + (0.0,) * 23
+    with pytest.raises(TraceValidationError, match=r"hourly_rate: sum\(hourly_rate\) \* days"):
+        generate_trace(dataclasses.replace(quiet, hourly_rate=rates, days=2), 1)
 
 
 def test_generate_rejects_zero_days():
