@@ -227,21 +227,23 @@ def deliver_pings(
         raise ValueError("drop_rate > 0 needs an rng")
     receivers = _receivers(tuple(nodes))
     sender_ids = sorted(detections)
-    mailbox: dict[int, dict[int, tuple[int, ...]]] = {i: {} for i in sorted(receivers)}
+    mailbox: dict[int, dict[int, list[int]]] = {i: {} for i in sorted(receivers)}
     n = sum(len(detections[i]) * len(receivers[i]) for i in sender_ids)
     kept = (rng.random(n) >= drop_rate).tolist() if drop_rate > 0 else [True] * n
     start = 0
     for sender_id in sender_ids:
         hashes, reach = detections[sender_id], receivers[sender_id]
         end = start + len(hashes) * len(reach)
-        sender = (sender_id,)
         # A sender's block is hash-major, so each receiver's draws are a stride.
         for i, receiver_id in enumerate(reach):
             row = mailbox[receiver_id]
             for h in itertools.compress(hashes, kept[start + i : end : len(reach)]):
-                row[h] = row.get(h, ()) + sender
+                row.setdefault(h, []).append(sender_id)
         start = end
-    return mailbox
+    return {
+        i: {h: tuple(senders) for h, senders in row.items()}
+        for i, row in mailbox.items()
+    }
 
 
 def local_reward(

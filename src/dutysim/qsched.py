@@ -98,9 +98,9 @@ class Hyperparameters:
 class QTable:
     """Action-value table: values[s, a] float32, visits[s, a] uint32.
 
-    Values are finite: ``q_update``, ``init_from_distribution`` and
-    ``load_qtable`` never make or accept NaN or infinity, so a row's
-    Python ``max`` is its numpy max.
+    Values are finite: a table is checked when built, and ``q_update``,
+    ``init_from_distribution`` and ``load_qtable`` never make or accept NaN
+    or infinity, so ``q_update``'s Python ``max`` of a row is its numpy max.
 
     Single writer; reads during an update see either the old or new value of
     the one touched cell.
@@ -108,6 +108,10 @@ class QTable:
 
     values: np.ndarray
     visits: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.values).all():
+            raise ValueError("Q values must be finite")
 
     @classmethod
     def zeros(cls, n_states: int, n_actions: int) -> "QTable":
@@ -128,8 +132,7 @@ class QTable:
 
     def greedy_action(self, state: int) -> int:
         """Lowest-index argmax over the state's row."""
-        row = self.values[state].tolist()
-        return row.index(max(row))
+        return int(self.values[state].argmax())
 
     def greedy_policy(self) -> np.ndarray:
         return self.values.argmax(axis=1).astype(np.int64)

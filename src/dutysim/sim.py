@@ -132,21 +132,12 @@ def make_probe_fn(model: DetectorModel):
 
     ``bands`` lists the dominant band of each event overlapping the record
     window (NaN for untagged events). Abstract models with rates of exactly
-    0 or 1 consume no randomness: their answer depends only on whether an
-    event is heard, and the probe returns it without asking
-    ``sample_detection``.
+    0 or 1 consume no randomness.
     """
     if model.kind == "abstract":
-        if model.tp_rate in (0.0, 1.0) and model.fp_rate in (0.0, 1.0):
-            heard, quiet = model.tp_rate == 1.0, model.fp_rate == 1.0
 
-            def probe_fn(bands, rng):
-                return heard if bands else quiet
-
-        else:
-
-            def probe_fn(bands, rng):
-                return sample_detection(model, bool(bands), rng)
+        def probe_fn(bands, rng):
+            return sample_detection(model, bool(bands), rng)
 
         return probe_fn
 
@@ -245,15 +236,12 @@ class TimelineEngine:
     run_period is the one wake loop. It keeps the clock, event pointer,
     pending wake, camera accumulator, counts and sleep and probe ticks in
     locals and stores them once per period; the day boundary and horizon
-    bound on a run are worked out once per day segment of a period, and
-    each distinct interval is checked once per engine. One block bills each
-    run of wakes: the sleep up to it and its last probe, which alone can be
-    clipped, as ticks, and its other wakes as a count of full probes and
-    gaps, multiplied out once per period. ``_emit`` bills every activity
-    after a fire, as it does for bill_ql, bill_pings and finish. A run is the quiet wakes
-    w + i * interval, i < k, from the current wake w on, then the wake after
-    them if it falls before the period end. With an abstract detector of
-    fp_rate <= BULK_MAX_FP, k is the least of three bounds:
+    bound on a run are worked out once per day segment of a period. One
+    block bills each run of wakes; ``_emit`` bills every activity after a
+    fire, as it does for bill_ql, bill_pings and finish. A run is the quiet
+    wakes w + i * interval, i < k, from the current wake w on, then the
+    wake after them if it falls before the period end. With an abstract
+    detector of fp_rate <= BULK_MAX_FP, k is the least of three bounds:
       - the wakes before the period end, the horizon and the next day
         boundary (the random stream is per day);
       - the wakes before the first one whose record window hears an event.
@@ -322,7 +310,6 @@ class TimelineEngine:
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
         self.dur = profile.ticks
-        self._interval_ticks: dict[float, int] = {}  # each interval checked once
 
     @property
     def charge_mah(self) -> float:
@@ -366,11 +353,7 @@ class TimelineEngine:
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
         """Process all wakes scheduled before p_end (s) at the given interval (s)."""
-        seconds = interval
-        interval = self._interval_ticks.get(seconds)
-        if interval is None:
-            (interval,) = _check_intervals((seconds,), self.profile)
-            self._interval_ticks[seconds] = interval
+        (interval,) = _check_intervals((interval,), self.profile)
         horizon = self.horizon
         stop = min(to_ticks(p_end), horizon)
         d = self.dur
@@ -389,7 +372,7 @@ class TimelineEngine:
         t, ptr, next_wake, cam_acc = self.t, self.ptr, self.next_wake, self.cam_acc
         activations = positives = negatives = 0
         detected = []
-        sleep = probe = quiet = 0  # quiet counts the wakes billed a full probe and gap
+        sleep = probe = 0
         # The day of the current day segment, its end, and the last wake a run may bill in it.
         day = day_end = last_wake = 0
         while next_wake < stop:
@@ -448,9 +431,8 @@ class TimelineEngine:
             else:
                 m, last = k - 1, after - interval
             dur = d_probe if last <= horizon - d_probe else horizon - last
-            sleep += w - t
-            probe += dur
-            quiet += m
+            sleep += (w - t) + m * gap
+            probe += m * d_probe + dur
             if log is not None:
                 if w > t:
                     log.append(LogEntry("sleep", t, w - t))
@@ -483,7 +465,7 @@ class TimelineEngine:
                     if end > rec_end:
                         rec_end = end
                 j += 1
-            if not probe_fn(heard, rng_for_day(day if w < day_end else w // TICKS_PER_DAY)):
+            if not probe_fn(heard, rng_for_day(w // TICKS_PER_DAY)):
                 negatives += 1
                 next_wake = w + interval if w + interval > t else t
                 continue
@@ -527,8 +509,8 @@ class TimelineEngine:
             next_wake = w + interval if w + interval > t else t
 
         self.t, self.ptr, self.next_wake, self.cam_acc = t, ptr, next_wake, cam_acc
-        self.ticks_by_mode["sleep"] += sleep + quiet * gap
-        self.ticks_by_mode["probe"] += probe + quiet * d_probe
+        self.ticks_by_mode["sleep"] += sleep
+        self.ticks_by_mode["probe"] += probe
         return PeriodStats(activations, positives, negatives, detected)
 
     def finish(self) -> None:

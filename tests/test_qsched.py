@@ -319,11 +319,22 @@ def test_load_trailing_bytes_rejected():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tables_never_take_non_finite_values(bad):
-    # greedy_action and q_update read a row's max as Python's max of its
-    # values, which equals numpy's only while no value is NaN.
+    # q_update reads a row's max as Python's max of its values, which
+    # equals numpy's only while no value is NaN.
+    values = np.array([[0.0, 1.0], [bad, 2.0]], dtype=np.float32)
+    with pytest.raises(ValueError, match="finite"):
+        QTable(values=values, visits=np.zeros((2, 2), dtype=np.uint32))
     t = QTable.zeros(2, 2)
     t.values[1, 0] = bad
     with pytest.raises(QTableFormatError, match="finite"):
         load_qtable(save_qtable(t))
     with pytest.raises(ValueError, match="probabilities"):
         init_from_distribution([0.5, bad], 1.0, 2)
+
+
+def test_greedy_action_is_numpy_argmax_with_a_nan_written_in():
+    # A NaN written into values after the table is built is not caught;
+    # greedy_action answers as argmax does and picks the NaN's index.
+    t = QTable.zeros(1, 3)
+    t.values[0] = [1.0, np.nan, 2.0]
+    assert t.greedy_action(0) == 1
