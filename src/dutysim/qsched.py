@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QTableFormatError
+from .power import MAX_SECONDS
 
 __all__ = [
     "ActionSpace",
@@ -41,6 +42,9 @@ DEFAULT_ACTIONS = (3.0, 5.0, 60.0, 300.0, 1800.0)
 
 # The largest magnitude a float32 table cell holds.
 Q_MAX = float(np.finfo(np.float32).max)
+# The most states and actions a table can have: the Q-table file keeps
+# n_states and n_actions as u16 counts.
+MAX_STATES = MAX_ACTIONS = 2**16 - 1
 # The largest reward weight (w1, and the network's w2 and w3). Even at 1 ns
 # wake intervals a period reward then stays below about 4e18, far inside Q_MAX.
 W_MAX = 1e6
@@ -51,15 +55,28 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Strictly increasing activation intervals, seconds."""
+    """Strictly increasing activation intervals in seconds, 2 to MAX_ACTIONS of them.
+
+    Each lies within power.MAX_SECONDS, the engine clock's limit.
+    """
 
     intervals: tuple[float, ...] = DEFAULT_ACTIONS
 
     def __post_init__(self):
         if len(self.intervals) < 2:
             raise ValueError("action space needs at least 2 intervals")
+        if len(self.intervals) > MAX_ACTIONS:
+            raise ValueError(
+                f"action space holds at most {MAX_ACTIONS} intervals, the Q-table file's "
+                f"limit, got {len(self.intervals)}"
+            )
         if any(v <= 0 for v in self.intervals):
             raise ValueError("intervals must be positive")
+        if not all(v <= MAX_SECONDS for v in self.intervals):
+            raise ValueError(
+                f"intervals must be <= {MAX_SECONDS} s, the engine clock's limit, "
+                f"got {max(self.intervals)}"
+            )
         if any(b <= a for a, b in zip(self.intervals, self.intervals[1:])):
             raise ValueError("intervals must be strictly increasing")
 
@@ -222,8 +239,8 @@ def init_from_distribution(
 # -- serialization ----------------------------------------------------------
 #
 # Layout, little-endian: magic "QTBL", version u8, n_states u16, n_actions
-# u16, then n_states*n_actions float32 values row-major, then the same count
-# of uint32 visit counters.
+# u16 (hence MAX_STATES and MAX_ACTIONS), then n_states*n_actions float32
+# values row-major, then the same count of uint32 visit counters.
 
 
 def save_qtable(table: QTable) -> bytes:

@@ -21,6 +21,9 @@ the held-out window, the trained table as a ``GreedySchedule`` among them.
 
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
+Every engine over a trace reads the trace's one ``EventTrace.tick_view``,
+whole, sliced at its horizon or gathered at the rows it senses, so a run
+converts the event columns to ticks once however many engines it drives.
 Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
 is one loop per device-period; it bills each run of wakes in one block
 and every activity after a fire through ``_emit``. With an abstract detector
@@ -208,7 +211,7 @@ def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -
 
 @dataclass
 class PeriodStats:
-    """One period's probe counts, and the events it detected as rows of the engine's trace.
+    """One period's probe counts, and the events it detected, as the engine's event indices.
 
     ``detected`` is the only record of what a device heard; reports and the
     network driver read it.
@@ -221,17 +224,28 @@ class PeriodStats:
 
 
 class TimelineEngine:
-    """One device's timeline over [t_begin, t_end) of a trace.
+    """One device's timeline over [t_begin, t_end) of a trace's ``rows``.
+
+    ``rows`` are the trace rows the device senses, strictly ascending; None
+    means every row. The engine reads the trace's one ``tick_view`` and
+    copies no column: with every row that starts before t_end it holds the
+    view itself, or a slice of it when t_end cuts the trace, and otherwise
+    tuples gathered from the view, which point at the view's own int and
+    float objects. Rows that start at or after t_end are dropped, so no
+    probe can hear them. Event indices, such as ``PeriodStats.detected``,
+    are into the engine's own sequence; with ``rows`` set, its k-th event is
+    trace row ``rows[k]``.
 
     Engine time is integer nanosecond ticks (``power.to_ticks``, within
-    int64 range): event starts and ends, the window, period ends, intervals
-    and profile durations are converted once, and t, next_wake, horizon and
-    the log are in ticks. The engine keeps a tick total per mode, and
-    charge_mah is ``power.charge_from_ticks`` of those totals. Periods are
-    driven externally via run_period, in seconds, so a caller can interleave
-    action selection, reward computation, and billing between periods. All
-    methods keep the busy frontier, the pending wake, and the per-mode ticks
-    consistent; the exported log (when collected) tiles the window exactly.
+    int64 range): event starts and ends come in ticks from the view, the
+    window, period ends, intervals and profile durations are converted once,
+    and t, next_wake, horizon and the log are in ticks. The engine keeps a
+    tick total per mode, and charge_mah is ``power.charge_from_ticks`` of
+    those totals. Periods are driven externally via run_period, in seconds,
+    so a caller can interleave action selection, reward computation, and
+    billing between periods. All methods keep the busy frontier, the pending
+    wake, and the per-mode ticks consistent; the exported log (when
+    collected) tiles the window exactly.
 
     run_period is the one wake loop. It keeps the clock, event pointer,
     pending wake, camera accumulator, counts and sleep and probe ticks in
@@ -285,6 +299,7 @@ class TimelineEngine:
         detector: DetectorModel,
         rng_for_day,
         collect_log: bool = False,
+        rows=None,
     ):
         if not 0 <= t_begin < t_end <= trace.horizon:
             raise ScheduleError(
@@ -302,11 +317,17 @@ class TimelineEngine:
         self.cam_acc = 0.0
         self.ticks_by_mode = dict.fromkeys(MODES, 0)
         self.log: list[LogEntry] | None = [] if collect_log else None
-        starts = np.rint(trace.starts * 1e9).astype(np.int64)
-        live = int(starts.searchsorted(self.horizon))  # later events are outside the window
-        self.starts = starts[:live].tolist()
-        self.ends = np.rint(trace.ends[:live] * 1e9).astype(np.int64).tolist()
-        self._bands = trace.bands[:live].tolist()
+        view = trace.tick_view
+        live = bisect.bisect_left(view.starts, self.horizon)  # later events are outside the window
+        if rows is not None:
+            rows = rows[: bisect.bisect_left(rows, live)]
+        if rows is None or len(rows) == live:
+            # Every row before the horizon. A tuple's whole slice is the tuple
+            # itself, so unless the horizon cuts the trace this is the view.
+            columns = (col[:live] for col in view)
+        else:
+            columns = (tuple(map(col.__getitem__, rows)) for col in view)
+        self.starts, self.ends, self._bands = columns
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
         self.dur = profile.ticks

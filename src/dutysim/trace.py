@@ -4,22 +4,26 @@ A trace is an immutable, time-ordered set of events over a finite horizon,
 held as columns. Each event has an id, a start time and a positive duration
 (seconds, half-open interval [start, start + duration)), and may carry a
 dominant frequency band in Hz and a 2D location in meters. ``Event`` is a
-row view, built on demand. Traces load from CSV or JSON, save back
-losslessly, and can be generated synthetically from a diurnal profile via an
-inhomogeneous Poisson process with piecewise-constant hourly rates.
+row view, built on demand. ``TickView`` is the engines' view: starts and ends
+in integer nanosecond ticks plus the bands, built once per trace on first use
+and shared by every ``sim.TimelineEngine`` over it, so no engine, and no
+network device, converts or copies the columns. Traces load from CSV or
+JSON, save back losslessly, and can be generated synthetically from a
+diurnal profile via an inhomogeneous Poisson process with piecewise-constant
+hourly rates.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import dataclasses
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +68,18 @@ class Event:
         return self.start + self.duration
 
 
+class TickView(NamedTuple):
+    """A trace's columns as the engine reads them: read-only tuples, one entry per event.
+
+    ``starts`` and ``ends`` are integer nanosecond ticks (``power.to_ticks``);
+    ``bands`` are the float bands, NaN where untagged.
+    """
+
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    bands: tuple[float, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class EventTrace:
     """Events as columns plus the span they live in.
@@ -74,7 +90,8 @@ class EventTrace:
     ``ends`` is ``starts + durations``. Events are ordered by (start, id),
     ids are unique, values are finite, and every event fits inside
     [0, horizon). The columns are read-only copies; all mutation is rebuild.
-    ``events`` holds the same events as ``Event`` rows, built on first use.
+    ``events`` holds the same events as ``Event`` rows and ``tick_view`` the
+    engines' ``TickView``, each built on first use and kept with the trace.
     """
 
     ids: np.ndarray
@@ -153,10 +170,12 @@ class EventTrace:
             for i, s, d, b, x, y in zip(*(getattr(self, c).tolist() for c in _COLUMNS))
         )
 
-    def subset(self, keep) -> EventTrace:
-        """The events whose flag in ``keep``, one bool per event, is true, over the same span."""
-        keep = np.asarray(keep, dtype=bool)
-        return dataclasses.replace(self, **{c: getattr(self, c)[keep] for c in _COLUMNS})
+    @cached_property
+    def tick_view(self) -> TickView:
+        def ticks(col):
+            return tuple(np.rint(col * 1e9).astype(np.int64).tolist())
+
+        return TickView(ticks(self.starts), ticks(self.ends), tuple(self.bands.tolist()))
 
     @property
     def n_days(self) -> int:
@@ -245,6 +264,11 @@ class DiurnalProfile:
             x0, x1, y0, y1 = self.area
             if not (x0 <= x1 and y0 <= y1):
                 raise TraceValidationError(f"area needs x0 <= x1 and y0 <= y1, got {self.area}")
+            # numpy's uniform draws need a finite width and height.
+            if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+                raise TraceValidationError(
+                    f"area width and height must be finite, got {self.area}"
+                )
 
 
 def _truncated_normal(rng, mean, sd, lower, n):

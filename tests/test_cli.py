@@ -382,6 +382,13 @@ def _band_trace(band_range):
     return {"seed": 1, "trace": {"profile": profile}}
 
 
+# Durations that overflowed the tick clock and exited 2 in to_ticks.
+_POWER_DURATIONS = (
+    "d_ping", "d_probe", "d_ql", "d_tx_audio", "d_tx_image", "d_camera",
+    "probe_record_s", "false_alarm_record_s",
+)
+
+
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
@@ -428,6 +435,46 @@ def _band_trace(band_range):
         # init_scale reads the training days' event rates before training starts.
         ("run", _train_days_with_init_scale(0), "schedules.qlearn: train_days"),
         ("run", _train_days_with_init_scale(-1), "schedules.qlearn: train_days"),
+        # Intervals and durations past the tick clock's int64 range exited 2.
+        ("run", {**run_config(), "actions": [1, 1e300]}, "actions: intervals must be <="),
+        (
+            "run",
+            {**run_config(), "schedules": {"fixed": [1e300], "qlearn": None}},
+            "schedules: fixed[0] must be <=",
+        ),
+        (
+            "run-network",
+            network_config(episodes=1, train=False, fixed_interval=1e300),
+            "network: fixed_interval must be <=",
+        ),
+        *(
+            ("run", {**run_config(), "power": {name: 1e300}}, f"power: {name} must be")
+            for name in _POWER_DURATIONS
+        ),
+        # numpy's uniform draw exited 2 on a width past the float range.
+        (
+            "gen-trace",
+            {"seed": 1, "trace": {"profile": dict(FLAT_PROFILE, area=[-1e308, 1e308, 0, 1])}},
+            "trace.profile: area width and height must be finite",
+        ),
+        # The whole run finished, then writing the Q-table's u16 header exited 2.
+        (
+            "run-network",
+            network_config(episodes=1, detection_bins=list(range(2730))),
+            "network: detection_bins: 2730 edges give 65544 states",
+        ),
+        (
+            "run",
+            {**run_config(), "actions": [1.0 + i for i in range(65536)]},
+            "actions: action space holds at most 65535 intervals",
+        ),
+        # These ran and wrote avg_current_ma inf and battery_sd Infinity.
+        ("run", {**run_config(), "power": {"i_sleep": 1e308}}, "power: i_sleep must be in"),
+        (
+            "run-network",
+            {**network_config(episodes=1), "power": {"battery_mah": 1e308}},
+            "power: battery_mah must be in",
+        ),
     ],
     ids=[
         "layout_radius",
@@ -443,6 +490,15 @@ def _band_trace(band_range):
         "days_past_limit",
         "train_days_zero_with_init_scale",
         "train_days_negative_with_init_scale",
+        "actions_past_tick_clock",
+        "fixed_past_tick_clock",
+        "network_fixed_interval_past_tick_clock",
+        *(f"{name}_past_tick_clock" for name in _POWER_DURATIONS),
+        "area_of_infinite_width",
+        "detection_bins_past_qtable_header",
+        "actions_past_qtable_header",
+        "i_sleep_past_bound",
+        "battery_mah_past_bound",
     ],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(
