@@ -43,6 +43,7 @@ from .trace import (
     hourly_event_probability,
     read_json,
     save_trace,
+    write_json,
 )
 
 COMPARISON_COLUMNS = [
@@ -84,13 +85,6 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_cell(row[c]) for c in columns])
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    # Streamed: json.dumps would hold the whole text, 231 kB for the README run.
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -102,7 +96,7 @@ def _write_manifest(out_dir: Path, cfg_dict: dict, seed: int, filenames: list[st
         "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),
         "outputs": {name: _sha256(out_dir / name) for name in sorted(filenames)},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _prepare(args) -> tuple[ExperimentConfig, Path, Path]:
@@ -253,7 +247,7 @@ def cmd_run(args) -> int:
     }
     _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, comparison)
     _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, period_rows)
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     _write_manifest(out_dir, config_to_dict(cfg), cfg.seed, outputs)
     for row in comparison:
         print(
@@ -308,7 +302,7 @@ def cmd_run_network(args) -> int:
     )
 
     report_dict = report.to_dict()
-    _write_json(
+    write_json(
         out_dir / "network.json",
         {"kind": "run-network", "config": config_to_dict(cfg), "report": report_dict},
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from .detect import DetectorModel
 from .errors import ScheduleError
-from .power import MAX_SECONDS, LogEntry, PowerProfile
+from .power import LogEntry, PowerProfile, check_seconds
 from .qsched import MAX_STATES, W_MAX, ActionSpace, Hyperparameters, QTable, reward
 from .rng import rekey, substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
@@ -214,7 +214,7 @@ def deliver_pings(
     *,
     drop_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> dict[int, dict[int, tuple[int, ...]]]:
+) -> dict[int, dict[int, list[int]]]:
     """Broadcast one ping per detection; collect them per receiver.
 
     detections maps sender id to the event hashes it pinged this period.
@@ -242,10 +242,7 @@ def deliver_pings(
             for h in itertools.compress(hashes, kept[start + i : end : len(reach)]):
                 row.setdefault(h, []).append(sender_id)
         start = end
-    return {
-        i: {h: tuple(senders) for h, senders in row.items()}
-        for i, row in mailbox.items()
-    }
+    return mailbox
 
 
 def local_reward(
@@ -254,7 +251,7 @@ def local_reward(
     n_pos: int,
     n_neg: int,
     own_hashes: list[int],
-    mailbox_row: dict[int, tuple[int, ...]],
+    mailbox_row: dict[int, list[int]],
     clusters: list[Cluster],
     w1: float,
     w2: float,
@@ -349,11 +346,8 @@ class NetworkConfig:
                 f"detection_bins: {len(edges)} edges give {24 * self.n_bins} states, "
                 f"more than the {MAX_STATES} a Q-table file holds"
             )
-        if self.fixed_interval is not None and not self.fixed_interval <= MAX_SECONDS:
-            raise ValueError(
-                f"fixed_interval must be <= {MAX_SECONDS} s, the engine clock's limit, "
-                f"got {self.fixed_interval}"
-            )
+        if self.fixed_interval is not None:
+            check_seconds(self.fixed_interval, "fixed_interval")
         if not self.train and self.fixed_interval is None:
             raise ValueError("train False needs fixed_interval")
         for entry in self.failures:

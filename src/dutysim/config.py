@@ -29,7 +29,7 @@ from pathlib import Path
 from .collab import DeviceNode, NetworkConfig
 from .detect import DetectorModel
 from .errors import ConfigError, TraceValidationError
-from .power import MAX_SECONDS, PowerProfile
+from .power import PowerProfile, check_seconds
 from .qsched import DEFAULT_ACTIONS, Q_MAX, ActionSpace, Hyperparameters
 from .trace import DiurnalProfile, EventTrace, generate_trace, load_trace, read_json
 
@@ -79,11 +79,7 @@ class Schedules:
 
     def __post_init__(self):
         for i, interval in enumerate(self.fixed):
-            if not interval <= MAX_SECONDS:
-                raise ValueError(
-                    f"fixed[{i}] must be <= {MAX_SECONDS} s, the engine clock's limit, "
-                    f"got {interval}"
-                )
+            check_seconds(interval, f"fixed[{i}]")
 
 
 @dataclass(frozen=True)

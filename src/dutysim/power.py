@@ -26,6 +26,7 @@ __all__ = [
     "TICKS_PER_S",
     "charge_consumed",
     "charge_from_ticks",
+    "check_seconds",
     "lifetime_years",
     "to_ticks",
     "validate_log",
@@ -35,8 +36,8 @@ HOURS_PER_YEAR = 8766.0  # 365.25 days
 TICKS_PER_S = 1_000_000_000
 _TICKS_PER_HOUR = 3600.0 * TICKS_PER_S
 # The longest duration or interval, in seconds, that the engine's clock
-# holds: to_ticks of it stays within int64 (about 292 years). Intervals and
-# profile durations are checked against it where they are parsed.
+# holds: to_ticks of it stays within int64 (about 292 years). Every value
+# that becomes ticks is checked against it, by check_seconds alone.
 MAX_SECONDS = (2**63 - 1) // TICKS_PER_S
 # The largest mode current and battery capacity. A trace of trace.MAX_DAYS
 # days is 240,000 hours, so even with every mode at MAX_CURRENT_MA a device
@@ -49,6 +50,16 @@ MAX_BATTERY_MAH = 1e12
 def to_ticks(seconds: float) -> int:
     """Nanosecond ticks nearest to ``seconds`` (ties to even, like rint)."""
     return round(seconds * 1e9)
+
+
+def check_seconds(value: float, name: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` seconds fit the tick clock.
+
+    NaN fails too, so a value that passes converts with ``to_ticks``.
+    """
+    if not value <= MAX_SECONDS:
+        raise error(f"{name} must be <= {MAX_SECONDS} s, the engine clock's limit, got {value}")
+
 
 MODES = (
     "sleep",
@@ -71,7 +82,11 @@ class LogEntry(NamedTuple):
     duration: int
 
 
-_DURATIONS = ("d_probe", "d_ql", "d_tx_audio", "d_tx_image", "d_camera", "d_ping")
+# The fields in seconds that the engine reads in ticks.
+_TICK_FIELDS = (
+    "d_probe", "d_ql", "d_tx_audio", "d_tx_image", "d_camera", "d_ping",
+    "probe_record_s", "false_alarm_record_s",
+)
 
 
 @dataclass(frozen=True)
@@ -124,12 +139,15 @@ class PowerProfile:
             value = getattr(self, name)
             if not 0 <= value <= MAX_CURRENT_MA:
                 raise ValueError(f"{name} must be in [0, {MAX_CURRENT_MA:g}] mA, got {value}")
-        for name in _DURATIONS + ("probe_record_s",):
+        for name in _TICK_FIELDS:
             value = getattr(self, name)
-            if not 0 < value <= MAX_SECONDS or to_ticks(value) == 0:
-                raise ValueError(
-                    f"{name} must be at least 1 ns and at most {MAX_SECONDS} s, got {value}"
-                )
+            check_seconds(value, name)
+            if name != "false_alarm_record_s" and to_ticks(value) <= 0:
+                raise ValueError(f"{name} must be at least 1 ns, got {value}")
+        if self.false_alarm_record_s < 0:
+            raise ValueError(
+                f"false_alarm_record_s must be >= 0 s, got {self.false_alarm_record_s}"
+            )
         if not 0 < self.battery_mah <= MAX_BATTERY_MAH:
             raise ValueError(
                 f"battery_mah must be in (0, {MAX_BATTERY_MAH:g}] mAh, got {self.battery_mah}"
@@ -140,11 +158,6 @@ class PowerProfile:
             raise ValueError(f"unknown probe_detector {self.probe_detector!r}")
         if to_ticks(self.probe_record_s) > to_ticks(self.d_probe):
             raise ValueError("need 0 < probe_record_s <= d_probe")
-        if not 0 <= self.false_alarm_record_s <= MAX_SECONDS:
-            raise ValueError(
-                f"false_alarm_record_s must be in [0, {MAX_SECONDS}] s, "
-                f"got {self.false_alarm_record_s}"
-            )
 
     @cached_property
     def _current_by_mode(self) -> dict[str, float]:
@@ -168,8 +181,7 @@ class PowerProfile:
     @cached_property
     def ticks(self) -> dict[str, int]:
         """Each fixed duration (d_* and *_record_s fields) in ticks."""
-        names = _DURATIONS + ("probe_record_s", "false_alarm_record_s")
-        return {name: to_ticks(getattr(self, name)) for name in names}
+        return {name: to_ticks(getattr(self, name)) for name in _TICK_FIELDS}
 
     def current(self, mode: str) -> float:
         """mA drawn in the given activity mode."""

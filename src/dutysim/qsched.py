@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QTableFormatError
-from .power import MAX_SECONDS
+from .power import check_seconds
 
 __all__ = [
     "ActionSpace",
@@ -72,11 +72,8 @@ class ActionSpace:
             )
         if any(v <= 0 for v in self.intervals):
             raise ValueError("intervals must be positive")
-        if not all(v <= MAX_SECONDS for v in self.intervals):
-            raise ValueError(
-                f"intervals must be <= {MAX_SECONDS} s, the engine clock's limit, "
-                f"got {max(self.intervals)}"
-            )
+        for v in self.intervals:
+            check_seconds(v, "intervals")
         if any(b <= a for a, b in zip(self.intervals, self.intervals[1:])):
             raise ValueError("intervals must be strictly increasing")
 

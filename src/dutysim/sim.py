@@ -36,7 +36,7 @@ run is probed singly, as is every wake of the Goertzel detector, which
 synthesizes noise for every window. Both ways give the same ticks, logs and
 random draws. A single probe walks the event list forward once: through its
 record window, and on a fire on through the recording. The reports ask
-``trace.overlapping``, the same window rule on float columns.
+``trace.window_rows``, the same window rule on float columns.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .detect import DetectorModel, gate, sample_detection
 from .errors import ScheduleError
 from .power import MODES, TICKS_PER_S, LogEntry, PowerProfile, charge_from_ticks, to_ticks
-from .power import lifetime_years
+from .power import check_seconds, lifetime_years
 from .qsched import (
     ActionSpace,
     Hyperparameters,
@@ -62,7 +62,7 @@ from .qsched import (
     select_action,
 )
 from .rng import substream
-from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, first_open_row, overlapping
+from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, window_rows
 
 __all__ = [
     "FixedSchedule",
@@ -197,9 +197,10 @@ BULK_MAX_FP = 0.1
 
 
 def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -> list[int]:
-    """The intervals in ticks; ScheduleError unless each is longer than the probe in ticks."""
+    """The intervals in ticks; ScheduleError unless each fits the clock and outlasts the probe."""
     ticks = []
     for interval in intervals:
+        check_seconds(interval, what, ScheduleError)
         ticks.append(to_ticks(interval))
         if ticks[-1] <= profile.ticks["d_probe"]:
             raise ScheduleError(
@@ -276,7 +277,7 @@ class TimelineEngine:
     before it has ended by that wake, or at the event pointer when draws
     cut the run short (an event the quiet walk stepped over may not have
     ended by an earlier wake). The walk collects the record window's hits,
-    ``trace.overlapping``'s rule on tick lists, and the end of the
+    ``trace.window_rows``' rule on tick lists, and the end of the
     recording they start; their bands go to ``make_probe_fn(detector)``,
     the one detector call. On a fire the walk goes on from the same index
     while events start before the recording ends, and each one it captures
@@ -353,9 +354,7 @@ class TimelineEngine:
 
     def bill_ql(self, mode: str, at: float) -> None:
         """Insert a scheduler inference or update activity at the frontier."""
-        at = to_ticks(at)
-        if at > self.t:
-            self._emit("sleep", at - self.t)
+        self._sleep_to(to_ticks(at))
         self._emit(mode, self.dur["d_ql"])
 
     def bill_pings(self, k: int, at: float) -> None:
@@ -636,9 +635,7 @@ def _build_report(
     n_periods = len(rows)
     # Events intersecting the window, attributed to the period of their
     # start (carry-ins from before the window land in period 0).
-    live = overlapping(
-        trace.starts, trace.ends, t_begin, t_end, first_open_row(trace.ends, t_begin)
-    )
+    live = window_rows(trace, t_begin, t_end)
     totals = _per_period(trace.starts[live], t_begin, n_periods)
     rows_detected = [k for *_, stats in rows for k in stats.detected]
     detected = _per_period(trace.starts[rows_detected], t_begin, n_periods)

@@ -15,7 +15,6 @@ hourly rates.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
@@ -28,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TraceFormatError, TraceValidationError
+from .power import check_seconds
 from .rng import substream
 
 SECONDS_PER_DAY = 86400.0
@@ -89,9 +89,10 @@ class EventTrace:
     ``ys`` where it has no location, and a column left out is all NaN.
     ``ends`` is ``starts + durations``. Events are ordered by (start, id),
     ids are unique, values are finite, and every event fits inside
-    [0, horizon). The columns are read-only copies; all mutation is rebuild.
-    ``events`` holds the same events as ``Event`` rows and ``tick_view`` the
-    engines' ``TickView``, each built on first use and kept with the trace.
+    [0, horizon), a span within ``power.MAX_SECONDS``. The columns are
+    read-only copies; all mutation is rebuild. ``events`` holds the same
+    events as ``Event`` rows and ``tick_view`` the engines' ``TickView``,
+    each built on first use and kept with the trace.
     """
 
     ids: np.ndarray
@@ -107,6 +108,8 @@ class EventTrace:
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise TraceValidationError(f"horizon must be positive and finite, got {self.horizon}")
+        # Every event ends by the horizon, so this bounds every start and end in ticks too.
+        check_seconds(self.horizon, "horizon", TraceValidationError)
         if not 0 <= self.origin_hour < 24:
             raise TraceValidationError(f"origin_hour must be in [0, 24), got {self.origin_hour}")
         n = len(self.ids)
@@ -343,30 +346,24 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
     return EventTrace(np.arange(n), starts, durs, horizon, origin_hour, bands, xs, ys)
 
 
-def overlapping(starts, ends, t0, t1, lo: int = 0) -> list[int]:
-    """The rows j >= lo, ascending, with starts[j] < t1 and ends[j] > t0; starts is sorted.
+def window_rows(trace: EventTrace, t0: float, t1: float) -> np.ndarray:
+    """The rows, ascending, whose [start, end) meets [t0, t1): start < t1 and end > t0.
 
     The package's one window rule: events_in_window and the reports ask it
-    on float columns. The engine applies the same rule in its own forward
-    walk over tick lists, from its event pointer, and test_engine_bulk
-    checks every probe it makes against a linear scan.
+    on the float columns. The engine applies the same rule in its own
+    forward walk over tick lists, from its event pointer, and
+    test_engine_bulk checks every probe it makes against a linear scan.
     """
-    return [j for j in range(lo, bisect.bisect_left(starts, t1, lo)) if ends[j] > t0]
-
-
-def first_open_row(ends: np.ndarray, t0: float) -> int:
-    """A ``lo`` for ``overlapping`` on a float column: every row before it ends by t0."""
-    return int(np.searchsorted(np.maximum.accumulate(ends), t0, "right"))
+    return np.flatnonzero((trace.starts < t1) & (trace.ends > t0))
 
 
 def events_in_window(trace: EventTrace, t0: float, t1: float) -> list[Event]:
-    """Events whose [start, end) meets the half-open window [t0, t1), as ``overlapping`` says."""
+    """Events whose [start, end) meets the half-open window [t0, t1), as ``window_rows`` says."""
     if t1 < t0:
         raise ValueError(f"window end {t1} before start {t0}")
     if t0 == t1:
         return []
-    rows = overlapping(trace.starts, trace.ends, t0, t1, first_open_row(trace.ends, t0))
-    return [trace.events[j] for j in rows]
+    return [trace.events[j] for j in window_rows(trace, t0, t1).tolist()]
 
 
 def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.ndarray:
@@ -414,6 +411,14 @@ def read_json(path: Path, error: type[Exception], what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as e:
         raise error(f"{path}: invalid JSON ({e})") from None
+
+
+def write_json(path: Path, payload) -> None:
+    """Write ``payload`` as the package writes every JSON output: sorted keys,
+    indent 2 and a trailing newline, streamed rather than built as one string."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_trace(trace: EventTrace, path: str | Path) -> None:
@@ -519,9 +524,7 @@ def _save_json(trace: EventTrace, path: Path) -> None:
         "origin_hour": trace.origin_hour,
         "events": [{k: v for k, v in vars(ev).items() if v is not None} for ev in trace.events],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _event_id(value: int) -> int:

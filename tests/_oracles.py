@@ -173,7 +173,7 @@ def deliver_pings_per_ping(nodes, detections, drop_rate=0.0, rng=None):
                 if drop_rate > 0 and rng.random() < drop_rate:
                     continue
                 mailbox[receiver_id].setdefault(h, []).append(sender_id)
-    return {i: {h: tuple(s) for h, s in row.items()} for i, row in mailbox.items()}
+    return mailbox
 
 
 def local_reward_by_intersection(

@@ -389,6 +389,23 @@ _POWER_DURATIONS = (
 )
 
 
+# Trace files past the tick clock, written next to every case's config. The
+# first exited 2 converting its horizon; the second ran to exit 0 with its
+# event's start and end wrapped to -2**63 ticks, so it was never detected.
+_TRACE_FILES = {
+    "huge_horizon.json": {"horizon": 1e300, "events": []},
+    "wrapping_horizon.json": {
+        "horizon": 1.2e10,
+        "events": [{"id": 0, "start": 1e10, "duration": 3.0}],
+    },
+}
+
+
+def _fixed_run_on(trace_file):
+    return {**run_config(), "trace": {"file": trace_file},
+            "schedules": {"fixed": [1800], "qlearn": None}}
+
+
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
@@ -475,6 +492,12 @@ _POWER_DURATIONS = (
             {**network_config(episodes=1), "power": {"battery_mah": 1e308}},
             "power: battery_mah must be in",
         ),
+        ("run", _fixed_run_on("huge_horizon.json"), "huge_horizon.json: horizon must be <="),
+        (
+            "run",
+            _fixed_run_on("wrapping_horizon.json"),
+            "wrapping_horizon.json: horizon must be <=",
+        ),
     ],
     ids=[
         "layout_radius",
@@ -499,11 +522,15 @@ _POWER_DURATIONS = (
         "actions_past_qtable_header",
         "i_sleep_past_bound",
         "battery_mah_past_bound",
+        "trace_horizon_past_float_to_int",
+        "trace_horizon_past_tick_clock",
     ],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(
     tmp_path, capsys, command, cfg, message
 ):
+    for name, payload in _TRACE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err

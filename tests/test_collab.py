@@ -309,8 +309,8 @@ def test_pings_reach_devices_in_comm_range():
     h = event_hash(3000.0, 120.0)
     mailbox = deliver_pings(nodes, {0: [h], 1: [h]})
     # Each receives the other's ping, so both estimate 1 + 1 = 2 detections.
-    assert mailbox[0] == {h: (1,)}
-    assert mailbox[1] == {h: (0,)}
+    assert mailbox[0] == {h: [1]}
+    assert mailbox[1] == {h: [0]}
 
 
 def test_pings_do_not_cross_out_of_range():
@@ -325,7 +325,7 @@ def test_ping_reach_uses_sender_radius():
     nodes = [node_at(0, 0.0, 0.0, comm=300.0), node_at(1, 200.0, 0.0, comm=50.0)]
     h = event_hash(3000.0, 120.0)
     mailbox = deliver_pings(nodes, {0: [h], 1: [h]})
-    assert mailbox[1] == {h: (0,)}
+    assert mailbox[1] == {h: [0]}
     assert mailbox[0] == {}
 
 
@@ -391,7 +391,7 @@ def test_receivers_on_the_radius_boundary():
     # 3-4-5 triangle: the distance is exactly 5.0, so the ping arrives.
     nodes = [node_at(0, 0.0, 0.0, comm=5.0), node_at(1, 3.0, 4.0, comm=4.0)]
     mailbox = deliver_pings(nodes, {0: [7], 1: [7]})
-    assert mailbox == {0: {}, 1: {7: (0,)}}
+    assert mailbox == {0: {}, 1: {7: [0]}}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def test_slot_holder_pays_no_overlap_penalty():
         n_pos=1,
         n_neg=10,
         own_hashes=[h],
-        mailbox_row={h: (1, 2)},
+        mailbox_row={h: [1, 2]},
         clusters=[cluster],
         w1=0.1,
         w2=0.5,
@@ -425,7 +425,7 @@ def test_non_holder_pays_per_duplicate():
         n_pos=1,
         n_neg=0,
         own_hashes=[h],
-        mailbox_row={h: (1,)},
+        mailbox_row={h: [1]},
         clusters=[cluster],
         w1=0.1,
         w2=0.5,
@@ -443,7 +443,7 @@ def test_waiver_requires_matching_cluster_member():
         n_pos=0,
         n_neg=0,
         own_hashes=[h],
-        mailbox_row={h: (5,)},
+        mailbox_row={h: [5]},
         clusters=[cluster],
         w1=0.1,
         w2=0.5,
@@ -483,7 +483,7 @@ def local_reward_cases(draw):
     ]
     own = draw(st.lists(hashes, max_size=8))
     mailbox_row = draw(
-        st.dictionaries(hashes, st.lists(ids, max_size=4).map(tuple), max_size=7)
+        st.dictionaries(hashes, st.lists(ids, max_size=4), max_size=7)
     )
     return draw(ids), draw(st.integers(0, 60)), own, mailbox_row, clusters
 
@@ -815,6 +815,29 @@ def test_run_network_validation():
         run(network(episodes=2, train=False, fixed_interval=0.1))
     with pytest.raises(ScheduleError):
         run(network(episodes=2), ActionSpace((0.1, 5.0)))
+
+
+@pytest.mark.parametrize("interval", [1e10, 1e300])
+def test_intervals_past_the_tick_clock_are_schedule_errors(interval):
+    # 1e10 s is past power.MAX_SECONDS and 1e300 s past the float-to-int
+    # conversion. ActionSpace and NetworkConfig refuse both when built, so
+    # here they are set past those checks, as a library caller could.
+    tr = area_trace(2, 11)
+    actions = ActionSpace()
+    object.__setattr__(actions, "intervals", (60.0, interval))
+    fixed = network(episodes=2, train=False, fixed_interval=60.0)
+    object.__setattr__(fixed, "fixed_interval", interval)
+    engine = TimelineEngine(tr, 0.0, 3600.0, PROFILE, ORACLE, None)
+    with pytest.raises(ScheduleError, match="^interval must be <="):
+        engine.run_period(3600.0, interval)
+    with pytest.raises(ScheduleError, match="^interval must be <="):
+        run_schedule(tr, FixedSchedule(interval), ORACLE, PROFILE, 1)
+    with pytest.raises(ScheduleError, match="^action must be <="):
+        train_qlearn(tr, 1, HP, actions, ORACLE, PROFILE, 1)
+    with pytest.raises(ScheduleError, match="^action must be <="):
+        run_network(tr, network(episodes=2), HP, actions, ORACLE, PROFILE, 11)
+    with pytest.raises(ScheduleError, match="^fixed_interval must be <="):
+        run_network(tr, fixed, HP, ActionSpace(), ORACLE, PROFILE, 11)
 
 
 def test_init_table_shape_checked_and_expansion_accepted():
