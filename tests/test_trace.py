@@ -22,6 +22,7 @@ from dutysim.trace import (
     load_trace,
     make_trace,
     save_trace,
+    window_rows,
 )
 
 from _oracles import events_in_window_scan, two_peak_profile
@@ -464,14 +465,25 @@ def _trace_and_window(draw):
     return make_trace(events, horizon=200.0), t0, t1
 
 
+@given(_trace_and_window())
+@settings(max_examples=200, deadline=None)
+def test_window_matches_scan_property(case):
+    tr, t0, t1 = case
+    assert events_in_window(tr, t0, t1) == events_in_window_scan(tr, t0, t1)
+
+
 @given(_trace_and_window(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_window_matches_scan_property(case, at_an_end):
+def test_first_open_row_skips_only_rows_that_ended(case, at_an_end):
     tr, t0, t1 = case
     if at_an_end and len(tr):
         # Windows that open exactly where an event ends.
         t0 = float(tr.ends[int(t0) % len(tr)])
         t1 = max(t1, t0)
+    rows = window_rows(tr, t0, t1).tolist()
+    assert all(tr.ends[j] > t0 for j in rows)
+    want = [j for j in range(len(tr)) if tr.starts[j] < t1 and tr.ends[j] > t0]
+    assert rows == want
     assert events_in_window(tr, t0, t1) == events_in_window_scan(tr, t0, t1)
 
 
