@@ -132,20 +132,18 @@ def _period_rows(schedule: str, phase: str, report) -> list[dict]:
 def _write_network_csvs(out_dir: Path, report: dict) -> list[str]:
     """Write the series CSV and one CSV per device from NetworkReport.to_dict().
 
-    A device removed at episode 0 still gets its (header-only) file.
-    Returns the names written.
+    One pass over the episodes sorts the rows by device. A device removed
+    at episode 0 still gets its (header-only) file. Returns the names written.
     """
     episodes = report["episodes"]
     series = [{"episode": e["index"], **e} for e in episodes]
+    per_device = {d["id"]: [] for d in report["devices"]}
+    for e in episodes:
+        for dev in e["devices"]:
+            per_device[dev["id"]].append({"episode": e["index"], **dev})
     tables = {"network_series.csv": (SERIES_COLUMNS, series)}
-    for d in report["devices"]:
-        rows = [
-            {"episode": e["index"], **dev}
-            for e in episodes
-            for dev in e["devices"]
-            if dev["id"] == d["id"]
-        ]
-        tables[f"device_{d['id']}.csv"] = (DEVICE_COLUMNS, rows)
+    for did, rows in per_device.items():
+        tables[f"device_{did}.csv"] = (DEVICE_COLUMNS, rows)
     for name, (columns, rows) in tables.items():
         _write_csv(out_dir / name, columns, rows)
     return list(tables)

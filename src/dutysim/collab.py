@@ -15,13 +15,14 @@ The per-device state space extends the hour with a binned count of the
 device's own detections in the previous period.
 
 The per-period network loop does each piece of work once: every event is
-hashed once per run, each sender's receivers are found once per node set
-(at the start and after a failure), a period in which no device detected
-anything skips ping delivery and its random stream, the pings stream is
-built once per run and re-keyed (``rng.rekey``) for each period that pings,
-and a device's pings are billed in one step at the period end. No device
-copies the trace: each engine reads the trace's one tick view, whole or at
-the rows the device senses (``sim.TimelineEngine``).
+hashed once per run, into one uint64 column, each sender's receivers are
+found once per node set (at the start and after a failure), a period in
+which no device detected anything skips ping delivery and its random
+stream, the pings stream is built once per run and re-keyed
+(``rng.rekey``) for each period that pings, and a device's pings are
+billed in one step at the period end. No device copies the trace: each
+engine reads the trace's one tick view, whole or at the rows the device
+senses (``sim.TimelineEngine``).
 """
 
 from __future__ import annotations
@@ -108,14 +109,17 @@ def _words(buckets: np.ndarray) -> np.ndarray:
     return words
 
 
-def event_hashes(bands, starts) -> list[int]:
-    """64-bit FNV-1a over each event's quantized features, as Python ints.
+def event_hashes(bands, starts) -> memoryview:
+    """64-bit FNV-1a over each event's quantized features, 8 bytes per event.
 
     Band is bucketed to 100 Hz (untagged events, band NaN or None, share
     the bucket -1), start to whole seconds, so co-detections of one event
     hash alike on every device. Each bucket is taken mod 2**64, as a Python
     int would be, and hashed as two little-endian 64-bit words for all
-    events at once in numpy uint64, whose multiply wraps mod 2**64.
+    events at once in numpy uint64, whose multiply wraps mod 2**64. The
+    result is a read-only memoryview of the uint64 column: indexing and
+    iterating it yield Python ints, where a list would hold one int object
+    per event.
     """
     bands = np.asarray(bands, dtype=np.float64)
     band_buckets = np.where(np.isnan(bands), -100.0, bands) // 100.0
@@ -126,7 +130,8 @@ def event_hashes(bands, starts) -> list[int]:
         for shift in range(0, 64, 8):
             h ^= (word >> np.uint64(shift)) & low_byte
             h *= prime
-    return h.tolist()
+    h.setflags(write=False)
+    return memoryview(h)
 
 
 def form_clusters(nodes: list[DeviceNode]) -> list[Cluster]:
@@ -538,7 +543,7 @@ def run_network(
 
     alive = list(runtimes.values())
     nodes = tuple(order)  # the live devices, as deliver_pings takes them
-    clusters = form_clusters(order) if len(order) > 1 else []
+    clusters = form_clusters(order)
     fails_at = dict(config.failures)
     rng_pings = None  # one pings stream, re-keyed for each period that pings
 
@@ -557,7 +562,7 @@ def run_network(
                 if not alive:
                     raise ScheduleError(f"all devices removed by episode {day}")
                 nodes = tuple(rt.node for rt in alive)
-                clusters = form_clusters(list(nodes)) if len(alive) > 1 else []
+                clusters = form_clusters(list(nodes))
                 if config.eps_reset_on_change:
                     for rt in alive:
                         rt.learner.eps = hp.eps_max

@@ -36,7 +36,8 @@ SECONDS_PER_HOUR = 3600.0
 # The largest rate numpy's Poisson sampler accepts: int64 max - 10 * sqrt(int64 max).
 _POISSON_MAX_RATE = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
-# The largest trace generate_trace makes. Each hour of a day costs it a few
+# The largest trace generate_trace makes, and the longest horizon load_trace
+# takes from a file. Each hour of a day costs it a few
 # Poisson, uniform and normal draws, about 15 us with events in it, and each
 # event about 160 bytes at peak (2-vCPU x86-64, numpy 2): 10,000 days at 5
 # events an hour generated in 5.1 s, and 2.4 M events in one day in 0.8 s
@@ -72,7 +73,8 @@ class TickView(NamedTuple):
     """A trace's columns as the engine reads them: read-only tuples, one entry per event.
 
     ``starts`` and ``ends`` are integer nanosecond ticks (``power.to_ticks``);
-    ``bands`` are the float bands, NaN where untagged.
+    ``bands`` are the float bands, where every untagged event holds the one
+    shared ``math.nan`` object rather than a NaN of its own.
     """
 
     starts: tuple[int, ...]
@@ -178,7 +180,8 @@ class EventTrace:
         def ticks(col):
             return tuple(np.rint(col * 1e9).astype(np.int64).tolist())
 
-        return TickView(ticks(self.starts), ticks(self.ends), tuple(self.bands.tolist()))
+        bands = tuple(math.nan if b != b else b for b in self.bands.tolist())
+        return TickView(ticks(self.starts), ticks(self.ends), bands)
 
     @property
     def n_days(self) -> int:
@@ -431,11 +434,19 @@ def save_trace(trace: EventTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> EventTrace:
-    """Read a CSV or JSON trace, as the file suffix says."""
+    """Read a CSV or JSON trace, as the file suffix says.
+
+    A file's horizon, given or derived from its events, is held to MAX_DAYS
+    days as a generated trace is; past it a TraceValidationError names the file.
+    """
     path = Path(path)
-    if _fmt_from_suffix(path) == "csv":
-        return _load_csv(path)
-    return _load_json(path)
+    trace = _load_csv(path) if _fmt_from_suffix(path) == "csv" else _load_json(path)
+    if trace.horizon > MAX_DAYS * SECONDS_PER_DAY:
+        raise TraceValidationError(
+            f"{path.name}: horizon must be <= {MAX_DAYS} days "
+            f"({fmt_float(MAX_DAYS * SECONDS_PER_DAY)} s), got {fmt_float(trace.horizon)}"
+        )
+    return trace
 
 
 def _fmt_from_suffix(path: Path) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: direct DFT matrix products, the
 scalar Goertzel recurrence, 1 ms time-grid energy integration, linear
-interval scans, exhaustive subset clique enumeration, a timeline engine
+interval scans, exhaustive subset clique enumeration, a per-hour reward
+table from one fixed-schedule run per action, a timeline engine
 that probes every wake one by one, a byte-by-byte event hash and ping
 delivery that measures every distance per ping, and a local reward that
 intersects fresh sets per detection. Slow and obviously correct beats fast
@@ -17,8 +18,9 @@ import numpy as np
 
 from dutysim.errors import ScheduleError
 from dutysim.power import LogEntry, PowerProfile, to_ticks
-from dutysim.sim import TICKS_PER_DAY, PeriodStats, TimelineEngine
-from dutysim.trace import DiurnalProfile, EventTrace, generate_trace
+from dutysim.qsched import reward
+from dutysim.sim import TICKS_PER_DAY, FixedSchedule, PeriodStats, TimelineEngine, run_schedule
+from dutysim.trace import SECONDS_PER_DAY, DiurnalProfile, EventTrace, generate_trace
 
 
 @functools.lru_cache(maxsize=4)
@@ -192,6 +194,28 @@ def local_reward_by_intersection(
             continue
         penalty += len(senders)
     return n_pos - w1 * n_neg - w2 * penalty
+
+
+def per_hour_oracle(trace, days, actions, detector, profile, seed, w1) -> np.ndarray:
+    """R[h, a]: the mean period reward at hour of day h when action a runs as
+    a fixed schedule over the first ``days`` days of the trace.
+
+    On one device the next state is the next hour whatever the action, so
+    the optimal policy is the per-hour argmax of R. Each schedule runs on
+    the seed's device-0 streams, as train_qlearn does, and every period is
+    scored with ``reward`` at w1 from its positives and negatives.
+    """
+    sums = np.zeros((24, len(actions)))
+    counts = np.zeros((24, len(actions)))
+    for a, interval in enumerate(actions.intervals):
+        report, _ = run_schedule(
+            trace, FixedSchedule(interval), detector, profile, seed,
+            duration_s=days * SECONDS_PER_DAY,
+        )
+        for p in report.periods:
+            sums[p.hour, a] += reward(p.positives, p.negatives, w1)
+            counts[p.hour, a] += 1
+    return sums / counts
 
 
 def stream_position(rng: np.random.Generator) -> tuple:

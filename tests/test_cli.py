@@ -398,6 +398,8 @@ _TRACE_FILES = {
         "horizon": 1.2e10,
         "events": [{"id": 0, "start": 1e10, "duration": 3.0}],
     },
+    # Inside the tick clock but past trace.MAX_DAYS (11,574 days).
+    "long_horizon.json": {"horizon": 1e9, "events": []},
 }
 
 
@@ -498,6 +500,11 @@ def _fixed_run_on(trace_file):
             _fixed_run_on("wrapping_horizon.json"),
             "wrapping_horizon.json: horizon must be <=",
         ),
+        (
+            "run",
+            _fixed_run_on("long_horizon.json"),
+            "long_horizon.json: horizon must be <= 10000 days",
+        ),
     ],
     ids=[
         "layout_radius",
@@ -524,6 +531,7 @@ def _fixed_run_on(trace_file):
         "battery_mah_past_bound",
         "trace_horizon_past_float_to_int",
         "trace_horizon_past_tick_clock",
+        "trace_horizon_past_max_days",
     ],
 )
 def test_values_rejected_by_domain_types_are_validation_errors(

@@ -137,6 +137,7 @@ def node_at(device_id, x, y, r=10.0, comm=100.0):
 def test_disjoint_devices_form_no_clusters():
     nodes = [node_at(0, 0.0, 0.0), node_at(1, 100.0, 0.0)]
     assert form_clusters(nodes) == []
+    assert form_clusters(nodes[:1]) == []
 
 
 def test_triangle_forms_one_cluster():
@@ -276,7 +277,15 @@ HASH_STARTS = st.one_of(
 def test_event_hashes_match_scalar_oracle(events):
     bands = [b for b, _ in events]
     starts = [s for _, s in events]
-    assert event_hashes(bands, starts) == [event_hash(b, s) for b, s in events]
+    assert list(event_hashes(bands, starts)) == [event_hash(b, s) for b, s in events]
+
+
+def test_event_hashes_are_a_read_only_uint64_column():
+    hashes = event_hashes([None, 2500.0, 4000.0], [1.0, 2.0, 3.0])
+    assert [type(h) for h in hashes] == [int, int, int]
+    assert hashes.nbytes == 8 * len(hashes)
+    with pytest.raises(TypeError):
+        hashes[0] = 0
 
 
 def test_sensing_follows_math_dist_at_the_radius():

@@ -26,7 +26,8 @@ from dutysim.trace import (
     save_trace,
 )
 
-from _oracles import stream_position, two_peak_trace
+import test_acceptance as acceptance
+from _oracles import per_hour_oracle, stream_position, two_peak_trace
 
 ORACLE = DetectorModel(tp_rate=1.0, fp_rate=0.0)
 PROFILE = PowerProfile()
@@ -404,6 +405,23 @@ def test_train_rejects_mismatched_init_table():
             1,
             init_table=QTable.zeros(24, 3),
         )
+
+
+def test_learned_policies_stay_near_the_per_hour_oracle():
+    # Criterion 4's ten 60-day seeds. Each converged policy misses the
+    # oracle in 1-4 hours at the edges of the peaks, losing 1.16-10.72
+    # reward a day (worst at seed 0) out of an optimum of 102.5-111.6, from
+    # early lock-in under epsilon_min. The bound guards against regression
+    # and is not a target.
+    hp, detector, profile = acceptance.HP, acceptance.ORACLE, acceptance.PROFILE
+    actions = ActionSpace()
+    for seed in range(10):
+        trace = two_peak_trace(60, seed)
+        result = train_qlearn(trace, 60, hp, actions, detector, profile, seed)
+        r = per_hour_oracle(trace, 60, actions, detector, profile, seed, hp.w1)
+        policy = result.table.greedy_policy()
+        regret = float(np.sum(r.max(axis=1) - r[np.arange(24), policy]))
+        assert regret <= 11.0, f"seed {seed}: regret {regret:.2f}/day, policy {policy}"
 
 
 # -- convergence -------------------------------------------------------------

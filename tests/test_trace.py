@@ -64,6 +64,18 @@ def test_horizon_past_the_tick_clock_is_rejected():
     assert tr.tick_view.ends[0] > tr.tick_view.starts[0] > 0
 
 
+def test_tick_view_untagged_events_share_one_nan():
+    tr = generate_trace(two_peak_profile(2), 5)
+    assert len(tr) > 1
+    untagged = [b for b in tr.tick_view.bands if b != b]
+    assert len(untagged) == len(tr)
+    assert len({id(b) for b in untagged}) == 1
+    # Tagged bands keep their values next to the shared NaN.
+    mixed = _sample_trace().tick_view.bands
+    assert mixed[0] is math.nan
+    assert mixed[1:] == (4000.0, 2500.5)
+
+
 def test_trace_rejects_out_of_order_events():
     with pytest.raises(TraceValidationError, match="order at id 1"):
         EventTrace(ids=[0, 1], starts=[5.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
@@ -166,6 +178,30 @@ def test_csv_header_respects_horizon_comment(tmp_path):
     path = tmp_path / "trace.csv"
     save_trace(tr, path)
     assert load_trace(path).horizon == 7200.0
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("trace.json", '{"horizon": 1e9, "events": []}'),
+        ("trace.csv", "# horizon=1e9\nid,start,duration,band,x,y\n"),
+        # No horizon given: the last end, rounded up to whole days, passes the limit.
+        ("trace.json", '{"events": [{"id": 0, "start": 864000000, "duration": 1}]}'),
+        ("trace.csv", "id,start,duration,band,x,y\n0,864000000,1,,,\n"),
+    ],
+    ids=["json_horizon", "csv_horizon", "json_derived_horizon", "csv_derived_horizon"],
+)
+def test_trace_files_past_max_days_are_rejected(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(TraceValidationError, match=f"^{name}: horizon must be <= {MAX_DAYS} days"):
+        load_trace(path)
+    # The limit itself loads, and a library trace may pass it up to the tick clock.
+    limit = MAX_DAYS * SECONDS_PER_DAY
+    at_limit = tmp_path / "limit.json"
+    at_limit.write_text(json.dumps({"horizon": limit, "events": []}))
+    assert load_trace(at_limit).horizon == limit
+    assert make_trace([], horizon=2 * limit).horizon == 2 * limit
 
 
 def test_unknown_suffix_rejected(tmp_path):
