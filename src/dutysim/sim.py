@@ -22,8 +22,9 @@ the held-out window, the trained table as a ``GreedySchedule`` among them.
 Engine time is integer nanosecond ticks (``power.to_ticks``, within int64
 range); seconds appear only at the edges, in the inputs and in the reports.
 Every engine over a trace reads the trace's one ``EventTrace.tick_view``,
-whole, sliced at its horizon or gathered at the rows it senses, so a run
-converts the event columns to ticks once however many engines it drives.
+read-only 8-byte buffers of ticks and bands, as slices of the view's own
+buffers or gathered at the rows it senses, so a run converts the event
+columns to ticks once however many engines it drives.
 Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
 is one loop per device-period; it bills each run of wakes in one block
 and every activity after a fire through ``_emit``. With an abstract detector
@@ -228,11 +229,11 @@ class TimelineEngine:
     """One device's timeline over [t_begin, t_end) of a trace's ``rows``.
 
     ``rows`` are the trace rows the device senses, strictly ascending; None
-    means every row. The engine reads the trace's one ``tick_view`` and
-    copies no column: with every row that starts before t_end it holds the
-    view itself, or a slice of it when t_end cuts the trace, and otherwise
-    tuples gathered from the view, which point at the view's own int and
-    float objects. Rows that start at or after t_end are dropped, so no
+    means every row. The engine reads the trace's one ``tick_view``: with
+    every row that starts before t_end it holds zero-copy slices of the
+    view's read-only buffers, and otherwise read-only int64 and float64
+    columns gathered from the view at ``rows``, 8 bytes per sensed event
+    each. Rows that start at or after t_end are dropped, so no
     probe can hear them. Event indices, such as ``PeriodStats.detected``,
     are into the engine's own sequence; with ``rows`` set, its k-th event is
     trace row ``rows[k]``.
@@ -277,7 +278,7 @@ class TimelineEngine:
     before it has ended by that wake, or at the event pointer when draws
     cut the run short (an event the quiet walk stepped over may not have
     ended by an earlier wake). The walk collects the record window's hits,
-    ``trace.window_rows``' rule on tick lists, and the end of the
+    ``trace.window_rows``' rule on tick columns, and the end of the
     recording they start; their bands go to ``make_probe_fn(detector)``,
     the one detector call. On a fire the walk goes on from the same index
     while events start before the recording ends, and each one it captures
@@ -323,11 +324,10 @@ class TimelineEngine:
         if rows is not None:
             rows = rows[: bisect.bisect_left(rows, live)]
         if rows is None or len(rows) == live:
-            # Every row before the horizon. A tuple's whole slice is the tuple
-            # itself, so unless the horizon cuts the trace this is the view.
+            # Every row before the horizon: a slice of the view's own buffers.
             columns = (col[:live] for col in view)
         else:
-            columns = (tuple(map(col.__getitem__, rows)) for col in view)
+            columns = (memoryview(np.asarray(col)[rows]).toreadonly() for col in view)
         self.starts, self.ends, self._bands = columns
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None

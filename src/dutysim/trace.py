@@ -4,10 +4,11 @@ A trace is an immutable, time-ordered set of events over a finite horizon,
 held as columns. Each event has an id, a start time and a positive duration
 (seconds, half-open interval [start, start + duration)), and may carry a
 dominant frequency band in Hz and a 2D location in meters. ``Event`` is a
-row view, built on demand. ``TickView`` is the engines' view: starts and ends
-in integer nanosecond ticks plus the bands, built once per trace on first use
-and shared by every ``sim.TimelineEngine`` over it, so no engine, and no
-network device, converts or copies the columns. Traces load from CSV or
+row view, built on demand. ``TickView`` is the engines' view: read-only
+8-byte buffers of the starts and ends in integer nanosecond ticks and of the
+bands, built once per trace on first use and shared by every
+``sim.TimelineEngine`` over it, so no engine, and no network device,
+converts or copies the columns. Traces load from CSV or
 JSON, save back losslessly, and can be generated synthetically from a
 diurnal profile via an inhomogeneous Poisson process with piecewise-constant
 hourly rates.
@@ -70,16 +71,17 @@ class Event:
 
 
 class TickView(NamedTuple):
-    """A trace's columns as the engine reads them: read-only tuples, one entry per event.
+    """A trace's columns as the engine reads them: read-only memoryviews, one item per event.
 
-    ``starts`` and ``ends`` are integer nanosecond ticks (``power.to_ticks``);
-    ``bands`` are the float bands, where every untagged event holds the one
-    shared ``math.nan`` object rather than a NaN of its own.
+    ``starts`` and ``ends`` are int64 nanosecond ticks (``power.to_ticks``);
+    ``bands`` is the trace's own float64 ``bands`` column, NaN where an event
+    is untagged. Each column holds 8 bytes per event, and an item read from
+    it is a Python ``int`` or ``float``.
     """
 
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
-    bands: tuple[float, ...]
+    starts: memoryview
+    ends: memoryview
+    bands: memoryview
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +96,8 @@ class EventTrace:
     [0, horizon), a span within ``power.MAX_SECONDS``. The columns are
     read-only copies; all mutation is rebuild. ``events`` holds the same
     events as ``Event`` rows and ``tick_view`` the engines' ``TickView``,
-    each built on first use and kept with the trace.
+    each built on first use and kept with the trace. The view adds 16 bytes
+    per event, the two tick columns, and shares ``bands``.
     """
 
     ids: np.ndarray
@@ -178,10 +181,11 @@ class EventTrace:
     @cached_property
     def tick_view(self) -> TickView:
         def ticks(col):
-            return tuple(np.rint(col * 1e9).astype(np.int64).tolist())
+            out = np.rint(col * 1e9).astype(np.int64)
+            out.setflags(write=False)
+            return memoryview(out)
 
-        bands = tuple(math.nan if b != b else b for b in self.bands.tolist())
-        return TickView(ticks(self.starts), ticks(self.ends), bands)
+        return TickView(ticks(self.starts), ticks(self.ends), memoryview(self.bands))
 
     @property
     def n_days(self) -> int:
@@ -329,15 +333,12 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
         )
         starts_all.append(starts)
         durs_all.append(durs)
-    if starts_all:
-        starts = np.concatenate(starts_all)
-        durs = np.concatenate(durs_all)
-    else:
-        starts = np.empty(0)
-        durs = np.empty(0)
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    durs = np.minimum(durs[order], horizon - starts)
+    # Each hour's starts are sorted and the hours ascend, so the events are
+    # already in (start, id) order; EventTrace checks it.
+    starts = np.concatenate(starts_all) if starts_all else np.empty(0)
+    durs = np.concatenate(durs_all) if durs_all else np.empty(0)
+    del starts_all, durs_all  # free the per-hour arrays before EventTrace copies the columns
+    np.minimum(durs, horizon - starts, out=durs)
 
     n = len(starts)
     bands = rng.uniform(band_range[0], band_range[1], size=n) if band_range else None
@@ -354,7 +355,7 @@ def window_rows(trace: EventTrace, t0: float, t1: float) -> np.ndarray:
 
     The package's one window rule: events_in_window and the reports ask it
     on the float columns. The engine applies the same rule in its own
-    forward walk over tick lists, from its event pointer, and
+    forward walk over tick columns, from its event pointer, and
     test_engine_bulk checks every probe it makes against a linear scan.
     """
     return np.flatnonzero((trace.starts < t1) & (trace.ends > t0))

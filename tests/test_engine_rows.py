@@ -1,13 +1,15 @@
 """Engines share their trace's one tick view, and engine rows match sub-traces.
 
-Every ``TimelineEngine`` reads ``EventTrace.tick_view``: whole, sliced at its
-horizon, or gathered at the rows a network device senses, always pointing at
-the view's own objects. An engine over ``rows`` must simulate exactly what an
-engine over a trace of just those events does.
+Every ``TimelineEngine`` reads ``EventTrace.tick_view``, read-only 8-byte
+buffers: whole or sliced at its horizon, sharing the view's buffers, or
+gathered at the rows a network device senses, 8 bytes per sensed event per
+column. An engine over ``rows`` must simulate exactly what an engine over a
+trace of just those events does.
 """
 
 import bisect
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,10 +57,23 @@ def columns(engine):
     return engine.starts, engine.ends, engine._bands
 
 
-def holds_view_objects(engine, view, rows) -> bool:
-    """The engine's k-th event is the view's own objects at rows[k]."""
+def read_only_8_bytes(col, n: int) -> bool:
+    return isinstance(col, memoryview) and col.readonly and col.nbytes == 8 * n == 8 * len(col)
+
+
+def gathered_from_view(engine, view, rows) -> bool:
+    """The engine's columns are read-only columns of the view's values at rows."""
     return all(
-        len(got) == len(rows) and all(got[k] is col[j] for k, j in enumerate(rows))
+        read_only_8_bytes(got, len(rows))
+        and np.array_equal(np.asarray(got), np.asarray(col)[rows], equal_nan=True)
+        for got, col in zip(columns(engine), view)
+    )
+
+
+def shares_view(engine, view, n: int) -> bool:
+    """The engine's columns are the view's first n events, in the view's own buffers."""
+    return gathered_from_view(engine, view, np.arange(n)) and all(
+        np.shares_memory(np.asarray(got), np.asarray(col))
         for got, col in zip(columns(engine), view)
     )
 
@@ -70,6 +85,8 @@ def test_schedule_and_training_engines_hold_the_trace_view():
     trace = two_peak_trace(3, seed=4)
     view = trace.tick_view
     assert trace.tick_view is view
+    assert all(read_only_8_bytes(col, len(trace)) for col in view)
+    assert np.shares_memory(np.asarray(view.bands), trace.bands)
     with recorded_engines() as made:
         train_qlearn(trace, 2, Hyperparameters(), ActionSpace(), DETECTOR, PROFILE, 1)
         run_schedule(trace, FixedSchedule(60.0), DETECTOR, PROFILE, 1)
@@ -81,13 +98,13 @@ def test_schedule_and_training_engines_hold_the_trace_view():
     # The training horizon cuts the trace: the engine holds a slice of the view.
     live = bisect.bisect_left(view.starts, to_ticks(2 * SECONDS_PER_DAY))
     assert 0 < live < len(view.starts)
-    assert holds_view_objects(train, view, range(live))
-    # Windows that end at the trace horizon hold the view itself.
+    assert shares_view(train, view, live)
+    # Windows that end at the trace horizon hold all of the view.
     for engine in (whole, held_out):
-        assert all(got is col for got, col in zip(columns(engine), view))
+        assert shares_view(engine, view, len(trace))
 
 
-def test_network_devices_hold_the_view_or_its_objects():
+def test_network_devices_hold_the_view_or_columns_gathered_from_it():
     trace = generate_trace(
         DiurnalProfile(two_peak_rates(), 3.0, 0.0, days=1, area=(0.0, 10.0, 0.0, 10.0)), 3
     )
@@ -103,11 +120,38 @@ def test_network_devices_hold_the_view_or_its_objects():
             DETECTOR, PROFILE, 9,
         )
     every, some, none = made
-    assert all(got is col for got, col in zip(columns(every), view))
-    rows = np.flatnonzero(collab._senses(layout[1], trace)).tolist()
-    assert 0 < len(rows) < len(trace)
-    assert holds_view_objects(some, view, rows)
-    assert columns(none) == ((), (), ())
+    assert shares_view(every, view, len(trace))
+    assert collab._sensed_rows(layout[0], trace) is None
+    rows = collab._sensed_rows(layout[1], trace)
+    assert read_only_8_bytes(rows, len(rows)) and 0 < len(rows) < len(trace)
+    assert rows.tolist() == np.flatnonzero(collab._senses(layout[1], trace)).tolist()
+    assert gathered_from_view(some, view, rows)
+    assert all(read_only_8_bytes(col, 0) for col in columns(none))
+
+
+def test_partial_device_keeps_8_bytes_per_sensed_event_per_column():
+    # Its sensed rows, then its engine's three columns gathered at them.
+    trace = generate_trace(
+        DiurnalProfile((840.0,) * 24, 3.0, 1.0, days=1, area=(0.0, 10.0, 0.0, 10.0)), 6
+    )
+    node = DeviceNode(0, 0.0, 5.0, 5.0, 50.0)  # senses about 40% of the events
+    trace.tick_view  # the trace's, shared by every device, so built before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = collab._sensed_rows(node, trace)
+        kept_rows = tracemalloc.get_traced_memory()[0] - before
+        engine = TimelineEngine(
+            trace, 0.0, SECONDS_PER_DAY, PROFILE, DETECTOR, _day_rng_provider(1, 0), rows=rows
+        )
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = len(rows)
+    assert 5_000 < n < len(trace) * 0.6
+    assert len(engine.starts) == n
+    assert kept_rows <= 8 * n + 4096
+    assert kept - kept_rows <= 3 * 8 * n + 8192
 
 
 # -- equivalence ------------------------------------------------------------
@@ -159,7 +203,8 @@ def rows_cases(draw):
 @given(rows_cases(), st.integers(0, 2**16))
 def test_engine_over_rows_matches_engine_over_sub_trace(case, seed):
     trace, mask, t_begin, t_end, detector, periods = case
-    rows = np.flatnonzero(mask).tolist()
+    # Read-only int64 rows, as run_network passes them.
+    rows = memoryview(np.flatnonzero(mask)).toreadonly()
     over_rows = TimelineEngine(
         trace, t_begin, t_end, PROFILE, detector, _day_rng_provider(seed, 0),
         collect_log=True, rows=rows,

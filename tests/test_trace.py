@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dutysim.errors import TraceFormatError, TraceValidationError
-from dutysim.power import MAX_SECONDS
+from dutysim.power import MAX_SECONDS, to_ticks
 from dutysim.trace import (
     MAX_DAYS,
     MAX_EXPECTED_EVENTS,
@@ -64,16 +65,36 @@ def test_horizon_past_the_tick_clock_is_rejected():
     assert tr.tick_view.ends[0] > tr.tick_view.starts[0] > 0
 
 
-def test_tick_view_untagged_events_share_one_nan():
-    tr = generate_trace(two_peak_profile(2), 5)
-    assert len(tr) > 1
-    untagged = [b for b in tr.tick_view.bands if b != b]
-    assert len(untagged) == len(tr)
-    assert len({id(b) for b in untagged}) == 1
-    # Tagged bands keep their values next to the shared NaN.
-    mixed = _sample_trace().tick_view.bands
-    assert mixed[0] is math.nan
-    assert mixed[1:] == (4000.0, 2500.5)
+def test_tick_view_columns_are_read_only_8_byte_buffers():
+    for tr in (generate_trace(two_peak_profile(2), 5), _sample_trace()):
+        view = tr.tick_view
+        assert tr.tick_view is view
+        for col in view:
+            assert isinstance(col, memoryview) and col.readonly
+            assert col.nbytes == 8 * len(tr) == 8 * len(col)
+        # The bands are the trace's own column, not a copy.
+        assert np.shares_memory(np.asarray(view.bands), tr.bands)
+        assert view.starts.tolist() == [to_ticks(s) for s in tr.starts.tolist()]
+        assert view.ends.tolist() == [to_ticks(e) for e in tr.ends.tolist()]
+        assert all(type(col[0]) is kind for col, kind in zip(view, (int, int, float)))
+    # Untagged bands read NaN next to the tagged values.
+    bands = _sample_trace().tick_view.bands.tolist()
+    assert math.isnan(bands[0]) and bands[1:] == [4000.0, 2500.5]
+
+
+def test_tick_view_keeps_16_bytes_per_event():
+    # The two int64 tick columns; the bands are the trace's own column.
+    tr = generate_trace(DiurnalProfile((420.0,) * 24, 3.0, 1.0, days=1), 2)
+    assert 9_000 < len(tr) < 11_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        view = tr.tick_view
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(view.starts) == len(tr)
+    assert kept <= 16 * len(tr) + 4096
 
 
 def test_trace_rejects_out_of_order_events():
