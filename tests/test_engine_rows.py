@@ -200,11 +200,12 @@ def rows_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows_cases(), st.integers(0, 2**16))
-def test_engine_over_rows_matches_engine_over_sub_trace(case, seed):
+@given(rows_cases(), st.integers(0, 2**16), st.booleans())
+def test_engine_over_rows_matches_engine_over_sub_trace(case, seed, as_list):
     trace, mask, t_begin, t_end, detector, periods = case
-    # Read-only int64 rows, as run_network passes them.
-    rows = memoryview(np.flatnonzero(mask)).toreadonly()
+    # Read-only int64 rows, as run_network passes them, or a list of ints.
+    rows = np.flatnonzero(mask)
+    rows = rows.tolist() if as_list else memoryview(rows).toreadonly()
     over_rows = TimelineEngine(
         trace, t_begin, t_end, PROFILE, detector, _day_rng_provider(seed, 0),
         collect_log=True, rows=rows,
