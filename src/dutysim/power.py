@@ -10,7 +10,7 @@ capacity by average current using 8766 hours per year (365.25 days).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -124,18 +124,7 @@ class PowerProfile:
     probe_detector: str = "goertzel"
 
     def __post_init__(self):
-        for name in (
-            "i_sleep",
-            "i_record_3s",
-            "i_probe_goertzel",
-            "i_probe_tflite",
-            "i_camera",
-            "i_tx_audio",
-            "i_tx_image",
-            "i_ql_infer",
-            "i_ql_update",
-            "i_ping",
-        ):
+        for name in (f.name for f in fields(self) if f.name.startswith("i_")):
             value = getattr(self, name)
             if not 0 <= value <= MAX_CURRENT_MA:
                 raise ValueError(f"{name} must be in [0, {MAX_CURRENT_MA:g}] mA, got {value}")

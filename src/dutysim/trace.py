@@ -88,9 +88,11 @@ class TickView(NamedTuple):
 class EventTrace:
     """Events as columns plus the span they live in.
 
-    ``ids`` is int64. ``starts``, ``durations``, ``bands``, ``xs`` and ``ys``
-    are float64; ``bands`` is NaN where an event is untagged, ``xs`` and
-    ``ys`` where it has no location, and a column left out is all NaN.
+    ``ids`` is int64, and a float, bool or out-of-range id is refused, not
+    cast, as is a non-integer ``origin_hour``. ``starts``, ``durations``,
+    ``bands``, ``xs`` and ``ys`` are float64; ``bands`` is NaN where an
+    event is untagged, ``xs`` and ``ys`` where it has no location, and a
+    column left out is all NaN.
     ``ends`` is ``starts + durations``. Events are ordered by (start, id),
     ids are unique, values are finite, and every event fits inside
     [0, horizon), a span within ``power.MAX_SECONDS``. The columns are
@@ -115,8 +117,17 @@ class EventTrace:
             raise TraceValidationError(f"horizon must be positive and finite, got {self.horizon}")
         # Every event ends by the horizon, so this bounds every start and end in ticks too.
         check_seconds(self.horizon, "horizon", TraceValidationError)
-        if not 0 <= self.origin_hour < 24:
-            raise TraceValidationError(f"origin_hour must be in [0, 24), got {self.origin_hour}")
+        if not (_is_int64(self.origin_hour) and 0 <= self.origin_hour < 24):
+            raise TraceValidationError(
+                f"origin_hour must be an integer in [0, 24), got {self.origin_hour!r}"
+            )
+        # An int64 cast would truncate 1.7 to 1, take True as 1 and wrap 2**63 to -2**63.
+        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype.kind == "i"):
+            for value in self.ids.tolist() if isinstance(self.ids, np.ndarray) else self.ids:
+                if not _is_int64(value):
+                    raise TraceValidationError(
+                        f"ids must be integers within int64, got event id {value!r}"
+                    )
         n = len(self.ids)
         for name in _COLUMNS:
             value = getattr(self, name)
@@ -194,6 +205,12 @@ class EventTrace:
     def hour_of(self, t: float) -> int:
         """Hour of day at trace time t, respecting origin_hour."""
         return int(self.origin_hour + t // SECONDS_PER_HOUR) % 24
+
+
+def _is_int64(value) -> bool:
+    """Whether ``value`` is an integer, not a bool, that an int64 column holds."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and -(2**63) <= value < 2**63
 
 
 def make_trace(
@@ -438,15 +455,20 @@ def load_trace(path: str | Path) -> EventTrace:
     """Read a CSV or JSON trace, as the file suffix says.
 
     A file's horizon, given or derived from its events, is held to MAX_DAYS
-    days as a generated trace is; past it a TraceValidationError names the file.
+    days as a generated trace is. A TraceValidationError names the file; a
+    TraceFormatError names it already, with the line where it has one.
     """
     path = Path(path)
-    trace = _load_csv(path) if _fmt_from_suffix(path) == "csv" else _load_json(path)
-    if trace.horizon > MAX_DAYS * SECONDS_PER_DAY:
-        raise TraceValidationError(
-            f"{path.name}: horizon must be <= {MAX_DAYS} days "
-            f"({fmt_float(MAX_DAYS * SECONDS_PER_DAY)} s), got {fmt_float(trace.horizon)}"
-        )
+    events, meta = _load_csv(path) if _fmt_from_suffix(path) == "csv" else _load_json(path)
+    try:
+        trace = make_trace(events, **meta)
+        if trace.horizon > MAX_DAYS * SECONDS_PER_DAY:
+            raise TraceValidationError(
+                f"horizon must be <= {MAX_DAYS} days "
+                f"({fmt_float(MAX_DAYS * SECONDS_PER_DAY)} s), got {fmt_float(trace.horizon)}"
+            )
+    except TraceValidationError as exc:
+        raise TraceValidationError(f"{path.name}: {exc}") from exc
     return trace
 
 
@@ -471,9 +493,8 @@ def _save_csv(trace: EventTrace, path: Path) -> None:
         writer.writerows(zip(trace.ids.tolist(), *cells))
 
 
-def _load_csv(path: Path) -> EventTrace:
-    horizon = None
-    origin_hour = 0
+def _load_csv(path: Path) -> tuple[list[Event], dict]:
+    meta = {}
     events: list[Event] = []
     header_seen = False
     text = read_input(path, TraceFormatError, "trace file")
@@ -482,15 +503,15 @@ def _load_csv(path: Path) -> EventTrace:
             if not row:
                 continue
             if row[0].startswith("#"):
-                meta = ",".join(row)[1:].strip()
-                if "=" in meta:
-                    key, _, value = meta.partition("=")
+                comment = ",".join(row)[1:].strip()
+                if "=" in comment:
+                    key, _, value = comment.partition("=")
                     key = key.strip()
                     try:
                         if key == "horizon":
-                            horizon = float(value)
+                            meta[key] = float(value)
                         elif key == "origin_hour":
-                            origin_hour = int(value)
+                            meta[key] = int(value)
                     except ValueError as exc:
                         raise TraceFormatError(
                             f"{path.name}:{lineno}: bad {key} value {value!r}"
@@ -506,10 +527,7 @@ def _load_csv(path: Path) -> EventTrace:
             events.append(_parse_csv_row(row, path.name, lineno))
     if not header_seen:
         raise TraceFormatError(f"{path.name}: missing header row")
-    try:
-        return make_trace(events, horizon=horizon, origin_hour=origin_hour)
-    except TraceValidationError as exc:
-        raise TraceValidationError(f"{path.name}: {exc}") from exc
+    return events, meta
 
 
 def _parse_csv_row(row: list[str], name: str, lineno: int) -> Event:
@@ -541,7 +559,7 @@ def _save_json(trace: EventTrace, path: Path) -> None:
 
 def _event_id(value: int) -> int:
     """An event id, which the trace keeps in an int64 column."""
-    if value not in range(-(2**63), 2**63):
+    if not _is_int64(value):
         raise ValueError(f"id {value} does not fit in int64")
     return value
 
@@ -569,7 +587,7 @@ def _json_point(value) -> tuple[float, float]:
     return (_json_float(value[0], "location"), _json_float(value[1], "location"))
 
 
-def _load_json(path: Path) -> EventTrace:
+def _load_json(path: Path) -> tuple[list[Event], dict]:
     payload = read_json(path, TraceFormatError, "trace file")
     if not isinstance(payload, dict) or not isinstance(payload.get("events"), list):
         raise TraceFormatError(f"{path.name}: expected an object with an 'events' list")
@@ -601,7 +619,4 @@ def _load_json(path: Path) -> EventTrace:
             meta[key] = parse(value, key)
         except TypeError as exc:
             raise TraceFormatError(f"{path.name}: bad {key} value {value!r}") from exc
-    try:
-        return make_trace(events, **meta)
-    except TraceValidationError as exc:
-        raise TraceValidationError(f"{path.name}: {exc}") from exc
+    return events, meta

@@ -44,6 +44,41 @@ def test_trace_rejects_duplicate_ids():
         EventTrace(ids=[1, 1], starts=[0.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
 
 
+@pytest.mark.parametrize(
+    "ids, shown",
+    [
+        ([1.7, 2.2], "1.7"),
+        (np.array([1.0, 2.0]), "1.0"),
+        ([True, False], "True"),
+        ([0, True], "True"),
+        ([2**63, 1], str(2**63)),
+        (np.array([2**63, 1], dtype=np.uint64), str(2**63)),
+        ([-(2**63) - 1, 1], str(-(2**63) - 1)),
+    ],
+)
+def test_trace_rejects_ids_a_cast_would_change(ids, shown):
+    # An int64 cast truncated 1.7 to 1, took True as 1 and wrapped 2**63 to -2**63.
+    message = f"^ids must be integers within int64, got event id {shown}$"
+    with pytest.raises(TraceValidationError, match=message):
+        EventTrace(ids=ids, starts=[0.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
+
+
+def test_make_trace_and_origin_hour_are_checked_as_ids_are():
+    with pytest.raises(TraceValidationError, match="got event id 3.9$"):
+        make_trace([Event(3.9, 0.0, 1.0)])
+    for origin_hour in (1.5, True):
+        message = rf"^origin_hour must be an integer in \[0, 24\), got {origin_hour}$"
+        with pytest.raises(TraceValidationError, match=message):
+            EventTrace(ids=[], starts=[], durations=[], horizon=10.0, origin_hour=origin_hour)
+    # Integers of any int64-safe type pass, and an empty id list is valid.
+    ids = np.array([1, 2], dtype=np.uint8)
+    tr = EventTrace(ids=ids, starts=[0.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
+    assert tr.ids.dtype == np.int64 and tr.ids.tolist() == [1, 2]
+    tr = EventTrace(ids=[], starts=[], durations=[], horizon=10.0, origin_hour=np.int64(5))
+    assert tr.hour_of(0.0) == 5
+    assert make_trace([Event(2**63 - 1, 0.0, 1.0)]).ids.tolist() == [2**63 - 1]
+
+
 def test_trace_rejects_event_beyond_horizon():
     with pytest.raises(TraceValidationError, match="horizon"):
         EventTrace(ids=[0], starts=[9.5], durations=[1.0], horizon=10.0)
