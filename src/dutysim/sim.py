@@ -28,14 +28,15 @@ columns to ticks once however many engines it drives.
 Charge is billed from a tick total per mode. ``TimelineEngine.run_period``
 is one loop per device-period; it bills each run of wakes in one block
 and every activity after a fire through ``_emit``. With an abstract detector
-of low false-positive rate a run covers every wake whose record window meets
-no event, up to the first wake that hears one: at fp_rate 0 in closed-form
+of fp_rate below 1 a run covers every wake whose record window meets no
+event, up to the first wake that hears one: at fp_rate 0 in closed-form
 integer arithmetic, O(1) whatever the run's length. So cost follows the
-events that wakes hear, and periods and days, rather than probes. At a low
-positive fp_rate a run also draws one number per wake. The wake that ends a
-run is probed singly, as is every wake of the Goertzel detector, which
-synthesizes noise for every window. Both ways give the same ticks, logs and
-random draws. A single probe walks the event list forward once: through its
+events that wakes hear, and periods and days, rather than probes. At a
+positive fp_rate a run also draws one number, the count of quiet wakes
+before its first false alarm, so cost follows false alarms too. The wake
+that ends a run is probed singly, as is every wake at fp_rate 1 and every
+wake of the Goertzel detector, which synthesizes noise for every window.
+A single probe walks the event list forward once: through its
 record window, and on a fire on through the recording. The reports ask
 ``trace.window_rows``, the same window rule on float columns.
 """
@@ -185,18 +186,6 @@ def make_probe_fn(model: DetectorModel):
 
 TICKS_PER_DAY = round(SECONDS_PER_DAY) * TICKS_PER_S
 
-# With fp_rate > 0 a bulk step saves the day's stream, draws for the run and
-# may rewind, and a false alarm ends a run after about 1 / fp_rate wakes, so
-# above BULK_MAX_FP every wake is probed one by one. Up to it, runs of any
-# length are billed in bulk, as at fp_rate 0, where a run costs a few integer
-# operations, less than one probe. Timed in process with run_schedule at
-# fixed intervals of 3, 10, 30 and 60 s (about 115 k wakes each, best of 3,
-# 2-vCPU x86-64): at fp_rate 0.001 to 0.1 runs of at least 1, 2 or 4 wakes
-# timed alike, and bulk billing beat probing every wake at all four
-# intervals; at 0.15 it lost at 10 s.
-BULK_MAX_FP = 0.1
-
-
 def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -> list[int]:
     """The intervals in ticks; ScheduleError unless each fits the clock and outlasts the probe."""
     ticks = []
@@ -257,7 +246,7 @@ class TimelineEngine:
     fire, as it does for bill_ql, bill_pings and finish. A run is the quiet
     wakes w + i * interval, i < k, from the current wake w on, then the
     wake after them if it falls before the period end. With an abstract
-    detector of fp_rate <= BULK_MAX_FP, k is the least of three bounds:
+    detector of fp_rate below 1, k is the least of three bounds:
       - the wakes before the period end, the horizon and the next day
         boundary (the random stream is per day);
       - the wakes before the first one whose record window hears an event.
@@ -270,21 +259,26 @@ class TimelineEngine:
         event that no wake hears costs a few integer operations;
       - the wakes whose probes end inside the horizon.
     With fp_rate 0 that is closed-form integer arithmetic, O(1) per run.
-    With fp_rate > 0, k is cut at the first false alarm drawn from the
-    day's stream (and after about 4 / fp_rate draws), and the stream is left
-    with exactly one draw per billed wake. Otherwise k is 0. The wake after
-    the quiet ones is probed singly, by one forward walk over the event
-    list. It starts at the event that ended the quiet walk, as every event
-    before it has ended by that wake, or at the event pointer when draws
-    cut the run short (an event the quiet walk stepped over may not have
-    ended by an earlier wake). The walk collects the record window's hits,
+    With 0 < fp_rate < 1 a run of k >= 1 wakes draws one uniform U from the
+    day's stream: g = floor(log1p(-U) / log1p(-fp_rate)) quiet wakes come
+    before its first false alarm, as P(g >= i) = (1 - fp_rate) ** i. If
+    g < k, k becomes g and the wake after the quiet ones fires as a false
+    alarm with no draw of its own; otherwise g is dropped, which is exact
+    because the wakes are independent, and the next run draws afresh. With
+    fp_rate 1 or the Goertzel detector k is 0. The wake after the quiet
+    ones is probed singly, by one forward walk over the event list. It
+    starts at the event that ended the quiet walk, as every event before it
+    has ended by that wake, or at the event pointer when a false alarm cuts
+    the run short (an event the quiet walk stepped over may not have ended
+    by an earlier wake). The walk collects the record window's hits,
     ``trace.window_rows``' rule on tick columns, and the end of the
     recording they start; their bands go to ``make_probe_fn(detector)``,
     the one detector call. On a fire the walk goes on from the same index
     while events start before the recording ends, and each one it captures
     stretches the recording. The third bound keeps every quiet probe
     inside the horizon, so only that last probe is clipped. Billed in runs
-    or wake by wake, the ticks, logs and random draws are the same.
+    or wake by wake under this draw rule, the ticks, logs and random draws
+    are the same.
 
     The engine keeps no record of what it detected; each period's
     ``PeriodStats.detected`` is the record. It needs none because every
@@ -330,7 +324,7 @@ class TimelineEngine:
             columns = (memoryview(np.asarray(col)[rows]).toreadonly() for col in view)
         self.starts, self.ends, self._bands = columns
         fp = detector.fixed_fp_rate
-        self._quiet_fp = fp if fp is not None and fp <= BULK_MAX_FP else None
+        self._quiet_fp = fp if fp is not None and fp < 1.0 else None
         self.dur = profile.ticks
 
     @property
@@ -383,18 +377,15 @@ class TimelineEngine:
         starts, ends, bands = self.starts, self.ends, self._bands
         n = len(starts)
         log, fp, probe_fn, rng_for_day = self.log, self._quiet_fp, self.probe_fn, self.rng_for_day
-        # A false alarm ends a quiet run after about 1/fp wakes, and 4/fp
-        # draws hold none with chance e**-4. Drawing for the whole run made
-        # 0.3 s intervals 1.3-1.6x slower at fp_rate 0.002-0.05; caps from
-        # 1/fp to 8/fp timed alike at 3 and 30 s.
-        cap = int(4.0 / fp) + 16 if fp else 0
+        log_q = math.log1p(-fp) if fp else 0.0  # the log of a wake's chance to stay quiet
         gap = interval - d_probe
         t, ptr, next_wake, cam_acc = self.t, self.ptr, self.next_wake, self.cam_acc
         activations = positives = negatives = 0
         detected = []
         sleep = probe = 0
-        # The day of the current day segment, its end, and the last wake a run may bill in it.
-        day = day_end = last_wake = 0
+        # The current day segment's end, the last wake a run may bill in it,
+        # and the uniform draw of its day's stream.
+        day_end, last_wake, uniform = 0, 0, None
         while next_wake < stop:
             w = next_wake if next_wake > t else t
             if w >= stop:
@@ -406,6 +397,7 @@ class TimelineEngine:
                 ptr += 1
             k = 0
             j = ptr
+            alarm = False
             if fp is not None:
                 # The run of quiet wakes w + i * interval, i < k; the class
                 # docstring gives the bounds on k.
@@ -415,34 +407,33 @@ class TimelineEngine:
                     last_wake = min(stop, day_end) - 1
                     if horizon - d_probe < last_wake:
                         last_wake = horizon - d_probe
+                    if fp:
+                        uniform = rng_for_day(day).random
                 k = (last_wake - w) // interval + 1
-                # i is i_j, the one window that can be the first to hear event j.
                 w_record = w + d_record
-                while j < n:
+                if fp and k > 0 and (j == n or starts[j] >= w_record):
+                    # Wake w is quiet (the first event not yet ended starts
+                    # after its window), so a run opens with its one draw.
+                    g = math.log1p(-uniform()) / log_q
+                    if g < k:
+                        k, alarm = int(g) + 1, True  # the walk checks windows 0..g
+                # i is i_j, the one window that can be the first to hear event
+                # j. Window 0 is quiet if a run opened, so a run cut at wake 0
+                # (k 1, alarm True) needs no walk.
+                while j < n and k > alarm:
                     i = (starts[j] - w_record) // interval + 1
                     if i < 0:
                         i = 0
                     if i >= k:
                         break
                     if w + i * interval < ends[j]:
-                        k = i
+                        k, alarm = i, False  # wake i hears it: no false alarm
                         break
                     j += 1
-                if fp > 0.0 and k > 0:
-                    # A false alarm or the cap can end the run before the
-                    # events the walk stepped over have ended, so the single
-                    # probe walks from ptr.
-                    j = ptr
-                    rng = rng_for_day(day)
-                    state = rng.bit_generator.state
-                    fires = rng.random(k if k < cap else cap) < fp
-                    k = fires.size
-                    if fires.any():
-                        # Keep exactly one draw per billed wake; the wake
-                        # that fired is probed below and draws its own.
-                        k = int(fires.argmax())
-                        rng.bit_generator.state = state
-                        rng.random(k)
+                if alarm:
+                    # Wake g fires. The events the walk stepped over may not
+                    # have ended by it, so its probe walks from ptr.
+                    k, j = k - 1, ptr
             # Bill the k quiet wakes and the one after them, unless it is at
             # or past stop; only the last probe can meet the horizon.
             after = w + k * interval  # the wake after the quiet ones
@@ -485,7 +476,7 @@ class TimelineEngine:
                     if end > rec_end:
                         rec_end = end
                 j += 1
-            if not probe_fn(heard, rng_for_day(w // TICKS_PER_DAY)):
+            if not (alarm or probe_fn(heard, rng_for_day(w // TICKS_PER_DAY))):
                 negatives += 1
                 next_wake = w + interval if w + interval > t else t
                 continue

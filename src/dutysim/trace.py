@@ -48,6 +48,7 @@ MAX_EXPECTED_EVENTS = 5_000_000
 
 _CSV_HEADER = ["id", "start", "duration", "band", "x", "y"]
 _COLUMNS = ("ids", "starts", "durations", "bands", "xs", "ys")
+_OPTIONAL = ("bands", "xs", "ys")  # None in an Event: untagged, or no location
 
 
 def fmt_float(value: float) -> str:
@@ -121,17 +122,18 @@ class EventTrace:
             raise TraceValidationError(
                 f"origin_hour must be an integer in [0, 24), got {self.origin_hour!r}"
             )
-        # An int64 cast would truncate 1.7 to 1, take True as 1 and wrap 2**63 to -2**63.
-        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype.kind == "i"):
-            for value in self.ids.tolist() if isinstance(self.ids, np.ndarray) else self.ids:
-                if not _is_int64(value):
-                    raise TraceValidationError(
-                        f"ids must be integers within int64, got event id {value!r}"
-                    )
         n = len(self.ids)
         for name in _COLUMNS:
             value = getattr(self, name)
             dtype = np.int64 if name == "ids" else np.float64
+            # An int64 cast would truncate 1.7 to 1, take True as 1 and wrap
+            # 2**63 to -2**63; a float64 cast parses '5' and takes True as 1.
+            # Signed integer arrays need no check for ids, nor real ones for floats.
+            if isinstance(value, np.ndarray):
+                if value.dtype.kind not in ("i" if name == "ids" else "iuf"):
+                    _check_column(name, value.tolist())
+            elif value is not None:
+                _check_column(name, value if np.iterable(value) else [value])
             col = np.full(n, np.nan) if value is None else np.array(value, dtype)
             if col.shape != (n,):
                 raise TraceValidationError(f"{name} has {col.size} entries for {n} ids")
@@ -213,6 +215,20 @@ def _is_int64(value) -> bool:
     return integer and -(2**63) <= value < 2**63
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a number, not a bool or a string, that a float64 column holds."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _check_column(name: str, values) -> None:
+    """TraceValidationError naming the first value a cast to column ``name`` would change."""
+    ok, kind = (_is_int64, "integers within int64") if name == "ids" else (_is_real, "numbers")
+    for value in values:
+        if not ok(value):
+            field_name = _CSV_HEADER[_COLUMNS.index(name)]
+            raise TraceValidationError(f"{name} must be {kind}, got event {field_name} {value!r}")
+
+
 def make_trace(
     events: list[Event],
     horizon: float | None = None,
@@ -224,18 +240,24 @@ def make_trace(
     rounded up to whole days (one day for an empty list). A NaN band or
     coordinate is rejected: the columns read NaN as "untagged" or "none".
     """
-    rows = sorted(events, key=lambda ev: (ev.start, ev.id))
-    for ev in rows:
-        if any(map(math.isnan, (ev.band or 0.0, *(ev.location or ())))):
-            raise TraceValidationError(f"event {ev.id}: band and location must not be NaN")
-    table = [(ev.start, ev.duration, ev.band, *(ev.location or (None, None))) for ev in rows]
-    starts, durations, bands, xs, ys = np.array(table, dtype=np.float64).reshape(-1, 5).T
+    table = [
+        (ev.id, ev.start, ev.duration, ev.band, *(ev.location or (None, None))) for ev in events
+    ]
+    # Checked before the sort, which compares ids, and the float cast, which parses strings.
+    for name, values in zip(_COLUMNS, zip(*table)):
+        _check_column(name, [v for v in values if v is not None] if name in _OPTIONAL else values)
+    rows = sorted(table, key=lambda row: (row[1], row[0]))
+    for row in rows:
+        if any(v is not None and math.isnan(v) for v in row[3:]):
+            raise TraceValidationError(f"event {row[0]}: band and location must not be NaN")
+    floats = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 5)
+    starts, durations, bands, xs, ys = floats.T
     if horizon is None:
         ends = starts + durations
         last = ends[np.isfinite(ends)].max(initial=0.0)
         horizon = max(1, math.ceil(last / SECONDS_PER_DAY)) * SECONDS_PER_DAY
     return EventTrace(
-        [ev.id for ev in rows], starts, durations, float(horizon), origin_hour, bands, xs, ys
+        [row[0] for row in rows], starts, durations, float(horizon), origin_hour, bands, xs, ys
     )
 
 

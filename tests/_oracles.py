@@ -256,17 +256,33 @@ class PerWakeEngine(TimelineEngine):
     to get the reference result of any run. It marks each detected event in
     a mask of its own and skips marked ones, where the engine relies on no
     probe hearing a detected event again; agreeing results check that.
+
+    With an abstract detector of 0 < fp_rate < 1 it applies the draw rule
+    for quiet runs, wake by wake:
+      - a quiet wake (its record window hears no event) whose probe ends by
+        the horizon joins its day's open run; if no run is open, it opens
+        one with one uniform U from the day's stream, which sets
+        g = log1p(-U) / log1p(-fp_rate);
+      - the run's wake floor(g), counted from 0, fires without a draw;
+      - any other wake closes the run and goes through the detector: one
+        that hears an event, one whose probe crosses the horizon, and a new
+        day's first wake while a run is open;
+      - every fire and every run_period call also closes the run.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, trace, t_begin, t_end, profile, detector, *args, **kwargs):
+        super().__init__(trace, t_begin, t_end, profile, detector, *args, **kwargs)
         self.detected_mask = np.zeros(len(self.trace), dtype=bool)
+        fp = detector.fp_rate if detector.kind == "abstract" else 0.0
+        self.countdown_fp = fp if 0.0 < fp < 1.0 else None
+        self.run = None  # the open run: [its day, the wakes it holds, g]
 
     def run_period(self, p_end: float, interval: float) -> PeriodStats:
         p_end, interval = to_ticks(p_end), to_ticks(interval)
         if interval <= self.dur["d_probe"]:
             raise ScheduleError(f"interval of {interval} ns not longer than the probe")
         stats = PeriodStats()
+        self.run = None
         while self.next_wake < p_end and self.next_wake < self.horizon:
             w = max(self.next_wake, self.t)
             if w >= p_end or w >= self.horizon:
@@ -280,6 +296,28 @@ class PerWakeEngine(TimelineEngine):
         for _ in range(k):
             self._sleep_to(to_ticks(at))
             self._emit("ping", self.dur["d_ping"])
+
+    def _countdown(self, w: int, hit: list) -> bool | None:
+        """Whether the wake at w fires by the run's draw; None where the detector answers."""
+        day = w // TICKS_PER_DAY
+        joins = (
+            self.countdown_fp is not None
+            and not hit
+            and w + self.dur["d_probe"] <= self.horizon
+            and (self.run is None or self.run[0] == day)
+        )
+        if not joins:
+            self.run = None
+            return None
+        if self.run is None:
+            u = self.rng_for_day(day).random()
+            self.run = [day, 0, math.log1p(-u) / math.log1p(-self.countdown_fp)]
+        _, held, g = self.run
+        if held + 1 > g:  # held == floor(g): the run's false alarm
+            self.run = None
+            return True
+        self.run[1] += 1
+        return False
 
     def _probe(self, w: int, stats: PeriodStats) -> None:
         p, d = self.profile, self.dur
@@ -296,8 +334,10 @@ class PerWakeEngine(TimelineEngine):
             if ends[j] > w:
                 hit.append(j)
             j += 1
-        rng = self.rng_for_day(w // TICKS_PER_DAY)
-        fired = self.probe_fn([self._bands[k] for k in hit], rng)
+        fired = self._countdown(w, hit)
+        if fired is None:
+            rng = self.rng_for_day(w // TICKS_PER_DAY)
+            fired = self.probe_fn([self._bands[k] for k in hit], rng)
         stats.activations += 1
         if not fired:
             stats.negatives += 1

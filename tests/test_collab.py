@@ -904,4 +904,4 @@ def test_nine_device_network_output_is_pinned():
     report = nine_device_report()
     assert [d.removed_at for d in report.devices] == [None] * 4 + [1] + [None] * 4
     blob = json.dumps(report.to_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == "ffada66afb8330f19f294aae8d95e4fe8a45c45a401d4b55e05df30f1484d6c7"
+    assert hashlib.sha256(blob).hexdigest() == "965849a28b00960fceaa1a7e4819ebb01e5367118bd87d963d36afd583c0a7bd"

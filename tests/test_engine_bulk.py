@@ -32,7 +32,6 @@ from dutysim.errors import ScheduleError
 from dutysim.power import TICKS_PER_S, PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
 from dutysim.sim import (
-    BULK_MAX_FP,
     FixedSchedule,
     GreedySchedule,
     TimelineEngine,
@@ -55,7 +54,7 @@ PROFILES = (
     PowerProfile(probe_record_s=0.13),  # record window as long as the probe
     PowerProfile(d_probe=0.5, probe_record_s=0.2, false_alarm_record_s=0.0),
 )
-FP_RATES = (0.0, 0.001, 0.02, BULK_MAX_FP, 0.3, 1.0)
+FP_RATES = (0.0, 0.001, 0.02, 0.1, 0.3, 1.0)
 
 
 def awkward_intervals(d_probe: float) -> tuple[float, ...]:
@@ -175,12 +174,9 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
 
 
 @settings(max_examples=60, deadline=None)
-@given(engine_cases(), st.sampled_from([BULK_MAX_FP, 1.0]))
-def test_bulk_engine_matches_per_wake_engine(case, bulk_max_fp):
-    # With no fp_rate cutoff (1.0) every fp_rate is billed in bulk.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "BULK_MAX_FP", bulk_max_fp)
-        assert_engines_agree(*case)
+@given(engine_cases())
+def test_bulk_engine_matches_per_wake_engine(case):
+    assert_engines_agree(*case)
 
 
 @st.composite
@@ -218,7 +214,6 @@ def whole_ms_cases(draw, fp_rates=(0.3, 1.0)):
         p_end_ms = min(p_start_ms + draw(st.integers(300_000, 4_000_000)), t_end_ms)
         periods.append((p_end_ms / 1000, draw(interval_ms) / 1000))
         p_start_ms = p_end_ms
-    # Above BULK_MAX_FP (the default rates) every wake is probed, none billed in bulk.
     detector = DetectorModel(
         tp_rate=draw(st.sampled_from([0.0, 0.5, 1.0])), fp_rate=draw(st.sampled_from(fp_rates))
     )
@@ -240,6 +235,9 @@ def test_bulk_runs_match_per_wake_where_event_edges_meet_windows(case, seed):
 @settings(max_examples=60, deadline=None)
 @given(whole_ms_cases(), st.integers(0, 2**16))
 def test_each_probe_hears_the_events_the_scan_oracle_finds(case, seed):
+    # At fp_rate 0.3 quiet wakes are billed in runs, and at 1.0 each wake is
+    # probed singly. Every wake is checked: a single probe hears what the
+    # scan finds, and a wake billed in a run has an empty record window.
     profile, trace, t_begin, t_end, detector, periods = case
     wakes, heard = [], []
     engine = _engine(TimelineEngine, profile, trace, t_begin, t_end, detector, seed)
@@ -256,11 +254,14 @@ def test_each_probe_hears_the_events_the_scan_oracle_finds(case, seed):
 
     engine.probe_fn = hear
     activations = sum(engine.run_period(p_end, iv).activations for p_end, iv in periods)
-    assert len(wakes) == len(heard) == activations
+    probes = [e.start for e in engine.log if e.mode == "probe"]
+    assert len(wakes) == len(heard) <= len(probes) == activations
+    assert set(wakes) <= set(probes)
+    single = dict(zip(wakes, heard))
     record = profile.ticks["probe_record_s"]
-    for w, bands in zip(wakes, heard):
+    for w in probes:
         want = events_in_window_scan(trace, w / TICKS_PER_S, (w + record) / TICKS_PER_S)
-        assert bands == [ev.band for ev in want]
+        assert single.get(w, []) == [ev.band for ev in want]
 
 
 @pytest.mark.parametrize("fp_rate", [0.0, 0.001])
@@ -275,17 +276,20 @@ def test_quiet_run_across_midnight_draws_from_each_day(fp_rate):
 def test_false_alarm_that_cuts_a_run_records_an_event_the_walk_stepped_over():
     # Wakes every 10 s from 0. Event 0 (91-91.5 s) falls between the wakes
     # at 90 and 100 s, so the quiet walk steps over it; event 1 (from
-    # 120.05 s) is heard by the wake at 120 s, which ends the walk. Seed 4's
-    # day-0 stream first draws below BULK_MAX_FP at its tenth number, so a
-    # false alarm at the wake at 90 s cuts the run, and its 3 s recording
+    # 120.05 s) is heard by the wake at 120 s, which ends the walk. Seed
+    # 13's day-0 stream first draws a countdown of 9 quiet wakes, so a false
+    # alarm at the wake at 90 s cuts the run, and its 3 s recording
     # captures event 0. A single probe that walked from the walk's heard
     # event, not from the event pointer, would miss it.
+    seed, fp_rate = 13, 0.1
+    u = _day_rng_provider(seed, 0)(0).random()
+    assert math.floor(math.log1p(-u) / math.log1p(-fp_rate)) == 9
     events = [Event(id=0, start=91.0, duration=0.5), Event(id=1, start=120.05, duration=5.0)]
     trace = make_trace(events, horizon=SECONDS_PER_DAY)
-    detector = DetectorModel(tp_rate=1.0, fp_rate=BULK_MAX_FP)
+    detector = DetectorModel(tp_rate=1.0, fp_rate=fp_rate)
     periods = [(0.0, 3600.0, 10.0, None)]
-    assert_engines_agree(PROFILES[0], trace, 0.0, 3600.0, detector, periods, 4)
-    engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, 3600.0, detector, 4)
+    assert_engines_agree(PROFILES[0], trace, 0.0, 3600.0, detector, periods, seed)
+    engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, 3600.0, detector, seed)
     stats = engine.run_period(3600.0, 10.0)
     assert stats.detected == [0, 1]
     assert [e.start for e in engine.log if e.mode == "event_record"][0] == to_ticks(90.13)
@@ -336,6 +340,55 @@ def test_quiet_day_takes_no_single_probes():
     assert calls == []
 
 
+def test_quiet_runs_draw_once_each_not_once_per_wake():
+    # A quiet day at fp_rate 0.001 and 3 s wakes, about 28,800 of them. A run
+    # opens at each period's first wake and at the wake after each false
+    # alarm, and draws one number, so the day's stream moves by one draw
+    # per run.
+    seed = 1
+    detector = DetectorModel(fp_rate=0.001)
+    trace = make_trace([], horizon=SECONDS_PER_DAY)
+    engine = _engine(TimelineEngine, PROFILES[0], trace, 0.0, SECONDS_PER_DAY, detector, seed)
+    calls = counting_probes(engine)
+    activations = sum(engine.run_period((h + 1) * 3600.0, 3.0).activations for h in range(24))
+    assert activations > 28_700
+    runs, after_alarm, hour = 0, False, -1
+    for entry in engine.log:
+        if entry.mode == "event_record":
+            after_alarm = True
+        elif entry.mode == "probe":
+            runs += after_alarm or entry.start // (3600 * TICKS_PER_S) != hour
+            after_alarm, hour = False, entry.start // (3600 * TICKS_PER_S)
+    alarms = sum(entry.mode == "event_record" for entry in engine.log)
+    assert 24 <= runs <= 24 + alarms < 100
+    twin = _day_rng_provider(seed, 0)(0)
+    for _ in range(runs):
+        twin.random()
+    assert stream_position(engine.rng_for_day(0)) == stream_position(twin)
+    assert calls == []  # every wake was billed in a run, the false alarms too
+
+
+@pytest.mark.parametrize("fp_rate", [0.001, 0.02, 0.1, 0.3, 0.7])
+def test_false_alarms_of_quiet_wakes_are_binomial(fp_rate):
+    # Each quiet wake fires with chance fp_rate, independently of the
+    # others, whether billed in a run or probed singly: on an empty trace
+    # with 60 s wakes the false alarms of N wakes lie within 4 sigma of
+    # N * fp_rate.
+    days = 30
+    trace = make_trace([], horizon=days * SECONDS_PER_DAY)
+    detector = DetectorModel(fp_rate=fp_rate)
+    profile = PROFILES[0]
+    engine = TimelineEngine(
+        trace, 0.0, trace.horizon, profile, detector, _day_rng_provider(7, 0)
+    )
+    wakes = sum(engine.run_period((h + 1) * 3600.0, 60.0).activations for h in range(24 * days))
+    assert wakes == 1440 * days
+    record = engine.ticks_by_mode["event_record"]
+    alarms, rest = divmod(record, profile.ticks["false_alarm_record_s"])
+    assert rest == 0
+    assert abs(alarms - wakes * fp_rate) <= 4.0 * math.sqrt(wakes * fp_rate * (1.0 - fp_rate))
+
+
 def test_events_between_wakes_take_no_single_probe():
     # Each 0.05 s event starts 20 s after a wake of a 60 s grid and ends
     # long before the next, so no record window hears it and the whole
@@ -354,7 +407,7 @@ def test_events_between_wakes_take_no_single_probe():
 @pytest.mark.parametrize("fp_rate", [0.0, 0.01])
 @pytest.mark.parametrize("gap_wakes", [1, 3])
 def test_short_quiet_runs_are_billed_in_bulk(fp_rate, gap_wakes):
-    # Up to BULK_MAX_FP a run of any length is billed in bulk, also when it
+    # Below fp_rate 1 a run of any length is billed in bulk, also when it
     # draws from the day's stream.
     # Short events gap_wakes wakes apart, with gap_wakes quiet wakes
     # between two of them.
@@ -393,9 +446,10 @@ def test_interval_within_a_tick_of_the_probe_is_rejected():
     "detector, bulk",
     [
         (DetectorModel(fp_rate=0.0), True),
-        (DetectorModel(fp_rate=BULK_MAX_FP), True),
-        (DetectorModel(fp_rate=0.3), False),
+        (DetectorModel(fp_rate=0.1), True),
+        (DetectorModel(fp_rate=0.3), True),
         (DetectorModel(kind="goertzel", noise_sd=1.0), False),
+        (DetectorModel(fp_rate=1.0), False),
     ],
 )
 def test_bulk_eligibility_comes_from_the_model(monkeypatch, detector, bulk):
@@ -437,7 +491,7 @@ def _trace(seed: int, duration_sd: float, **kwargs):
 detectors = st.builds(
     DetectorModel,
     tp_rate=st.sampled_from([1.0, 0.8]),
-    fp_rate=st.sampled_from([0.0, 0.01, BULK_MAX_FP]),
+    fp_rate=st.sampled_from([0.0, 0.01, 0.1]),
 )
 
 

@@ -79,6 +79,60 @@ def test_make_trace_and_origin_hour_are_checked_as_ids_are():
     assert make_trace([Event(2**63 - 1, 0.0, 1.0)]).ids.tolist() == [2**63 - 1]
 
 
+def test_make_trace_names_an_id_that_does_not_order():
+    # make_trace sorts by (start, id); a None id at a tied start used to
+    # reach the sort and raise a bare TypeError.
+    message = "^ids must be integers within int64, got event id None$"
+    with pytest.raises(TraceValidationError, match=message):
+        make_trace([Event(None, 0.0, 1.0), Event(1, 0.0, 1.0)])
+    with pytest.raises(TraceValidationError, match="got event id '2'$"):
+        make_trace([Event(1, 0.0, 1.0), Event("2", 0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        (Event(0, "5", 1.0), "^starts must be numbers, got event start '5'$"),
+        (Event(0, 5.0, True), "^durations must be numbers, got event duration True$"),
+        (Event(0, 5.0, 1.0, band="7"), "^bands must be numbers, got event band '7'$"),
+        (Event(0, 5.0, 1.0, location=(1.0, "2")), "^ys must be numbers, got event y '2'$"),
+        (Event(0, 5.0, 1.0, location=(False, 2.0)), "^xs must be numbers, got event x False$"),
+    ],
+)
+def test_make_trace_refuses_a_string_or_bool_in_a_float_field(event, message):
+    # The float64 cast parsed '5' as 5.0 and took True as 1.0.
+    with pytest.raises(TraceValidationError, match=message):
+        make_trace([event])
+
+
+@pytest.mark.parametrize(
+    "column, values, shown",
+    [
+        ("starts", ["5", 2.0], "start '5'"),
+        ("starts", np.array(["5", "2"]), "start '5'"),
+        ("durations", [1.0, True], "duration True"),
+        ("durations", np.array([True, True]), "duration True"),
+        ("bands", [100.0, "7"], "band '7'"),
+        ("xs", [1.0, np.True_], f"x {np.True_!r}"),
+    ],
+)
+def test_trace_refuses_a_string_or_bool_in_a_float_column(column, values, shown):
+    columns = {"starts": [0.0, 2.0], "durations": [1.0, 1.0], column: values}
+    message = f"^{column} must be numbers, got event {shown}$"
+    with pytest.raises(TraceValidationError, match=message):
+        EventTrace(ids=[0, 1], horizon=10.0, **columns)
+
+
+def test_trace_takes_numbers_of_any_real_type_in_float_columns():
+    numbers = [np.int64(3), np.float32(4.0)]
+    tr = EventTrace(
+        ids=[0, 1], starts=[0, 2.0], durations=numbers, horizon=10.0, bands=numbers,
+        xs=numbers, ys=np.array([1, 2], dtype=np.uint8),
+    )
+    assert tr.durations.tolist() == tr.bands.tolist() == tr.xs.tolist() == [3.0, 4.0]
+    assert tr.ys.tolist() == [1.0, 2.0]
+
+
 def test_trace_rejects_event_beyond_horizon():
     with pytest.raises(TraceValidationError, match="horizon"):
         EventTrace(ids=[0], starts=[9.5], durations=[1.0], horizon=10.0)
