@@ -7,25 +7,15 @@ overrides, an optional network section, and the seed.
 Each section is the frozen dataclass the simulator itself consumes, and its
 field names are the JSON keys: ``trace.profile`` is a ``DiurnalProfile``,
 ``detector`` a ``DetectorModel``, ``network`` a ``NetworkConfig`` and each
-``network.layout`` entry a ``DeviceNode``, so every key is declared once.
-``_parse`` walks the fields and their annotations (int, float, str, bool,
-``X | None``, ``tuple[T, ...]``, fixed-length tuples and nested dataclasses);
-int and float fields reject true/false, float fields NaN, ±inf and 1e400.
-A type's invariants live in its ``__post_init__`` and run at parse time.
-Unknown keys, missing required keys, wrong types and broken invariants raise
-ConfigError naming the offending field. ``config_to_dict`` is the inverse
-with every default materialized; it leaves a field out only when it is None
-and defaults to None. parse -> serialize -> parse is the identity.
+``network.layout`` entry a ``DeviceNode``. ``codec.decode`` checks a file
+against them and raises ConfigError naming the offending field;
+``config_to_dict`` is ``codec.encode``, its inverse.
 """
 
-import dataclasses
-import functools
-import sys
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .codec import decode, encode
 from .collab import DeviceNode, NetworkConfig
 from .detect import DetectorModel
 from .errors import ConfigError, TraceValidationError
@@ -109,95 +99,16 @@ class ExperimentConfig:
 
 # -- parsing ----------------------------------------------------------------
 
-_SCALARS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    bool: ((bool,), "true or false"),
-}
-
-
-@functools.cache
-def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
-    """The dataclass's fields with their resolved annotations."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
-
-
-def _parse(tp, value, where: str):
-    """Check decoded JSON ``value`` against annotation ``tp`` and build it."""
-    if dataclasses.is_dataclass(tp):
-        return _parse_dataclass(tp, value, where)
-    origin = typing.get_origin(tp)
-    if origin is types.UnionType:
-        (inner,) = (a for a in typing.get_args(tp) if a is not type(None))
-        return None if value is None else _parse(inner, value, where)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        items = typing.get_args(tp)
-        if items[-1] is Ellipsis:
-            items = items[:1] * len(value)
-        elif len(value) != len(items):
-            raise ConfigError(f"{where}: expected {len(items)} items, got {len(value)}")
-        return tuple(_parse(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
-    accepted, what = _SCALARS[tp]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
-    if tp is float and not -sys.float_info.max <= value <= sys.float_info.max:
-        shown = value if isinstance(value, float) else "an integer past the float range"
-        raise ConfigError(f"{where}: expected a finite number, got {shown}")
-    return tp(value)
-
-
-def _parse_dataclass(cls, value, where: str):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {value!r}")
-    fields = _fields(cls)
-    unknown = sorted(set(value) - {f.name for f, _ in fields})
-    if unknown:
-        raise ConfigError(f"{where}: unknown field '{unknown[0]}'")
-    prefix = "" if where == "config" else f"{where}."
-    kwargs = {}
-    for f, tp in fields:
-        if f.name in value:
-            overrides = f.metadata.get("overrides")
-            if overrides is None:
-                kwargs[f.name] = _parse(tp, value[f.name], prefix + f.name)
-            else:
-                full = _parse(overrides, value[f.name], prefix + f.name)
-                kwargs[f.name] = tuple((k, getattr(full, k)) for k in sorted(value[f.name]))
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{where}: missing required field '{f.name}'")
-    try:
-        return cls(**kwargs)
-    except (ValueError, TraceValidationError) as e:
-        raise ConfigError(f"{where}: {e}") from None
-
 
 def parse_config(data: dict) -> ExperimentConfig:
-    return _parse(ExperimentConfig, data, "config")
+    return decode(ExperimentConfig, data, "config", ConfigError)
 
 
 def load_config(path) -> ExperimentConfig:
     return parse_config(read_json(Path(path), ConfigError, "config file"))
 
 
-def _to_json(value):
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: dict(v) if "overrides" in f.metadata else _to_json(v)
-            for f in dataclasses.fields(value)
-            if (v := getattr(value, f.name)) is not None or f.default is not None
-        }
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Inverse of parse_config, with every default materialized."""
-    return _to_json(cfg)
+config_to_dict = encode  # the inverse of parse_config, with every default materialized
 
 
 # -- builders ---------------------------------------------------------------
@@ -231,4 +142,4 @@ def load_layout(file: str, base_dir: Path | None = None) -> tuple[DeviceNode, ..
         data = data["devices"]
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: need a non-empty device list")
-    return _parse(tuple[DeviceNode, ...], data, str(path))
+    return decode(tuple[DeviceNode, ...], data, str(path), ConfigError)

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codec import decode
 from .errors import TraceFormatError, TraceValidationError
 from .power import check_seconds
 from .rng import substream
@@ -136,7 +138,8 @@ class EventTrace:
                 _check_column(name, value if np.iterable(value) else [value])
             col = np.full(n, np.nan) if value is None else np.array(value, dtype)
             if col.shape != (n,):
-                raise TraceValidationError(f"{name} has {col.size} entries for {n} ids")
+                got = f"shape {col.shape}" if col.ndim else f"the scalar {value!r}"
+                raise TraceValidationError(f"{name} must be a 1-D column, length {n}, got {got}")
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         object.__setattr__(self, "ends", self.starts + self.durations)
@@ -216,8 +219,10 @@ def _is_int64(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a number, not a bool or a string, that a float64 column holds."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """Whether ``value`` is a number, not a bool, a string or an int past float64's range."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return -sys.float_info.max <= value <= sys.float_info.max  # else the cast overflows
+    return isinstance(value, (float, np.floating))
 
 
 def _check_column(name: str, values) -> None:
@@ -226,7 +231,8 @@ def _check_column(name: str, values) -> None:
     for value in values:
         if not ok(value):
             field_name = _CSV_HEADER[_COLUMNS.index(name)]
-            raise TraceValidationError(f"{name} must be {kind}, got event {field_name} {value!r}")
+            got = "past float64's range" if ok is _is_real and type(value) is int else repr(value)
+            raise TraceValidationError(f"{name} must be {kind}, got event {field_name} {got}")
 
 
 def make_trace(
@@ -240,9 +246,7 @@ def make_trace(
     rounded up to whole days (one day for an empty list). A NaN band or
     coordinate is rejected: the columns read NaN as "untagged" or "none".
     """
-    table = [
-        (ev.id, ev.start, ev.duration, ev.band, *(ev.location or (None, None))) for ev in events
-    ]
+    table = [(ev.id, ev.start, ev.duration, ev.band, *_xy(ev)) for ev in events]
     # Checked before the sort, which compares ids, and the float cast, which parses strings.
     for name, values in zip(_COLUMNS, zip(*table)):
         _check_column(name, [v for v in values if v is not None] if name in _OPTIONAL else values)
@@ -259,6 +263,16 @@ def make_trace(
     return EventTrace(
         [row[0] for row in rows], starts, durations, float(horizon), origin_hour, bands, xs, ys
     )
+
+
+def _xy(ev: Event) -> tuple:
+    """The event's location as (x, y), or (None, None) when it has none."""
+    try:
+        x, y = (None, None) if ev.location is None else ev.location
+    except (TypeError, ValueError):
+        message = f"event {ev.id}: location must be a pair (x, y), got {ev.location!r}"
+        raise TraceValidationError(message) from None
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -481,9 +495,9 @@ def load_trace(path: str | Path) -> EventTrace:
     TraceFormatError names it already, with the line where it has one.
     """
     path = Path(path)
-    events, meta = _load_csv(path) if _fmt_from_suffix(path) == "csv" else _load_json(path)
+    file = _load_csv(path) if _fmt_from_suffix(path) == "csv" else _load_json(path)
     try:
-        trace = make_trace(events, **meta)
+        trace = make_trace(file.events, file.horizon, file.origin_hour or 0)
         if trace.horizon > MAX_DAYS * SECONDS_PER_DAY:
             raise TraceValidationError(
                 f"horizon must be <= {MAX_DAYS} days "
@@ -515,7 +529,7 @@ def _save_csv(trace: EventTrace, path: Path) -> None:
         writer.writerows(zip(trace.ids.tolist(), *cells))
 
 
-def _load_csv(path: Path) -> tuple[list[Event], dict]:
+def _load_csv(path: Path) -> _TraceFile:
     meta = {}
     events: list[Event] = []
     header_seen = False
@@ -549,7 +563,7 @@ def _load_csv(path: Path) -> tuple[list[Event], dict]:
             events.append(_parse_csv_row(row, path.name, lineno))
     if not header_seen:
         raise TraceFormatError(f"{path.name}: missing header row")
-    return events, meta
+    return _TraceFile(tuple(events), **meta)
 
 
 def _parse_csv_row(row: list[str], name: str, lineno: int) -> Event:
@@ -558,7 +572,9 @@ def _parse_csv_row(row: list[str], name: str, lineno: int) -> Event:
             f"{name}:{lineno}: expected {len(_CSV_HEADER)} columns, got {len(row)}"
         )
     try:
-        ev_id = _event_id(int(row[0]))
+        ev_id = int(row[0])
+        if not _is_int64(ev_id):
+            raise ValueError(f"id {ev_id} does not fit in int64")
         start = float(row[1])
         duration = float(row[2])
         band, x, y = (float(cell) if cell.strip() else None for cell in row[3:])
@@ -579,66 +595,15 @@ def _save_json(trace: EventTrace, path: Path) -> None:
     write_json(path, payload)
 
 
-def _event_id(value: int) -> int:
-    """An event id, which the trace keeps in an int64 column."""
-    if not _is_int64(value):
-        raise ValueError(f"id {value} does not fit in int64")
-    return value
+@dataclass(frozen=True)
+class _TraceFile:
+    """A trace file's events, and its span where the file sets it; a JSON file's schema."""
+
+    events: tuple[Event, ...]
+    horizon: float | None = None
+    origin_hour: int | None = None
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer; int() would truncate 1.5 and take true as 1."""
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _json_float(value, field: str) -> float:
-    """A JSON number as a float; float() would take true as 1.0 and "1.5" as 1.5."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{field} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise TypeError(f"{field} is too large for a float") from None
-
-
-def _json_point(value) -> tuple[float, float]:
-    if type(value) is not list or len(value) != 2:
-        raise TypeError(f"location must be a list of two numbers, got {value!r}")
-    return (_json_float(value[0], "location"), _json_float(value[1], "location"))
-
-
-def _load_json(path: Path) -> tuple[list[Event], dict]:
+def _load_json(path: Path) -> _TraceFile:
     payload = read_json(path, TraceFormatError, "trace file")
-    if not isinstance(payload, dict) or not isinstance(payload.get("events"), list):
-        raise TraceFormatError(f"{path.name}: expected an object with an 'events' list")
-    events = []
-    for i, item in enumerate(payload["events"]):
-        if not isinstance(item, dict):
-            raise TraceFormatError(
-                f"{path.name}: events[{i}]: expected an object, got {item!r}"
-            )
-        try:
-            band, loc = item.get("band"), item.get("location")
-            events.append(
-                Event(
-                    id=_event_id(_json_int(item["id"], "id")),
-                    start=_json_float(item["start"], "start"),
-                    duration=_json_float(item["duration"], "duration"),
-                    band=_json_float(band, "band") if band is not None else None,
-                    location=_json_point(loc) if loc is not None else None,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{path.name}: events[{i}]: {exc}") from exc
-    meta = {}
-    for key, parse in (("horizon", _json_float), ("origin_hour", _json_int)):
-        value = payload.get(key)
-        if value is None:
-            continue
-        try:
-            meta[key] = parse(value, key)
-        except TypeError as exc:
-            raise TraceFormatError(f"{path.name}: bad {key} value {value!r}") from exc
-    return events, meta
+    return decode(_TraceFile, payload, path.name, TraceFormatError)

@@ -106,6 +106,39 @@ def test_make_trace_refuses_a_string_or_bool_in_a_float_field(event, message):
 
 
 @pytest.mark.parametrize(
+    "event, message",
+    [
+        (
+            Event(0, 1.0, 1.0, location=(1.0,)),
+            r"^event 0: location must be a pair \(x, y\), got \(1.0,\)$",
+        ),
+        (Event(0, 1.0, 1.0, location=5), r"^event 0: location must be a pair \(x, y\), got 5$"),
+        (
+            Event(0, 10**400, 1.0),
+            "^starts must be numbers, got event start past float64's range$",
+        ),
+        (
+            Event(0, 1.0, 1.0, band=10**400),
+            "^bands must be numbers, got event band past float64's range$",
+        ),
+    ],
+    ids=["location_of_one", "location_not_a_sequence", "start_past_float", "band_past_float"],
+)
+def test_make_trace_refuses_a_location_not_a_pair_and_an_int_past_float_range(event, message):
+    # Unchecked, a one-item location fails in numpy's reshape and 10**400 in the float64
+    # cast, with a bare ValueError and OverflowError.
+    with pytest.raises(TraceValidationError, match=message):
+        make_trace([event])
+
+
+def test_trace_refuses_a_scalar_column():
+    # A 0-d array has size 1, so a count of entries alone would match one id.
+    message = "^starts must be a 1-D column, length 1, got the scalar 5.0$"
+    with pytest.raises(TraceValidationError, match=message):
+        EventTrace(ids=[0], starts=5.0, durations=[1.0], horizon=10.0)
+
+
+@pytest.mark.parametrize(
     "column, values, shown",
     [
         ("starts", ["5", 2.0], "start '5'"),
@@ -329,31 +362,30 @@ def test_load_json_bad_payload(tmp_path):
 @pytest.mark.parametrize(
     "payload, field",
     [
-        ({"events": 5}, "'events'"),
-        ({"events": [5]}, r"events\[0\]"),
-        ({"events": [], "horizon": "abc"}, "horizon"),
-        ({"events": [], "origin_hour": "x"}, "origin_hour"),
-        ({"events": [], "origin_hour": 1.5}, "origin_hour"),
-        ({"events": [], "origin_hour": True}, "origin_hour"),
-        ({"events": [{"id": 1.7, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
-        ({"events": [{"id": True, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id"),
-        ({"events": [{"id": 2**63, "start": 0.0, "duration": 1.0}]}, r"events\[0\]: id .* int64"),
-        ({"events": [], "horizon": True}, "horizon"),
-        ({"events": [], "horizon": "86400"}, "horizon"),
-        ({"events": [{"id": 0, "start": False, "duration": 1.0}]}, r"events\[0\]: start"),
-        ({"events": [{"id": 0, "start": 0.0, "duration": True}]}, r"events\[0\]: duration"),
-        ({"events": [{"id": 0, "start": 10**400, "duration": 1.0}]}, r"events\[0\]: start"),
+        ({"events": 5}, r"\.events"),
+        ({"events": [5]}, r"\.events\[0\]"),
+        ({"events": [], "horizon": "abc"}, r"\.horizon"),
+        ({"events": [], "origin_hour": "x"}, r"\.origin_hour"),
+        ({"events": [], "origin_hour": 1.5}, r"\.origin_hour"),
+        ({"events": [], "origin_hour": True}, r"\.origin_hour"),
+        ({"events": [{"id": 1.7, "start": 0.0, "duration": 1.0}]}, r"\.events\[0\]\.id"),
+        ({"events": [{"id": True, "start": 0.0, "duration": 1.0}]}, r"\.events\[0\]\.id"),
+        ({"events": [], "horizon": True}, r"\.horizon"),
+        ({"events": [], "horizon": "86400"}, r"\.horizon"),
+        ({"events": [{"id": 0, "start": False, "duration": 1.0}]}, r"\.events\[0\]\.start"),
+        ({"events": [{"id": 0, "start": 0.0, "duration": True}]}, r"\.events\[0\]\.duration"),
+        ({"events": [{"id": 0, "start": 10**400, "duration": 1.0}]}, r"\.events\[0\]\.start"),
         (
             {"events": [{"id": 0, "start": 0.0, "duration": 1.0, "band": True}]},
-            r"events\[0\]: band",
+            r"\.events\[0\]\.band",
         ),
         (
             {"events": [{"id": 0, "start": 0.0, "duration": 1.0, "location": [True, 1.0]}]},
-            r"events\[0\]: location",
+            r"\.events\[0\]\.location\[0\]",
         ),
         (
             {"events": [{"id": 0, "start": 0.0, "duration": 1.0, "location": "12"}]},
-            r"events\[0\]: location",
+            r"\.events\[0\]\.location",
         ),
     ],
     ids=[
@@ -365,7 +397,6 @@ def test_load_json_bad_payload(tmp_path):
         "origin_hour_bool",
         "id_float",
         "id_bool",
-        "id_too_large",
         "horizon_bool",
         "horizon_string",
         "start_bool",
@@ -379,7 +410,29 @@ def test_load_json_bad_payload(tmp_path):
 def test_load_json_bad_field_names_file_and_field(tmp_path, payload, field):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(TraceFormatError, match=f"^trace.json: .*{field}"):
+    with pytest.raises(TraceFormatError, match=rf"^trace\.json{field}: expected "):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"horizon": 86400, "orign_hour": 5, "events": []},
+            r"^trace\.json: unknown field 'orign_hour'$",
+        ),
+        (
+            {"events": [{"id": 0, "start": 10, "duration": 2, "bnd": 4000}]},
+            r"^trace\.json\.events\[0\]: unknown field 'bnd'$",
+        ),
+    ],
+    ids=["top_level", "event"],
+)
+def test_load_json_refuses_unknown_keys(tmp_path, payload, message):
+    # Skipped, a misspelt origin_hour would load the trace at hour 0 without a word.
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TraceFormatError, match=message):
         load_trace(path)
 
 
@@ -407,11 +460,13 @@ _CSV = "id,start,duration,band,x,y\n"
         ("trace.csv", "# horizon=86400\n", TraceFormatError, "missing header row"),
         ("trace.csv", _CSV + "7,5,3,,\n", TraceFormatError, "2: expected 6 columns, got 5"),
         ("trace.json", '{"events": [{"id": 7, "start": 5, "duration": 3, "band": Infinity}]}',
-         TraceValidationError, "event 7: band must be finite, got inf"),
+         TraceFormatError, r"events\[0\]\.band: expected a finite number, got inf"),
         ("trace.json", '{"horizon": 86400, "events": [{"id": 7, "start": NaN, "duration": 3}]}',
-         TraceValidationError, "event 7: start must be finite, got nan"),
-        ("trace.json", '{"events": [], "horizon": Infinity}', TraceValidationError,
-         "horizon must be positive and finite, got inf"),
+         TraceFormatError, r"events\[0\]\.start: expected a finite number, got nan"),
+        ("trace.json", '{"events": [], "horizon": Infinity}', TraceFormatError,
+         "horizon: expected a finite number, got inf"),
+        ("trace.json", f'{{"events": [{{"id": {2**63}, "start": 0, "duration": 1}}]}}',
+         TraceValidationError, f"ids must be integers within int64, got event id {2**63}"),
     ],
     ids=[
         "csv_start_nan",
@@ -427,12 +482,14 @@ _CSV = "id,start,duration,band,x,y\n"
         "json_band_inf",
         "json_start_nan",
         "json_horizon_inf",
+        "json_id_too_large",
     ],
 )
 def test_load_rejects_values_the_columns_cannot_hold(tmp_path, name, text, error, message):
+    # A field path follows the file name with a dot (trace.json.horizon), the rest with a colon.
     path = tmp_path / name
     path.write_text(text)
-    with pytest.raises(error, match=f"^{name}:.*{message}"):
+    with pytest.raises(error, match=f"^{name}[:.].*{message}"):
         load_trace(path)
 
 
