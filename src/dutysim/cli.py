@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import EpisodeMetrics, expand_global_table, run_network
 from .config import (
     ExperimentConfig,
     build_profile,
@@ -64,7 +63,6 @@ def _fields(record, drop=()) -> list[str]:
 
 # The other tables write their records' own fields, in declaration order.
 PER_PERIOD_COLUMNS = ["schedule", "phase", *_fields(PeriodRecord)]
-SERIES_COLUMNS = ["episode", *_fields(EpisodeMetrics, ("index", "activations", "batteries"))]
 # The SimReport fields of the qlearn train/eval summaries in summary.json.
 SUMMARY_FIELDS = _fields(SimReport, ("periods",))
 
@@ -135,13 +133,16 @@ def _write_network_csvs(out_dir: Path, report: dict) -> list[str]:
     One pass over the episodes sorts the rows by device. A device removed
     at episode 0 still gets its (header-only) file. Returns the names written.
     """
+    from .collab import EpisodeMetrics  # only network runs and reports load collab
+
     episodes = report["episodes"]
     series = [{"episode": e["index"], **e} for e in episodes]
     per_device = {d["id"]: [] for d in report["devices"]}
     for e in episodes:
         for dev in e["devices"]:
             per_device[dev["id"]].append({"episode": e["index"], **dev})
-    tables = {"network_series.csv": (SERIES_COLUMNS, series)}
+    series_columns = ["episode", *_fields(EpisodeMetrics, ("index", "activations", "batteries"))]
+    tables = {"network_series.csv": (series_columns, series)}
     for did, rows in per_device.items():
         tables[f"device_{did}.csv"] = (DEVICE_COLUMNS, rows)
     for name, (columns, rows) in tables.items():
@@ -259,6 +260,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_run_network(args) -> int:
+    # Imported here, so that the other subcommands load no network code.
+    from .collab import expand_global_table, run_network
+
     cfg, base_dir, out_dir = _prepare(args)
     net_cfg = cfg.network
     if net_cfg is None:

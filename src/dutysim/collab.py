@@ -12,7 +12,8 @@ cluster slot. The global network reward, ``network_reward``, also subtracts
 the battery spread term and is computed as an evaluation metric only.
 
 The per-device state space extends the hour with a binned count of the
-device's own detections in the previous period.
+device's own detections in the previous period. The network's config types,
+``DeviceNode`` and ``NetworkConfig``, live in ``config``.
 
 The per-period network loop does each piece of work once: every event is
 hashed once per run, into one uint64 column, each sender's receivers are
@@ -37,18 +38,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import DeviceNode, NetworkConfig
 from .detect import DetectorModel
 from .errors import ScheduleError
-from .power import LogEntry, PowerProfile, check_seconds
-from .qsched import MAX_STATES, W_MAX, ActionSpace, Hyperparameters, QTable, reward
+from .power import LogEntry, PowerProfile
+from .qsched import ActionSpace, Hyperparameters, QTable, reward
 from .rng import rekey, substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
 __all__ = [
-    "DeviceNode",
     "Cluster",
-    "NetworkConfig",
     "EpisodeMetrics",
     "DeviceSummary",
     "NetworkReport",
@@ -60,27 +60,6 @@ __all__ = [
     "expand_global_table",
     "run_network",
 ]
-
-
-@dataclass(frozen=True)
-class DeviceNode:
-    """A sensor at (x, y) with a sensing footprint and a radio footprint, in meters."""
-
-    id: int
-    x: float
-    y: float
-    sensing_radius: float
-    comm_radius: float
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError("device id must be >= 0")
-        if self.sensing_radius <= 0 or self.comm_radius <= 0:
-            raise ValueError("radii must be positive")
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -297,82 +276,6 @@ def expand_global_table(table: QTable, n_bins: int) -> QTable:
         values=np.repeat(table.values, n_bins, axis=0).astype(np.float32),
         visits=np.repeat(table.visits, n_bins, axis=0).astype(np.uint32),
     )
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """The devices and knobs of a network run.
-
-    The devices come as ``layout``, or as ``layout_file``, a JSON device
-    list the caller reads into ``layout`` before the run; exactly one is
-    set. Layout ids are unique, and each failures entry names one of them,
-    no device twice, at an episode before ``episodes``.
-    pretrain_days > 0 asks the caller to seed every device's table
-    from that many days of single-device training (``dutysim run-network``
-    does, through run_network's init_tables). train False runs every device
-    on fixed_interval with no learning, no pings, and no scheduler billing
-    (a pure baseline). detection_bins are inclusive upper edges of the
-    previous-period detection-count bins; the empty tuple collapses the
-    state back to hour only, and 24 * (edges + 1) states must fit
-    ``qsched.MAX_STATES``. fixed_interval is within ``power.MAX_SECONDS``.
-    """
-
-    layout: tuple[DeviceNode, ...] | None = None
-    layout_file: str | None = None
-    episodes: int = 30
-    w2: float = 0.5
-    w3: float = 0.01
-    drop_rate: float = 0.0
-    detection_bins: tuple[int, ...] = (0, 2, 5)
-    pretrain_days: int = 0
-    train: bool = True
-    fixed_interval: float | None = None
-    eps_reset_on_change: bool = True
-    failures: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if (self.layout is None) == (self.layout_file is None):
-            raise ValueError("need exactly one of 'layout' or 'layout_file'")
-        if self.layout is not None and not self.layout:
-            raise ValueError("layout: need a non-empty device list")
-        if self.pretrain_days < 0:
-            raise ValueError(f"pretrain_days must be >= 0, got {self.pretrain_days}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        for name in ("w2", "w3"):
-            if not 0 <= getattr(self, name) <= W_MAX:
-                raise ValueError(f"{name} must be in [0, {W_MAX:g}], got {getattr(self, name)}")
-        if not 0 <= self.drop_rate <= 1:
-            raise ValueError("drop_rate must lie in [0, 1]")
-        edges = tuple(int(e) for e in self.detection_bins)
-        if any(e < 0 for e in edges) or list(edges) != sorted(set(edges)):
-            raise ValueError("detection_bins must be strictly increasing and >= 0")
-        object.__setattr__(self, "detection_bins", edges)
-        if 24 * self.n_bins > MAX_STATES:
-            raise ValueError(
-                f"detection_bins: {len(edges)} edges give {24 * self.n_bins} states, "
-                f"more than the {MAX_STATES} a Q-table file holds"
-            )
-        if self.fixed_interval is not None:
-            check_seconds(self.fixed_interval, "fixed_interval")
-        if not self.train and self.fixed_interval is None:
-            raise ValueError("train False needs fixed_interval")
-        for entry in self.failures:
-            if len(entry) != 2 or not 0 <= entry[1] < self.episodes:
-                raise ValueError("failures entries are (device_id, 0 <= episode < episodes)")
-        if len(dict(self.failures)) < len(self.failures):
-            raise ValueError("failures: a device can fail only once")
-        if self.layout is not None:
-            ids = {n.id for n in self.layout}
-            if len(ids) != len(self.layout):
-                raise ValueError("layout: device ids must be unique")
-            for did, _ep in self.failures:
-                if did not in ids:
-                    raise ValueError(f"failures: unknown device {did}")
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.detection_bins) + 1
 
 
 @dataclass

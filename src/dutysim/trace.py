@@ -231,7 +231,9 @@ def _check_column(name: str, values) -> None:
     for value in values:
         if not ok(value):
             field_name = _CSV_HEADER[_COLUMNS.index(name)]
-            got = "past float64's range" if ok is _is_real and type(value) is int else repr(value)
+            # An int past the column's range is not shown: repr refuses past 4,300 digits.
+            limit = "int64" if name == "ids" else "float64"
+            got = f"past {limit}'s range" if type(value) is int else repr(value)
             raise TraceValidationError(f"{name} must be {kind}, got event {field_name} {got}")
 
 
@@ -260,9 +262,8 @@ def make_trace(
         ends = starts + durations
         last = ends[np.isfinite(ends)].max(initial=0.0)
         horizon = max(1, math.ceil(last / SECONDS_PER_DAY)) * SECONDS_PER_DAY
-    return EventTrace(
-        [row[0] for row in rows], starts, durations, float(horizon), origin_hour, bands, xs, ys
-    )
+    ids = np.array([row[0] for row in rows], dtype=np.int64)  # an int64 array is not checked again
+    return EventTrace(ids, starts, durations, float(horizon), origin_hour, bands, xs, ys)
 
 
 def _xy(ev: Event) -> tuple:

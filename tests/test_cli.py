@@ -17,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dutysim.cli import main
-from dutysim.collab import DeviceNode, NetworkConfig
-from dutysim.config import ExperimentConfig, TraceSource, config_to_dict, parse_config
+from dutysim.config import (
+    DeviceNode,
+    ExperimentConfig,
+    NetworkConfig,
+    TraceSource,
+    config_to_dict,
+    parse_config,
+)
 from dutysim.detect import DetectorModel
 from dutysim.qsched import load_qtable
 from dutysim.sim import convergence_episodes

@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 from dutysim import collab
 from dutysim.collab import (
     Cluster,
-    DeviceNode,
-    NetworkConfig,
     deliver_pings,
     event_hashes,
     expand_global_table,
@@ -29,6 +27,7 @@ from dutysim.collab import (
     network_reward,
     run_network,
 )
+from dutysim.config import DeviceNode, NetworkConfig
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log

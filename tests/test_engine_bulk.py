@@ -26,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dutysim import collab, sim
-from dutysim.collab import DeviceNode, NetworkConfig, run_network
+from dutysim.collab import run_network
+from dutysim.config import DeviceNode, NetworkConfig
 from dutysim.detect import DetectorModel
 from dutysim.errors import ScheduleError
 from dutysim.power import TICKS_PER_S, PowerProfile, charge_consumed, to_ticks, validate_log

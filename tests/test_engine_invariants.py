@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dutysim import collab, sim
-from dutysim.collab import DeviceNode, NetworkConfig, run_network
+from dutysim.collab import run_network
+from dutysim.config import DeviceNode, NetworkConfig
 from dutysim.detect import DetectorModel
 from dutysim.power import MODES, PowerProfile, charge_consumed, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable

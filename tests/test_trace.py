@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dutysim import trace as trace_module
 from dutysim.errors import TraceFormatError, TraceValidationError
 from dutysim.power import MAX_SECONDS, to_ticks
 from dutysim.trace import (
@@ -51,15 +52,27 @@ def test_trace_rejects_duplicate_ids():
         (np.array([1.0, 2.0]), "1.0"),
         ([True, False], "True"),
         ([0, True], "True"),
-        ([2**63, 1], str(2**63)),
-        (np.array([2**63, 1], dtype=np.uint64), str(2**63)),
-        ([-(2**63) - 1, 1], str(-(2**63) - 1)),
     ],
 )
 def test_trace_rejects_ids_a_cast_would_change(ids, shown):
-    # An int64 cast truncated 1.7 to 1, took True as 1 and wrapped 2**63 to -2**63.
+    # An int64 cast truncated 1.7 to 1 and took True as 1.
     message = f"^ids must be integers within int64, got event id {shown}$"
     with pytest.raises(TraceValidationError, match=message):
+        EventTrace(ids=ids, starts=[0.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
+
+
+PAST_INT64 = "^ids must be integers within int64, got event id past int64's range$"
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[2**63, 1], np.array([2**63, 1], dtype=np.uint64), [-(2**63) - 1, 1], [10**5000, 1]],
+    ids=["2**63", "uint64_2**63", "below_int64", "5001_digits"],
+)
+def test_trace_names_an_id_past_int64_without_showing_it(ids):
+    # An int64 cast wrapped 2**63 to -2**63, and repr of an int past 4,300 digits
+    # raises a bare ValueError.
+    with pytest.raises(TraceValidationError, match=PAST_INT64):
         EventTrace(ids=ids, starts=[0.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
 
 
@@ -77,6 +90,26 @@ def test_make_trace_and_origin_hour_are_checked_as_ids_are():
     tr = EventTrace(ids=[], starts=[], durations=[], horizon=10.0, origin_hour=np.int64(5))
     assert tr.hour_of(0.0) == 5
     assert make_trace([Event(2**63 - 1, 0.0, 1.0)]).ids.tolist() == [2**63 - 1]
+
+
+def test_make_trace_names_an_id_too_long_to_print():
+    with pytest.raises(TraceValidationError, match=PAST_INT64):
+        make_trace([Event(10**5000, 0.0, 1.0)])
+
+
+def test_make_trace_checks_each_id_once(monkeypatch):
+    checked = []
+
+    def counting(value):
+        checked.append(value)
+        return is_int64(value)
+
+    is_int64 = trace_module._is_int64
+    monkeypatch.setattr(trace_module, "_is_int64", counting)
+    n = 100
+    make_trace([Event(i, float(i), 1.0) for i in range(n)], origin_hour=5)
+    # Each id once in make_trace, then origin_hour in EventTrace.
+    assert checked == [*range(n), 5]
 
 
 def test_make_trace_names_an_id_that_does_not_order():
@@ -466,7 +499,7 @@ _CSV = "id,start,duration,band,x,y\n"
         ("trace.json", '{"events": [], "horizon": Infinity}', TraceFormatError,
          "horizon: expected a finite number, got inf"),
         ("trace.json", f'{{"events": [{{"id": {2**63}, "start": 0, "duration": 1}}]}}',
-         TraceValidationError, f"ids must be integers within int64, got event id {2**63}"),
+         TraceValidationError, "ids must be integers within int64, got event id past int64's"),
     ],
     ids=[
         "csv_start_nan",
