@@ -21,10 +21,23 @@ USING_NUMBA = False
 
 @lru_cache(maxsize=8)
 def dft_basis(n: int, bins: tuple[int, ...]) -> np.ndarray:
-    """Read-only (2B, n) matrix: the B cos rows, then the B sin rows."""
-    angles = 2.0 * np.pi * np.arange(n) / n
-    idx = np.outer(np.asarray(bins, dtype=np.int64), np.arange(n)) % n
-    basis = np.concatenate((np.cos(angles)[idx], np.sin(angles)[idx]))
+    """Read-only (2B, n) matrix: the B cos rows, then the B sin rows.
+
+    Each row is gathered from the tables straight into the one array kept, so
+    the build allocates nothing else of that size: beside it, only the cos
+    and sin tables and two index rows, each of length n.
+    """
+    angles = np.arange(n, dtype=np.float64)
+    angles *= 2.0 * np.pi
+    angles /= n
+    cos, sin = np.cos(angles), np.sin(angles, out=angles)
+    basis = np.empty((2 * len(bins), n))
+    steps = np.arange(n)
+    idx = np.empty_like(steps)
+    for row, b in enumerate(bins):
+        np.remainder(np.multiply(steps, b, out=idx), n, out=idx)
+        np.take(cos, idx, out=basis[row], mode="clip")
+        np.take(sin, idx, out=basis[len(bins) + row], mode="clip")
     basis.setflags(write=False)
     return basis
 

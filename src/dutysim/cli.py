@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    MAX_DEVICE_ID,
     ExperimentConfig,
     build_profile,
     build_trace,
@@ -348,10 +349,10 @@ def _check_tables(path: Path, kind: str, payload: dict) -> None:
         # Each id names a device_{id}.csv file, so only a plain int will do.
         for k, device in enumerate(rows(container, "devices", where)):
             did = device["id"]
-            if type(did) is not int or did < 0:
+            if type(did) is not int or not 0 <= did <= MAX_DEVICE_ID:
                 raise ConfigError(
                     f"{path}: {where}devices[{k}]: 'id' must be a non-negative "
-                    f"integer, got {did!r}"
+                    f"integer within int64, got {did!r}"
                 )
 
     if kind == "run":

@@ -22,7 +22,7 @@ from .detect import DetectorModel
 from .errors import ConfigError, TraceValidationError
 from .power import PowerProfile, check_seconds
 from .qsched import DEFAULT_ACTIONS, MAX_STATES, Q_MAX, W_MAX, ActionSpace, Hyperparameters
-from .trace import DiurnalProfile, EventTrace, generate_trace, load_trace, read_json
+from .trace import MAX_DAYS, DiurnalProfile, EventTrace, generate_trace, load_trace, read_json
 
 __all__ = [
     "ExperimentConfig",
@@ -38,6 +38,15 @@ __all__ = [
     "build_profile",
     "load_layout",
 ]
+
+
+MAX_DEVICE_ID = 2**63 - 1  # a device id names its CSV file, so it stays within int64
+
+
+def _check_days(days: int, name: str) -> None:
+    # No trace is longer than MAX_DAYS, so a longer span can never run.
+    if days > MAX_DAYS:
+        raise ValueError(f"{name} must be <= {MAX_DAYS}, got {days}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,8 @@ class QLearnSpec:
             raise ValueError(f"train_days must be >= 1, got {self.train_days}")
         if self.eval_days < 1:  # every schedule is compared on the held-out days
             raise ValueError(f"eval_days must be >= 1, got {self.eval_days}")
+        _check_days(self.train_days, "train_days")
+        _check_days(self.eval_days, "eval_days")
         if self.init_scale is not None and not abs(self.init_scale) <= Q_MAX:
             raise ValueError(f"init_scale must lie within float32 range, got {self.init_scale}")
 
@@ -88,6 +99,8 @@ class DeviceNode:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("device id must be >= 0")
+        if self.id > MAX_DEVICE_ID:
+            raise ValueError(f"device id must be <= {MAX_DEVICE_ID} (int64), got {self.id}")
         if self.sensing_radius <= 0 or self.comm_radius <= 0:
             raise ValueError("radii must be positive")
 
@@ -130,12 +143,15 @@ class NetworkConfig:
     def __post_init__(self):
         if (self.layout is None) == (self.layout_file is None):
             raise ValueError("need exactly one of 'layout' or 'layout_file'")
+        if self.layout_file == "":  # it would read the config's directory
+            raise ValueError("layout_file must name a file, got ''")
         if self.layout is not None and not self.layout:
             raise ValueError("layout: need a non-empty device list")
         if self.pretrain_days < 0:
             raise ValueError(f"pretrain_days must be >= 0, got {self.pretrain_days}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        _check_days(self.episodes, "episodes")
         for name in ("w2", "w3"):
             if not 0 <= getattr(self, name) <= W_MAX:
                 raise ValueError(f"{name} must be in [0, {W_MAX:g}], got {getattr(self, name)}")

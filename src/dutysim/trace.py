@@ -49,6 +49,7 @@ MAX_DAYS = 10_000
 MAX_EXPECTED_EVENTS = 5_000_000
 
 _CSV_HEADER = ["id", "start", "duration", "band", "x", "y"]
+_CSV_META = {"horizon": float, "origin_hour": int}  # "# key=value" comments
 _COLUMNS = ("ids", "starts", "durations", "bands", "xs", "ys")
 _OPTIONAL = ("bands", "xs", "ys")  # None in an Event: untagged, or no location
 
@@ -540,19 +541,23 @@ def _load_csv(path: Path) -> _TraceFile:
             if not row:
                 continue
             if row[0].startswith("#"):
-                comment = ",".join(row)[1:].strip()
-                if "=" in comment:
-                    key, _, value = comment.partition("=")
-                    key = key.strip()
-                    try:
-                        if key == "horizon":
-                            meta[key] = float(value)
-                        elif key == "origin_hour":
-                            meta[key] = int(value)
-                    except ValueError as exc:
-                        raise TraceFormatError(
-                            f"{path.name}:{lineno}: bad {key} value {value!r}"
-                        ) from exc
+                # A comment is metadata when the text before its first "=" is
+                # an identifier; any other comment is free text.
+                key, eq, value = ",".join(row)[1:].strip().partition("=")
+                key = key.strip()
+                if not (eq and key.isidentifier()):
+                    continue
+                if key not in _CSV_META:
+                    raise TraceFormatError(
+                        f"{path.name}:{lineno}: unknown metadata key {key!r}; "
+                        f"known keys: {', '.join(_CSV_META)}"
+                    )
+                try:
+                    meta[key] = _CSV_META[key](value)
+                except ValueError as exc:
+                    raise TraceFormatError(
+                        f"{path.name}:{lineno}: bad {key} value {value!r}"
+                    ) from exc
                 continue
             if not header_seen:
                 if [c.strip() for c in row] != _CSV_HEADER:

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check against.
 
 Everything here is deliberately naive: direct DFT matrix products, the
-scalar Goertzel recurrence, 1 ms time-grid energy integration, linear
+cos/sin basis gathered through one bins x window index matrix, the scalar
+Goertzel recurrence, 1 ms time-grid energy integration, linear
 interval scans, exhaustive subset clique enumeration, a per-hour reward
 table from one fixed-schedule run per action, a timeline engine
 that probes every wake one by one, a byte-by-byte event hash and ping
@@ -38,6 +39,18 @@ def naive_dft_power(samples: np.ndarray, bins) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     spectrum = _dft_basis(x.shape[0], tuple(np.asarray(bins).tolist())) @ x
     return np.abs(spectrum) ** 2
+
+
+def outer_product_basis(n: int, bins) -> np.ndarray:
+    """The (2B, n) cos/sin basis from one (B, n) index matrix.
+
+    Row b of each half reads the length-n cos or sin table at (b * k) mod n,
+    all rows at once: an outer product of bins and sample indices, reduced
+    mod n, gathers both halves, which are then stacked.
+    """
+    angles = 2.0 * np.pi * np.arange(n) / n
+    idx = np.outer(np.asarray(bins, dtype=np.int64), np.arange(n)) % n
+    return np.concatenate((np.cos(angles)[idx], np.sin(angles)[idx]))
 
 
 def goertzel_recurrence(samples: np.ndarray, bins) -> np.ndarray:

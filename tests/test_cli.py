@@ -259,6 +259,18 @@ def test_run_consumes_generated_trace_file(tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_run_refuses_unknown_trace_csv_metadata_key(tmp_path, capsys):
+    (tmp_path / "trace.csv").write_text(
+        "# orign_hour=5\n# note: seed = 3\nid,start,duration,band,x,y\n1,60,3,,,\n"
+    )
+    cfg = _fixed_run_on("trace.csv")
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "trace.csv:1: unknown metadata key 'orign_hour'" in err
+
+
 def test_run_init_scale_takes_event_across_train_boundary(tmp_path, capsys):
     # Event 1 starts in the last second of the training day and ends in the
     # evaluation day; the initial table counts it in training hour 23.
@@ -691,6 +703,12 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
             },
             r"episodes\[0\]: devices\[0\]: 'id'",
         ),
+        # Found by tests/test_cli_fuzz.py: the id named a file name too long
+        # for the file system, and the report exited 2.
+        (
+            {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": 10**400}]}},
+            r"devices\[0\]: 'id'",
+        ),
     ],
     ids=[
         "comparison",
@@ -702,6 +720,7 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
         "device_id_path",
         "device_id_bool",
         "episode_device_id_negative",
+        "device_id_past_int64",
     ],
 )
 def test_report_names_a_wrongly_typed_table(tmp_path, capsys, payload, key):
@@ -1004,6 +1023,21 @@ def test_parse_config_names_offending_fields(tmp_path):
             {**base, "network": {"layout": [dict(device, id=-1)]}},
             "network.layout[0]: device id must be >= 0",
         ),
+        # Found by tests/test_cli_fuzz.py; each exited 2. An id past int64
+        # named a device CSV file too long for the file system, and a span
+        # past float64 failed converting its seconds.
+        (
+            {**base, "network": {"layout": [dict(device, id=10**400)]}},
+            "network.layout[0]: device id must be <= 9223372036854775807 (int64)",
+        ),
+        ({**base, "schedules": {"qlearn": {"train_days": 10**400}}}, "train_days must be <= 10000"),
+        ({**base, "schedules": {"qlearn": {"eval_days": 10001}}}, "eval_days must be <= 10000"),
+        (
+            {**base, "network": {"layout_file": "x.json", "episodes": 10**400}},
+            "network: episodes must be <= 10000",
+        ),
+        # An empty layout_file read the config's directory.
+        ({**base, "network": {"layout_file": ""}}, "network: layout_file must name a file"),
         (
             {**base, "network": {"layout": [dict(device, sensing_radius=math.nan)]}},
             "layout[0].sensing_radius",

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dutysim import _kernels
 from dutysim.detect import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_WINDOW,
@@ -16,7 +19,12 @@ from dutysim.detect import (
 )
 from dutysim.rng import substream
 
-from _oracles import assert_spectrum_close, goertzel_recurrence, naive_dft_power
+from _oracles import (
+    assert_spectrum_close,
+    goertzel_recurrence,
+    naive_dft_power,
+    outer_product_basis,
+)
 
 
 def test_zero_signal():
@@ -279,3 +287,48 @@ def test_basis_matches_goertzel_recurrence(n):
     for scale, fires in ((1 - 1e-6, True), (1 + 1e-6, False)):
         bank = GoertzelBank(window_len=n, target_bins=tuple(bins), threshold=median * scale)
         assert gate(bank, x) is fires
+
+
+# -- the cached basis ---------------------------------------------------------
+
+ALL_BINS = tuple(range(DEFAULT_WINDOW // 2 + 1))
+
+
+@pytest.mark.parametrize(
+    "n, bins",
+    [
+        (DEFAULT_WINDOW, (0,)),
+        (DEFAULT_WINDOW, (DEFAULT_WINDOW // 2,)),
+        (1601, (0, 1, 400, 799, 800)),
+        (DEFAULT_WINDOW, default_bank().target_bins),
+        (DEFAULT_WINDOW, ALL_BINS),
+    ],
+    ids=["bin_0", "nyquist", "odd_n", "default_bank", "all_801_bins"],
+)
+def test_basis_equals_outer_product_bitwise(n, bins):
+    got = _kernels.dft_basis(n, bins)
+    want = outer_product_basis(n, bins)
+    assert got.shape == want.shape == (2 * len(bins), n)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bins", [default_bank().target_bins, ALL_BINS], ids=["default_bank", "all_801_bins"]
+)
+def test_basis_build_allocates_nothing_else_of_its_size(bins):
+    # Beside the basis a build holds the cos and sin tables and two index
+    # rows, each of length n; the outer-product build peaks at 2.5x the basis.
+    n = DEFAULT_WINDOW
+    _kernels.dft_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        basis = _kernels.dft_basis(n, bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _kernels.dft_basis.cache_info().misses == 1
+    assert peak - basis.nbytes <= 4 * n * 8 + 4096
+    if bins == ALL_BINS:
+        assert peak <= 1.1 * basis.nbytes

@@ -473,6 +473,26 @@ _CSV = "id,start,duration,band,x,y\n"
 
 
 @pytest.mark.parametrize(
+    "comments, horizon, origin_hour",
+    [
+        ("# note: seed = 3\n", 86400.0, 0),
+        ("# generated by hand\n# 2 = two\n# a-b=5\n", 86400.0, 0),
+        ("# horizon = 172800\n", 172800.0, 0),
+        ("#origin_hour=5\n", 86400.0, 5),
+        ("# horizon=90000\n# origin_hour= 7 \n# seed: 3 = three\n", 90000.0, 7),
+    ],
+    ids=["free_text_with_eq", "free_text", "spaced_key", "no_space", "both_keys"],
+)
+def test_load_csv_reads_identifier_comments_as_metadata(tmp_path, comments, horizon, origin_hour):
+    # Only a comment whose text before its first "=" is an identifier is
+    # metadata; every other comment is free text and is skipped.
+    path = tmp_path / "trace.csv"
+    path.write_text(comments + _CSV + "7,5,3,,,\n")
+    tr = load_trace(path)
+    assert (tr.horizon, tr.origin_hour, len(tr)) == (horizon, origin_hour, 1)
+
+
+@pytest.mark.parametrize(
     "name, text, error, message",
     [
         ("trace.csv", "# horizon=86400\n" + _CSV + "7,nan,3,,,\n", TraceValidationError,
@@ -490,6 +510,10 @@ _CSV = "id,start,duration,band,x,y\n"
         ("trace.csv", _CSV + f"{2**63},5,3,,,\n", TraceFormatError,
          "2: id 9223372036854775808 does not fit in int64"),
         ("trace.csv", "# horizon=abc\n" + _CSV, TraceFormatError, "1: bad horizon value 'abc'"),
+        ("trace.csv", "# orign_hour=5\n" + _CSV, TraceFormatError,
+         "1: unknown metadata key 'orign_hour'; known keys: horizon, origin_hour$"),
+        ("trace.csv", _CSV + "# Horizon = 86400\n", TraceFormatError,
+         "2: unknown metadata key 'Horizon'"),
         ("trace.csv", "# horizon=86400\n", TraceFormatError, "missing header row"),
         ("trace.csv", _CSV + "7,5,3,,\n", TraceFormatError, "2: expected 6 columns, got 5"),
         ("trace.json", '{"events": [{"id": 7, "start": 5, "duration": 3, "band": Infinity}]}',
@@ -510,6 +534,8 @@ _CSV = "id,start,duration,band,x,y\n"
         "csv_horizon_inf",
         "csv_id_too_large",
         "csv_horizon_not_a_number",
+        "csv_unknown_key",
+        "csv_unknown_key_after_header",
         "csv_comments_only",
         "csv_five_cells",
         "json_band_inf",
