@@ -211,12 +211,12 @@ def cmd_run(args) -> int:
             cfg.seed,
             init_table=init_table,
         )
+        greedy = GreedySchedule(result.table, actions)
         qlearn_report, _ = run_schedule(
-            trace, GreedySchedule(result.table, actions), detector, profile, cfg.seed,
-            t_begin=t_begin, duration_s=duration,
+            trace, greedy, detector, profile, cfg.seed, t_begin=t_begin, duration_s=duration
         )
-        period_rows.extend(_period_rows("qlearn", "train", result.train_report))
-        period_rows.extend(_period_rows("qlearn", "eval", qlearn_report))
+        period_rows.extend(_period_rows(greedy.name, "train", result.train_report))
+        period_rows.extend(_period_rows(greedy.name, "eval", qlearn_report))
         qlearn_payload = {
             "episodes_to_convergence": convergence_episodes(result.policy_history),
             "eps_final": result.eps_final,
@@ -236,7 +236,7 @@ def cmd_run(args) -> int:
         comparison.append(_comparison_row(spec.name, report))
         period_rows.extend(_period_rows(spec.name, "eval", report))
     if qlearn_payload is not None:
-        comparison.append(_comparison_row("qlearn", qlearn_report))
+        comparison.append(_comparison_row(greedy.name, qlearn_report))
 
     summary = {
         "kind": "run",

@@ -23,8 +23,8 @@ stream, the pings stream is built once per run and re-keyed
 (``rng.rekey``) for each period that pings, and a device's pings are
 billed in one step at the period end. No device copies the trace: each
 engine reads the trace's one tick view, whole or gathered at the rows the
-device senses (``sim.TimelineEngine``). A device that senses part of the
-trace keeps those rows, and its engine its gathered columns, as read-only
+device senses (``sim.TimelineEngine``). The engine of a device that senses
+part of the trace keeps those rows and its gathered columns as read-only
 8-byte buffers, so each costs 8 bytes per sensed event.
 """
 
@@ -44,7 +44,7 @@ from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
 from .qsched import ActionSpace, Hyperparameters, QTable, reward
 from .rng import rekey, substream
-from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider
+from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider, _episodes_span
 from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
 __all__ = [
@@ -367,7 +367,6 @@ def _sensed_rows(node: DeviceNode, trace: EventTrace) -> memoryview | None:
 @dataclass
 class _DeviceRuntime:
     node: DeviceNode
-    rows: memoryview | None  # the trace rows the device senses; None when it senses every one
     engine: TimelineEngine
     learner: Learner
     summary: DeviceSummary
@@ -404,10 +403,9 @@ def run_network(
     default, epsilon resets for the survivors. init_tables[id] seeds that
     device's table by copy; the others start from zeros. Events are rows of
     the trace. Every device's engine reads the trace's one tick view: a
-    device that senses every event simulates the whole trace and its period
-    stats are trace rows; any other passes the rows it senses and maps its
-    period stats back through them. The detection counts are added up from
-    those rows as the periods run.
+    device that senses every event simulates the whole trace, and any other
+    gathers the rows it senses; either way its period stats name trace rows,
+    from which the detection counts are added up as the periods run.
     """
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
@@ -415,11 +413,7 @@ def run_network(
     unlocated = trace.ids[np.isnan(trace.xs)]
     if unlocated.size:
         raise ScheduleError(f"event {unlocated[0]} has no location; network runs need one")
-    span = config.episodes * SECONDS_PER_DAY
-    if trace.horizon < span:
-        raise ScheduleError(
-            f"trace horizon {trace.horizon} s shorter than {span} s of episodes"
-        )
+    span = _episodes_span(trace, config.episodes)
     if config.train:
         _check_intervals(actions.intervals, profile, "action")
     else:
@@ -430,7 +424,6 @@ def run_network(
 
     runtimes: dict[int, _DeviceRuntime] = {}
     for node in order:
-        rows = _sensed_rows(node, trace)
         if init_tables is not None and node.id in init_tables:
             table = init_tables[node.id].copy()
         else:
@@ -443,10 +436,9 @@ def run_network(
         rng_for_day = _day_rng_provider(seed, node.id)
         runtimes[node.id] = _DeviceRuntime(
             node,
-            rows,
             TimelineEngine(
                 trace, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs,
-                rows=rows,
+                rows=_sensed_rows(node, trace),
             ),
             Learner(table, hp, actions, rng_for_day, config.detection_bins),
             DeviceSummary(node.id),
@@ -503,8 +495,8 @@ def run_network(
             episode.activations[summary.id] += stats.activations
             n_pos += stats.positives
             n_neg += stats.negatives
-            if stats.detected:
-                rows = stats.detected if rt.rows is None else [rt.rows[k] for k in stats.detected]
+            rows = stats.detected
+            if rows:
                 summary.events_detected += len(rows)
                 period_rows += rows
                 for j in rows:

@@ -202,7 +202,7 @@ def _check_intervals(intervals, profile: PowerProfile, what: str = "interval") -
 
 @dataclass
 class PeriodStats:
-    """One period's probe counts, and the events it detected, as the engine's event indices.
+    """One period's probe counts, and the events it detected, as trace rows.
 
     ``detected`` is the only record of what a device heard; reports and the
     network driver read it.
@@ -223,9 +223,9 @@ class TimelineEngine:
     view's read-only buffers, and otherwise read-only int64 and float64
     columns gathered from the view at ``rows``, 8 bytes per sensed event
     each. Rows that start at or after t_end are dropped, so no
-    probe can hear them. Event indices, such as ``PeriodStats.detected``,
-    are into the engine's own sequence; with ``rows`` set, its k-th event is
-    trace row ``rows[k]``.
+    probe can hear them. The engine keeps the ``rows`` it gathered at (None
+    when it slices the view), and run_period maps its detections through
+    them once, so ``PeriodStats.detected`` holds trace rows either way.
 
     Engine time is integer nanosecond ticks (``power.to_ticks``, within
     int64 range): event starts and ends come in ticks from the view, the
@@ -319,9 +319,11 @@ class TimelineEngine:
             rows = rows[: bisect.bisect_left(rows, live)]
         if rows is None or len(rows) == live:
             # Every row before the horizon: a slice of the view's own buffers.
+            rows = None
             columns = (col[:live] for col in view)
         else:
             columns = (memoryview(np.asarray(col)[rows]).toreadonly() for col in view)
+        self.rows = rows
         self.starts, self.ends, self._bands = columns
         fp = detector.fixed_fp_rate
         self._quiet_fp = fp if fp is not None and fp < 1.0 else None
@@ -522,6 +524,8 @@ class TimelineEngine:
         self.t, self.ptr, self.next_wake, self.cam_acc = t, ptr, next_wake, cam_acc
         self.ticks_by_mode["sleep"] += sleep
         self.ticks_by_mode["probe"] += probe
+        if self.rows is not None:
+            detected = [self.rows[k] for k in detected]
         return PeriodStats(activations, positives, negatives, detected)
 
     def finish(self) -> None:
@@ -586,8 +590,9 @@ def _run_periods(
 
     Every period runs at ``interval``, unless a learner chooses each
     period's interval; with ``learn`` it also learns from the period reward
-    and ends its own episodes. Rewards are scored with the false-alarm
-    weight ``w1``. Returns the report and the engine's log.
+    and ends its own episodes. Each period's reward is scored once, with the
+    false-alarm weight ``w1``, for the learner and the report. Returns the
+    report and the engine's log.
     """
     engine = TimelineEngine(
         trace, t_begin, t_end, profile, detector, rng_for_day, collect_log=collect_log
@@ -600,12 +605,12 @@ def _run_periods(
         if learner is not None:
             interval = learner.choose(engine, hour, p_start)
         stats = engine.run_period(p_end, interval)
+        r = reward(stats.positives, stats.negatives, w1)
         if learn:
-            r = reward(stats.positives, stats.negatives, w1)
             learner.learn(engine, r, hour, len(stats.detected), p_end)
-        rows.append((p, hour, interval, stats))
+        rows.append((p, hour, interval, stats, r))
     engine.finish()
-    return _build_report(trace, t_begin, t_end, rows, engine, w1, profile), engine.log
+    return _build_report(trace, t_begin, t_end, rows, engine, profile), engine.log
 
 
 def _per_period(starts: np.ndarray, t_begin: float, n_periods: int) -> np.ndarray:
@@ -620,7 +625,6 @@ def _build_report(
     t_end: float,
     rows,
     engine: TimelineEngine,
-    w1: float,
     profile: PowerProfile,
 ) -> SimReport:
     n_periods = len(rows)
@@ -628,12 +632,11 @@ def _build_report(
     # start (carry-ins from before the window land in period 0).
     live = window_rows(trace, t_begin, t_end)
     totals = _per_period(trace.starts[live], t_begin, n_periods)
-    rows_detected = [k for *_, stats in rows for k in stats.detected]
+    rows_detected = [k for *_, stats, _ in rows for k in stats.detected]
     detected = _per_period(trace.starts[rows_detected], t_begin, n_periods)
 
     periods = []
-    for (p, hour, interval, stats) in rows:
-        r = reward(stats.positives, stats.negatives, w1)
+    for (p, hour, interval, stats, r) in rows:
         periods.append(
             PeriodRecord(
                 index=p,
@@ -665,6 +668,14 @@ def _build_report(
         avg_current_ma=avg_ma,
         lifetime_years=lifetime_years(avg_ma, profile.battery_mah) if avg_ma > 0 else math.inf,
     )
+
+
+def _episodes_span(trace: EventTrace, days: int) -> float:
+    """The span (s) of ``days`` whole-day episodes; ScheduleError if the trace is shorter."""
+    span = days * SECONDS_PER_DAY
+    if trace.horizon < span:
+        raise ScheduleError(f"trace horizon {trace.horizon} s shorter than {span} s of episodes")
+    return span
 
 
 def _day_rng_provider(seed: int, device_id: int):
@@ -748,11 +759,7 @@ def train_qlearn(
     """
     if train_days < 1:
         raise ScheduleError("need train_days >= 1")
-    train_end = train_days * SECONDS_PER_DAY
-    if trace.horizon < train_end:
-        raise ScheduleError(
-            f"trace horizon {trace.horizon} s shorter than {train_end} s of episodes"
-        )
+    train_end = _episodes_span(trace, train_days)
     _check_intervals(actions.intervals, profile, "action")
     if init_table is not None:
         if init_table.values.shape != (24, len(actions)):

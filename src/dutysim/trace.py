@@ -337,8 +337,6 @@ class DiurnalProfile:
 
 
 def _truncated_normal(rng, mean, sd, lower, n):
-    if n == 0:
-        return np.empty(0)
     if sd == 0:
         return np.full(n, max(mean, lower))
     out = rng.normal(mean, sd, size=n)

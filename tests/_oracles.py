@@ -303,6 +303,8 @@ class PerWakeEngine(TimelineEngine):
                 break
             self._probe(w, stats)
             self.next_wake = max(w + interval, self.t)
+        if self.rows is not None:
+            stats.detected = [self.rows[k] for k in stats.detected]
         return stats
 
     def bill_pings(self, k: int, at: float) -> None:

@@ -295,6 +295,23 @@ def test_run_without_qlearn_section(tmp_path, capsys):
     assert not (out / "qtable.bin").exists()
 
 
+def test_run_with_a_scheduler_call_longer_than_a_period(tmp_path, capsys):
+    # Each 4,000 s inference pushes the clock past its period's end, so no
+    # learned period gets to wake.
+    cfg = run_config()
+    cfg["trace"]["profile"]["hourly_rate"] = [2.0] * 24
+    cfg["schedules"]["fixed"] = [60]
+    cfg["power"] = {"d_ql": 4000}
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = read_rows(out / "comparison.csv")
+    assert [r["name"] for r in rows] == ["fixed_60", "qlearn"]
+    assert rows[0]["activations"] != "0" and rows[1]["activations"] == "0"
+    periods = [r for r in read_rows(out / "per_period.csv") if r["schedule"] == "qlearn"]
+    assert len(periods) == 72 and all(r["activations"] == "0" for r in periods)
+
+
 # ---------------------------------------------------------------------------
 # run-network
 
@@ -647,6 +664,18 @@ def test_report_reproduces_network_csvs_with_device_removed_at_start(tmp_path, c
     csvs = {name: data for name, data in tree_bytes(out).items() if name.endswith(".csv")}
     assert tree_bytes(re_out) == csvs
     assert csvs["device_1.csv"] == b"episode,activations,battery_level\n"
+
+
+def test_report_renders_json_booleans_as_1_and_0(tmp_path, capsys):
+    row = {"name": "hand", "detection_rate": True, "activations": False, "positives": 1,
+           "negatives": 0, "avg_current_ma": 0.5, "lifetime_years": 2.0}
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"kind": "run", "comparison": [row], "per_period": []}))
+    assert main(["report", "--summary", str(summary), "--out", str(tmp_path / "re")]) == 0
+    assert read_rows(tmp_path / "re" / "comparison.csv") == [
+        {"name": "hand", "detection_rate": "1", "activations": "0", "positives": "1",
+         "negatives": "0", "avg_current_ma": "0.5", "lifetime_years": "2.0"}
+    ]
 
 
 def test_report_rejects_bad_summaries(tmp_path, capsys):

@@ -57,6 +57,9 @@ def test_bin_out_of_range():
         goertzel_spectrum(x, [-1])
     with pytest.raises(ValueError, match="integer"):
         goertzel_spectrum(x, [200.5])
+    for window in (np.zeros(0), np.zeros((2, 800))):
+        with pytest.raises(ValueError, match="non-empty 1D"):
+            goertzel_spectrum(window, [0])
     goertzel_spectrum(x, [0, 800])
 
 
@@ -253,6 +256,8 @@ def test_synthesize_nyquist_validation():
         synthesize_tone(8000.0, 1.0)  # exactly sample_rate/2
     with pytest.raises(ValueError, match="Nyquist"):
         synthesize_tone(-100.0, 1.0)
+    with pytest.raises(ValueError, match="n_samples and sample_rate must be positive"):
+        synthesize_tone(1000.0, 1.0, n_samples=0)
 
 
 def test_synthesize_noise_determinism():

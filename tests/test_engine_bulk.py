@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dutysim import collab, sim
@@ -532,10 +532,15 @@ def test_run_schedule_matches_per_wake(seed, duration_sd, detector, t_begin, hou
 
 
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 1000), detector=detectors)
-def test_train_qlearn_matches_per_wake(seed, detector):
+@given(seed=st.integers(0, 1000), detector=detectors, d_ql=st.just(PowerProfile().d_ql))
+# Scheduler calls that push the clock past the period end: every period's
+# wakes then start at or after its end, and the engine must leave them all
+# to the next period.
+@example(seed=5, detector=DetectorModel(tp_rate=0.8, fp_rate=0.1), d_ql=1800.0)
+@example(seed=5, detector=DetectorModel(tp_rate=0.8, fp_rate=0.1), d_ql=4000.0)
+def test_train_qlearn_matches_per_wake(seed, detector, d_ql):
     trace = _trace(seed, 4.0)
-    profile = PROFILES[0]
+    profile = PowerProfile(d_ql=d_ql)
 
     def go():
         result = train_qlearn(

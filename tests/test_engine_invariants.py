@@ -57,7 +57,7 @@ def recorded_engines():
         def run_period(self, p_end, interval):
             stats = super().run_period(p_end, interval)
             self.detected_rows += stats.detected
-            ends, t = self.ends, self.t
+            ends, t = self.trace.tick_view.ends, self.t
             assert t == self.horizon or all(ends[k] <= t for k in self.detected_rows)
             return stats
 

@@ -53,6 +53,8 @@ def test_profile_validation():
         PowerProfile(probe_detector="cnn")
     with pytest.raises(ValueError):
         PowerProfile(probe_record_s=0.2, d_probe=0.13)
+    with pytest.raises(ValueError, match="false_alarm_record_s must be >= 0 s"):
+        PowerProfile(false_alarm_record_s=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -147,6 +149,11 @@ def test_span_mismatch_rejected():
 def test_negative_duration_rejected():
     with pytest.raises(ActivityLogError, match="negative"):
         validate_log([_entry("sleep", 0.0, -1.0)])
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="unknown activity mode 'nap'"):
+        charge_consumed([_entry("nap", 0.0, 10.0)], PowerProfile())
 
 
 def test_validate_sorts_entries():

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -53,6 +54,8 @@ def test_hyperparameter_validation():
         Hyperparameters(eps_min=0.5, eps_max=0.3)
     with pytest.raises(ValueError):
         Hyperparameters(eps_decay=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        Hyperparameters(alpha=1.5)
 
 
 def test_reward_examples():
@@ -269,6 +272,8 @@ def test_init_validation():
         init_from_distribution(np.array([0.5, 1.5]), 1.0, 5)
     with pytest.raises(ValueError):
         init_from_distribution(np.array([0.5]), 1.0, 1)
+    with pytest.raises(ValueError, match="non-empty 1D"):
+        init_from_distribution(np.full((2, 24), 0.5), 1.0, 5)
     # A scale past float32's range would store inf; NaN is rejected with it.
     for scale in (1e39, -1e39, np.nan):
         with pytest.raises(ValueError, match="scale"):
@@ -309,6 +314,17 @@ def test_load_bad_magic():
     blob = b"NOPE" + save_qtable(QTable.zeros(2, 2))[4:]
     with pytest.raises(QTableFormatError, match="magic"):
         load_qtable(blob)
+
+
+def test_table_dimensions_must_be_positive():
+    with pytest.raises(ValueError, match="dimensions"):
+        QTable.zeros(0, 5)
+    header = save_qtable(QTable.zeros(2, 2))[:9]  # magic, version, states, actions
+    version = header[4]
+    with pytest.raises(QTableFormatError, match="unsupported version"):
+        load_qtable(header[:4] + bytes([version + 1]) + header[5:])
+    with pytest.raises(QTableFormatError, match="bad dimensions 0x2"):
+        load_qtable(header[:4] + struct.pack("<BHH", version, 0, 2))
 
 
 def test_load_trailing_bytes_rejected():

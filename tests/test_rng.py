@@ -13,6 +13,11 @@ def test_substream_rejects_seeds_outside_64_bits(seed):
         substream(seed, "device", 3, "day", 7)
 
 
+def test_substream_rejects_a_float_seed():
+    with pytest.raises(TypeError, match="seed must be an int, got float"):
+        substream(3.0, "device", 3, "day", 7)
+
+
 @pytest.mark.parametrize(
     "seed, first, second",
     [(0, 0.668249103591411, 4109975810141898593),

@@ -270,6 +270,11 @@ def test_greedy_schedule_needs_24_states():
         )
 
 
+def test_unknown_schedule_spec_rejected():
+    with pytest.raises(ScheduleError, match="unknown schedule spec"):
+        run_schedule(_empty_day(), 60.0, ORACLE, PROFILE, 1)
+
+
 def test_window_outside_horizon_rejected():
     with pytest.raises(ScheduleError, match="horizon"):
         run_schedule(_empty_day(), FixedSchedule(60.0), ORACLE, PROFILE, 1, duration_s=90000.0)
@@ -377,6 +382,8 @@ def test_train_rejects_short_horizon():
     tr = two_peak_trace(2, 51)
     with pytest.raises(ScheduleError, match="horizon"):
         train_qlearn(tr, 3, Hyperparameters(), ActionSpace(), ORACLE, PROFILE, 1)
+    with pytest.raises(ScheduleError, match="train_days"):
+        train_qlearn(tr, 0, Hyperparameters(), ActionSpace(), ORACLE, PROFILE, 1)
 
 
 def test_train_with_init_table():

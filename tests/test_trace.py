@@ -257,6 +257,13 @@ def test_trace_rejects_out_of_order_events():
         EventTrace(ids=[0, 1], starts=[5.0, 2.0], durations=[1.0, 1.0], horizon=10.0)
 
 
+def test_trace_equals_only_a_trace():
+    tr = _sample_trace()
+    assert tr == _sample_trace()
+    assert tr.__eq__(tr.events) is NotImplemented
+    assert tr != tr.events
+
+
 def test_make_trace_sorts_and_defaults_horizon():
     evs = [
         Event(id=0, start=10.0, duration=3.0),
@@ -480,8 +487,9 @@ _CSV = "id,start,duration,band,x,y\n"
         ("# horizon = 172800\n", 172800.0, 0),
         ("#origin_hour=5\n", 86400.0, 5),
         ("# horizon=90000\n# origin_hour= 7 \n# seed: 3 = three\n", 90000.0, 7),
+        ("# horizon=90000\n\n", 90000.0, 0),
     ],
-    ids=["free_text_with_eq", "free_text", "spaced_key", "no_space", "both_keys"],
+    ids=["free_text_with_eq", "free_text", "spaced_key", "no_space", "both_keys", "blank_line"],
 )
 def test_load_csv_reads_identifier_comments_as_metadata(tmp_path, comments, horizon, origin_hour):
     # Only a comment whose text before its first "=" is an identifier is
@@ -609,6 +617,14 @@ def test_generate_duration_floor():
     ), f"durations below floor without horizon clipping (last end {last})"
 
 
+def test_generate_settles_durations_far_below_the_floor_at_it():
+    # No draw of N(0.01, 0.01) clears the floor, so every duration settles on it.
+    profile = DiurnalProfile(hourly_rate=(5.0,) * 24, duration_mean=0.01, duration_sd=0.01, days=1)
+    tr = generate_trace(profile, 3)
+    assert len(tr) > 0
+    assert np.all(tr.durations == DiurnalProfile.DURATION_FLOOR)
+
+
 def test_generate_band_and_area_tagging():
     profile = two_peak_profile(
         1, band_range=(2000.0, 8000.0), area=(0.0, 100.0, -50.0, 50.0)
@@ -640,6 +656,8 @@ def test_profile_validation():
         DiurnalProfile(hourly_rate=(-1.0,) * 24, duration_mean=3.0, duration_sd=0.0, days=1)
     with pytest.raises(TraceValidationError):
         DiurnalProfile(hourly_rate=(1.0,) * 24, duration_mean=0.0, duration_sd=0.0, days=1)
+    with pytest.raises(TraceValidationError, match="duration_sd"):
+        DiurnalProfile(hourly_rate=(1.0,) * 24, duration_mean=3.0, duration_sd=-1.0, days=1)
     for bad in (
         {"origin_hour": 24},
         {"band_range": (5000.0, 100.0)},
