@@ -1,25 +1,32 @@
-"""Acoustic event gate built on a Goertzel filter bank.
+"""The detector: a Goertzel filter-bank gate, its abstract stand-in, and the probe.
 
 The detector evaluates squared DFT magnitudes at a small set of target bins,
 the quantities the device's Goertzel recurrence (s0 = x[n] + 2*cos(w)*s1 - s2)
 computes at O(N) per bin instead of a full transform. Here they come from one
-product of the window with a cached cos/sin basis of the bins (see
-``_kernels``): ``goertzel_spectrum`` returns them for any bins of a window,
-and ``gate`` flags a window as an event when the lower-middle median of its
-bank powers strictly exceeds the bank's threshold.
+product of the window with a cached basis of the bins: the power of a window
+x at bin b is |X[b]|^2 = (C x)_b^2 + (S x)_b^2, where C[b, n] = cos(2 pi b n
+/ N) and S[b, n] = sin(2 pi b n / N). ``dft_basis`` reads every row from one
+length-N cos/sin table at index (b * n) mod N, so each angle is reduced
+exactly before its cosine is taken; bases are built on first use and cached
+per (window_len, bins), and nothing is computed at import time.
+``goertzel_spectrum`` returns the powers for any bins of a window, and
+``gate`` flags a window as an event when the lower-middle median of its bank
+powers strictly exceeds the bank's threshold.
 
 An abstract detector model (true/false positive rates) stands in for the
 filter bank when simulating schedules; both share the DetectorModel type.
+``make_probe_fn`` turns either kind into the probe the simulator calls at
+each wake: an abstract draw, or a window synthesized from the heard events'
+tones and noise and put through one ``gate`` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-
-from . import _kernels
 
 __all__ = [
     "GoertzelBank",
@@ -27,6 +34,7 @@ __all__ = [
     "goertzel_spectrum",
     "gate",
     "sample_detection",
+    "make_probe_fn",
     "synthesize_tone",
     "default_bank",
 ]
@@ -100,6 +108,8 @@ class DetectorModel:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.event_bandwidth_hz <= 0:
             raise ValueError("event_bandwidth_hz must be positive")
+        if self.default_band <= 0:  # as an event's own band must be (EventTrace)
+            raise ValueError("default_band must be positive")
 
     @cached_property
     def bank(self) -> GoertzelBank:
@@ -125,6 +135,36 @@ def _check_bin(bin_idx: int, window_len: int) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def dft_basis(n: int, bins: tuple[int, ...]) -> np.ndarray:
+    """Read-only (2B, n) matrix: the B cos rows, then the B sin rows.
+
+    Each row is gathered from the tables straight into the one array kept, so
+    the build allocates nothing else of that size: beside it, only the cos
+    and sin tables and two index rows, each of length n.
+    """
+    angles = np.arange(n, dtype=np.float64)
+    angles *= 2.0 * np.pi
+    angles /= n
+    cos, sin = np.cos(angles), np.sin(angles, out=angles)
+    basis = np.empty((2 * len(bins), n))
+    steps = np.arange(n)
+    idx = np.empty_like(steps)
+    for row, b in enumerate(bins):
+        np.remainder(np.multiply(steps, b, out=idx), n, out=idx)
+        np.take(cos, idx, out=basis[row], mode="clip")
+        np.take(sin, idx, out=basis[len(bins) + row], mode="clip")
+    basis.setflags(write=False)
+    return basis
+
+
+def bin_powers(x: np.ndarray, bins: tuple[int, ...]) -> np.ndarray:
+    """|X[b]|^2 of the 1D float64 window x for each b in bins."""
+    proj = dft_basis(x.shape[0], bins) @ x
+    re, im = proj[: len(bins)], proj[len(bins) :]
+    return re * re + im * im
+
+
 def goertzel_spectrum(samples: np.ndarray, bins) -> np.ndarray:
     """Powers at several bins of one window."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
@@ -133,7 +173,7 @@ def goertzel_spectrum(samples: np.ndarray, bins) -> np.ndarray:
     bins = np.asarray(bins).tolist()
     for b in bins:
         _check_bin(b, x.shape[0])
-    return _kernels.bin_powers(x, tuple(map(int, bins)))
+    return bin_powers(x, tuple(map(int, bins)))
 
 
 def gate(bank: GoertzelBank, samples: np.ndarray) -> bool:
@@ -147,7 +187,7 @@ def gate(bank: GoertzelBank, samples: np.ndarray) -> bool:
         raise ValueError(
             f"expected {bank.window_len} samples, got shape {x.shape}"
         )
-    powers = np.sort(_kernels.bin_powers(x, bank.target_bins))
+    powers = np.sort(bin_powers(x, bank.target_bins))
     return bool(powers[(powers.size - 1) // 2] > bank.threshold)
 
 
@@ -164,6 +204,56 @@ def sample_detection(model: DetectorModel, present: bool, rng: np.random.Generat
     if rate <= 0.0:
         return False
     return bool(rng.random() < rate)
+
+
+def make_probe_fn(model: DetectorModel):
+    """Turn a DetectorModel into probe(bands, rng) -> bool.
+
+    ``bands`` lists the dominant band of each event overlapping the record
+    window (NaN for untagged events). Abstract models with rates of exactly
+    0 or 1 consume no randomness.
+    """
+    if model.kind == "abstract":
+
+        def probe_fn(bands, rng):
+            return sample_detection(model, bool(bands), rng)
+
+        return probe_fn
+
+    bank = model.bank
+    amplitude = model.tone_amplitude
+    noise_sd = model.noise_sd
+    default_band = model.default_band
+    half_bw = model.event_bandwidth_hz / 2.0
+    nyquist = bank.sample_rate / 2.0
+    t = np.arange(bank.window_len, dtype=np.float64) / bank.sample_rate
+
+    def _tone(f):
+        return amplitude * np.sin(2.0 * np.pi * f * t)
+
+    bank_tones = [(f, _tone(f)) for f in map(bank.freq_of, bank.target_bins)]
+
+    def _event_tones(band):
+        center = default_band if math.isnan(band) else band
+        tones = [tone for f, tone in bank_tones if abs(f - center) <= half_bw]
+        if tones:
+            return tones
+        # Out-of-bank event: its energy is in the air but the filter bank
+        # mostly ignores it, so the median gate will usually stay quiet.
+        if 0.0 < center < nyquist:
+            return [_tone(center)]
+        return []
+
+    def probe_fn(bands, rng):
+        window = np.zeros(bank.window_len)
+        for band in bands:
+            for tone in _event_tones(band):
+                window += tone
+        if noise_sd > 0:
+            window += rng.normal(0.0, noise_sd, size=bank.window_len)
+        return gate(bank, window)
+
+    return probe_fn
 
 
 def synthesize_tone(

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import DetectorModel, gate, sample_detection
+from .detect import DetectorModel, make_probe_fn
 from .errors import ScheduleError
 from .power import MODES, TICKS_PER_S, LogEntry, PowerProfile, charge_from_ticks, to_ticks
 from .power import check_seconds, lifetime_years
@@ -127,59 +127,6 @@ class SimReport:
     charge_mah: float
     avg_current_ma: float
     lifetime_years: float
-
-
-# -- detector wiring --------------------------------------------------------
-
-
-def make_probe_fn(model: DetectorModel):
-    """Turn a DetectorModel into probe(bands, rng) -> bool.
-
-    ``bands`` lists the dominant band of each event overlapping the record
-    window (NaN for untagged events). Abstract models with rates of exactly
-    0 or 1 consume no randomness.
-    """
-    if model.kind == "abstract":
-
-        def probe_fn(bands, rng):
-            return sample_detection(model, bool(bands), rng)
-
-        return probe_fn
-
-    bank = model.bank
-    amplitude = model.tone_amplitude
-    noise_sd = model.noise_sd
-    default_band = model.default_band
-    half_bw = model.event_bandwidth_hz / 2.0
-    nyquist = bank.sample_rate / 2.0
-    t = np.arange(bank.window_len, dtype=np.float64) / bank.sample_rate
-
-    def _tone(f):
-        return amplitude * np.sin(2.0 * np.pi * f * t)
-
-    bank_tones = [(f, _tone(f)) for f in map(bank.freq_of, bank.target_bins)]
-
-    def _event_tones(band):
-        center = default_band if math.isnan(band) else band
-        tones = [tone for f, tone in bank_tones if abs(f - center) <= half_bw]
-        if tones:
-            return tones
-        # Out-of-bank event: its energy is in the air but the filter bank
-        # mostly ignores it, so the median gate will usually stay quiet.
-        if 0.0 < center < nyquist:
-            return [_tone(center)]
-        return []
-
-    def probe_fn(bands, rng):
-        window = np.zeros(bank.window_len)
-        for band in bands:
-            for tone in _event_tones(band):
-                window += tone
-        if noise_sd > 0:
-            window += rng.normal(0.0, noise_sd, size=bank.window_len)
-        return gate(bank, window)
-
-    return probe_fn
 
 
 # -- timeline engine --------------------------------------------------------

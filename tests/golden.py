@@ -15,13 +15,20 @@ so the report output and the trace files are pinned too. Each workload then
 runs again on that trace CSV and JSON, so the trace-file read path is pinned
 too.
 
-Five small configs of its own (``EXTRA``) cover paths no workload runs:
+Eight small configs of its own (``EXTRA``) cover paths no workload runs:
 network devices that sense part of the area (the engine's gathered rows,
 whose detections it maps back to trace rows), with the abstract detector
 and with the Goertzel gate; abstract detectors with 0 < fp_rate < 1 at a
 low and a high rate (each quiet run's one countdown draw, and the false
-alarm that cuts it); and a scheduler inference longer than a period, which
-pushes every learned period's wakes past its end.
+alarm that cuts it); a scheduler inference longer than a period, which
+pushes every learned period's wakes past its end; a tp_rate below 1 (the
+abstract draw on a heard event) with random event durations, the tflite
+probe current and a Q-table seeded from the trace (``init_scale``); a
+Goertzel gate whose bandwidth is narrower than the bank's 500 Hz spacing,
+so that events between its tones are synthesized out of bank, at a
+threshold low enough that such tones change which probes fire; and a
+network of fixed-interval devices (``train`` false) read from a layout
+file (``INPUTS``, written beside the configs), one of which fails.
 
 Every tree is built in process through ``dutysim.cli.main``, so the same
 builder serves any checkout of the package that is first on the path.
@@ -84,6 +91,38 @@ EXTRA = {
         "power": {"d_ql": 4000},
         "schedules": {"fixed": [60], "qlearn": {"train_days": 2, "eval_days": 1}},
     }),
+    "run_tflite_init": ("run", {
+        "seed": 5,
+        "trace": {"profile": two_peak_profile(3, duration_sd=1.5)},
+        "detector": {"tp_rate": 0.8, "fp_rate": 0.05},
+        "power": {"probe_detector": "tflite"},
+        "schedules": {"fixed": [60],
+                      "qlearn": {"train_days": 2, "eval_days": 1, "init_scale": 0.5}},
+    }),
+    "goertzel_narrow_band": ("run", {
+        "seed": 9,
+        "trace": {"profile": two_peak_profile(2, band_range=[1500, 8500])},
+        "detector": {"kind": "goertzel", "noise_sd": 1.0, "event_bandwidth_hz": 200,
+                     "threshold": 2000},
+        "actions": [30, 60],
+        "schedules": {"fixed": [60], "qlearn": {"train_days": 1, "eval_days": 1}},
+    }),
+    "fixed_network": ("run-network", {
+        "seed": 17,
+        "trace": {"profile": two_peak_profile(3, area=[0, 10, 0, 10])},
+        "network": {
+            "layout_file": "fixed_network.layout.json",
+            "episodes": 3, "train": False, "fixed_interval": 30, "failures": [[1, 1]],
+        },
+    }),
+}
+
+# Input files some EXTRA configs name, written beside the configs.
+INPUTS = {
+    "fixed_network.layout.json": {
+        "devices": [{"id": i, "x": x, "y": 5, "sensing_radius": 4, "comm_radius": 10}
+                    for i, x in enumerate((3, 7))],
+    },
 }
 
 
@@ -115,6 +154,8 @@ def build_trees(out: Path) -> dict[str, str]:
             # Relative to the config, so every checkout hashes the same config.
             from_file = dict(config, trace={"file": f"{name}.trace/trace.{fmt}"})
             _run(command, from_file, out, f"{name}.{fmt}")
+    for name, data in INPUTS.items():
+        (out / name).write_text(json.dumps(data) + "\n")
     for name, (command, config) in EXTRA.items():
         _run(command, config, out, name)
     return {

@@ -177,13 +177,18 @@ def test_run_emits_six_row_comparison(tmp_path, capsys):
     assert summary["qlearn"]["episodes_to_convergence"] == convergence_episodes(history)
 
 
-@pytest.mark.parametrize(
-    "detector", [None, {"kind": "goertzel", "noise_sd": 1.0}], ids=["abstract", "goertzel"]
+# Every probe under the gate synthesizes a window, so the goertzel case is
+# smaller: it still trains a schedule under the gate and evaluates it.
+GOERTZEL_RERUN = dict(
+    run_config(days=2),
+    detector={"kind": "goertzel", "noise_sd": 1.0},
+    actions=[30, 60],
+    schedules={"fixed": [60], "qlearn": {"train_days": 1, "eval_days": 1}},
 )
-def test_run_reruns_byte_identical(tmp_path, capsys, detector):
-    cfg = run_config()
-    if detector is not None:
-        cfg["detector"] = detector
+
+
+@pytest.mark.parametrize("cfg", [run_config(), GOERTZEL_RERUN], ids=["abstract", "goertzel"])
+def test_run_reruns_byte_identical(tmp_path, capsys, cfg):
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     for out in ("a", "b"):
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
@@ -1027,6 +1032,10 @@ def test_parse_config_names_offending_fields(tmp_path):
         (profile_case(days=0), "trace.profile: days"),
         (profile_case(origin_hour=25), "trace.profile: origin_hour"),
         ({**base, "detector": {"noise_sd": -1}}, "detector: noise_sd"),
+        # An untagged event sounds at default_band; at or below 0 Hz the
+        # gate missed every one of them.
+        ({**base, "detector": {"default_band": -4000}}, "detector: default_band must be positive"),
+        ({**base, "detector": {"default_band": 0}}, "detector: default_band must be positive"),
         (
             {**base, "network": {"layout_file": "x.json", "pretrain_days": -1}},
             "network: pretrain_days",

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutysim import _kernels
 from dutysim.detect import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_WINDOW,
     DetectorModel,
     GoertzelBank,
     default_bank,
+    dft_basis,
     gate,
     goertzel_spectrum,
     sample_detection,
@@ -311,7 +311,7 @@ ALL_BINS = tuple(range(DEFAULT_WINDOW // 2 + 1))
     ids=["bin_0", "nyquist", "odd_n", "default_bank", "all_801_bins"],
 )
 def test_basis_equals_outer_product_bitwise(n, bins):
-    got = _kernels.dft_basis(n, bins)
+    got = dft_basis(n, bins)
     want = outer_product_basis(n, bins)
     assert got.shape == want.shape == (2 * len(bins), n)
     assert got.dtype == want.dtype == np.float64
@@ -326,14 +326,14 @@ def test_basis_build_allocates_nothing_else_of_its_size(bins):
     # Beside the basis a build holds the cos and sin tables and two index
     # rows, each of length n; the outer-product build peaks at 2.5x the basis.
     n = DEFAULT_WINDOW
-    _kernels.dft_basis.cache_clear()
+    dft_basis.cache_clear()
     tracemalloc.start()
     try:
-        basis = _kernels.dft_basis(n, bins)
+        basis = dft_basis(n, bins)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _kernels.dft_basis.cache_info().misses == 1
+    assert dft_basis.cache_info().misses == 1
     assert peak - basis.nbytes <= 4 * n * 8 + 4096
     if bins == ALL_BINS:
         assert peak <= 1.1 * basis.nbytes

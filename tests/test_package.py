@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: the package root loads nothing else, and
-only ``run-network`` loads the network code."""
+"""What a fresh interpreter loads: the package root loads nothing else,
+only ``run-network`` loads the network code, and no subcommand loads
+``_kernels``, a stub kept only for the benchmark's metadata."""
 
 import json
 import os
@@ -18,12 +19,17 @@ print(json.dumps({
 }))
 """
 
-# Each subcommand in turn, in one process; after each, whether collab is loaded.
-COLLAB_LOADED_AFTER = """
+# Each subcommand in turn, in one process; after the import and after each
+# subcommand, which of collab and _kernels are loaded.
+LOADED_AFTER = """
 import json, sys
 from dutysim import cli
 config, out = sys.argv[1:]
-loaded = {}
+
+def loaded():
+    return [m for m in ("dutysim.collab", "dutysim._kernels") if m in sys.modules]
+
+after = {"import": loaded()}
 for argv in (
     ["gen-trace", "--config", config, "--out", out + "/trace"],
     ["run", "--config", config, "--out", out + "/run"],
@@ -31,8 +37,8 @@ for argv in (
     ["run-network", "--config", config, "--out", out + "/network"],
 ):
     assert cli.main(argv) == 0, argv
-    loaded[argv[0]] = "dutysim.collab" in sys.modules
-print(json.dumps(loaded))
+    after[argv[0]] = loaded()
+print(json.dumps(after))
 """
 
 
@@ -73,5 +79,11 @@ def test_only_run_network_loads_collab(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    loaded = _child(COLLAB_LOADED_AFTER, str(path), str(tmp_path))
-    assert loaded == {"gen-trace": False, "run": False, "report": False, "run-network": True}
+    loaded = _child(LOADED_AFTER, str(path), str(tmp_path))
+    assert loaded == {
+        "import": [],
+        "gen-trace": [],
+        "run": [],
+        "report": [],
+        "run-network": ["dutysim.collab"],
+    }

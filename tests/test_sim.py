@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from dutysim import sim
+from dutysim import detect, sim
 from dutysim.cli import main
-from dutysim.detect import DetectorModel, gate, sample_detection, synthesize_tone
+from dutysim.detect import DetectorModel, gate, make_probe_fn, sample_detection, synthesize_tone
 from dutysim.errors import ScheduleError
 from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable
@@ -14,7 +14,6 @@ from dutysim.sim import (
     FixedSchedule,
     GreedySchedule,
     convergence_episodes,
-    make_probe_fn,
     run_schedule,
     train_qlearn,
 )
@@ -183,6 +182,12 @@ def test_probe_window_is_tenth_of_a_second():
     assert miss.events_detected == 0
 
 
+def test_the_engine_probes_through_detect():
+    # The engine binds the probe builder by name, and the benchmark's tracer
+    # and test_engine_bulk wrap it under that name.
+    assert sim.make_probe_fn is detect.make_probe_fn
+
+
 def test_out_of_bank_event_is_its_own_tone(monkeypatch):
     # With a 100 Hz bandwidth no bank tone (2-8 kHz) lies near 1 kHz, so the
     # event sounds as a plain 1 kHz tone. Past Nyquist it adds nothing; so it
@@ -198,7 +203,7 @@ def test_out_of_bank_event_is_its_own_tone(monkeypatch):
         windows.append(samples.copy())
         return gate(bank, samples)
 
-    monkeypatch.setattr(sim, "gate", recording_gate)
+    monkeypatch.setattr(detect, "gate", recording_gate)
     probe = make_probe_fn(model)
     tone = synthesize_tone(1000.0, model.tone_amplitude)
     assert probe([1000.0], None) == gate(model.bank, tone)
