@@ -108,10 +108,17 @@ def _prepare(args) -> tuple[ExperimentConfig, Path, Path]:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         except ValueError as e:
             raise ConfigError(f"--seed: {e}") from None
-    out = args.out or cfg.out or "out"
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out or cfg.out or "out")
+    _make_out_dir(out_dir, "--out" if args.out else "out")
     return cfg, cfg_path.parent, out_dir
+
+
+def _make_out_dir(out_dir: Path, source: str) -> None:
+    """Make the output directory; a file in its way is bad input named by ``source``."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"{source}: cannot make {out_dir}, a file is in the way") from None
 
 
 def _pick(report, names: list[str]) -> dict:
@@ -378,7 +385,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out) if args.out else path.parent
     try:
         _check_tables(path, kind, payload)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(out_dir, "--out")
         if kind == "run":
             _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, payload["comparison"])
             _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, payload["per_period"])

@@ -4,14 +4,14 @@ A trace is an immutable, time-ordered set of events over a finite horizon,
 held as columns. Each event has an id, a start time and a positive duration
 (seconds, half-open interval [start, start + duration)), and may carry a
 dominant frequency band in Hz and a 2D location in meters. ``Event`` is a
-row view, built on demand. ``TickView`` is the engines' view: read-only
-8-byte buffers of the starts and ends in integer nanosecond ticks and of the
-bands, built once per trace on first use and shared by every
-``sim.TimelineEngine`` over it, so no engine, and no network device,
-converts or copies the columns. Traces load from CSV or
-JSON, save back losslessly, and can be generated synthetically from a
-diurnal profile via an inhomogeneous Poisson process with piecewise-constant
-hourly rates.
+row view, built on demand for the rows asked and never kept with the trace.
+``TickView`` is the engines' view: read-only 8-byte buffers of the starts
+and ends in integer nanosecond ticks and of the bands, built once per trace
+on first use and shared by every ``sim.TimelineEngine`` over it, so no
+engine, and no network device, converts or copies the columns. Traces load
+from CSV or JSON, save back losslessly, and can be generated synthetically
+from a diurnal profile via an inhomogeneous Poisson process with
+piecewise-constant hourly rates.
 """
 
 from __future__ import annotations
@@ -100,10 +100,9 @@ class EventTrace:
     ``ends`` is ``starts + durations``. Events are ordered by (start, id),
     ids are unique, values are finite, and every event fits inside
     [0, horizon), a span within ``power.MAX_SECONDS``. The columns are
-    read-only copies; all mutation is rebuild. ``events`` holds the same
-    events as ``Event`` rows and ``tick_view`` the engines' ``TickView``,
-    each built on first use and kept with the trace. The view adds 16 bytes
-    per event, the two tick columns, and shares ``bands``.
+    read-only copies; all mutation is rebuild. ``tick_view``, the engines'
+    ``TickView``, is built on first use and kept with the trace. The view
+    adds 16 bytes per event, the two tick columns, and shares ``bands``.
     """
 
     ids: np.ndarray
@@ -186,13 +185,6 @@ class EventTrace:
             return NotImplemented
         return (self.horizon, self.origin_hour) == (other.horizon, other.origin_hour) and all(
             np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMNS
-        )
-
-    @cached_property
-    def events(self) -> tuple[Event, ...]:
-        return tuple(
-            Event(i, s, d, None if math.isnan(b) else b, None if math.isnan(x) else (x, y))
-            for i, s, d, b, x, y in zip(*(getattr(self, c).tolist() for c in _COLUMNS))
         )
 
     @cached_property
@@ -315,6 +307,11 @@ class DiurnalProfile:
             raise TraceValidationError("duration_mean must be positive")
         if self.duration_sd < 0:
             raise TraceValidationError("duration_sd must be >= 0")
+        for name in ("days", "origin_hour"):
+            value = getattr(self, name)
+            # An int past int64 is still an integer: the range checks refuse it.
+            if not (_is_int64(value) or type(value) is int):
+                raise TraceValidationError(f"{name} must be an integer, got {value!r}")
         if self.days < 1:
             raise TraceValidationError(f"days must be >= 1, got {self.days}")
         if not 0 <= self.origin_hour < 24:
@@ -420,7 +417,15 @@ def events_in_window(trace: EventTrace, t0: float, t1: float) -> list[Event]:
         raise ValueError(f"window end {t1} before start {t0}")
     if t0 == t1:
         return []
-    return [trace.events[j] for j in window_rows(trace, t0, t1).tolist()]
+    return _events(trace, window_rows(trace, t0, t1))
+
+
+def _events(trace: EventTrace, rows=slice(None)) -> list[Event]:
+    """The ``Event`` rows at ``rows``, all by default: ``make_trace``'s columns read back."""
+    return [
+        Event(i, s, d, None if math.isnan(b) else b, None if math.isnan(x) else (x, y))
+        for i, s, d, b, x, y in zip(*(getattr(trace, c)[rows].tolist() for c in _COLUMNS))
+    ]
 
 
 def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.ndarray:
@@ -444,13 +449,15 @@ def hourly_event_probability(trace: EventTrace, days: int | None = None) -> np.n
 def read_input(path: Path, error: type[Exception], what: str) -> str:
     """The UTF-8 text of an input file, the one way the package reads one.
 
-    A missing file or bytes that are not UTF-8 raise ``error`` naming the
-    file; OS-level failures (a directory, no permission) propagate as they are.
+    A missing file, a directory or bytes that are not UTF-8 raise ``error``
+    naming the file; other OS-level failures (no permission) propagate as they are.
     """
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
+    except IsADirectoryError:
+        raise error(f"{what} is a directory: {path}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -594,7 +601,7 @@ def _save_json(trace: EventTrace, path: Path) -> None:
     payload = {
         "horizon": trace.horizon,
         "origin_hour": trace.origin_hour,
-        "events": [{k: v for k, v in vars(ev).items() if v is not None} for ev in trace.events],
+        "events": [{k: v for k, v in vars(ev).items() if v is not None} for ev in _events(trace)],
     }
     write_json(path, payload)
 

@@ -21,7 +21,7 @@ from dutysim.errors import ScheduleError
 from dutysim.power import LogEntry, PowerProfile, to_ticks
 from dutysim.qsched import reward
 from dutysim.sim import TICKS_PER_DAY, FixedSchedule, PeriodStats, TimelineEngine, run_schedule
-from dutysim.trace import SECONDS_PER_DAY, DiurnalProfile, EventTrace, generate_trace
+from dutysim.trace import SECONDS_PER_DAY, DiurnalProfile, Event, EventTrace, generate_trace
 
 
 @functools.lru_cache(maxsize=4)
@@ -119,10 +119,15 @@ def random_ms_log(rng: np.random.Generator, profile: PowerProfile, n_entries: in
 
 
 def events_in_window_scan(trace: EventTrace, t0: float, t1: float):
-    """Linear scan for events whose [start, end) meets [t0, t1)."""
+    """Linear scan for events whose [start, end) meets [t0, t1), read from the columns."""
     if t1 <= t0:
         return []
-    return [ev for ev in trace.events if ev.start < t1 and ev.start + ev.duration > t0]
+    columns = (trace.ids, trace.starts, trace.durations, trace.bands, trace.xs, trace.ys)
+    return [
+        Event(i, s, d, None if math.isnan(b) else b, None if math.isnan(x) else (x, y))
+        for i, s, d, b, x, y in zip(*(col.tolist() for col in columns))
+        if s < t1 and s + d > t0
+    ]
 
 
 def maximal_cliques_bruteforce(positions, sensing_radii):

@@ -28,7 +28,7 @@ from dutysim.config import (
 from dutysim.detect import DetectorModel
 from dutysim.qsched import load_qtable
 from dutysim.sim import convergence_episodes
-from dutysim.trace import DiurnalProfile, load_trace
+from dutysim.trace import DiurnalProfile, events_in_window, load_trace
 
 FLAT_PROFILE = {
     "hourly_rate": [0.5] * 24,
@@ -99,7 +99,7 @@ def test_gen_trace_zero_rate_writes_valid_empty_trace(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     assert main(["gen-trace", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     trace = load_trace(tmp_path / "out" / "trace.csv")
-    assert trace.events == ()
+    assert events_in_window(trace, 0.0, trace.horizon) == []
     assert trace.horizon == 86400.0
     out = capsys.readouterr().out
     assert "events: 0" in out
@@ -775,9 +775,31 @@ def test_missing_config_flag_is_validation_error(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_unreadable_config_is_runtime_error(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path)]) == 2
-    assert "runtime error" in capsys.readouterr().err
+# Each exited 2 with "runtime error: [Errno 21] Is a directory", "[Errno 17] File
+# exists" or "[Errno 20] Not a directory". Each case: the argv, then the path named.
+_PATHS_IN_THE_WAY = {
+    "config_dir": (["run", "--config", "{dir}"], "{dir}"),
+    "trace_file_dir": (["run", "--config", "{trace_cfg}", "--out", "{out}"], "{dir}"),
+    "summary_dir": (["report", "--summary", "{dir}"], "{dir}"),
+    "out_is_a_file": (["gen-trace", "--config", "{cfg}", "--out", "{file}"], "{file}"),
+    "out_under_a_file": (["gen-trace", "--config", "{cfg}", "--out", "{file}/sub"], "{file}"),
+}
+
+
+@pytest.mark.parametrize("argv, named", _PATHS_IN_THE_WAY.values(), ids=_PATHS_IN_THE_WAY)
+def test_a_directory_or_file_in_the_way_is_named(tmp_path, capsys, argv, named):
+    (tmp_path / "d.json").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {
+        "dir": tmp_path / "d.json",
+        "file": tmp_path / "file",
+        "out": tmp_path / "out",
+        "cfg": write_config(tmp_path / "cfg.json", {"seed": 1, "trace": {"profile": FLAT_PROFILE}}),
+        "trace_cfg": write_config(tmp_path / "trace_cfg.json", _fixed_run_on("d.json")),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(**paths) in err
 
 
 _BIG_INT = b"1" + b"0" * 5000  # past Python's 4,300-digit int-string limit

@@ -34,7 +34,7 @@ from dutysim.power import PowerProfile, charge_consumed, to_ticks, validate_log
 from dutysim.qsched import ActionSpace, Hyperparameters, QTable, reward
 from dutysim.rng import substream
 from dutysim.sim import FixedSchedule, GreedySchedule, TimelineEngine, run_schedule, train_qlearn
-from dutysim.trace import DiurnalProfile, Event, generate_trace, make_trace
+from dutysim.trace import DiurnalProfile, Event, events_in_window, generate_trace, make_trace
 
 from _oracles import (
     deliver_pings_per_ping,
@@ -301,10 +301,11 @@ def test_sensing_follows_math_dist_at_the_radius():
         [Event(0, 1.0, 1.0, location=tuple(on_edge)), Event(1, 2.0, 1.0, location=tuple(beyond))]
     )
     edges = {0: math.dist(on_edge, origin), 1: math.nextafter(math.dist(beyond, origin), 0.0)}
+    events = events_in_window(trace, 0.0, trace.horizon)
     for event, radius in edges.items():
         node = DeviceNode(0, *origin, sensing_radius=radius, comm_radius=1.0)
         sensed = collab._senses(node, trace).tolist()
-        assert sensed == [math.dist(ev.location, origin) <= radius for ev in trace.events]
+        assert sensed == [math.dist(ev.location, origin) <= radius for ev in events]
         assert sensed[event] == (event == 0)
 
 
@@ -770,8 +771,8 @@ def test_event_counted_once_in_network_rate():
         *(covering_node(i) for i in range(3)), episodes=1, train=False, fixed_interval=3.0
     )
     rep = run_network(tr, cfg, HP, ActionSpace(), ORACLE, PROFILE, 7)
-    assert rep.episodes[0].events_total == len(tr.events)
-    assert rep.episodes[0].events_detected == len(tr.events)
+    assert rep.episodes[0].events_total == len(tr)
+    assert rep.episodes[0].events_detected == len(tr)
     assert rep.detection_rate == 1.0
     assert rep.episodes[0].mean_duplicates == pytest.approx(3.0)
 

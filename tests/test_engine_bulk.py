@@ -169,7 +169,7 @@ def assert_engines_agree(profile, trace, t_begin, t_end, detector, periods, seed
 
     assert_log_invariants(fast.log, fast.charge_mah, profile, fast.horizon - fast.t_begin)
     ids = trace.ids[detected[fast]].tolist()
-    in_window = {ev.id for ev in trace.events if ev.start < t_end and ev.end > t_begin}
+    in_window = {ev.id for ev in events_in_window_scan(trace, t_begin, t_end)}
     assert len(set(ids)) == len(ids)
     assert set(ids) <= in_window
 

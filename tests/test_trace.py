@@ -260,8 +260,9 @@ def test_trace_rejects_out_of_order_events():
 def test_trace_equals_only_a_trace():
     tr = _sample_trace()
     assert tr == _sample_trace()
-    assert tr.__eq__(tr.events) is NotImplemented
-    assert tr != tr.events
+    rows = events_in_window(tr, 0.0, tr.horizon)
+    assert tr.__eq__(rows) is NotImplemented
+    assert tr != rows
 
 
 def test_make_trace_sorts_and_defaults_horizon():
@@ -270,7 +271,7 @@ def test_make_trace_sorts_and_defaults_horizon():
         Event(id=1, start=5.0, duration=2.0),
     ]
     tr = make_trace(evs)
-    assert [ev.start for ev in tr.events] == [5.0, 10.0]
+    assert [ev.start for ev in events_in_window(tr, 0.0, tr.horizon)] == [5.0, 10.0]
     assert tr.horizon == SECONDS_PER_DAY
 
 
@@ -280,7 +281,7 @@ def test_make_trace_breaks_start_ties_by_id():
         Event(id=3, start=5.0, duration=1.0),
     ]
     tr = make_trace(evs)
-    assert [ev.id for ev in tr.events] == [3, 7]
+    assert [ev.id for ev in events_in_window(tr, 0.0, tr.horizon)] == [3, 7]
 
 
 def test_make_trace_rounds_horizon_to_whole_days():
@@ -308,16 +309,54 @@ def test_save_load_round_trip(tmp_path, suffix):
     path = tmp_path / f"trace.{suffix}"
     save_trace(tr, path)
     back = load_trace(path)
-    assert back.events == tr.events
+    assert events_in_window(back, 0.0, back.horizon) == events_in_window(tr, 0.0, tr.horizon)
     assert back.horizon == tr.horizon
     assert back.origin_hour == tr.origin_hour
+
+
+def test_writers_pin_every_band_and_location_combination(tmp_path):
+    # Untagged and unlocated, tagged only, located only, and both; ids 2 and 4
+    # tie on start and go by id. CSV writes 1e-05 positionally, JSON as repr.
+    tr = make_trace(
+        [
+            Event(4, 10.0, 2.5),
+            Event(7, 0.125, 1e-05, location=(-1.5, 20.0)),
+            Event(2, 10.0, 1.0, band=4000.0),
+            Event(1, 86000.5, 0.1, band=2500.5, location=(12.0, -3.25)),
+        ],
+        horizon=86400.0,
+        origin_hour=5,
+    )
+    save_trace(tr, tmp_path / "trace.csv")
+    save_trace(tr, tmp_path / "trace.json")
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"# horizon=86400.0\n"
+        b"# origin_hour=5\n"
+        b"id,start,duration,band,x,y\r\n"
+        b"7,0.125,0.00001,,-1.5,20.0\r\n"
+        b"2,10.0,1.0,4000.0,,\r\n"
+        b"4,10.0,2.5,,,\r\n"
+        b"1,86000.5,0.1,2500.5,12.0,-3.25\r\n"
+    )
+    events = [
+        '      "duration": 1e-05,\n      "id": 7,\n'
+        '      "location": [\n        -1.5,\n        20.0\n      ],\n      "start": 0.125\n',
+        '      "band": 4000.0,\n      "duration": 1.0,\n      "id": 2,\n      "start": 10.0\n',
+        '      "duration": 2.5,\n      "id": 4,\n      "start": 10.0\n',
+        '      "band": 2500.5,\n      "duration": 0.1,\n      "id": 1,\n'
+        '      "location": [\n        12.0,\n        -3.25\n      ],\n      "start": 86000.5\n',
+    ]
+    body = ",\n".join("    {\n" + event + "    }" for event in events)
+    assert (tmp_path / "trace.json").read_text() == (
+        '{\n  "events": [\n' + body + '\n  ],\n  "horizon": 86400.0,\n  "origin_hour": 5\n}\n'
+    )
 
 
 def test_load_csv_sorts_rows(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("id,start,duration,band,x,y\n0,10.0,3.0,,,\n1,5.0,2.0,,,\n")
     tr = load_trace(path)
-    assert [ev.start for ev in tr.events] == [5.0, 10.0]
+    assert [ev.start for ev in events_in_window(tr, 0.0, tr.horizon)] == [5.0, 10.0]
 
 
 def test_load_csv_header_only_gives_empty_day(tmp_path):
@@ -600,7 +639,7 @@ def test_generate_hourly_rates_converge():
     n_seeds = 300
     for seed in range(n_seeds):
         tr = generate_trace(profile, seed)
-        for ev in tr.events:
+        for ev in events_in_window(tr, 0.0, tr.horizon):
             counts[int(ev.start // 3600.0)] += 1
     observed = counts / n_seeds
     assert np.all(np.abs(observed - np.array(rates)) / np.array(rates) <= 0.05)
@@ -610,10 +649,11 @@ def test_generate_duration_floor():
     profile = DiurnalProfile(hourly_rate=(30.0,) * 24, duration_mean=0.6, duration_sd=2.0, days=1)
     tr = generate_trace(profile, 5)
     assert len(tr) > 0
-    last = max(ev.end for ev in tr.events)
+    events = events_in_window(tr, 0.0, tr.horizon)
+    last = max(ev.end for ev in events)
     assert all(
         ev.duration >= DiurnalProfile.DURATION_FLOOR or ev.end == tr.horizon
-        for ev in tr.events
+        for ev in events
     ), f"durations below floor without horizon clipping (last end {last})"
 
 
@@ -631,7 +671,7 @@ def test_generate_band_and_area_tagging():
     )
     tr = generate_trace(profile, 9)
     assert len(tr) > 0
-    for ev in tr.events:
+    for ev in events_in_window(tr, 0.0, tr.horizon):
         assert 2000.0 <= ev.band <= 8000.0
         x, y = ev.location
         assert 0.0 <= x <= 100.0 and -50.0 <= y <= 50.0
@@ -645,7 +685,7 @@ def test_generate_origin_hour_shifts_rates():
     tr = generate_trace(profile, 3)
     # Hour-of-day 0 is 18 hours after a trace origin at 06:00.
     assert len(tr) > 0
-    for ev in tr.events:
+    for ev in events_in_window(tr, 0.0, tr.horizon):
         assert 18 * 3600.0 <= ev.start < 19 * 3600.0
 
 
@@ -667,6 +707,12 @@ def test_profile_validation():
     ):
         with pytest.raises(TraceValidationError):
             two_peak_profile(**bad)
+    # Refused where the profile is built: 1.5 failed in generate_trace with a
+    # bare TypeError, origin_hour=True only after the trace was drawn,
+    # and days=True ran as one day.
+    for name, value in (("days", 1.5), ("days", True), ("origin_hour", 1.5), ("origin_hour", True)):
+        with pytest.raises(TraceValidationError, match=rf"^{name} must be an integer, got {value}$"):
+            two_peak_profile(**{"days": 1, name: value})
 
 
 def test_profile_rate_bound_is_numpys_poisson_limit():
@@ -715,6 +761,22 @@ def test_window_half_open_boundaries():
     assert len(events_in_window(tr, 8.0, 8.1)) == 0
     assert len(events_in_window(tr, 4.0, 5.0)) == 0
     assert len(events_in_window(tr, 4.0, 5.0 + 1e-9)) == 1
+
+
+def test_window_keeps_no_rows_with_the_trace():
+    # Rows are built for the window's hits only; a trace that kept every
+    # event as an Event held about 328 bytes per event, some 6.5 MB here.
+    tr = generate_trace(DiurnalProfile((840.0,) * 24, 3.0, 0.0, days=1), 4)
+    assert 19_000 < len(tr) < 21_000
+    tracemalloc.start()
+    try:
+        hits = events_in_window(tr, 0.0, float(tr.starts[0]) + 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [ev.id for ev in hits] == [0]
+    assert peak < 1_000_000
+    assert not hasattr(tr, "events")
 
 
 def test_window_rejects_reversed():
