@@ -69,6 +69,8 @@ SUMMARY_FIELDS = _fields(SimReport, ("periods",))
 
 
 def _cell(value) -> str:
+    if value is None:  # a run with no finite lifetime
+        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -257,9 +259,11 @@ def cmd_run(args) -> int:
     write_json(out_dir / "summary.json", summary)
     _write_manifest(out_dir, config_to_dict(cfg), cfg.seed, outputs)
     for row in comparison:
+        life = row["lifetime_years"]
+        lifetime = "none" if life is None else f"{life:.3f} yr"
         print(
             f"{row['name']}: detection={row['detection_rate']:.4f} "
-            f"activations={row['activations']} lifetime={row['lifetime_years']:.3f} yr"
+            f"activations={row['activations']} lifetime={lifetime}"
         )
     return 0
 

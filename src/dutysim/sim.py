@@ -126,7 +126,7 @@ class SimReport:
     detection_rate: float
     charge_mah: float
     avg_current_ma: float
-    lifetime_years: float
+    lifetime_years: float | None  # None: no drain, or a projection past float64
 
 
 # -- timeline engine --------------------------------------------------------
@@ -602,6 +602,7 @@ def _build_report(
     rate = 1.0 if events_total == 0 else events_detected / events_total
     span = t_end - t_begin
     avg_ma = engine.charge_mah / (span / 3600.0)
+    life = lifetime_years(avg_ma, profile.battery_mah) if avg_ma > 0 else math.inf
     return SimReport(
         span_s=span,
         periods=periods,
@@ -613,7 +614,7 @@ def _build_report(
         detection_rate=rate,
         charge_mah=engine.charge_mah,
         avg_current_ma=avg_ma,
-        lifetime_years=lifetime_years(avg_ma, profile.battery_mah) if avg_ma > 0 else math.inf,
+        lifetime_years=life if life < math.inf else None,
     )
 
 

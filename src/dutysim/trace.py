@@ -1,10 +1,12 @@
 """Event traces.
 
 A trace is an immutable, time-ordered set of events over a finite horizon,
-held as columns. Each event has an id, a start time and a positive duration
-(seconds, half-open interval [start, start + duration)), and may carry a
-dominant frequency band in Hz and a 2D location in meters. ``Event`` is a
-row view, built on demand for the rows asked and never kept with the trace.
+held as the six columns of its file formats: id, start, duration, band, x
+and y. Each event has an id, a start time and a positive duration (seconds,
+half-open interval [start, start + duration)), and may carry a dominant
+frequency band in Hz and a 2D location in meters; the ends are derived from
+the starts and durations on each read, never stored. ``Event`` is a row
+view, built on demand for the rows asked and never kept with the trace.
 ``TickView`` is the engines' view: read-only 8-byte buffers of the starts
 and ends in integer nanosecond ticks and of the bands, built once per trace
 on first use and shared by every ``sim.TimelineEngine`` over it, so no
@@ -21,7 +23,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -97,9 +99,10 @@ class EventTrace:
     ``bands``, ``xs`` and ``ys`` are float64; ``bands`` is NaN where an
     event is untagged, ``xs`` and ``ys`` where it has no location, and a
     column left out is all NaN.
-    ``ends`` is ``starts + durations``. Events are ordered by (start, id),
-    ids are unique, values are finite, and every event fits inside
-    [0, horizon), a span within ``power.MAX_SECONDS``. The columns are
+    These six columns are all the events the trace stores: ``ends``,
+    ``starts + durations``, is computed on each read. Events are ordered
+    by (start, id), ids are unique, values are finite, and every event fits
+    inside [0, horizon), a span within ``power.MAX_SECONDS``. The columns are
     read-only copies; all mutation is rebuild. ``tick_view``, the engines'
     ``TickView``, is built on first use and kept with the trace. The view
     adds 16 bytes per event, the two tick columns, and shares ``bands``.
@@ -113,7 +116,6 @@ class EventTrace:
     bands: np.ndarray | None = None
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
-    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
@@ -121,9 +123,10 @@ class EventTrace:
         # Every event ends by the horizon, so this bounds every start and end in ticks too.
         check_seconds(self.horizon, "horizon", TraceValidationError)
         if not (_is_int64(self.origin_hour) and 0 <= self.origin_hour < 24):
-            raise TraceValidationError(
-                f"origin_hour must be an integer in [0, 24), got {self.origin_hour!r}"
-            )
+            # An int past int64 is not shown: repr refuses past 4,300 digits.
+            too_long = type(self.origin_hour) is int and not _is_int64(self.origin_hour)
+            got = "an integer past int64's range" if too_long else repr(self.origin_hour)
+            raise TraceValidationError(f"origin_hour must be an integer in [0, 24), got {got}")
         n = len(self.ids)
         for name in _COLUMNS:
             value = getattr(self, name)
@@ -142,9 +145,12 @@ class EventTrace:
                 raise TraceValidationError(f"{name} must be a 1-D column, length {n}, got {got}")
             col.setflags(write=False)
             object.__setattr__(self, name, col)
-        object.__setattr__(self, "ends", self.starts + self.durations)
-        self.ends.setflags(write=False)
         self._validate()
+
+    @property
+    def ends(self) -> np.ndarray:
+        """``starts + durations``, a new array on each read."""
+        return self.starts + self.durations
 
     def _validate(self) -> None:
         """Name the first event that breaks a rule, and the first rule it breaks."""
@@ -167,12 +173,13 @@ class EventTrace:
             (self.ends > self.horizon, "event {id} ends at {end}, beyond horizon {horizon}"),
             (unordered, "events out of order at id {id}; sort by (start, id)"),
         )
-        broken = np.array([mask for mask, _ in rules])
-        bad = broken.any(axis=0)
+        bad = np.zeros(len(ids), dtype=bool)
+        for mask, _ in rules:
+            bad |= mask
         if bad.any():
             i = int(bad.argmax())
             row = dict(zip(_CSV_HEADER, (getattr(self, c)[i].item() for c in _COLUMNS)))
-            rule = rules[int(broken[:, i].argmax())][1]
+            rule = next(message for mask, message in rules if mask[i])
             raise TraceValidationError(
                 rule.format(**row, end=self.ends[i].item(), horizon=self.horizon)
             )
@@ -241,21 +248,24 @@ def make_trace(
     rounded up to whole days (one day for an empty list). A NaN band or
     coordinate is rejected: the columns read NaN as "untagged" or "none".
     """
-    table = [(ev.id, ev.start, ev.duration, ev.band, *_xy(ev)) for ev in events]
+    rows = [(ev.id, ev.start, ev.duration, ev.band, *_xy(ev)) for ev in events]
     # Checked before the sort, which compares ids, and the float cast, which parses strings.
-    for name, values in zip(_COLUMNS, zip(*table)):
+    for name, values in zip(_COLUMNS, zip(*rows)):
         _check_column(name, [v for v in values if v is not None] if name in _OPTIONAL else values)
-    rows = sorted(table, key=lambda row: (row[1], row[0]))
+    rows.sort(key=lambda row: (row[1], row[0]))
     for row in rows:
         if any(v is not None and math.isnan(v) for v in row[3:]):
             raise TraceValidationError(f"event {row[0]}: band and location must not be NaN")
-    floats = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 5)
-    starts, durations, bands, xs, ys = floats.T
+    # One column at a time; None casts to NaN, and an int64 array is not checked again.
+    ids, starts, durations, bands, xs, ys = (
+        np.array([row[k] for row in rows], np.float64 if k else np.int64)
+        for k in range(len(_COLUMNS))
+    )
+    del rows  # free the row tuples before EventTrace copies the columns
     if horizon is None:
         ends = starts + durations
         last = ends[np.isfinite(ends)].max(initial=0.0)
         horizon = max(1, math.ceil(last / SECONDS_PER_DAY)) * SECONDS_PER_DAY
-    ids = np.array([row[0] for row in rows], dtype=np.int64)  # an int64 array is not checked again
     return EventTrace(ids, starts, durations, float(horizon), origin_hour, bands, xs, ys)
 
 
@@ -312,12 +322,15 @@ class DiurnalProfile:
             # An int past int64 is still an integer: the range checks refuse it.
             if not (_is_int64(value) or type(value) is int):
                 raise TraceValidationError(f"{name} must be an integer, got {value!r}")
+        # An int past int64 is not shown: str refuses past 4,300 digits.
+        days, hour = (
+            v if _is_int64(v) else "an integer past int64's range"
+            for v in (self.days, self.origin_hour)
+        )
         if self.days < 1:
-            raise TraceValidationError(f"days must be >= 1, got {self.days}")
+            raise TraceValidationError(f"days must be >= 1, got {days}")
         if not 0 <= self.origin_hour < 24:
-            raise TraceValidationError(
-                f"origin_hour must be in [0, 24), got {self.origin_hour}"
-            )
+            raise TraceValidationError(f"origin_hour must be in [0, 24), got {hour}")
         if self.band_range is not None and not 0 < self.band_range[0] <= self.band_range[1]:
             raise TraceValidationError(
                 f"band_range needs 0 < lo <= hi, got {self.band_range}"
@@ -356,7 +369,9 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
     events (sum(hourly_rate) * days), is refused with a TraceValidationError.
     """
     if profile.days > MAX_DAYS:
-        raise TraceValidationError(f"days must be <= {MAX_DAYS}, got {profile.days}")
+        # An int past int64 is not shown: str refuses past 4,300 digits.
+        days = profile.days if _is_int64(profile.days) else "an integer past int64's range"
+        raise TraceValidationError(f"days must be <= {MAX_DAYS}, got {days}")
     expected = math.fsum(profile.hourly_rate) * profile.days
     if not expected <= MAX_EXPECTED_EVENTS:
         raise TraceValidationError(
@@ -417,11 +432,7 @@ def events_in_window(trace: EventTrace, t0: float, t1: float) -> list[Event]:
         raise ValueError(f"window end {t1} before start {t0}")
     if t0 == t1:
         return []
-    return _events(trace, window_rows(trace, t0, t1))
-
-
-def _events(trace: EventTrace, rows=slice(None)) -> list[Event]:
-    """The ``Event`` rows at ``rows``, all by default: ``make_trace``'s columns read back."""
+    rows = window_rows(trace, t0, t1)
     return [
         Event(i, s, d, None if math.isnan(b) else b, None if math.isnan(x) else (x, y))
         for i, s, d, b, x, y in zip(*(getattr(trace, c)[rows].tolist() for c in _COLUMNS))
@@ -598,12 +609,16 @@ def _parse_csv_row(row: list[str], name: str, lineno: int) -> Event:
 
 
 def _save_json(trace: EventTrace, path: Path) -> None:
-    payload = {
-        "horizon": trace.horizon,
-        "origin_hour": trace.origin_hour,
-        "events": [{k: v for k, v in vars(ev).items() if v is not None} for ev in _events(trace)],
-    }
-    write_json(path, payload)
+    # Each event's object is built from the columns; NaN (untagged, no location) is left out.
+    events = []
+    for i, s, d, b, x, y in zip(*(getattr(trace, c).tolist() for c in _COLUMNS)):
+        event = {"id": i, "start": s, "duration": d}
+        if not math.isnan(b):
+            event["band"] = b
+        if not math.isnan(x):
+            event["location"] = [x, y]
+        events.append(event)
+    write_json(path, {"horizon": trace.horizon, "origin_hour": trace.origin_hour, "events": events})
 
 
 @dataclass(frozen=True)

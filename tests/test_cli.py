@@ -5,6 +5,7 @@ directory, then inspects the emitted files. Determinism is checked at the
 byte level since the manifest hashes promise exactly that.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,6 +27,7 @@ from dutysim.config import (
     parse_config,
 )
 from dutysim.detect import DetectorModel
+from dutysim.power import PowerProfile
 from dutysim.qsched import load_qtable
 from dutysim.sim import convergence_episodes
 from dutysim.trace import DiurnalProfile, events_in_window, load_trace
@@ -205,6 +207,34 @@ def test_run_manifest_hashes_every_output(tmp_path, capsys):
     assert set(manifest["outputs"]) == expected
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+ZERO_CURRENTS = {f.name: 0.0 for f in dataclasses.fields(PowerProfile) if f.name.startswith("i_")}
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "power",
+    [ZERO_CURRENTS, {**ZERO_CURRENTS, "i_sleep": 1e-310}],
+    ids=["no_drain", "projection_past_float64"],
+)
+def test_run_without_a_finite_lifetime_writes_valid_outputs(tmp_path, capsys, power):
+    # Both exited 0 with "lifetime_years": Infinity in summary.json and inf in comparison.csv.
+    cfg = write_config(tmp_path / "cfg.json", {**run_config(), "power": power})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.endswith(" lifetime=none") for line in lines)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
+    assert {row["lifetime_years"] for row in summary["comparison"]} == {None}
+    assert summary["qlearn"]["eval"]["lifetime_years"] is None
+    assert {row["lifetime_years"] for row in read_rows(out / "comparison.csv")} == {""}
+    re_out = tmp_path / "re"
+    assert main(["report", "--summary", str(out / "summary.json"), "--out", str(re_out)]) == 0
+    assert (re_out / "comparison.csv").read_bytes() == (out / "comparison.csv").read_bytes()
 
 
 def test_run_seed_flag_overrides_config(tmp_path, capsys):

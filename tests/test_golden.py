@@ -36,6 +36,18 @@ def test_golden_table_lists_exactly_the_built_files(trees):
     assert not problems, "\n".join(problems) + HINT
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_every_json_output_is_valid_json(trees):
+    # Python's json writes NaN and Infinity without complaint, but they are not JSON.
+    root, hashes = trees
+    for name in hashes:
+        if name.endswith(".json"):
+            json.loads((root / name).read_text(), parse_constant=_refuse)
+
+
 def test_every_manifest_lists_the_other_files_of_its_tree(trees):
     root, hashes = trees
     by_tree: dict[str, dict[str, str]] = {}

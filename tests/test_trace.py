@@ -314,9 +314,10 @@ def test_save_load_round_trip(tmp_path, suffix):
     assert back.origin_hour == tr.origin_hour
 
 
-def test_writers_pin_every_band_and_location_combination(tmp_path):
+def test_writers_pin_every_band_and_location_combination(tmp_path, monkeypatch):
     # Untagged and unlocated, tagged only, located only, and both; ids 2 and 4
     # tie on start and go by id. CSV writes 1e-05 positionally, JSON as repr.
+    # Both writers read the columns and build no Event row.
     tr = make_trace(
         [
             Event(4, 10.0, 2.5),
@@ -327,6 +328,7 @@ def test_writers_pin_every_band_and_location_combination(tmp_path):
         horizon=86400.0,
         origin_hour=5,
     )
+    monkeypatch.setattr(trace_module, "Event", _no_event_rows)
     save_trace(tr, tmp_path / "trace.csv")
     save_trace(tr, tmp_path / "trace.json")
     assert (tmp_path / "trace.csv").read_bytes() == (
@@ -350,6 +352,20 @@ def test_writers_pin_every_band_and_location_combination(tmp_path):
     assert (tmp_path / "trace.json").read_text() == (
         '{\n  "events": [\n' + body + '\n  ],\n  "horizon": 86400.0,\n  "origin_hour": 5\n}\n'
     )
+
+
+def _no_event_rows(*args, **kwargs):
+    raise AssertionError("built an Event row")
+
+
+def test_a_trace_stores_six_columns_and_derives_ends(tmp_path):
+    names = [f.name for f in dataclasses.fields(EventTrace)]
+    assert names == ["ids", "starts", "durations", "horizon", "origin_hour", "bands", "xs", "ys"]
+    generated = generate_trace(two_peak_profile(2, band_range=(500.0, 900.0)), 3)
+    save_trace(generated, tmp_path / "trace.json")
+    loaded = load_trace(tmp_path / "trace.json")
+    for tr in (generated, loaded, make_trace([])):
+        assert tr.ends.tobytes() == (tr.starts + tr.durations).tobytes()
 
 
 def test_load_csv_sorts_rows(tmp_path):
@@ -713,6 +729,28 @@ def test_profile_validation():
     for name, value in (("days", 1.5), ("days", True), ("origin_hour", 1.5), ("origin_hour", True)):
         with pytest.raises(TraceValidationError, match=rf"^{name} must be an integer, got {value}$"):
             two_peak_profile(**{"days": 1, name: value})
+
+
+TOO_LONG = 10**5000  # str and repr of an int refuse past 4,300 digits
+NOT_SHOWN = "got an integer past int64's range$"
+TRACE_ORIGIN_HOUR = r"^origin_hour must be an integer in \[0, 24\), "
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: two_peak_profile(days=-TOO_LONG), "^days must be >= 1, "),
+        (lambda: two_peak_profile(origin_hour=TOO_LONG), r"^origin_hour must be in \[0, 24\), "),
+        (lambda: generate_trace(two_peak_profile(days=TOO_LONG), 1), "^days must be <= 10000, "),
+        (lambda: EventTrace([], [], [], 10.0, origin_hour=TOO_LONG), TRACE_ORIGIN_HOUR),
+        (lambda: make_trace([], origin_hour=-TOO_LONG), TRACE_ORIGIN_HOUR),
+    ],
+    ids=["profile_days", "profile_origin_hour", "generate_days", "trace_origin_hour", "make_trace"],
+)
+def test_an_int_too_long_to_print_is_named_not_shown(build, message):
+    # Each raised a bare ValueError from formatting the value into its message.
+    with pytest.raises(TraceValidationError, match=message + NOT_SHOWN):
+        build()
 
 
 def test_profile_rate_bound_is_numpys_poisson_limit():
