@@ -346,8 +346,9 @@ def cmd_run_network(args) -> int:
 def _check_tables(path: Path, kind: str, payload: dict) -> None:
     """Raise ConfigError naming the first malformed summary table or device id.
 
-    A table must be a list of objects and a device id a non-negative int.
-    A missing key raises KeyError, for the caller to name.
+    A table must be a list of objects and a device id a non-negative int;
+    an episode's device must be one report.devices lists. A missing key
+    raises KeyError, for the caller to name.
     """
 
     def rows(container: dict, key: str, where: str) -> list:
@@ -356,8 +357,9 @@ def _check_tables(path: Path, kind: str, payload: dict) -> None:
             raise ConfigError(f"{path}: {where}{key!r} must be a list of objects")
         return value
 
-    def devices(container: dict, where: str) -> None:
+    def devices(container: dict, where: str) -> list[int]:
         # Each id names a device_{id}.csv file, so only a plain int will do.
+        ids = []
         for k, device in enumerate(rows(container, "devices", where)):
             did = device["id"]
             if type(did) is not int or not 0 <= did <= MAX_DEVICE_ID:
@@ -365,6 +367,8 @@ def _check_tables(path: Path, kind: str, payload: dict) -> None:
                     f"{path}: {where}devices[{k}]: 'id' must be a non-negative "
                     f"integer within int64, got {did!r}"
                 )
+            ids.append(did)
+        return ids
 
     if kind == "run":
         rows(payload, "comparison", "")
@@ -373,9 +377,15 @@ def _check_tables(path: Path, kind: str, payload: dict) -> None:
     report = payload["report"]
     if not isinstance(report, dict):
         raise ConfigError(f"{path}: 'report' must be an object")
-    for i, episode in enumerate(rows(report, "episodes", "report: ")):
-        devices(episode, f"report: episodes[{i}]: ")
-    devices(report, "report: ")
+    episodes = rows(report, "episodes", "report: ")
+    listed = set(devices(report, "report: "))
+    for i, episode in enumerate(episodes):
+        for k, did in enumerate(devices(episode, f"report: episodes[{i}]: ")):
+            if did not in listed:
+                raise ConfigError(
+                    f"{path}: report: episodes[{i}]: devices[{k}]: 'id' must be "
+                    f"one of report.devices, got {did}"
+                )
 
 
 def cmd_report(args) -> int:

@@ -389,23 +389,18 @@ def run_network(
     Each device runs its own ``sim.Learner``, the scheduler train_qlearn
     drives, with the state widened by config.detection_bins and the reward
     replaced by local_reward. Every event needs a location; each device
-    senses only events within its sensing radius. Per period and in id
-    order: choose actions, run each device's timeline, exchange pings, then
-    update each table against its local reward. Event hashes are computed
-    once, for the whole trace, before the first period; deliver_pings finds
-    receivers once per node set; a period with no detection on any device
-    delivers nothing and draws no pings; the others re-key one pings stream
-    to the period's substream. A training device bills
-    one ping per detection at the period end, in one step, even with no
-    neighbour to hear it; train_qlearn bills none, so a lone network device
-    keeps a different log and charge. Failures listed in the config remove
-    a device at the start of the given episode; clusters re-form and, by
-    default, epsilon resets for the survivors. init_tables[id] seeds that
-    device's table by copy; the others start from zeros. Events are rows of
-    the trace. Every device's engine reads the trace's one tick view: a
-    device that senses every event simulates the whole trace, and any other
-    gathers the rows it senses; either way its period stats name trace rows,
-    from which the detection counts are added up as the periods run.
+    senses only events within its sensing radius, and its period stats name
+    trace rows, from which the detection counts are added up. The loop order:
+    per episode, the devices config.failures lists for it leave, and then
+    clusters re-form and, by default, epsilon resets for the survivors; per
+    period, in id order, each device chooses its interval and runs its
+    timeline, then the pings go out and each device learns from its local
+    reward; at the episode end come the battery spread and the global
+    reward. A training device bills one ping per detection at the period
+    end, even with no neighbour to hear it; train_qlearn bills none, so a
+    lone network device keeps a different log and charge. init_tables[id]
+    seeds that device's table by copy; the others start from zeros. The
+    module docstring lists the work done once per run.
     """
     if not config.layout:
         raise ScheduleError("need at least one device; read layout_file into layout first")
@@ -433,125 +428,121 @@ def run_network(
                 f"device {node.id}: table shape {table.values.shape} "
                 f"does not match {n_states} states x {len(actions)} actions"
             )
-        rng_for_day = _day_rng_provider(seed, node.id)
         runtimes[node.id] = _DeviceRuntime(
             node,
             TimelineEngine(
-                trace, 0.0, span, profile, detector, rng_for_day, collect_log=collect_logs,
-                rows=_sensed_rows(node, trace),
+                trace, 0.0, span, profile, detector, _day_rng_provider(seed, node.id),
+                collect_log=collect_logs, rows=_sensed_rows(node, trace),
             ),
-            Learner(table, hp, actions, rng_for_day, config.detection_bins),
+            Learner(table, hp, actions, config.detection_bins),
             DeviceSummary(node.id),
         )
 
     alive = list(runtimes.values())
-    nodes = tuple(order)  # the live devices, as deliver_pings takes them
-    clusters = form_clusters(order)
     fails_at = dict(config.failures)
     rng_pings = None  # one pings stream, re-keyed for each period that pings
 
     episodes: list[EpisodeMetrics] = []
     detections = [0] * len(trace)  # per trace row, devices that heard it
-    for t in range(config.episodes * 24):
-        day, hour_idx = divmod(t, 24)
-        p_start = t * SECONDS_PER_HOUR
-        p_end = min(p_start + SECONDS_PER_HOUR, span)
-        if hour_idx == 0:
-            fell = [rt for rt in alive if fails_at.get(rt.node.id) == day]
-            if fell:
-                for rt in fell:
-                    rt.summary.removed_at = day
-                alive = [rt for rt in alive if rt.summary.removed_at is None]
-                if not alive:
-                    raise ScheduleError(f"all devices removed by episode {day}")
-                nodes = tuple(rt.node for rt in alive)
-                clusters = form_clusters(list(nodes))
-                if config.eps_reset_on_change:
-                    for rt in alive:
-                        rt.learner.eps = hp.eps_max
-            episode = EpisodeMetrics(day, activations={rt.node.id: 0 for rt in alive})
-            episodes.append(episode)
-            levels, terms = [], []  # per period: battery levels; reward counts
-        hour = trace.hour_of(p_start)
+    for day in range(config.episodes):
+        fell = [rt for rt in alive if fails_at.get(rt.node.id) == day]
+        for rt in fell:
+            rt.summary.removed_at = day
+        alive = [rt for rt in alive if rt.summary.removed_at is None]
+        if not alive:
+            raise ScheduleError(f"all devices removed by episode {day}")
+        nodes = tuple(rt.node for rt in alive)  # as deliver_pings takes them
+        if day == 0 or fell:
+            clusters = form_clusters(list(nodes))
+        if fell and config.eps_reset_on_change:
+            for rt in alive:
+                rt.learner.eps = hp.eps_max
+        episode = EpisodeMetrics(day, activations={rt.node.id: 0 for rt in alive})
+        episodes.append(episode)
+        levels, terms = [], []  # per period: battery levels; reward counts
 
-        # Each period's counts go straight into the device and episode records;
-        # period_rows lists the period's detections as trace rows, device by
-        # device.
-        period_stats = []  # in the order of alive
-        period_rows: list[int] = []
-        own_hashes: dict[int, list[int]] = {}
-        n_pos = n_neg = 0
-        for rt in alive:
-            if config.train:
-                interval = rt.learner.choose(rt.engine, hour, p_start)
-            else:
-                interval = config.fixed_interval
-            stats = rt.engine.run_period(p_end, interval)
-            period_stats.append(stats)
-            summary = rt.summary
-            summary.activations += stats.activations
-            summary.positives += stats.positives
-            summary.negatives += stats.negatives
-            episode.activations[summary.id] += stats.activations
-            n_pos += stats.positives
-            n_neg += stats.negatives
-            rows = stats.detected
-            if rows:
-                summary.events_detected += len(rows)
-                period_rows += rows
-                for j in rows:
-                    detections[j] += 1
+        for t in range(24 * day, 24 * day + 24):
+            p_start = t * SECONDS_PER_HOUR
+            p_end = p_start + SECONDS_PER_HOUR
+            hour = trace.hour_of(p_start)
+
+            # Each period's counts go straight into the device and episode
+            # records; period_rows lists the period's detections as trace
+            # rows, device by device, and own_hashes those of each device
+            # that detected.
+            period_stats = []  # in the order of alive
+            period_rows: list[int] = []
+            own_hashes: dict[int, list[int]] = {}
+            n_pos = n_neg = 0
+            for rt in alive:
                 if config.train:
-                    own_hashes[summary.id] = [hashes[j] for j in rows]
-                    rt.engine.bill_pings(len(rows), p_end)
-            elif config.train:
-                own_hashes[summary.id] = []
+                    interval = rt.learner.choose(rt.engine, hour, p_start)
+                else:
+                    interval = config.fixed_interval
+                stats = rt.engine.run_period(p_end, interval)
+                period_stats.append(stats)
+                summary = rt.summary
+                summary.activations += stats.activations
+                summary.positives += stats.positives
+                summary.negatives += stats.negatives
+                episode.activations[summary.id] += stats.activations
+                n_pos += stats.positives
+                n_neg += stats.negatives
+                rows = stats.detected
+                if rows:
+                    summary.events_detected += len(rows)
+                    period_rows += rows
+                    for j in rows:
+                        detections[j] += 1
+                    if config.train:
+                        own_hashes[summary.id] = [hashes[j] for j in rows]
+                        rt.engine.bill_pings(len(rows), p_end)
 
-        if config.train:
-            mailbox = {}
-            if period_rows:
-                # A period without pings draws nothing, so it needs no stream.
-                if config.drop_rate > 0:
-                    if rng_pings is None:
-                        rng_pings = substream(seed, "pings", t)
-                    else:
-                        rekey(rng_pings, seed, "pings", t)
-                mailbox = deliver_pings(
-                    nodes, own_hashes, drop_rate=config.drop_rate, rng=rng_pings
-                )
-            for rt, stats in zip(alive, period_stats):
-                did = rt.node.id
-                r = local_reward(
-                    did,
-                    t,
-                    stats.positives,
-                    stats.negatives,
-                    own_hashes[did],
-                    mailbox.get(did, {}),
-                    clusters,
-                    hp.w1,
-                    config.w2,
-                )
-                rt.learner.learn(rt.engine, r, hour, len(stats.detected), p_end)
+            if config.train:
+                mailbox = {}
+                if period_rows:
+                    # A period without pings draws nothing, so it needs no stream.
+                    if config.drop_rate > 0:
+                        if rng_pings is None:
+                            rng_pings = substream(seed, "pings", t)
+                        else:
+                            rekey(rng_pings, seed, "pings", t)
+                    mailbox = deliver_pings(
+                        nodes, own_hashes, drop_rate=config.drop_rate, rng=rng_pings
+                    )
+                for rt, stats in zip(alive, period_stats):
+                    did = rt.node.id
+                    r = local_reward(
+                        did,
+                        t,
+                        stats.positives,
+                        stats.negatives,
+                        own_hashes.get(did, []),
+                        mailbox.get(did, {}),
+                        clusters,
+                        hp.w1,
+                        config.w2,
+                    )
+                    rt.learner.learn(rt.engine, r, hour, len(stats.detected), p_end)
 
-        # The batteries are read after this period's scheduler billing, so
-        # the episode ends with its last period's levels and spread.
-        levels.append([profile.battery_mah - rt.engine.charge_mah for rt in alive])
-        episode.positives += n_pos
-        episode.negatives += n_neg
-        # Per trace row detected this period, the number of devices that detected it.
-        overlaps = tuple(Counter(period_rows).values()) if period_rows else ()
-        terms.append((n_pos, n_neg, overlaps))
-        if hour_idx == 23:
-            # The live devices change only at an episode start, so the levels
-            # are a matrix; its row spreads equal per-period np.std calls.
-            spreads = np.std(levels, axis=1).tolist()
-            for (n_pos, n_neg, overlaps), sd in zip(terms, spreads):
-                episode.global_reward += network_reward(
-                    n_pos, n_neg, overlaps, sd, hp.w1, config.w2, config.w3
-                )
-            episode.batteries = {rt.node.id: level for rt, level in zip(alive, levels[-1])}
-            episode.battery_sd = spreads[-1]
+            # The batteries are read after this period's scheduler billing, so
+            # the episode ends with its last period's levels and spread.
+            levels.append([profile.battery_mah - rt.engine.charge_mah for rt in alive])
+            episode.positives += n_pos
+            episode.negatives += n_neg
+            # Per trace row detected this period, the number of devices that detected it.
+            overlaps = tuple(Counter(period_rows).values()) if period_rows else ()
+            terms.append((n_pos, n_neg, overlaps))
+
+        # The live devices change only at an episode start, so the levels are
+        # a matrix; its row spreads equal per-period np.std calls.
+        spreads = np.std(levels, axis=1).tolist()
+        for (n_pos, n_neg, overlaps), sd in zip(terms, spreads):
+            episode.global_reward += network_reward(
+                n_pos, n_neg, overlaps, sd, hp.w1, config.w2, config.w3
+            )
+        episode.batteries = {rt.node.id: level for rt, level in zip(alive, levels[-1])}
+        episode.battery_sd = spreads[-1]
 
     for rt in alive:
         rt.engine.finish()

@@ -22,7 +22,15 @@ from .detect import DetectorModel
 from .errors import ConfigError, TraceValidationError
 from .power import PowerProfile, check_seconds
 from .qsched import DEFAULT_ACTIONS, MAX_STATES, Q_MAX, W_MAX, ActionSpace, Hyperparameters
-from .trace import MAX_DAYS, DiurnalProfile, EventTrace, generate_trace, load_trace, read_json
+from .trace import (
+    MAX_DAYS,
+    DiurnalProfile,
+    EventTrace,
+    _shown,
+    generate_trace,
+    load_trace,
+    read_json,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -46,7 +54,7 @@ MAX_DEVICE_ID = 2**63 - 1  # a device id names its CSV file, so it stays within 
 def _check_days(days: int, name: str) -> None:
     # No trace is longer than MAX_DAYS, so a longer span can never run.
     if days > MAX_DAYS:
-        raise ValueError(f"{name} must be <= {MAX_DAYS}, got {days}")
+        raise ValueError(f"{name} must be <= {MAX_DAYS}, got {_shown(days)}")
 
 
 @dataclass(frozen=True)
@@ -67,13 +75,15 @@ class QLearnSpec:
 
     def __post_init__(self):
         if self.train_days < 1:
-            raise ValueError(f"train_days must be >= 1, got {self.train_days}")
+            raise ValueError(f"train_days must be >= 1, got {_shown(self.train_days)}")
         if self.eval_days < 1:  # every schedule is compared on the held-out days
-            raise ValueError(f"eval_days must be >= 1, got {self.eval_days}")
+            raise ValueError(f"eval_days must be >= 1, got {_shown(self.eval_days)}")
         _check_days(self.train_days, "train_days")
         _check_days(self.eval_days, "eval_days")
         if self.init_scale is not None and not abs(self.init_scale) <= Q_MAX:
-            raise ValueError(f"init_scale must lie within float32 range, got {self.init_scale}")
+            raise ValueError(
+                f"init_scale must lie within float32 range, got {_shown(self.init_scale)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,9 @@ class DeviceNode:
         if self.id < 0:
             raise ValueError("device id must be >= 0")
         if self.id > MAX_DEVICE_ID:
-            raise ValueError(f"device id must be <= {MAX_DEVICE_ID} (int64), got {self.id}")
+            raise ValueError(
+                f"device id must be <= {MAX_DEVICE_ID} (int64), got {_shown(self.id)}"
+            )
         if self.sensing_radius <= 0 or self.comm_radius <= 0:
             raise ValueError("radii must be positive")
 
@@ -148,13 +160,14 @@ class NetworkConfig:
         if self.layout is not None and not self.layout:
             raise ValueError("layout: need a non-empty device list")
         if self.pretrain_days < 0:
-            raise ValueError(f"pretrain_days must be >= 0, got {self.pretrain_days}")
+            raise ValueError(f"pretrain_days must be >= 0, got {_shown(self.pretrain_days)}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         _check_days(self.episodes, "episodes")
         for name in ("w2", "w3"):
-            if not 0 <= getattr(self, name) <= W_MAX:
-                raise ValueError(f"{name} must be in [0, {W_MAX:g}], got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 <= value <= W_MAX:
+                raise ValueError(f"{name} must be in [0, {W_MAX:g}], got {_shown(value)}")
         if not 0 <= self.drop_rate <= 1:
             raise ValueError("drop_rate must lie in [0, 1]")
         edges = tuple(int(e) for e in self.detection_bins)
@@ -181,7 +194,7 @@ class NetworkConfig:
                 raise ValueError("layout: device ids must be unique")
             for did, _ep in self.failures:
                 if did not in ids:
-                    raise ValueError(f"failures: unknown device {did}")
+                    raise ValueError(f"failures: unknown device {_shown(did)}")
 
     @property
     def n_bins(self) -> int:
@@ -206,7 +219,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # the seeds rng.substream takes
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ValueError(f"seed must lie in [0, 2**64), got {_shown(self.seed)}")
         try:
             ActionSpace(self.actions)
         except ValueError as e:

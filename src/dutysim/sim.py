@@ -488,20 +488,19 @@ class Learner:
     The state is hour * n_bins + bin, where bin places the device's own
     detection count of the previous period among the inclusive upper
     ``edges``; with no edges the state is the plain hour. Each period the
-    learner chooses an interval epsilon-greedily from the day's stream and
-    bills an inference at the period start; ``learn`` updates the chosen
-    cell toward the next hour's state and bills the update at the period
-    end. An update at a day boundary (every 24th) ends an episode: epsilon
-    decays and the greedy policy joins ``history``. At epsilon 0 the choice
-    is greedy and draws nothing, so a learner that never learns replays a
-    trained table.
+    learner chooses an interval epsilon-greedily from its engine's stream
+    for the day and bills an inference at the period start; ``learn``
+    updates the chosen cell toward the next hour's state and bills the
+    update at the period end. An update at a day boundary (every 24th)
+    ends an episode: epsilon decays and the greedy policy joins
+    ``history``. At epsilon 0 the choice is greedy and draws nothing, so a
+    learner that never learns replays a trained table.
     """
 
-    def __init__(self, table, hp, actions, rng_for_day, edges=(), eps=None):
+    def __init__(self, table, hp, actions, edges=(), eps=None):
         self.table = table
         self.hp = hp
         self.actions = actions
-        self.rng_for_day = rng_for_day
         self.edges = edges
         self.n_bins = len(edges) + 1
         self.eps = hp.eps_max if eps is None else eps
@@ -512,7 +511,7 @@ class Learner:
 
     def choose(self, engine: TimelineEngine, hour: int, p_start: float) -> float:
         self.state = hour * self.n_bins + self.bin
-        rng = self.rng_for_day(int(p_start // SECONDS_PER_DAY)) if self.eps > 0 else None
+        rng = engine.rng_for_day(int(p_start // SECONDS_PER_DAY)) if self.eps > 0 else None
         self.action = select_action(self.table, self.state, self.eps, rng)
         engine.bill_ql("ql_infer", p_start)
         return self.actions.intervals[self.action]
@@ -663,7 +662,7 @@ def run_schedule(
             raise ScheduleError(
                 f"greedy schedule needs a 24-state table, got {spec.table.n_states}"
             )
-        learner, interval = Learner(spec.table, hp, spec.actions, None, eps=0.0), None
+        learner, interval = Learner(spec.table, hp, spec.actions, eps=0.0), None
     else:
         raise ScheduleError(f"unknown schedule spec {spec!r}")
     return _run_periods(
@@ -715,11 +714,10 @@ def train_qlearn(
         table = init_table.copy()
     else:
         table = QTable.zeros(24, len(actions))
-    rng_for_day = _day_rng_provider(seed, device_id)
-    learner = Learner(table, hp, actions, rng_for_day)
+    learner = Learner(table, hp, actions)
     train_report, train_log = _run_periods(
-        trace, 0.0, train_end, detector, profile, rng_for_day, hp.w1, collect_log,
-        learner=learner, learn=True,
+        trace, 0.0, train_end, detector, profile, _day_rng_provider(seed, device_id), hp.w1,
+        collect_log, learner=learner, learn=True,
     )
     return TrainResult(
         table=table,

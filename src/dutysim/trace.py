@@ -123,9 +123,7 @@ class EventTrace:
         # Every event ends by the horizon, so this bounds every start and end in ticks too.
         check_seconds(self.horizon, "horizon", TraceValidationError)
         if not (_is_int64(self.origin_hour) and 0 <= self.origin_hour < 24):
-            # An int past int64 is not shown: repr refuses past 4,300 digits.
-            too_long = type(self.origin_hour) is int and not _is_int64(self.origin_hour)
-            got = "an integer past int64's range" if too_long else repr(self.origin_hour)
+            got = _shown(self.origin_hour, repr)
             raise TraceValidationError(f"origin_hour must be an integer in [0, 24), got {got}")
         n = len(self.ids)
         for name in _COLUMNS:
@@ -216,6 +214,14 @@ def _is_int64(value) -> bool:
     """Whether ``value`` is an integer, not a bool, that an int64 column holds."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return integer and -(2**63) <= value < 2**63
+
+
+def _shown(value, fmt=str) -> str:
+    """``fmt(value)`` for a message, or "an integer past int64's range" for
+    such an int: str and repr refuse an int past 4,300 digits."""
+    if type(value) is int and not _is_int64(value):
+        return "an integer past int64's range"
+    return fmt(value)
 
 
 def _is_real(value) -> bool:
@@ -322,15 +328,12 @@ class DiurnalProfile:
             # An int past int64 is still an integer: the range checks refuse it.
             if not (_is_int64(value) or type(value) is int):
                 raise TraceValidationError(f"{name} must be an integer, got {value!r}")
-        # An int past int64 is not shown: str refuses past 4,300 digits.
-        days, hour = (
-            v if _is_int64(v) else "an integer past int64's range"
-            for v in (self.days, self.origin_hour)
-        )
         if self.days < 1:
-            raise TraceValidationError(f"days must be >= 1, got {days}")
+            raise TraceValidationError(f"days must be >= 1, got {_shown(self.days)}")
         if not 0 <= self.origin_hour < 24:
-            raise TraceValidationError(f"origin_hour must be in [0, 24), got {hour}")
+            raise TraceValidationError(
+                f"origin_hour must be in [0, 24), got {_shown(self.origin_hour)}"
+            )
         if self.band_range is not None and not 0 < self.band_range[0] <= self.band_range[1]:
             raise TraceValidationError(
                 f"band_range needs 0 < lo <= hi, got {self.band_range}"
@@ -369,9 +372,7 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
     events (sum(hourly_rate) * days), is refused with a TraceValidationError.
     """
     if profile.days > MAX_DAYS:
-        # An int past int64 is not shown: str refuses past 4,300 digits.
-        days = profile.days if _is_int64(profile.days) else "an integer past int64's range"
-        raise TraceValidationError(f"days must be <= {MAX_DAYS}, got {days}")
+        raise TraceValidationError(f"days must be <= {MAX_DAYS}, got {_shown(profile.days)}")
     expected = math.fsum(profile.hourly_rate) * profile.days
     if not expected <= MAX_EXPECTED_EVENTS:
         raise TraceValidationError(

@@ -22,6 +22,7 @@ from dutysim.config import (
     DeviceNode,
     ExperimentConfig,
     NetworkConfig,
+    QLearnSpec,
     TraceSource,
     config_to_dict,
     parse_config,
@@ -773,6 +774,16 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
             {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": 10**400}]}},
             r"devices\[0\]: 'id'",
         ),
+        # It exited 1 with "missing key 5": the device CSVs are keyed by
+        # report.devices.
+        (
+            {
+                "kind": "run-network",
+                "report": {"episodes": [{"index": 0, "devices": [{"id": 5}]}],
+                           "devices": [{"id": 0}]},
+            },
+            r"episodes\[0\]: devices\[0\]: 'id'",
+        ),
     ],
     ids=[
         "comparison",
@@ -785,6 +796,7 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
         "device_id_bool",
         "episode_device_id_negative",
         "device_id_past_int64",
+        "episode_device_not_listed",
     ],
 )
 def test_report_names_a_wrongly_typed_table(tmp_path, capsys, payload, key):
@@ -1140,3 +1152,29 @@ def test_parse_config_names_offending_fields(tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert needle in str(err.value)
+
+
+TOO_LONG = 10**5000  # str, repr and json.loads refuse an int past 4,300 digits
+ONE_DEVICE = (DeviceNode(0, 0.0, 0.0, 1.0, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QLearnSpec(train_days=TOO_LONG), "^train_days must be <= 10000, "),
+        (lambda: QLearnSpec(train_days=-TOO_LONG), "^train_days must be >= 1, "),
+        (
+            lambda: DeviceNode(TOO_LONG, 0.0, 0.0, 1.0, 1.0),
+            r"^device id must be <= 9223372036854775807 \(int64\), ",
+        ),
+        (
+            lambda: NetworkConfig(layout=ONE_DEVICE, episodes=TOO_LONG),
+            "^episodes must be <= 10000, ",
+        ),
+    ],
+    ids=["train_days", "train_days_negative", "device_id", "episodes"],
+)
+def test_a_config_int_too_long_to_print_is_named_not_shown(build, message):
+    # Each raised a bare ValueError from formatting the value into its message.
+    with pytest.raises(ValueError, match=message + "got an integer past int64's range$"):
+        build()

@@ -162,7 +162,10 @@ def test_network_runs_keep_the_invariants(seed, detector, n_devices, episodes, d
         assert device.activations == sum(e.activations.get(device.id, 0) for e in report.episodes)
         assert device.battery_level == PowerProfile().battery_mah - device.charge_mah
         assert device.events_detected == len(engine.detected_rows)
+    assert sum(d.positives for d in report.devices) == sum(e.positives for e in report.episodes)
+    assert sum(d.negatives for d in report.devices) == sum(e.negatives for e in report.episodes)
     for episode in report.episodes:
         assert episode.events_detected <= episode.events_total
         assert episode.positives + episode.negatives == sum(episode.activations.values())
         assert episode.batteries.keys() == episode.activations.keys()
+        assert episode.battery_sd == float(np.std(list(episode.batteries.values())))
