@@ -9,6 +9,12 @@ Subcommands:
 Every output is fully determined by the config file and the seed; a
 manifest with content hashes accompanies each run. ``--seed`` and ``--out``
 override the corresponding config fields.
+
+Each JSON summary's shape is declared once: ``RunSummary`` here for
+summary.json, ``collab.NetworkSummary`` for network.json. ``report`` decodes
+a summary against it, so a wrong type, an unknown or missing key or a bad
+device id exits 1 naming its JSON path, and writes each CSV through the
+writer its run uses, with the columns of its row type.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import decode, fields_of, shape
 from .config import (
-    MAX_DEVICE_ID,
     ExperimentConfig,
     build_profile,
     build_trace,
@@ -46,39 +52,60 @@ from .trace import (
     write_json,
 )
 
-COMPARISON_COLUMNS = [
-    "name",
-    "detection_rate",
-    "activations",
-    "positives",
-    "negatives",
-    "avg_current_ma",
-    "lifetime_years",
-]
-DEVICE_COLUMNS = ["episode", "activations", "battery_level"]
+# summary.json, which ``run`` writes and ``report`` decodes. Its rows hold
+# their records' own fields after their labels, and a CSV's columns are the
+# fields of its row type.
+ComparisonRow = shape("ComparisonRow", {"name": str, **fields_of(
+    SimReport, "detection_rate", "activations", "positives", "negatives",
+    "avg_current_ma", "lifetime_years",
+)})
+PeriodRow = shape("PeriodRow", {"schedule": str, "phase": str, **fields_of(PeriodRecord)})
+SimTotals = shape("SimTotals", fields_of(SimReport, drop=("periods",)))
 
 
-def _fields(record, drop=()) -> list[str]:
-    return [f.name for f in dataclasses.fields(record) if f.name not in drop]
+@dataclasses.dataclass(frozen=True)
+class QLearnSummary:
+    episodes_to_convergence: int | None
+    eps_final: float
+    greedy_policy: tuple[int, ...]
+    policy_history: tuple[tuple[int, ...], ...]
+    train: SimTotals
+    eval: SimTotals
 
 
-# The other tables write their records' own fields, in declaration order.
-PER_PERIOD_COLUMNS = ["schedule", "phase", *_fields(PeriodRecord)]
-# The SimReport fields of the qlearn train/eval summaries in summary.json.
-SUMMARY_FIELDS = _fields(SimReport, ("periods",))
+@dataclasses.dataclass(frozen=True)
+class RunSummary:
+    """summary.json; ``qlearn`` is null when no schedule is trained."""
+
+    kind: str
+    config: ExperimentConfig
+    comparison: tuple[ComparisonRow, ...]
+    per_period: tuple[PeriodRow, ...]
+    qlearn: QLearnSummary | None
+
+
+def _fields(row_type, drop=()) -> list[str]:
+    return [f.name for f in dataclasses.fields(row_type) if f.name not in drop]
+
+
+COMPARISON_COLUMNS = _fields(ComparisonRow)
+PER_PERIOD_COLUMNS = _fields(PeriodRow)
+
+
+def _row(row_type, record, **labels) -> dict:
+    """``record`` as a ``row_type`` JSON object: ``labels``, then its other fields."""
+    return labels | {c: getattr(record, c) for c in _fields(row_type) if c not in labels}
 
 
 def _cell(value) -> str:
     if value is None:  # a run with no finite lifetime
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return fmt_float(value)
     return str(value)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, columns: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -123,38 +150,25 @@ def _make_out_dir(out_dir: Path, source: str) -> None:
         raise ConfigError(f"{source}: cannot make {out_dir}, a file is in the way") from None
 
 
-def _pick(report, names: list[str]) -> dict:
-    return {c: getattr(report, c) for c in names}
-
-
-def _comparison_row(name: str, report) -> dict:
-    return {"name": name, **_pick(report, COMPARISON_COLUMNS[1:])}
-
-
-def _period_rows(schedule: str, phase: str, report) -> list[dict]:
-    # vars, not dataclasses.asdict: the deep copy cost about 25 ms per run
-    # of the README config (about 800 PeriodRecords).
-    return [{"schedule": schedule, "phase": phase, **vars(p)} for p in report.periods]
-
-
-def _write_network_csvs(out_dir: Path, report: dict) -> list[str]:
-    """Write the series CSV and one CSV per device from NetworkReport.to_dict().
+def _write_network_csvs(out_dir: Path, episodes: list[dict], device_ids: list[int]) -> list[str]:
+    """Write the series CSV and one CSV per device id from network.json's
+    episode rows, each with its "devices" rows.
 
     One pass over the episodes sorts the rows by device. A device removed
     at episode 0 still gets its (header-only) file. Returns the names written.
     """
-    from .collab import EpisodeMetrics  # only network runs and reports load collab
+    from .collab import EpisodeDevice, EpisodeRow  # only network runs and reports load collab
 
-    episodes = report["episodes"]
     series = [{"episode": e["index"], **e} for e in episodes]
-    per_device = {d["id"]: [] for d in report["devices"]}
+    per_device = {did: [] for did in device_ids}
     for e in episodes:
         for dev in e["devices"]:
             per_device[dev["id"]].append({"episode": e["index"], **dev})
-    series_columns = ["episode", *_fields(EpisodeMetrics, ("index", "activations", "batteries"))]
+    series_columns = ["episode", *_fields(EpisodeRow, ("index", "devices"))]
+    device_columns = ["episode", *_fields(EpisodeDevice, ("id",))]
     tables = {"network_series.csv": (series_columns, series)}
     for did, rows in per_device.items():
-        tables[f"device_{did}.csv"] = (DEVICE_COLUMNS, rows)
+        tables[f"device_{did}.csv"] = (device_columns, rows)
     for name, (columns, rows) in tables.items():
         _write_csv(out_dir / name, columns, rows)
     return list(tables)
@@ -192,7 +206,7 @@ def cmd_run(args) -> int:
     duration = None
     qlearn_payload = None
     comparison: list[dict] = []
-    period_rows: list[dict] = []
+    runs = []  # (schedule, phase, report), in per_period's order
     outputs = ["comparison.csv", "per_period.csv", "summary.json"]
 
     if cfg.schedules.qlearn is not None:
@@ -224,15 +238,14 @@ def cmd_run(args) -> int:
         qlearn_report, _ = run_schedule(
             trace, greedy, detector, profile, cfg.seed, t_begin=t_begin, duration_s=duration
         )
-        period_rows.extend(_period_rows(greedy.name, "train", result.train_report))
-        period_rows.extend(_period_rows(greedy.name, "eval", qlearn_report))
+        runs += [(greedy.name, "train", result.train_report), (greedy.name, "eval", qlearn_report)]
         qlearn_payload = {
             "episodes_to_convergence": convergence_episodes(result.policy_history),
             "eps_final": result.eps_final,
             "greedy_policy": [int(a) for a in result.table.greedy_policy()],
             "policy_history": [[int(a) for a in p] for p in result.policy_history],
-            "train": _pick(result.train_report, SUMMARY_FIELDS),
-            "eval": _pick(qlearn_report, SUMMARY_FIELDS),
+            "train": _row(SimTotals, result.train_report),
+            "eval": _row(SimTotals, qlearn_report),
         }
         (out_dir / "qtable.bin").write_bytes(save_qtable(result.table))
         outputs.append("qtable.bin")
@@ -242,10 +255,15 @@ def cmd_run(args) -> int:
         report, _ = run_schedule(
             trace, spec, detector, profile, cfg.seed, t_begin=t_begin, duration_s=duration
         )
-        comparison.append(_comparison_row(spec.name, report))
-        period_rows.extend(_period_rows(spec.name, "eval", report))
+        comparison.append(_row(ComparisonRow, report, name=spec.name))
+        runs.append((spec.name, "eval", report))
     if qlearn_payload is not None:
-        comparison.append(_comparison_row(greedy.name, qlearn_report))
+        comparison.append(_row(ComparisonRow, qlearn_report, name=greedy.name))
+    # vars, not dataclasses.asdict: the deep copy cost about 25 ms per run
+    # of the README config (about 800 PeriodRecords).
+    period_rows = [
+        {"schedule": name, "phase": phase, **vars(p)} for name, phase, r in runs for p in r.periods
+    ]
 
     summary = {
         "kind": "run",
@@ -320,7 +338,8 @@ def cmd_run_network(args) -> int:
         out_dir / "network.json",
         {"kind": "run-network", "config": config_to_dict(cfg), "report": report_dict},
     )
-    outputs = ["network.json", *_write_network_csvs(out_dir, report_dict)]
+    device_ids = [d.id for d in report.devices]
+    outputs = ["network.json", *_write_network_csvs(out_dir, report_dict["episodes"], device_ids)]
     if net_cfg.train:
         for did in sorted(report.tables):
             name = f"qtable_{did}.bin"
@@ -343,72 +362,36 @@ def cmd_run_network(args) -> int:
 # -- report -----------------------------------------------------------------
 
 
-def _check_tables(path: Path, kind: str, payload: dict) -> None:
-    """Raise ConfigError naming the first malformed summary table or device id.
-
-    A table must be a list of objects and a device id a non-negative int;
-    an episode's device must be one report.devices lists. A missing key
-    raises KeyError, for the caller to name.
-    """
-
-    def rows(container: dict, key: str, where: str) -> list:
-        value = container[key]
-        if not isinstance(value, list) or not all(isinstance(r, dict) for r in value):
-            raise ConfigError(f"{path}: {where}{key!r} must be a list of objects")
-        return value
-
-    def devices(container: dict, where: str) -> list[int]:
-        # Each id names a device_{id}.csv file, so only a plain int will do.
-        ids = []
-        for k, device in enumerate(rows(container, "devices", where)):
-            did = device["id"]
-            if type(did) is not int or not 0 <= did <= MAX_DEVICE_ID:
-                raise ConfigError(
-                    f"{path}: {where}devices[{k}]: 'id' must be a non-negative "
-                    f"integer within int64, got {did!r}"
-                )
-            ids.append(did)
-        return ids
-
-    if kind == "run":
-        rows(payload, "comparison", "")
-        rows(payload, "per_period", "")
-        return
-    report = payload["report"]
-    if not isinstance(report, dict):
-        raise ConfigError(f"{path}: 'report' must be an object")
-    episodes = rows(report, "episodes", "report: ")
-    listed = set(devices(report, "report: "))
-    for i, episode in enumerate(episodes):
-        for k, did in enumerate(devices(episode, f"report: episodes[{i}]: ")):
-            if did not in listed:
-                raise ConfigError(
-                    f"{path}: report: episodes[{i}]: devices[{k}]: 'id' must be "
-                    f"one of report.devices, got {did}"
-                )
-
-
 def cmd_report(args) -> int:
+    """Re-render the CSVs of a ``run`` summary.json or a ``run-network`` network.json.
+
+    The summary is decoded against the shape its command writes, ``RunSummary``
+    or ``collab.NetworkSummary``: a wrong type, an unknown or missing key or a
+    bad device id raises ConfigError naming its JSON path before any output is
+    made. The decoded rows go through the writers the runs use.
+    """
     if not args.summary:
         raise ConfigError("--summary is required")
     path = Path(args.summary)
     payload = read_json(path, ConfigError, "summary file")
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind not in ("run", "run-network"):
-        raise ConfigError(f"{path}: unknown summary kind {kind!r}")
     out_dir = Path(args.out) if args.out else path.parent
-    try:
-        _check_tables(path, kind, payload)
+    if kind == "run":
+        summary = decode(RunSummary, payload, str(path), ConfigError)
         _make_out_dir(out_dir, "--out")
-        if kind == "run":
-            _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, payload["comparison"])
-            _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, payload["per_period"])
-            print(f"rendered comparison.csv and per_period.csv to {out_dir}")
-        else:
-            names = _write_network_csvs(out_dir, payload["report"])
-            print(f"rendered network_series.csv and {len(names) - 1} device CSVs to {out_dir}")
-    except KeyError as e:
-        raise ConfigError(f"{path}: missing key {e.args[0]!r}") from None
+        _write_csv(out_dir / "comparison.csv", COMPARISON_COLUMNS, map(vars, summary.comparison))
+        _write_csv(out_dir / "per_period.csv", PER_PERIOD_COLUMNS, map(vars, summary.per_period))
+        print(f"rendered comparison.csv and per_period.csv to {out_dir}")
+    elif kind == "run-network":
+        from .collab import NetworkSummary
+
+        report = decode(NetworkSummary, payload, str(path), ConfigError).report
+        _make_out_dir(out_dir, "--out")
+        episodes = [{**vars(e), "devices": list(map(vars, e.devices))} for e in report.episodes]
+        names = _write_network_csvs(out_dir, episodes, [d.id for d in report.devices])
+        print(f"rendered network_series.csv and {len(names) - 1} device CSVs to {out_dir}")
+    else:
+        raise ConfigError(f"{path}: unknown summary kind {kind!r}")
     return 0
 
 

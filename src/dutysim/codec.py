@@ -1,4 +1,5 @@
-"""JSON codec for the package's frozen dataclasses: config, layout and trace files.
+"""JSON codec for the package's frozen dataclasses: config, layout and trace files,
+and the summaries that ``run`` and ``run-network`` write.
 
 A dataclass's field names are its JSON keys and its annotations the checks:
 int, float, str, bool, ``X | None``, ``tuple[T, ...]``, fixed-length tuples
@@ -6,7 +7,9 @@ and nested dataclasses. int and float fields reject true/false, float fields
 NaN, ±inf and 1e400. A field whose metadata names ``overrides`` holds a sparse
 map of that dataclass's fields, checked against a full instance and kept as
 sorted (name, value) pairs. A type's invariants live in its ``__post_init__``
-and run at decode time. Each annotation's decoder is built once.
+and run at decode time. Each annotation's decoder is built once. ``shape``
+declares the fields of an output's JSON object, every one required, from the
+annotations of the records it is built from (``fields_of``).
 """
 
 import dataclasses
@@ -132,3 +135,18 @@ def encode(value):
     if isinstance(value, tuple):
         return [encode(v) for v in value]
     return value
+
+
+def fields_of(cls, *names: str, drop=()) -> dict:
+    """``cls``'s field annotations by name: of ``names`` in that order, or else of
+    every field not in ``drop``, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    names = names or [f.name for f in dataclasses.fields(cls) if f.name not in drop]
+    return {name: hints[name] for name in names}
+
+
+def shape(name: str, fields: dict, check=None) -> type:
+    """A frozen dataclass ``name`` of ``fields`` (name -> annotation), each one required:
+    the shape of one object of a JSON output. ``check`` is its ``__post_init__``."""
+    namespace = {} if check is None else {"__post_init__": check}
+    return dataclasses.make_dataclass(name, fields.items(), frozen=True, namespace=namespace)

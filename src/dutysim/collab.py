@@ -13,7 +13,9 @@ the battery spread term and is computed as an evaluation metric only.
 
 The per-device state space extends the hour with a binned count of the
 device's own detections in the previous period. The network's config types,
-``DeviceNode`` and ``NetworkConfig``, live in ``config``.
+``DeviceNode`` and ``NetworkConfig``, live in ``config``; the shape of the
+network.json that ``dutysim run-network`` writes and ``dutysim report``
+decodes, ``NetworkSummary``, lives here.
 
 The per-period network loop does each piece of work once: every event is
 hashed once per run, into one uint64 column, each sender's receivers are
@@ -34,24 +36,26 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DeviceNode, NetworkConfig
+from .codec import fields_of, shape
+from .config import MAX_DEVICE_ID, DeviceNode, ExperimentConfig, NetworkConfig
 from .detect import DetectorModel
 from .errors import ScheduleError
 from .power import LogEntry, PowerProfile
 from .qsched import ActionSpace, Hyperparameters, QTable, reward
 from .rng import rekey, substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider, _episodes_span
-from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
+from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, _shown
 
 __all__ = [
     "Cluster",
     "EpisodeMetrics",
     "DeviceSummary",
     "NetworkReport",
+    "NetworkSummary",
     "event_hashes",
     "form_clusters",
     "deliver_pings",
@@ -325,10 +329,12 @@ class NetworkReport:
         return 1.0 if total == 0 else hit / total
 
     def to_dict(self) -> dict:
-        """JSON form: per-episode device maps become id-sorted "devices" lists."""
+        """JSON form, the ``report`` of a ``NetworkSummary``: per-episode device
+        maps become id-sorted "devices" lists. Rows are copied from ``vars``,
+        since ``dataclasses.asdict`` deep-copies every value."""
         episodes = []
         for e in self.episodes:
-            row = asdict(e)
+            row = dict(vars(e))
             activations, batteries = row.pop("activations"), row.pop("batteries")
             row["devices"] = [
                 {"id": i, "activations": activations[i], "battery_level": batteries[i]}
@@ -339,9 +345,72 @@ class NetworkReport:
             "n_devices": self.n_devices,
             "detection_rate": self.detection_rate,
             "episodes": episodes,
-            "devices": [asdict(d) for d in self.devices],
+            "devices": [dict(vars(d)) for d in self.devices],
             "clusters": [list(c.members) for c in self.clusters],
         }
+
+
+# -- network.json -------------------------------------------------------------
+
+
+def _check_id(row) -> None:
+    # Each id names a device_{id}.csv file, so only an int within int64 will do.
+    if not 0 <= row.id <= MAX_DEVICE_ID:
+        raise ValueError(f"id must be a non-negative integer within int64, got {_shown(row.id)}")
+
+
+def _check_unique(devices) -> None:
+    seen = set()
+    for k, device in enumerate(devices):
+        if device.id in seen:
+            raise ValueError(f"devices[{k}]: id {device.id} is listed twice")
+        seen.add(device.id)
+
+
+# The rows of NetworkReport.to_dict(): each holds its record's own fields.
+DeviceRow = shape("DeviceRow", fields_of(DeviceSummary), _check_id)
+EpisodeDevice = shape(
+    "EpisodeDevice", fields_of(DeviceSummary, "id", "activations", "battery_level"), _check_id
+)
+EpisodeRow = shape(
+    "EpisodeRow",
+    {
+        **fields_of(EpisodeMetrics, drop=("activations", "batteries")),
+        "devices": tuple[EpisodeDevice, ...],
+    },
+    lambda row: _check_unique(row.devices),
+)
+
+
+@dataclass(frozen=True)
+class NetworkTotals:
+    """network.json's ``report``: ids are unique in ``devices`` and in each
+    episode, and every episode's devices are among ``devices``."""
+
+    n_devices: int
+    detection_rate: float
+    episodes: tuple[EpisodeRow, ...]
+    devices: tuple[DeviceRow, ...]
+    clusters: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        _check_unique(self.devices)
+        listed = {d.id for d in self.devices}
+        for i, episode in enumerate(self.episodes):
+            for k, device in enumerate(episode.devices):
+                if device.id not in listed:
+                    raise ValueError(
+                        f"episodes[{i}].devices[{k}]: id {device.id} is not one of devices"
+                    )
+
+
+@dataclass(frozen=True)
+class NetworkSummary:
+    """network.json, as ``dutysim run-network`` writes it."""
+
+    kind: str
+    config: ExperimentConfig
+    report: NetworkTotals
 
 
 def _senses(node: DeviceNode, trace: EventTrace) -> np.ndarray:

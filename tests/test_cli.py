@@ -5,6 +5,7 @@ directory, then inspects the emitted files. Determinism is checked at the
 byte level since the manifest hashes promise exactly that.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -702,16 +703,47 @@ def test_report_reproduces_network_csvs_with_device_removed_at_start(tmp_path, c
     assert csvs["device_1.csv"] == b"episode,activations,battery_level\n"
 
 
-def test_report_renders_json_booleans_as_1_and_0(tmp_path, capsys):
+# The smallest summaries that decode, for the cases below to break one node of.
+_SUMMARY_CONFIG = {"seed": 1, "trace": {"profile": FLAT_PROFILE}}
+_RUN_SUMMARY = {
+    "kind": "run", "config": _SUMMARY_CONFIG, "comparison": [], "per_period": [], "qlearn": None,
+}
+_NETWORK_TOTALS = {
+    "n_devices": 1, "detection_rate": 1.0, "episodes": [], "devices": [], "clusters": [],
+}
+
+
+def _network_summary(**report):
+    return {"kind": "run-network", "config": _SUMMARY_CONFIG, "report": _NETWORK_TOTALS | report}
+
+
+def _device(did):
+    return {"id": did, "activations": 1, "positives": 0, "negatives": 1, "events_detected": 0,
+            "charge_mah": 0.5, "battery_level": 1.5, "removed_at": None}
+
+
+def _episode(devices):
+    return {"index": 0, "events_total": 0, "events_detected": 0, "detection_rate": 1.0,
+            "mean_duplicates": 0.0, "positives": 0, "negatives": 1, "global_reward": 0.0,
+            "battery_sd": 0.0, "devices": devices}
+
+
+def _episode_device(did):
+    return {"id": did, "activations": 1, "battery_level": 1.5}
+
+
+def test_report_refuses_a_json_boolean_in_a_numeric_cell(tmp_path, capsys):
+    # It exited 0 and wrote the booleans as 1 and 0.
     row = {"name": "hand", "detection_rate": True, "activations": False, "positives": 1,
            "negatives": 0, "avg_current_ma": 0.5, "lifetime_years": 2.0}
     summary = tmp_path / "summary.json"
-    summary.write_text(json.dumps({"kind": "run", "comparison": [row], "per_period": []}))
-    assert main(["report", "--summary", str(summary), "--out", str(tmp_path / "re")]) == 0
-    assert read_rows(tmp_path / "re" / "comparison.csv") == [
-        {"name": "hand", "detection_rate": "1", "activations": "0", "positives": "1",
-         "negatives": "0", "avg_current_ma": "0.5", "lifetime_years": "2.0"}
-    ]
+    summary.write_text(json.dumps(_RUN_SUMMARY | {"comparison": [row]}))
+    out = tmp_path / "re"
+    assert main(["report", "--summary", str(summary), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .*summary.json.comparison\[0\].detection_rate: expected a number, "
+                     r"got True$", err, re.M)
+    assert not out.exists()
 
 
 def test_report_rejects_bad_summaries(tmp_path, capsys):
@@ -725,64 +757,66 @@ def test_report_rejects_bad_summaries(tmp_path, capsys):
     assert main(["report"]) == 1
 
 
+def _without(payload: dict, key: str) -> dict:
+    return {k: v for k, v in payload.items() if k != key}
+
+
 @pytest.mark.parametrize(
-    "payload, key",
+    "payload, node",
     [
-        ({"kind": "run"}, "comparison"),
-        ({"kind": "run", "comparison": []}, "per_period"),
-        ({"kind": "run-network", "report": {"episodes": []}}, "devices"),
+        (_without(_RUN_SUMMARY, "comparison"), "summary.json: missing required field 'comparison'"),
+        (_without(_RUN_SUMMARY, "per_period"), "summary.json: missing required field 'per_period'"),
+        (
+            _network_summary() | {"report": _without(_NETWORK_TOTALS, "devices")},
+            "summary.json.report: missing required field 'devices'",
+        ),
     ],
     ids=["comparison", "per_period", "devices"],
 )
-def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
+def test_report_names_a_missing_table(tmp_path, capsys, payload, node):
     summary = tmp_path / "summary.json"
     summary.write_text(json.dumps(payload))
-    assert main(["report", "--summary", str(summary), "--out", str(tmp_path / "re")]) == 1
-    assert f"missing key '{key}'" in capsys.readouterr().err
+    out = tmp_path / "re"
+    assert main(["report", "--summary", str(summary), "--out", str(out)]) == 1
+    assert f"{node}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "payload, key",
+    "payload, node",
     [
-        ({"kind": "run", "comparison": 5, "per_period": []}, "'comparison'"),
-        ({"kind": "run", "comparison": [], "per_period": [3]}, "'per_period'"),
-        ({"kind": "run-network", "report": 5}, "'report'"),
-        ({"kind": "run-network", "report": {"episodes": {}, "devices": []}}, "'episodes'"),
+        (_RUN_SUMMARY | {"comparison": 5}, r"\.comparison: expected a list"),
+        (_RUN_SUMMARY | {"per_period": [3]}, r"\.per_period\[0\]: expected an object"),
+        (_network_summary() | {"report": 5}, r"\.report: expected an object"),
+        (_network_summary(episodes={}), r"\.report\.episodes: expected a list"),
         (
-            {"kind": "run-network", "report": {"episodes": [{"devices": 1}], "devices": []}},
-            r"episodes\[0\]: 'devices'",
+            _network_summary(episodes=[_episode(1)]),
+            r"\.report\.episodes\[0\]\.devices: expected a list",
         ),
-        ({"kind": "run-network", "report": {"episodes": [], "devices": "x"}}, "'devices'"),
+        (_network_summary(devices="x"), r"\.report\.devices: expected a list"),
         (
-            {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": "../escaped"}]}},
-            r"devices\[0\]: 'id'",
-        ),
-        (
-            {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": True}]}},
-            r"devices\[0\]: 'id'",
+            _network_summary(devices=[_device("../escaped")]),
+            r"\.report\.devices\[0\]\.id: expected an integer",
         ),
         (
-            {
-                "kind": "run-network",
-                "report": {"episodes": [{"index": 0, "devices": [{"id": -1}]}], "devices": []},
-            },
-            r"episodes\[0\]: devices\[0\]: 'id'",
+            _network_summary(devices=[_device(True)]),
+            r"\.report\.devices\[0\]\.id: expected an integer",
+        ),
+        (
+            _network_summary(episodes=[_episode([_episode_device(-1)])]),
+            r"\.report\.episodes\[0\]\.devices\[0\]: id must be a non-negative integer",
         ),
         # Found by tests/test_cli_fuzz.py: the id named a file name too long
         # for the file system, and the report exited 2.
         (
-            {"kind": "run-network", "report": {"episodes": [], "devices": [{"id": 10**400}]}},
-            r"devices\[0\]: 'id'",
+            _network_summary(devices=[_device(10**400)]),
+            r"\.report\.devices\[0\]: id must be .* got an integer past int64's range",
         ),
         # It exited 1 with "missing key 5": the device CSVs are keyed by
         # report.devices.
         (
-            {
-                "kind": "run-network",
-                "report": {"episodes": [{"index": 0, "devices": [{"id": 5}]}],
-                           "devices": [{"id": 0}]},
-            },
-            r"episodes\[0\]: devices\[0\]: 'id'",
+            _network_summary(episodes=[_episode([_episode_device(5)])], devices=[_device(0)]),
+            r"\.report: episodes\[0\]\.devices\[0\]: id 5 is not one of devices",
         ),
     ],
     ids=[
@@ -799,12 +833,81 @@ def test_report_names_a_missing_table(tmp_path, capsys, payload, key):
         "episode_device_not_listed",
     ],
 )
-def test_report_names_a_wrongly_typed_table(tmp_path, capsys, payload, key):
+def test_report_names_a_wrongly_typed_table(tmp_path, capsys, payload, node):
     summary = tmp_path / "summary.json"
     summary.write_text(json.dumps(payload))
     out = tmp_path / "re"
     assert main(["report", "--summary", str(summary), "--out", str(out)]) == 1
-    assert re.search(f"^error: .*summary.json: .*{key} must be", capsys.readouterr().err)
+    assert re.search(f"^error: .*summary.json{node}", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def summaries(tmp_path_factory):
+    """The summary.json of a run and the network.json of a run-network."""
+    root = tmp_path_factory.mktemp("summaries")
+    made = {}
+    runs = (
+        ("run", "summary.json", run_config()),
+        ("run-network", "network.json", network_config(episodes=2, n_devices=2)),
+    )
+    for command, name, cfg in runs:
+        cfg_path = write_config(root / f"{command}.json", cfg)
+        assert main([command, "--config", str(cfg_path), "--out", str(root / command)]) == 0
+        made[name] = json.loads((root / command / name).read_text())
+    return made
+
+
+# Each exited 0 and wrote the bad value into the CSV, or wrote an episode
+# twice into one device's CSV.
+_MALFORMED = {
+    "comparison_activations_str": (
+        "summary.json",
+        lambda s: s["comparison"][0].update(activations="abc"),
+        r"summary.json.comparison\[0\].activations: expected an integer, got 'abc'",
+    ),
+    "per_period_hour_list": (
+        "summary.json",
+        lambda s: s["per_period"][0].update(hour=[1, 2]),
+        r"summary.json.per_period\[0\].hour: expected an integer, got \[1, 2\]",
+    ),
+    "unknown_key": (
+        "summary.json",
+        lambda s: s.update(bogus=1),
+        r"summary.json: unknown field 'bogus'",
+    ),
+    "episode_detection_rate_str": (
+        "network.json",
+        lambda n: n["report"]["episodes"][0].update(detection_rate="oops"),
+        r"network.json.report.episodes\[0\].detection_rate: expected a number, got 'oops'",
+    ),
+    "device_charge_list": (
+        "network.json",
+        lambda n: n["report"]["devices"][0].update(charge_mah=[1]),
+        r"network.json.report.devices\[0\].charge_mah: expected a number, got \[1\]",
+    ),
+    "device_listed_twice": (
+        "network.json",
+        lambda n: n["report"]["devices"].append(n["report"]["devices"][0]),
+        r"network.json.report: devices\[2\]: id 0 is listed twice",
+    ),
+    "episode_device_listed_twice": (
+        "network.json",
+        lambda n: (devices := n["report"]["episodes"][0]["devices"]).append(devices[0]),
+        r"network.json.report.episodes\[0\]: devices\[2\]: id 0 is listed twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, mutate, error", _MALFORMED.values(), ids=_MALFORMED)
+def test_report_refuses_a_malformed_summary(tmp_path, capsys, summaries, name, mutate, error):
+    payload = copy.deepcopy(summaries[name])
+    mutate(payload)
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "re"
+    assert main(["report", "--summary", str(path), "--out", str(out)]) == 1
+    assert re.search(f"^error: .*{error}$", capsys.readouterr().err, re.M)
     assert not out.exists()
 
 

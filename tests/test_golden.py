@@ -8,6 +8,10 @@ import json
 import pytest
 
 import golden
+from dutysim import codec
+from dutysim.cli import RunSummary
+from dutysim.collab import NetworkSummary
+from dutysim.errors import ConfigError
 
 HINT = (
     f"\nIf this change moves outputs on purpose, re-make the table with `{golden.REMAKE}`"
@@ -82,3 +86,21 @@ def test_trace_file_rerun_equals_the_generated_trace_run(trees, workload, fmt):
             assert got.pop("config")["trace"] == {"file": f"{workload}.trace/trace.{fmt}"}
             del want["config"]
         assert got == want, f"{rerun.name}/{file}"
+
+
+def test_every_summary_is_what_its_schema_encodes(trees):
+    # A schema that dropped, renamed or retyped a key the writers write would
+    # fail to decode the file, or encode it back to other JSON. The JSON texts
+    # are compared, since 1 == 1.0 in Python.
+    root, hashes = trees
+    schemas = {"summary.json": RunSummary, "network.json": NetworkSummary}
+    checked = 0
+    for name in hashes:
+        schema = schemas.get(name.rsplit("/", 1)[-1])
+        if schema is not None:
+            written = json.loads((root / name).read_text())
+            encoded = codec.encode(codec.decode(schema, written, name, ConfigError))
+            assert encoded == written, name
+            assert json.dumps(encoded, sort_keys=True) == json.dumps(written, sort_keys=True), name
+            checked += 1
+    assert checked == sum(name.endswith(tuple(schemas)) for name in golden.read_table())
