@@ -3,8 +3,11 @@ and the summaries that ``run`` and ``run-network`` write.
 
 A dataclass's field names are its JSON keys and its annotations the checks:
 int, float, str, bool, ``X | None``, ``tuple[T, ...]``, fixed-length tuples
-and nested dataclasses. int and float fields reject true/false, float fields
-NaN, ±inf and 1e400. A field whose metadata names ``overrides`` holds a sparse
+and nested dataclasses. int and float values are held to ``errors.refusal``,
+the scalar rules each input dataclass's ``errors.check_fields`` applies to a
+library call, in the same words: true/false is no number, and a float field
+refuses NaN, ±inf and 1e400. An int of any size decodes, and the built type
+bounds it. A field whose metadata names ``overrides`` holds a sparse
 map of that dataclass's fields, checked against a full instance and kept as
 sorted (name, value) pairs. A type's invariants live in its ``__post_init__``
 and run at decode time. Each annotation's decoder is built once. ``shape``
@@ -19,10 +22,10 @@ import types
 import typing
 from dataclasses import MISSING
 
-from .errors import TraceValidationError
+from .errors import TraceValidationError, refusal
 
 _MAX = sys.float_info.max
-_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+_SCALARS = {str: "a string", bool: "true or false"}
 
 
 class _Invalid(Exception):
@@ -73,13 +76,14 @@ def _decoder(tp):
 
 
 def _scalar(tp, value):
-    accepted = (int, float) if tp is float else tp
-    if not isinstance(value, accepted) or isinstance(value, bool) != (tp is bool):
-        raise _Invalid(f"expected {_SCALARS[tp]}, got {value!r}", [])
-    if tp is float and not -_MAX <= value <= _MAX:
-        shown = value if isinstance(value, float) else "an integer past the float range"
-        raise _Invalid(f"expected a finite number, got {shown}", [])
-    return tp(value)
+    # An int of any size decodes: the type's own checks, or check_fields, bound it.
+    if tp in (int, float):
+        problem = refusal(tp, value, within_int64=False)
+        if problem is None:
+            return tp(value)
+    else:
+        problem = (_SCALARS[tp], repr(value))
+    raise _Invalid(f"expected {problem[0]}, got {problem[1]}", [])
 
 
 def _decode_tuple(items: list, variadic: bool, value):

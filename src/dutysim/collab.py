@@ -43,12 +43,12 @@ import numpy as np
 from .codec import fields_of, shape
 from .config import MAX_DEVICE_ID, DeviceNode, ExperimentConfig, NetworkConfig
 from .detect import DetectorModel
-from .errors import ScheduleError
+from .errors import ScheduleError, shown
 from .power import LogEntry, PowerProfile
 from .qsched import ActionSpace, Hyperparameters, QTable, reward
 from .rng import rekey, substream
 from .sim import Learner, TimelineEngine, _check_intervals, _day_rng_provider, _episodes_span
-from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace, _shown
+from .trace import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventTrace
 
 __all__ = [
     "Cluster",
@@ -356,7 +356,7 @@ class NetworkReport:
 def _check_id(row) -> None:
     # Each id names a device_{id}.csv file, so only an int within int64 will do.
     if not 0 <= row.id <= MAX_DEVICE_ID:
-        raise ValueError(f"id must be a non-negative integer within int64, got {_shown(row.id)}")
+        raise ValueError(f"id must be a non-negative integer within int64, got {shown(row.id)}")
 
 
 def _check_unique(devices) -> None:

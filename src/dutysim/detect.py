@@ -28,6 +28,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import check_fields
+
 __all__ = [
     "GoertzelBank",
     "DetectorModel",
@@ -57,6 +59,7 @@ class GoertzelBank:
     threshold: float = 1e4
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if self.sample_rate <= 0 or self.window_len <= 0:
             raise ValueError("sample_rate and window_len must be positive")
         if not self.target_bins:
@@ -100,6 +103,7 @@ class DetectorModel:
     threshold: float | None = None
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if self.kind not in ("abstract", "goertzel"):
             raise ValueError(f"unknown detector kind {self.kind!r}")
         if not 0 <= self.tp_rate <= 1 or not 0 <= self.fp_rate <= 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ActivityLogError
+from .errors import ActivityLogError, check_fields, check_value
 
 __all__ = [
     "PowerProfile",
@@ -55,9 +55,11 @@ def to_ticks(seconds: float) -> int:
 def check_seconds(value: float, name: str, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` seconds fit the tick clock.
 
-    NaN fails too, so a value that passes converts with ``to_ticks``.
+    ``value`` must be a finite number (``errors.check_value``), so a value
+    that passes converts with ``to_ticks``.
     """
-    if not value <= MAX_SECONDS:
+    check_value(float, value, name, error)
+    if value > MAX_SECONDS:
         raise error(f"{name} must be <= {MAX_SECONDS} s, the engine clock's limit, got {value}")
 
 
@@ -124,6 +126,7 @@ class PowerProfile:
     probe_detector: str = "goertzel"
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         for name in (f.name for f in fields(self) if f.name.startswith("i_")):
             value = getattr(self, name)
             if not 0 <= value <= MAX_CURRENT_MA:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QTableFormatError
+from .errors import QTableFormatError, check_fields
 from .power import check_seconds
 
 __all__ = [
@@ -63,6 +63,7 @@ class ActionSpace:
     intervals: tuple[float, ...] = DEFAULT_ACTIONS
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if len(self.intervals) < 2:
             raise ValueError("action space needs at least 2 intervals")
         if len(self.intervals) > MAX_ACTIONS:
@@ -96,6 +97,7 @@ class Hyperparameters:
     w1: float = 0.1
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0 <= self.alpha <= 1:

@@ -22,14 +22,16 @@ import struct
 
 import numpy as np
 
+from .errors import is_int, shown
+
 __all__ = ["rekey", "substream"]
 
 
 def _key_for(seed: int, path: tuple) -> np.ndarray:
-    if not isinstance(seed, int):
+    if not is_int(seed, within_int64=False):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"seed must lie in [0, 2**64), got {shown(seed)}")
     h = hashlib.sha256()
     h.update(struct.pack("<Q", seed))
     for part in path:
@@ -43,7 +45,8 @@ def substream(seed: int, *path) -> np.random.Generator:
     """Return a Generator for the named substream of ``seed``.
 
     The same (seed, path) always yields the same stream; distinct paths
-    yield independent streams. The seed is a 64-bit word, in [0, 2**64).
+    yield independent streams. The seed is a 64-bit word, in [0, 2**64): an
+    int or numpy integer, not a bool (TypeError), in range (ValueError).
     """
     return np.random.Generator(np.random.Philox(key=_key_for(seed, path)))
 

@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import decode
-from .errors import TraceFormatError, TraceValidationError
+from .errors import TraceFormatError, TraceValidationError, check_fields, is_int, is_real, shown
 from .power import check_seconds
 from .rng import substream
 
@@ -118,13 +117,15 @@ class EventTrace:
     ys: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
+        # These two name a bad value in their own words; check_fields names the rest.
+        if is_real(self.horizon) and not 0 < self.horizon < math.inf:
             raise TraceValidationError(f"horizon must be positive and finite, got {self.horizon}")
+        if not (is_int(self.origin_hour) and 0 <= self.origin_hour < 24):
+            got = shown(self.origin_hour, repr)
+            raise TraceValidationError(f"origin_hour must be an integer in [0, 24), got {got}")
+        check_fields(self, TraceValidationError)
         # Every event ends by the horizon, so this bounds every start and end in ticks too.
         check_seconds(self.horizon, "horizon", TraceValidationError)
-        if not (_is_int64(self.origin_hour) and 0 <= self.origin_hour < 24):
-            got = _shown(self.origin_hour, repr)
-            raise TraceValidationError(f"origin_hour must be an integer in [0, 24), got {got}")
         n = len(self.ids)
         for name in _COLUMNS:
             value = getattr(self, name)
@@ -210,30 +211,9 @@ class EventTrace:
         return int(self.origin_hour + t // SECONDS_PER_HOUR) % 24
 
 
-def _is_int64(value) -> bool:
-    """Whether ``value`` is an integer, not a bool, that an int64 column holds."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return integer and -(2**63) <= value < 2**63
-
-
-def _shown(value, fmt=str) -> str:
-    """``fmt(value)`` for a message, or "an integer past int64's range" for
-    such an int: str and repr refuse an int past 4,300 digits."""
-    if type(value) is int and not _is_int64(value):
-        return "an integer past int64's range"
-    return fmt(value)
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a number, not a bool, a string or an int past float64's range."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return -sys.float_info.max <= value <= sys.float_info.max  # else the cast overflows
-    return isinstance(value, (float, np.floating))
-
-
 def _check_column(name: str, values) -> None:
     """TraceValidationError naming the first value a cast to column ``name`` would change."""
-    ok, kind = (_is_int64, "integers within int64") if name == "ids" else (_is_real, "numbers")
+    ok, kind = (is_int, "integers within int64") if name == "ids" else (is_real, "numbers")
     for value in values:
         if not ok(value):
             field_name = _CSV_HEADER[_COLUMNS.index(name)]
@@ -291,7 +271,8 @@ class DiurnalProfile:
 
     hourly_rate[h] is the expected number of events per hour at hour-of-day h.
     Durations are truncated-normal with a fixed floor of 0.5 s. A generated
-    trace covers ``days`` whole days and starts at hour-of-day origin_hour.
+    trace covers ``days`` whole days, at most MAX_DAYS, and starts at
+    hour-of-day origin_hour.
     band_range=(lo, hi), 0 < lo <= hi, tags each event with a uniform band in
     Hz; area=(x0, x1, y0, y1) places each event uniformly in that rectangle.
     """
@@ -307,6 +288,7 @@ class DiurnalProfile:
     DURATION_FLOOR = 0.5
 
     def __post_init__(self):
+        check_fields(self, TraceValidationError, ranged=("days", "origin_hour"))
         if len(self.hourly_rate) != 24:
             raise TraceValidationError(
                 f"hourly_rate needs 24 entries, got {len(self.hourly_rate)}"
@@ -323,16 +305,13 @@ class DiurnalProfile:
             raise TraceValidationError("duration_mean must be positive")
         if self.duration_sd < 0:
             raise TraceValidationError("duration_sd must be >= 0")
-        for name in ("days", "origin_hour"):
-            value = getattr(self, name)
-            # An int past int64 is still an integer: the range checks refuse it.
-            if not (_is_int64(value) or type(value) is int):
-                raise TraceValidationError(f"{name} must be an integer, got {value!r}")
         if self.days < 1:
-            raise TraceValidationError(f"days must be >= 1, got {_shown(self.days)}")
+            raise TraceValidationError(f"days must be >= 1, got {shown(self.days)}")
+        if self.days > MAX_DAYS:
+            raise TraceValidationError(f"days must be <= {MAX_DAYS}, got {shown(self.days)}")
         if not 0 <= self.origin_hour < 24:
             raise TraceValidationError(
-                f"origin_hour must be in [0, 24), got {_shown(self.origin_hour)}"
+                f"origin_hour must be in [0, 24), got {shown(self.origin_hour)}"
             )
         if self.band_range is not None and not 0 < self.band_range[0] <= self.band_range[1]:
             raise TraceValidationError(
@@ -368,11 +347,9 @@ def generate_trace(profile: DiurnalProfile, seed: int) -> EventTrace:
     profile's band and location tags when it sets band_range or area.
 
     The same profile and seed always produce the same trace. A profile of
-    more than MAX_DAYS days, or of more than MAX_EXPECTED_EVENTS expected
-    events (sum(hourly_rate) * days), is refused with a TraceValidationError.
+    more than MAX_EXPECTED_EVENTS expected events (sum(hourly_rate) * days)
+    is refused with a TraceValidationError.
     """
-    if profile.days > MAX_DAYS:
-        raise TraceValidationError(f"days must be <= {MAX_DAYS}, got {_shown(profile.days)}")
     expected = math.fsum(profile.hourly_rate) * profile.days
     if not expected <= MAX_EXPECTED_EVENTS:
         raise TraceValidationError(
@@ -596,7 +573,7 @@ def _parse_csv_row(row: list[str], name: str, lineno: int) -> Event:
         )
     try:
         ev_id = int(row[0])
-        if not _is_int64(ev_id):
+        if not is_int(ev_id):
             raise ValueError(f"id {ev_id} does not fit in int64")
         start = float(row[1])
         duration = float(row[2])

@@ -45,3 +45,10 @@ def test_rekeyed_stream_draws_what_a_new_substream_draws():
         assert stream_position(gen)[1:] == (3, 1)  # a partly used buffer and a cached uint32
     with pytest.raises(ValueError, match="seed"):
         rekey(gen, 2**64, "pings", 0)
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_substream_rejects_a_bool_seed(seed):
+    # True drew exactly what seed 1 draws, and False what seed 0 draws.
+    with pytest.raises(TypeError, match="seed must be an int, got bool"):
+        substream(seed, "device", 3, "day", 7)

@@ -102,10 +102,10 @@ def test_make_trace_checks_each_id_once(monkeypatch):
 
     def counting(value):
         checked.append(value)
-        return is_int64(value)
+        return is_int(value)
 
-    is_int64 = trace_module._is_int64
-    monkeypatch.setattr(trace_module, "_is_int64", counting)
+    is_int = trace_module.is_int  # the shared test, as trace looks it up
+    monkeypatch.setattr(trace_module, "is_int", counting)
     n = 100
     make_trace([Event(i, float(i), 1.0) for i in range(n)], origin_hour=5)
     # Each id once in make_trace, then origin_hour in EventTrace.
